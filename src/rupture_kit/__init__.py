@@ -20,7 +20,9 @@ from .simplicial import (
     enumerate_horns,
     find_fillers,
     horn_complex,
+    horn_of,
     is_kan_up_to,
+    restrict,
     standard_simplex,
     validate_complex,
 )
@@ -30,7 +32,6 @@ from .ruptured import (
     GapWitnessed,
     Open,
     RupturedComplex,
-    RupturedMorphism,
     Trichotomy,
     classify_horn,
     coherent_core,

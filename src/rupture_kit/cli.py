@@ -109,7 +109,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _horn_line(complex_, h, outcome) -> str:
+def _horn_line(h, outcome) -> str:
     faces = ",".join(f"{i}:{f}" for i, f in h.face_map().items())
     head = f"n={h.n} k={h.k} faces {faces}"
     if isinstance(outcome, CoherentlyFilled):
@@ -141,7 +141,7 @@ def cmd_horns(args) -> int:
         _emit_json(payload)
     else:
         for h, outcome in rows:
-            print(_horn_line(r.underlying, h, outcome))
+            print(_horn_line(h, outcome))
     return 0
 
 

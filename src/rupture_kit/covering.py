@@ -211,6 +211,18 @@ def trivial_double_cover(m: int) -> RupturedFibrationData:
 # -- lifting and monodromy -----------------------------------------------------
 
 
+def _lifts(f: RupturedFibrationData, edge: int, face_idx: int, at: int) -> list[int]:
+    """Total-space edges over base edge ``edge`` whose d_{face_idx} is
+    vertex ``at``, in ascending index order."""
+    e = f.total.underlying
+    return [
+        te
+        for te in range(e.count(1))
+        if e.face_row(1, te)[face_idx] == at
+        and f.proj.apply(SimplexId(1, te)).index == edge
+    ]
+
+
 def covering_violation(f: RupturedFibrationData) -> Optional[str]:
     """None when every (total vertex, incident base edge, direction) has
     exactly one lift; otherwise a description of the first failure."""
@@ -221,12 +233,7 @@ def covering_violation(f: RupturedFibrationData) -> Optional[str]:
             for face_idx, direction in ((1, "forward"), (0, "backward")):
                 if b.face(SimplexId(1, be), face_idx) != pv:
                     continue
-                lifts = [
-                    te
-                    for te in range(e.count(1))
-                    if f.proj.levels[1][te] == be
-                    and e.face(SimplexId(1, te), face_idx) == SimplexId(0, w)
-                ]
+                lifts = _lifts(f, be, face_idx, w)
                 if len(lifts) != 1:
                     return (
                         f"vertex 0/{w} has {len(lifts)} {direction} lifts of base edge 1/{be}"
@@ -261,13 +268,7 @@ def lift_edge_path(
     at = start
     lifted = []
     for edge, forward in path.steps:
-        face_idx = 1 if forward else 0
-        matches = [
-            te
-            for te in range(e.count(1))
-            if f.proj.levels[1][te] == edge
-            and e.face(SimplexId(1, te), face_idx) == at
-        ]
+        matches = _lifts(f, edge, 1 if forward else 0, at.index)
         if len(matches) != 1:
             raise KernelError(
                 f"not a covering: {len(matches)} lifts of edge 1/{edge} at {at}"

@@ -49,15 +49,6 @@ from .simplicial import HornSpec, SimplexId, SimplicialMap, TruncatedComplex
 
 FORMAT = "rupture-kit/1"
 
-KINDS = (
-    "complex",
-    "ruptured",
-    "fibration",
-    "covering-task",
-    "derive-task",
-    "judgment-script",
-)
-
 
 @dataclass(frozen=True)
 class Document:
@@ -621,14 +612,21 @@ def body_to_script(body: Mapping, where: str = "judgment-script") -> list[Script
 # -- top level -----------------------------------------------------------------------
 
 
-_PARSERS = {
-    "complex": body_to_complex,
-    "ruptured": body_to_ruptured,
-    "fibration": body_to_fibration,
-    "covering-task": body_to_covering_task,
-    "derive-task": body_to_derive_task,
-    "judgment-script": body_to_script,
+# kind -> (parse the body, build the body)
+_KINDS = {
+    "complex": (body_to_complex, complex_to_body),
+    "ruptured": (body_to_ruptured, ruptured_to_body),
+    "fibration": (body_to_fibration, fibration_to_body),
+    "covering-task": (body_to_covering_task, covering_task_to_body),
+    "derive-task": (body_to_derive_task, derive_task_to_body),
+    "judgment-script": (body_to_script, script_to_body),
 }
+
+
+def _codec(kind: str):
+    if kind not in _KINDS:
+        raise DocumentError(f"unknown kind '{kind}'", "kind")
+    return _KINDS[kind]
 
 
 def parse_document(text: str) -> Document:
@@ -642,29 +640,15 @@ def parse_document(text: str) -> Document:
     fmt = _get(raw, "format", "top level", str)
     _expect(fmt == FORMAT, f"unsupported format '{fmt}'", "format")
     kind = _get(raw, "kind", "top level", str)
-    if kind not in _PARSERS:
-        raise DocumentError(f"unknown kind '{kind}'", "kind")
-    return Document(kind, _PARSERS[kind](raw, kind))
+    parse, _ = _codec(kind)
+    return Document(kind, parse(raw, kind))
 
 
 def serialize_document(doc: Document) -> str:
     """Deterministic JSON text for a document (sorted keys, 2-space indent)."""
-    if doc.kind == "complex":
-        body = complex_to_body(doc.body)
-    elif doc.kind == "ruptured":
-        body = ruptured_to_body(doc.body)
-    elif doc.kind == "fibration":
-        body = fibration_to_body(doc.body)
-    elif doc.kind == "covering-task":
-        body = covering_task_to_body(doc.body)
-    elif doc.kind == "derive-task":
-        body = derive_task_to_body(doc.body)
-    elif doc.kind == "judgment-script":
-        body = script_to_body(doc.body)
-    else:
-        raise DocumentError(f"unknown kind '{doc.kind}'", "kind")
+    _, to_body = _codec(doc.kind)
     payload = {"format": FORMAT, "kind": doc.kind}
-    payload.update(body)
+    payload.update(to_body(doc.body))
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -34,9 +34,10 @@ from .simplicial import (
     HornSpec,
     SimplexId,
     SimplicialMap,
-    TruncatedComplex,
     check_simplicial_map,
     enumerate_horns,
+    horn_of,
+    restrict,
 )
 
 
@@ -171,8 +172,10 @@ def key_violations(f: RupturedFibrationData, key: LiftingProblemKey) -> list[Vio
         report.append(Violation("lift-base-coherence", f"{key}: base simplex not coherent"))
     if report:
         return report
-    for i, fc in h.face_map().items():
-        if f.proj.apply(SimplexId(h.n - 1, fc)) != b.face(key.base, i):
+    projected = f.proj.apply_horn(h).faces
+    expected = horn_of(b, key.base, h.k).faces
+    for i, got, want in zip(h.present_indices, projected, expected):
+        if got != want:
             report.append(
                 Violation(
                     "lift-compatibility",
@@ -185,18 +188,9 @@ def key_violations(f: RupturedFibrationData, key: LiftingProblemKey) -> list[Vio
 def _solutions(f: RupturedFibrationData, key: LiftingProblemKey) -> list[SimplexId]:
     """Coherent total-space simplices that fill the horn and project onto
     the base simplex, in ascending index order."""
-    e = f.total.underlying
-    fm = key.horn.face_map()
-    out = []
-    for idx in range(e.count(key.horn.n)):
-        sid = SimplexId(key.horn.n, idx)
-        if not f.total.is_coherent(sid):
-            continue
-        row = e.face_row(key.horn.n, idx)
-        if all(row[i] == fc for i, fc in fm.items()):
-            if f.proj.apply(sid) == key.base:
-                out.append(sid)
-    return out
+    return [
+        s for s in f.total.coherent_fillers(key.horn) if f.proj.apply(s) == key.base
+    ]
 
 
 # -- operations --------------------------------------------------------------
@@ -267,18 +261,10 @@ def transport(
     when the problem is gap-marked; open otherwise.
     """
     _check_transport_inputs(f, e, path)
-    lifts = []
-    eu = f.total.underlying
-    for idx in range(eu.count(1)):
-        sid = SimplexId(1, idx)
-        if not f.total.is_coherent(sid):
-            continue
-        if eu.face(sid, 1) == e and f.proj.apply(sid) == path:
-            lifts.append(sid)
-    if lifts:
-        least = min(lifts)
-        return Coherent(eu.face(least, 0), len(lifts))
     key = transport_key(f, e, path)
+    lifts = _solutions(f, key)
+    if lifts:
+        return Coherent(f.total.underlying.face(lifts[0], 0), len(lifts))
     if key in f.gap_lifts:
         return Gapped(f.gap_lifts[key])
     return OpenTransport()
@@ -334,73 +320,48 @@ def fiber(
     if not f.base.is_coherent(b):
         raise KernelError(f"base vertex {b} is not coherent")
     e = f.total.underlying
-    keep: list[list[int]] = []
-    for n in range(e.dim_bound + 1):
-        members = [
+    keep = [
+        [
             idx
             for idx in range(e.count(n))
-            if all(
-                f.proj.apply(v) == b for v in e.vertices_of(SimplexId(n, idx))
-            )
+            if all(f.proj.apply(v) == b for v in e.vertices_of(SimplexId(n, idx)))
         ]
-        keep.append(members)
-    new_index = [{old: new for new, old in enumerate(dim)} for dim in keep]
-    counts = [len(dim) for dim in keep]
-    faces = {}
-    for n in range(1, e.dim_bound + 1):
-        faces[n] = [
-            [new_index[n - 1][fc] for fc in e.face_row(n, old)] for old in keep[n]
-        ]
-    labels = {}
-    for n in range(e.dim_bound + 1):
-        per_dim = [e.label(SimplexId(n, old)) for old in keep[n]]
-        if any(l is not None for l in per_dim):
-            labels[n] = [l if l is not None else "" for l in per_dim]
-    sub = TruncatedComplex.create(e.dim_bound, counts, faces, labels)
+        for n in range(e.dim_bound + 1)
+    ]
+    sub, inclusion = restrict(e, keep)
+    # Coherence marks and gap horns follow the simplices to their new indices.
+    position = [
+        {old: new for new, old in enumerate(level)} for level in inclusion.levels
+    ]
     coh = {
-        n: {new_index[n][old] for old in keep[n] if old in f.total.coh[n]}
+        n: {position[n][old] for old in f.total.coh[n] if old in position[n]}
         for n in range(e.dim_bound + 1)
     }
     gap = []
     modes = {}
     for h in f.total.gap:
-        if all(fc in new_index[h.n - 1] for fc in h.faces):
+        if all(fc in position[h.n - 1] for fc in h.faces):
             translated = HornSpec(
-                h.n, h.k, tuple(new_index[h.n - 1][fc] for fc in h.faces)
+                h.n, h.k, tuple(position[h.n - 1][fc] for fc in h.faces)
             )
             gap.append(translated)
             mode = f.total.gap_modes.get(h)
             if mode is not None:
                 modes[translated] = mode
-    inclusion = SimplicialMap(tuple(tuple(dim) for dim in keep))
     return RupturedComplex.create(sub, coh, gap, modes), inclusion
 
 
 def enumerate_lifting_problems(f: RupturedFibrationData) -> list[LiftingProblemKey]:
     """Every well-formed lifting problem representable in the truncation,
     in (horn, base) order."""
-    e, b = f.total.underlying, f.base.underlying
+    top = min(f.total.underlying.dim_bound, f.base.underlying.dim_bound)
     out = []
-    top = min(e.dim_bound, b.dim_bound)
     for n in range(1, top + 1):
         for k in range(n + 1):
-            for h in enumerate_horns(e, n, k):
-                if not all(
-                    f.total.is_coherent(SimplexId(n - 1, fc)) for fc in h.faces
-                ):
-                    continue
-                fm = h.face_map()
-                for idx in range(b.count(n)):
-                    base_sid = SimplexId(n, idx)
-                    if not f.base.is_coherent(base_sid):
-                        continue
-                    row = b.face_row(n, idx)
-                    if all(
-                        f.proj.apply(SimplexId(n - 1, fc)) == SimplexId(n - 1, row[i])
-                        for i, fc in fm.items()
-                    ):
+            for h in enumerate_horns(f.total.underlying, n, k):
+                if all(f.total.is_coherent(SimplexId(n - 1, fc)) for fc in h.faces):
+                    for base_sid in f.base.coherent_fillers(f.proj.apply_horn(h)):
                         out.append(LiftingProblemKey(h, base_sid))
-    out.sort(key=lambda key: (key.horn, key.base))
     return out
 
 

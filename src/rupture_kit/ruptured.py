@@ -25,7 +25,9 @@ from .simplicial import (
     check_simplicial_map,
     enumerate_horns,
     find_fillers,
+    horn_of,
     horn_violations,
+    restrict,
 )
 
 
@@ -107,12 +109,8 @@ class RupturedComplex:
             raise KernelError(f"no simplex {sid} in the complex")
         conflicts = []
         if sid.dim >= 1:
-            row = self.underlying.face_row(sid.dim, sid.index)
-            for h in self.gap:
-                if h.n != sid.dim:
-                    continue
-                if all(row[i] == f for i, f in h.face_map().items()):
-                    conflicts.append((h, sid))
+            filled = (horn_of(self.underlying, sid, k) for k in range(sid.dim + 1))
+            conflicts = [(h, sid) for h in filled if h in self.gap]
         if conflicts:
             raise ExclusionError(
                 f"coherent {sid} would fill {len(conflicts)} gap-witnessed horn(s)",
@@ -148,14 +146,6 @@ class Open:
 
 
 Trichotomy = CoherentlyFilled | GapWitnessed | Open
-
-
-@dataclass(frozen=True)
-class RupturedMorphism:
-    """A simplicial map intended to preserve coherence and gaps; the
-    preservation conditions are checked by :func:`check_morphism`."""
-
-    map: SimplicialMap
 
 
 # -- operations --------------------------------------------------------------
@@ -240,31 +230,11 @@ def coherent_core(r: RupturedComplex) -> tuple[TruncatedComplex, SimplicialMap]:
     else. The inclusion sends each core simplex to its original id.
     """
     x = r.underlying
-    keep: list[set[int]] = [set() for _ in range(x.dim_bound + 1)]
-    for n in range(x.dim_bound + 1):
-        keep[n].update(r.coh[n])
+    keep = [set(members) for members in r.coh]
     for n in range(x.dim_bound, 0, -1):
         for idx in keep[n]:
-            for f in x.face_row(n, idx):
-                keep[n - 1].add(f)
-    ordered = [sorted(members) for members in keep]
-    new_index = [
-        {old: new for new, old in enumerate(members)} for members in ordered
-    ]
-    counts = [len(members) for members in ordered]
-    faces = {}
-    for n in range(1, x.dim_bound + 1):
-        faces[n] = [
-            [new_index[n - 1][f] for f in x.face_row(n, old)] for old in ordered[n]
-        ]
-    labels = {}
-    for n in range(x.dim_bound + 1):
-        per_dim = [x.label(SimplexId(n, old)) for old in ordered[n]]
-        if any(l is not None for l in per_dim):
-            labels[n] = [l if l is not None else "" for l in per_dim]
-    core = TruncatedComplex.create(x.dim_bound, counts, faces, labels)
-    inclusion = SimplicialMap(tuple(tuple(members) for members in ordered))
-    return core, inclusion
+            keep[n - 1].update(x.face_row(n, idx))
+    return restrict(x, keep)
 
 
 def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
@@ -323,14 +293,10 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
             for h in enumerate_horns(underlying, n, k):
                 hx = project(h, rc, True)
                 hy = project(h, rc, False)
-                if hx in r.gap:
+                if hx in r.gap or hy in s.gap:
                     gap.append(h)
-                    mode = r.gap_modes.get(hx) or s.gap_modes.get(hy)
-                    if mode is not None:
-                        modes[h] = mode
-                elif hy in s.gap:
-                    gap.append(h)
-                    mode = s.gap_modes.get(hy)
+                    left = r.gap_modes.get(hx) if hx in r.gap else None
+                    mode = left or s.gap_modes.get(hy)
                     if mode is not None:
                         modes[h] = mode
     result = RupturedComplex.create(underlying, coh, gap, modes)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import KernelError, Violation
 
@@ -149,10 +149,6 @@ class TruncatedComplex:
         for i in range(self.count(n)):
             yield SimplexId(n, i)
 
-    def all_simplices(self) -> Iterator[SimplexId]:
-        for n in range(self.dim_bound + 1):
-            yield from self.simplices(n)
-
     def face_row(self, n: int, index: int) -> tuple[int, ...]:
         return self.face_table[n - 1][index]
 
@@ -219,8 +215,9 @@ class SimplicialMap:
         return SimplexId(sid.dim, self.levels[sid.dim][sid.index])
 
     def apply_horn(self, h: HornSpec) -> HornSpec:
-        level = self.levels[h.n - 1]
-        return HornSpec(h.n, h.k, tuple(level[f] for f in h.faces))
+        return HornSpec(
+            h.n, h.k, tuple(self.apply(SimplexId(h.n - 1, f)).index for f in h.faces)
+        )
 
     @classmethod
     def identity(cls, x: TruncatedComplex) -> "SimplicialMap":
@@ -236,6 +233,49 @@ class SimplicialMap:
                 for n in range(top + 1)
             )
         )
+
+
+# -- the shared rules -------------------------------------------------------
+
+
+def horn_of(x: TruncatedComplex, sid: SimplexId, k: int) -> HornSpec:
+    """The (n, k)-horn a simplex fills: its face row with entry k dropped."""
+    row = x.face_row(sid.dim, sid.index)
+    return HornSpec(sid.dim, k, row[:k] + row[k + 1 :])
+
+
+def _identity_holds(rows, i: int, fi: int, j: int, fj: int) -> bool:
+    """d_i d_j = d_{j-1} d_i on a boundary whose i-th face is ``fi`` and
+    j-th face is ``fj`` (i < j); ``rows`` are the face rows of their
+    dimension."""
+    return rows[fj][i] == rows[fi][j - 1]
+
+
+def restrict(
+    x: TruncatedComplex, keep: Sequence[Iterable[int]]
+) -> tuple[TruncatedComplex, SimplicialMap]:
+    """The sub-complex on the kept simplices, with its inclusion map.
+
+    ``keep[n]`` holds the kept n-simplex indices for every n up to the
+    bound and must be closed under faces. Kept simplices are renumbered in
+    ascending order of their old index; labels carry over, a missing one
+    as "" when others in its dimension are present.
+    """
+    ordered = [sorted(members) for members in keep]
+    new_index = [{old: new for new, old in enumerate(level)} for level in ordered]
+    faces = {
+        n: [[new_index[n - 1][f] for f in x.face_row(n, old)] for old in ordered[n]]
+        for n in range(1, x.dim_bound + 1)
+    }
+    labels = {}
+    for n, level in enumerate(ordered):
+        per_dim = [x.label(SimplexId(n, old)) for old in level]
+        if any(l is not None for l in per_dim):
+            labels[n] = [l if l is not None else "" for l in per_dim]
+    sub = TruncatedComplex.create(
+        x.dim_bound, [len(level) for level in ordered], faces, labels
+    )
+    return sub, SimplicialMap(tuple(tuple(level) for level in ordered))
 
 
 # -- construction of standard shapes ---------------------------------------
@@ -291,37 +331,11 @@ def horn_complex(n: int, k: int) -> TruncatedComplex:
     if n == 1:
         kept = 1 - k
         return TruncatedComplex.create(0, [1], labels={0: [str(kept)]})
-    full = standard_simplex(n, n)
-    removed = tuple(v for v in range(n + 1) if v != k)  # the k-th (n-1)-face
-    kept_top = [
-        combo
-        for combo in combinations(range(n + 1), n)
-        if combo != removed
-    ]
-    # Reindex dimension n-1; dimensions below n-1 carry over unchanged.
-    old_level = list(combinations(range(n + 1), n))
-    new_index = {c: i for i, c in enumerate(kept_top)}
-    counts = [full.count(m) for m in range(n - 1)] + [len(kept_top)]
-    faces = {}
-    for m in range(1, n - 1):
-        faces[m] = [list(full.face_row(m, i)) for i in range(full.count(m))]
-    if n - 1 >= 1:
-        rows = []
-        for combo in kept_top:
-            rows.append(
-                [
-                    # faces of an (n-1)-cell live in dimension n-2 and keep
-                    # their indices from the full simplex
-                    full.face_row(n - 1, old_level.index(combo))[i]
-                    for i in range(n)
-                ]
-            )
-        faces[n - 1] = rows
-    labels = {}
-    for m in range(n - 1):
-        labels[m] = ["-".join(str(v) for v in c) for c in combinations(range(n + 1), m + 1)]
-    labels[n - 1] = ["-".join(str(v) for v in c) for c in kept_top]
-    return TruncatedComplex.create(n - 1, counts, faces, labels)
+    boundary = standard_simplex(n, n - 1)
+    # (n-1)-faces are listed with the omitted vertex descending: d_k is n - k.
+    keep = [range(boundary.count(m)) for m in range(n - 1)]
+    keep.append([i for i in range(boundary.count(n - 1)) if i != n - k])
+    return restrict(boundary, keep)[0]
 
 
 # -- validation -------------------------------------------------------------
@@ -357,17 +371,16 @@ def validate_complex(x: TruncatedComplex) -> list[Violation]:
     if report:
         return report
     for n in range(2, x.dim_bound + 1):
+        rows = x.face_table[n - 2]
         for idx in range(x.count(n)):
-            sid = SimplexId(n, idx)
+            row = x.face_row(n, idx)
             for j in range(n + 1):
                 for i in range(j):
-                    left = x.face(x.face(sid, j), i)
-                    right = x.face(x.face(sid, i), j - 1)
-                    if left != right:
+                    if not _identity_holds(rows, i, row[i], j, row[j]):
                         report.append(
                             Violation(
                                 "simplicial-identity",
-                                f"d_{i} d_{j} != d_{j - 1} d_{i} on simplex {sid}",
+                                f"d_{i} d_{j} != d_{j - 1} d_{i} on simplex {n}/{idx}",
                             )
                         )
     return report
@@ -394,13 +407,10 @@ def horn_violations(x: TruncatedComplex, h: HornSpec) -> list[Violation]:
     if report:
         return report
     if h.n >= 2:
+        rows = x.face_table[h.n - 2]
         for j in h.present_indices:
             for i in h.present_indices:
-                if i >= j:
-                    continue
-                left = x.face(SimplexId(h.n - 1, fm[j]), i)
-                right = x.face(SimplexId(h.n - 1, fm[i]), j - 1)
-                if left != right:
+                if i < j and not _identity_holds(rows, i, fm[i], j, fm[j]):
                     report.append(
                         Violation(
                             "horn-compatibility",
@@ -422,21 +432,8 @@ def enumerate_horns(x: TruncatedComplex, n: int, k: int) -> list[HornSpec]:
         raise KernelError(f"horn index k={k} out of range for n={n}")
     present = tuple(i for i in range(n + 1) if i != k)
     face_count = x.count(n - 1)
+    rows = x.face_table[n - 2] if n >= 2 else ()
     result: list[HornSpec] = []
-
-    def compatible(chosen: dict[int, int], i: int, f: int) -> bool:
-        if n < 2:
-            return True
-        cand = SimplexId(n - 1, f)
-        for j, g in chosen.items():
-            lo, hi = (j, i) if j < i else (i, j)
-            lo_face, hi_face = (g, f) if j < i else (f, g)
-            # d_lo(faces[hi]) == d_{hi-1}(faces[lo])
-            if x.face(SimplexId(n - 1, hi_face), lo) != x.face(
-                SimplexId(n - 1, lo_face), hi - 1
-            ):
-                return False
-        return True
 
     def extend(pos: int, chosen: dict[int, int]):
         if pos == len(present):
@@ -446,7 +443,8 @@ def enumerate_horns(x: TruncatedComplex, n: int, k: int) -> list[HornSpec]:
             return
         i = present[pos]
         for f in range(face_count):
-            if compatible(chosen, i, f):
+            # faces are chosen in ascending index order, so every chosen j < i
+            if all(_identity_holds(rows, j, g, i, f) for j, g in chosen.items()):
                 chosen[i] = f
                 extend(pos + 1, chosen)
                 del chosen[i]
@@ -461,13 +459,12 @@ def find_fillers(x: TruncatedComplex, h: HornSpec) -> list[SimplexId]:
     bad = horn_violations(x, h)
     if any(v.kind == "horn-dangling-face" or v.kind == "horn-dimension" for v in bad):
         raise KernelError("; ".join(v.message for v in bad))
-    fm = h.face_map()
-    out = []
-    for idx in range(x.count(h.n)):
-        row = x.face_row(h.n, idx)
-        if all(row[i] == f for i, f in fm.items()):
-            out.append(SimplexId(h.n, idx))
-    return out
+    k, faces = h.k, h.faces
+    return [
+        SimplexId(h.n, idx)
+        for idx, row in enumerate(x.face_table[h.n - 1])
+        if row[:k] + row[k + 1 :] == faces
+    ]
 
 
 def is_kan_up_to(

@@ -232,3 +232,19 @@ class TestDeterminism:
         assert first.returncode == second.returncode
         assert first.stdout == second.stdout
         assert first.stdout  # nonempty report
+
+
+class TestShortMap:
+    def test_monodromy_on_short_edge_map_exits_one(self, tmp_path):
+        doc = json.loads((FIXTURES / "double_cover_3.json").read_text())
+        doc["map"]["1"] = doc["map"]["1"][:3]
+        path = tmp_path / "short_map.json"
+        path.write_text(json.dumps(doc))
+        cmd = [
+            sys.executable, "-m", "rupture_kit", "monodromy",
+            str(path), str(FIXTURES / "monodromy_task_3.json"),
+        ]
+        run = subprocess.run(cmd, capture_output=True, text=True, cwd=FIXTURES.parent)
+        assert run.returncode == 1
+        assert run.stdout.startswith("error: map not defined on 1/")
+        assert "Traceback" not in run.stdout + run.stderr

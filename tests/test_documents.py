@@ -1,5 +1,6 @@
 """Document parsing, serialization round-trips, and schema errors."""
 
+import importlib.util
 import pathlib
 
 import pytest
@@ -197,3 +198,24 @@ class TestLabelAndCountForms:
         )
         doc = parse_document(text)
         assert [doc.body.count(n) for n in range(3)] == [1, 0, 0]
+
+
+def _gen_fixtures():
+    script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "gen_fixtures.py"
+    spec = importlib.util.spec_from_file_location("gen_fixtures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fixtures_regenerate_byte_for_byte():
+    # the builders plus the serializer reproduce every committed fixture
+    generated = _gen_fixtures().FIXTURES
+    assert sorted(generated) == [p.name for p in FIXTURES]
+    for path in FIXTURES:
+        assert serialize_document(generated[path.name]) == path.read_text(encoding="utf-8")
+
+
+def test_serialize_unknown_kind():
+    with pytest.raises(DocumentError, match="unknown kind 'mystery'"):
+        serialize_document(Document("mystery", None))

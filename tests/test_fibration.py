@@ -1,5 +1,8 @@
 """Lifting problems, transport, fibers, horn detectors, and composition."""
 
+import random
+from itertools import product as cartesian
+
 import pytest
 
 from rupture_kit.errors import KernelError
@@ -7,6 +10,7 @@ from rupture_kit.fibration import (
     Coherent,
     Gapped,
     LiftingProblemKey,
+    OpenTransport,
     RupturedFibrationData,
     classify_lift,
     compose_fibrations,
@@ -25,6 +29,7 @@ from rupture_kit.ruptured import (
     RupturedComplex,
     classify_horn,
     from_kan,
+    product,
 )
 from rupture_kit.simplicial import (
     HornSpec,
@@ -419,3 +424,109 @@ class TestFunctorialityHorn:
             detect_functoriality_horn(
                 crane, SimplexId(0, 0), SimplexId(1, 1), SimplexId(1, 0)
             )
+
+
+def product_projection() -> RupturedFibrationData:
+    """cycle(3) x cycle(4) projected onto the left factor."""
+    r, s = from_kan(build_cycle(3)), from_kan(build_cycle(4))
+    p = product(r, s)
+    proj = SimplicialMap(
+        tuple(
+            tuple(flat // s.underlying.count(n) for flat in range(p.underlying.count(n)))
+            for n in range(3)
+        )
+    )
+    return RupturedFibrationData(p, r, proj)
+
+
+def thinned(f: RupturedFibrationData, rng: random.Random) -> RupturedFibrationData:
+    """Drop about a third of the coherent total edges and gap-mark half of
+    the transport problems left without a lift."""
+    x = f.total.underlying
+    coh = {n: set(f.total.coh[n]) for n in range(x.dim_bound + 1)}
+    coh[1] = {i for i in coh[1] if rng.random() < 0.65}
+    total = RupturedComplex.create(x, coh)
+    gap_lifts = {}
+    for w in range(x.count(0)):
+        for e in range(f.base.underlying.count(1)):
+            lifted = any(
+                x.face_row(1, t)[1] == w and f.proj.levels[1][t] == e for t in coh[1]
+            )
+            if not lifted and rng.random() < 0.5:
+                key = LiftingProblemKey(
+                    HornSpec.from_mapping(1, 0, {1: w}), SimplexId(1, e)
+                )
+                gap_lifts[key] = GapMode("plain")
+    return RupturedFibrationData(total, f.base, f.proj, gap_lifts)
+
+
+def oracle_fibrations():
+    rng = random.Random(71)
+    plain = [build_double_cover(m) for m in (3, 4, 5)]
+    plain += [trivial_double_cover(m) for m in (3, 4)]
+    plain.append(product_projection())
+    return plain + [thinned(f, rng) for f in plain]
+
+
+class TestTransportOracle:
+    def test_matches_nested_edge_scan(self):
+        checked = 0
+        for f in oracle_fibrations():
+            x, b = f.total.underlying, f.base.underlying
+            for w in range(x.count(0)):
+                for e in range(b.count(1)):
+                    if f.proj.levels[0][w] != b.face_row(1, e)[1]:
+                        continue
+                    lifts = [
+                        t
+                        for t in range(x.count(1))
+                        if t in f.total.coh[1]
+                        and x.face_row(1, t)[1] == w
+                        and f.proj.levels[1][t] == e
+                    ]
+                    key = LiftingProblemKey(
+                        HornSpec.from_mapping(1, 0, {1: w}), SimplexId(1, e)
+                    )
+                    if lifts:
+                        target = SimplexId(0, x.face_row(1, lifts[0])[0])
+                        want = Coherent(target, len(lifts))
+                    elif key in f.gap_lifts:
+                        want = Gapped(f.gap_lifts[key])
+                    else:
+                        want = OpenTransport()
+                    assert transport(f, SimplexId(0, w), SimplexId(1, e)) == want
+                    checked += 1
+        assert checked >= 100
+
+
+class TestLiftingProblemOracle:
+    def test_matches_nested_horn_and_base_scan(self):
+        for f in oracle_fibrations():
+            x, b = f.total.underlying, f.base.underlying
+            want = []
+            for n in range(1, min(x.dim_bound, b.dim_bound) + 1):
+                for k in range(n + 1):
+                    present = [i for i in range(n + 1) if i != k]
+                    for faces in cartesian(range(x.count(n - 1)), repeat=n):
+                        fm = dict(zip(present, faces))
+                        if not all(fc in f.total.coh[n - 1] for fc in faces):
+                            continue
+                        if not all(
+                            x.face_row(n - 1, fm[j])[i] == x.face_row(n - 1, fm[i])[j - 1]
+                            for i in present
+                            for j in present
+                            if i < j
+                        ):
+                            continue
+                        for base in sorted(f.base.coh[n]):
+                            if all(
+                                f.proj.levels[n - 1][fm[i]] == b.face_row(n, base)[i]
+                                for i in present
+                            ):
+                                want.append(
+                                    LiftingProblemKey(
+                                        HornSpec(n, k, tuple(faces)), SimplexId(n, base)
+                                    )
+                                )
+            want.sort(key=lambda key: (key.horn, key.base))
+            assert enumerate_lifting_problems(f) == want

@@ -352,3 +352,33 @@ class TestValidateRuptured:
         d2 = triangle()
         r = RupturedComplex.create(d2, {}, [HornSpec.from_mapping(2, 1, {0: 9, 2: 0})])
         assert any(v.kind == "horn-dangling-face" for v in validate_ruptured(r))
+
+
+class TestWithCoherentOracle:
+    def test_rejects_iff_a_gap_horn_scan_finds_a_match(self):
+        # brute force: compare the simplex's faces with every gapped horn
+        rng = random.Random(61)
+        rejected = 0
+        for i in range(200):
+            r = random_ruptured(rng, force_valid=(i % 2 == 0))
+            x = r.underlying
+            for n in range(x.dim_bound + 1):
+                for idx in range(x.count(n)):
+                    sid = SimplexId(n, idx)
+                    want = {
+                        (h, sid)
+                        for h in r.gap
+                        if h.n == n
+                        and all(
+                            x.face_row(n, idx)[i] == h.face(i) for i in h.present_indices
+                        )
+                    }
+                    if want:
+                        with pytest.raises(ExclusionError) as err:
+                            r.with_coherent(sid)
+                        assert set(err.value.conflicts) == want
+                        assert len(err.value.conflicts) == len(want)
+                        rejected += 1
+                    else:
+                        assert r.with_coherent(sid).is_coherent(sid)
+        assert rejected >= 100

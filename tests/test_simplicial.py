@@ -16,7 +16,9 @@ from rupture_kit.simplicial import (
     enumerate_horns,
     find_fillers,
     horn_complex,
+    horn_of,
     is_kan_up_to,
+    restrict,
     standard_simplex,
     validate_complex,
 )
@@ -263,3 +265,101 @@ class TestSimplicialMap:
         ident = SimplicialMap.identity(d2)
         comp = SimplicialMap.compose(ident, ident)
         assert comp == ident
+
+
+class TestApplyHorn:
+    def test_maps_each_face(self):
+        cover = build_double_cover(3)
+        h = HornSpec.from_mapping(1, 0, {1: 4})
+        assert cover.proj.apply_horn(h) == HornSpec.from_mapping(1, 0, {1: 1})
+
+    def test_short_map_raises_kernel_error(self):
+        d2 = standard_simplex(2, 2)
+        short = SimplicialMap(((0, 1), (0, 1, 2), (0,)))
+        (horn,) = enumerate_horns(d2, 2, 1)
+        with pytest.raises(KernelError, match="map not defined on 0/2"):
+            short.apply_horn(HornSpec.from_mapping(1, 0, {1: 2}))
+        with pytest.raises(KernelError, match="map not defined"):
+            SimplicialMap(((0, 1, 2),)).apply_horn(horn)
+
+
+class TestHornOf:
+    def test_triangle_faces_without_k(self):
+        d2 = standard_simplex(2, 2)
+        row = d2.face_row(2, 0)
+        for k in range(3):
+            h = horn_of(d2, SimplexId(2, 0), k)
+            assert (h.n, h.k) == (2, k)
+            assert [h.face(i) for i in h.present_indices] == [
+                row[i] for i in range(3) if i != k
+            ]
+
+    def test_every_simplex_fills_its_own_horns(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            x = random_complex(rng)
+            for n in (1, 2):
+                for idx in range(x.count(n)):
+                    for k in range(n + 1):
+                        h = horn_of(x, SimplexId(n, idx), k)
+                        assert h in enumerate_horns(x, n, k)
+                        assert SimplexId(n, idx) in find_fillers(x, h)
+
+    def test_vertex_has_no_horn(self):
+        with pytest.raises(KernelError):
+            horn_of(standard_simplex(2, 2), SimplexId(0, 0), 0)
+
+
+class TestRestrict:
+    def test_keeping_everything_is_the_identity(self):
+        d3 = standard_simplex(3, 3)
+        sub, inclusion = restrict(d3, [range(c) for c in d3.counts])
+        assert sub == d3
+        assert inclusion == SimplicialMap.identity(d3)
+
+    def test_edge_of_triangle(self):
+        d2 = standard_simplex(2, 2)
+        # edge 1-2 and its two vertices, given out of order
+        sub, inclusion = restrict(d2, [{2, 1}, [2], []])
+        assert sub.counts == (2, 1, 0)
+        assert sub.face_row(1, 0) == (1, 0)
+        assert sub.labels[0] == ("1", "2") and sub.labels[1] == ("1-2",)
+        assert inclusion.levels == ((1, 2), (2,), ())
+        assert validate_complex(sub) == []
+        assert check_simplicial_map(inclusion, sub, d2) == []
+
+    def test_missing_labels_become_empty(self):
+        x = TruncatedComplex.create(1, [3, 2], {1: [[1, 0], [2, 1]]}, {1: ["a", "b"]})
+        sub, _ = restrict(x, [[1, 2], [1]])
+        assert sub.labels == (None, ("b",))
+
+
+class TestHornComplexOracle:
+    def test_matches_subset_construction(self):
+        # the (n, k)-horn from first principles: every proper subset of
+        # {0..n} except {0..n} minus k, faces by deleting one vertex
+        for n in range(2, 7):
+            for k in range(n + 1):
+                x = horn_complex(n, k)
+                levels = []
+                for m in range(n):
+                    level = [
+                        c for c in cartesian(range(n + 1), repeat=m + 1)
+                        if list(c) == sorted(set(c))
+                    ]
+                    if m == n - 1:
+                        level.remove(tuple(v for v in range(n + 1) if v != k))
+                    levels.append(level)
+                assert x.dim_bound == n - 1
+                assert list(x.counts) == [len(level) for level in levels]
+                for m in range(1, n):
+                    for idx, c in enumerate(levels[m]):
+                        want = [
+                            levels[m - 1].index(c[:i] + c[i + 1 :]) for i in range(m + 1)
+                        ]
+                        assert list(x.face_row(m, idx)) == want
+                for m in range(n):
+                    assert list(x.labels[m]) == [
+                        "-".join(map(str, c)) for c in levels[m]
+                    ]
+                assert validate_complex(x) == []
