@@ -5,6 +5,9 @@ and a ``kind`` discriminator. Simplices are referenced by (dimension,
 index); face lists are ordered d_0..d_n. The parsers raise
 :class:`DocumentError` with a key path on any schema mismatch, and the
 serializers emit values the parsers map back to equal in-memory objects.
+A reference to a simplex that does not exist (a face row entry, a coherence
+mark, a gap-horn face) is a schema mismatch too; simplicial identities,
+horn compatibility and Exclusion are left to the validators.
 
 Document kinds:
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Mapping, Optional
 
 from .covering import EdgePath, FiberPermutation
@@ -75,10 +79,25 @@ def _get(obj: Mapping, key: str, where: str, expected=None):
     return value
 
 
+def _optional(body: Mapping, key: str, where: str, kind: type):
+    """An optional list or object; absent means empty."""
+    value = body.get(key, kind())
+    noun = "a list" if kind is list else "an object"
+    _expect(isinstance(value, kind), f"{key} must be {noun}", f"{where}.{key}")
+    return value
+
+
 def _int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DocumentError("expected an integer", where)
     return value
+
+
+def _index(value, dim: int, count: int, where: str) -> int:
+    """An integer naming one of the ``count`` simplices of dimension ``dim``."""
+    i = _int(value, where)
+    _expect(0 <= i < count, f"no simplex {dim}/{i}", where)
+    return i
 
 
 # -- complexes -----------------------------------------------------------------
@@ -119,8 +138,7 @@ def body_to_complex(body: Mapping, where: str = "complex") -> TruncatedComplex:
             labels[n] = entry
         else:
             raise DocumentError("expected a count or a label array", here)
-    faces_obj = body.get("faces", {})
-    _expect(isinstance(faces_obj, dict), "faces must be an object", f"{where}.faces")
+    faces_obj = _optional(body, "faces", where, dict)
     faces = {}
     for n in range(1, dim_bound + 1):
         rows = faces_obj.get(str(n), [])
@@ -139,7 +157,9 @@ def body_to_complex(body: Mapping, where: str = "complex") -> TruncatedComplex:
                 f"face row needs {n + 1} entries, got {len(row)}",
                 f"{here}[{i}]",
             )
-            parsed_rows.append([_int(v, f"{here}[{i}]") for v in row])
+            parsed_rows.append(
+                [_index(v, n - 1, counts[n - 1], f"{here}[{i}]") for v in row]
+            )
         faces[n] = parsed_rows
     return TruncatedComplex.create(dim_bound, counts, faces, labels)
 
@@ -227,7 +247,8 @@ def horn_to_body(h: HornSpec) -> dict:
     }
 
 
-def body_to_horn(body: Mapping, where: str) -> HornSpec:
+def body_to_horn(body: Mapping, where: str, within: TruncatedComplex) -> HornSpec:
+    """A horn whose faces must be simplices of ``within``."""
     n = _int(_get(body, "n", where), f"{where}.n")
     k = _int(_get(body, "k", where), f"{where}.k")
     _expect(n >= 1 and 0 <= k <= n, f"bad horn shape (n={n}, k={k})", where)
@@ -245,6 +266,10 @@ def body_to_horn(body: Mapping, where: str) -> HornSpec:
         f"horn faces must cover indices {expected}",
         f"{where}.faces",
     )
+    bound = within.dim_bound
+    _expect(n <= bound, f"horn dimension {n} exceeds bound {bound}", f"{where}.n")
+    for i, f in mapping.items():
+        _index(f, n - 1, within.count(n - 1), f"{where}.faces.{i}")
     return HornSpec.from_mapping(n, k, mapping)
 
 
@@ -256,7 +281,7 @@ def ruptured_to_body(r: RupturedComplex) -> dict:
     gap_rows = []
     for h in sorted(r.gap):
         row = horn_to_body(h)
-        mode = r.gap_modes.get(h)
+        mode = r.gap[h]
         if mode is not None:
             row["mode"] = mode_to_body(mode)
         gap_rows.append(row)
@@ -266,8 +291,7 @@ def ruptured_to_body(r: RupturedComplex) -> dict:
 
 def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
     underlying = body_to_complex(body, where)
-    coh_obj = body.get("coh", {})
-    _expect(isinstance(coh_obj, dict), "coh must be an object", f"{where}.coh")
+    coh_obj = _optional(body, "coh", where, dict)
     coh = {}
     for key, members in coh_obj.items():
         here = f"{where}.coh.{key}"
@@ -275,21 +299,17 @@ def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
             n = int(key)
         except ValueError:
             raise DocumentError(f"dimension '{key}' is not an integer", here)
+        bound = underlying.dim_bound
+        _expect(0 <= n <= bound, f"dimension {n} is outside 0..{bound}", here)
         _expect(isinstance(members, list), "expected a list of indices", here)
-        coh[n] = [_int(v, here) for v in members]
-    gap_rows = body.get("gap", [])
-    _expect(isinstance(gap_rows, list), "gap must be a list", f"{where}.gap")
-    gap = []
-    modes = {}
-    for i, row in enumerate(gap_rows):
+        coh[n] = [_index(v, n, underlying.count(n), here) for v in members]
+    gap = {}
+    for i, row in enumerate(_optional(body, "gap", where, list)):
         here = f"{where}.gap[{i}]"
-        h = body_to_horn(row, here)
-        gap.append(h)
-        if row.get("mode") is not None:
-            mode = body_to_mode(row["mode"], f"{here}.mode")
-            if mode is not None:
-                modes[h] = mode
-    return RupturedComplex.create(underlying, coh, gap, modes)
+        h = body_to_horn(row, here, underlying)
+        _expect(h not in gap, f"{h} is listed twice", here)
+        gap[h] = body_to_mode(row.get("mode"), f"{here}.mode")
+    return RupturedComplex.create(underlying, coh, gap, gap)
 
 
 # -- fibrations -------------------------------------------------------------------
@@ -297,7 +317,7 @@ def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
 
 def fibration_to_body(f: RupturedFibrationData) -> dict:
     gap_rows = []
-    for key in sorted(f.gap_lifts, key=lambda k: (k.horn, k.base)):
+    for key in sorted(f.gap_lifts):
         row = {
             "horn": horn_to_body(key.horn),
             "base_simplex": key.base.index,
@@ -334,14 +354,21 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
         levels.append(tuple(_int(v, here) for v in row))
     proj = SimplicialMap(tuple(levels))
     gap_lifts = {}
-    for i, row in enumerate(body.get("gap_lifts", [])):
+    for i, row in enumerate(_optional(body, "gap_lifts", where, list)):
         here = f"{where}.gap_lifts[{i}]"
-        horn = body_to_horn(_get(row, "horn", here, dict), f"{here}.horn")
-        base_index = _int(_get(row, "base_simplex", here), f"{here}.base_simplex")
-        mode = body_to_mode(row.get("mode"), f"{here}.mode")
-        gap_lifts[LiftingProblemKey(horn, SimplexId(horn.n, base_index))] = mode
+        horn_body = _get(row, "horn", here, dict)
+        horn = body_to_horn(horn_body, f"{here}.horn", total.underlying)
+        base_index = _index(
+            _get(row, "base_simplex", here),
+            horn.n,
+            base.underlying.count(horn.n),
+            f"{here}.base_simplex",
+        )
+        key = LiftingProblemKey(horn, SimplexId(horn.n, base_index))
+        _expect(key not in gap_lifts, f"{key} is listed twice", here)
+        gap_lifts[key] = body_to_mode(row.get("mode"), f"{here}.mode")
     composites = {}
-    for i, row in enumerate(body.get("composites", [])):
+    for i, row in enumerate(_optional(body, "composites", where, list)):
         here = f"{where}.composites[{i}]"
         first = _int(_get(row, "first", here), here)
         second = _int(_get(row, "second", here), here)
@@ -399,66 +426,47 @@ class DeriveTask:
     goal: TypeExpr
 
 
-def type_to_body(t: TypeExpr) -> dict:
-    if isinstance(t, AtomType):
-        return {"atom": t.name}
-    if isinstance(t, UnitType):
+# Types and terms share one grammar: a named leaf, the unit and a binary node.
+# Each row: (what, leaf key, leaf class, unit class, node key, node class).
+_TYPE_TREE = ("type", "atom", AtomType, UnitType, "prod", ProdType)
+_TERM_TREE = ("term", "var", Var, UnitTerm, "pair", Pair)
+
+
+def _tree_to_body(tree, t) -> dict:
+    _, leaf, leaf_cls, unit_cls, node, _ = tree
+    if isinstance(t, leaf_cls):
+        return {leaf: t.name}
+    if isinstance(t, unit_cls):
         return {"unit": {}}
-    return {"prod": [type_to_body(t.left), type_to_body(t.right)]}
+    return {node: [_tree_to_body(tree, t.left), _tree_to_body(tree, t.right)]}
 
 
-def body_to_type(body, where: str) -> TypeExpr:
-    if not isinstance(body, dict) or len(body) != 1:
-        raise DocumentError("type must be one of atom/unit/prod", where)
-    if "atom" in body:
-        name = body["atom"]
-        _expect(isinstance(name, str) and bool(name), "atom needs a name", where)
-        return AtomType(name)
-    if "unit" in body:
-        return UnitType()
-    if "prod" in body:
-        parts = body["prod"]
-        _expect(
-            isinstance(parts, list) and len(parts) == 2,
-            "prod needs two components",
-            where,
-        )
-        return ProdType(
-            body_to_type(parts[0], f"{where}.prod[0]"),
-            body_to_type(parts[1], f"{where}.prod[1]"),
-        )
-    raise DocumentError("type must be one of atom/unit/prod", where)
+def _body_to_tree(tree, body, where: str):
+    what, leaf, leaf_cls, unit_cls, node, node_cls = tree
+    if isinstance(body, dict) and len(body) == 1:
+        if leaf in body:
+            name = body[leaf]
+            _expect(isinstance(name, str) and bool(name), f"{leaf} needs a name", where)
+            return leaf_cls(name)
+        if "unit" in body:
+            return unit_cls()
+        if node in body:
+            parts = body[node]
+            _expect(
+                isinstance(parts, list) and len(parts) == 2,
+                f"{node} needs two components",
+                where,
+            )
+            return node_cls(
+                *(_body_to_tree(tree, p, f"{where}.{node}[{i}]") for i, p in enumerate(parts))
+            )
+    raise DocumentError(f"{what} must be one of {leaf}/unit/{node}", where)
 
 
-def term_to_body(t: TupleTerm) -> dict:
-    if isinstance(t, Var):
-        return {"var": t.name}
-    if isinstance(t, UnitTerm):
-        return {"unit": {}}
-    return {"pair": [term_to_body(t.left), term_to_body(t.right)]}
-
-
-def body_to_term(body, where: str) -> TupleTerm:
-    if not isinstance(body, dict) or len(body) != 1:
-        raise DocumentError("term must be one of var/unit/pair", where)
-    if "var" in body:
-        name = body["var"]
-        _expect(isinstance(name, str) and bool(name), "var needs a name", where)
-        return Var(name)
-    if "unit" in body:
-        return UnitTerm()
-    if "pair" in body:
-        parts = body["pair"]
-        _expect(
-            isinstance(parts, list) and len(parts) == 2,
-            "pair needs two components",
-            where,
-        )
-        return Pair(
-            body_to_term(parts[0], f"{where}.pair[0]"),
-            body_to_term(parts[1], f"{where}.pair[1]"),
-        )
-    raise DocumentError("term must be one of var/unit/pair", where)
+type_to_body = partial(_tree_to_body, _TYPE_TREE)
+body_to_type = partial(_body_to_tree, _TYPE_TREE)
+term_to_body = partial(_tree_to_body, _TERM_TREE)
+body_to_term = partial(_body_to_tree, _TERM_TREE)
 
 
 def context_to_body(ctx: ResourceContext) -> list:

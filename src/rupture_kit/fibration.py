@@ -17,7 +17,7 @@ covering machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from .errors import KernelError, Violation
@@ -28,6 +28,7 @@ from .ruptured import (
     Open,
     RupturedComplex,
     Trichotomy,
+    decide,
     validate_ruptured,
 )
 from .simplicial import (
@@ -36,15 +37,15 @@ from .simplicial import (
     SimplicialMap,
     check_simplicial_map,
     enumerate_horns,
-    horn_of,
     restrict,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LiftingProblemKey:
     """A horn in the total space together with the coherent base simplex it
-    should lift. The base simplex's dimension equals the horn's."""
+    should lift. The base simplex's dimension equals the horn's. Keys order
+    by (horn, base)."""
 
     horn: HornSpec
     base: SimplexId
@@ -85,10 +86,7 @@ class RupturedFibrationData:
     )
 
     def with_loop_gaps(self, registry) -> "RupturedFibrationData":
-        return RupturedFibrationData(
-            self.total, self.base, self.proj, dict(self.gap_lifts),
-            dict(self.composites), dict(registry),
-        )
+        return replace(self, loop_gaps=dict(registry))
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,8 @@ def key_violations(f: RupturedFibrationData, key: LiftingProblemKey) -> list[Vio
     if not 1 <= h.n <= e.dim_bound:
         report.append(Violation("lift-horn-dim", f"{key}: horn dimension out of range"))
         return report
-    for i, fc in h.face_map().items():
+    present = h.present_indices
+    for i, fc in zip(present, h.faces):
         if not 0 <= fc < e.count(h.n - 1):
             report.append(
                 Violation("lift-horn-face", f"{key}: face {i} missing in total space")
@@ -172,10 +171,9 @@ def key_violations(f: RupturedFibrationData, key: LiftingProblemKey) -> list[Vio
         report.append(Violation("lift-base-coherence", f"{key}: base simplex not coherent"))
     if report:
         return report
-    projected = f.proj.apply_horn(h).faces
-    expected = horn_of(b, key.base, h.k).faces
-    for i, got, want in zip(h.present_indices, projected, expected):
-        if got != want:
+    base_row = b.face_row(h.n, key.base.index)
+    for i, fc in zip(present, h.faces):
+        if f.proj.apply(SimplexId(h.n - 1, fc)).index != base_row[i]:
             report.append(
                 Violation(
                     "lift-compatibility",
@@ -203,7 +201,7 @@ def validate_fibration(f: RupturedFibrationData) -> list[Violation]:
     report = list(
         check_simplicial_map(f.proj, f.total.underlying, f.base.underlying)
     )
-    for key in sorted(f.gap_lifts, key=lambda k: (k.horn, k.base)):
+    for key in sorted(f.gap_lifts):
         bad = key_violations(f, key)
         report.extend(bad)
         if bad:
@@ -234,55 +232,35 @@ def classify_lift(f: RupturedFibrationData, key: LiftingProblemKey) -> Trichotom
     bad = key_violations(f, key)
     if bad:
         raise KernelError("; ".join(v.message for v in bad))
-    sols = _solutions(f, key)
-    if sols:
-        return CoherentlyFilled(tuple(sols))
-    if key in f.gap_lifts:
-        return GapWitnessed(f.gap_lifts[key])
-    return Open()
+    return decide(_solutions(f, key), f.gap_lifts, key)
 
 
-def transport_key(f: RupturedFibrationData, e: SimplexId, path: SimplexId) -> LiftingProblemKey:
+def transport_key(e: SimplexId, path: SimplexId) -> LiftingProblemKey:
     """The lifting problem of transporting fiber point ``e`` along base
     edge ``path``: the source-anchored 1-horn (present face index 1, the
     target face missing) over the edge."""
-    return LiftingProblemKey(
-        HornSpec.from_mapping(1, 0, {1: e.index}), path
-    )
+    return LiftingProblemKey(HornSpec(1, 0, (e.index,)), path)
 
 
 def transport(
     f: RupturedFibrationData, e: SimplexId, path: SimplexId
 ) -> TransportOutcome:
-    """Transport a coherent fiber point along a coherent base edge.
+    """Transport a coherent fiber point along a coherent base edge: the
+    lifting problem :func:`transport_key`, classified by :func:`classify_lift`.
 
     Coherent with the endpoint of the least coherent lift (an edge starting
     at ``e`` projecting onto ``path``) and the lift multiplicity; gapped
     when the problem is gap-marked; open otherwise.
     """
-    _check_transport_inputs(f, e, path)
-    key = transport_key(f, e, path)
-    lifts = _solutions(f, key)
-    if lifts:
-        return Coherent(f.total.underlying.face(lifts[0], 0), len(lifts))
-    if key in f.gap_lifts:
-        return Gapped(f.gap_lifts[key])
-    return OpenTransport()
-
-
-def _check_transport_inputs(f: RupturedFibrationData, e: SimplexId, path: SimplexId):
-    if e.dim != 0 or not f.total.underlying.has(e):
+    if e.dim != 0:
         raise KernelError(f"transport needs a total-space vertex, got {e}")
-    if not f.total.is_coherent(e):
-        raise KernelError(f"fiber point {e} is not coherent")
-    if path.dim != 1 or not f.base.underlying.has(path):
-        raise KernelError(f"transport needs a base edge, got {path}")
-    if not f.base.is_coherent(path):
-        raise KernelError(f"base edge {path} is not coherent")
-    if f.proj.apply(e) != f.base.underlying.face(path, 1):
-        raise KernelError(
-            f"source mismatch: proj({e}) is not the source of {path}"
-        )
+    outcome = classify_lift(f, transport_key(e, path))
+    if isinstance(outcome, CoherentlyFilled):
+        lifts = outcome.fillers
+        return Coherent(f.total.underlying.face(lifts[0], 0), len(lifts))
+    if isinstance(outcome, GapWitnessed):
+        return Gapped(outcome.mode)
+    return OpenTransport()
 
 
 def detect_transport_horn(
@@ -337,18 +315,12 @@ def fiber(
         n: {position[n][old] for old in f.total.coh[n] if old in position[n]}
         for n in range(e.dim_bound + 1)
     }
-    gap = []
-    modes = {}
-    for h in f.total.gap:
-        if all(fc in position[h.n - 1] for fc in h.faces):
-            translated = HornSpec(
-                h.n, h.k, tuple(position[h.n - 1][fc] for fc in h.faces)
-            )
-            gap.append(translated)
-            mode = f.total.gap_modes.get(h)
-            if mode is not None:
-                modes[translated] = mode
-    return RupturedComplex.create(sub, coh, gap, modes), inclusion
+    gap = {
+        HornSpec(h.n, h.k, tuple(position[h.n - 1][fc] for fc in h.faces)): mode
+        for h, mode in f.total.gap.items()
+        if all(fc in position[h.n - 1] for fc in h.faces)
+    }
+    return RupturedComplex.create(sub, coh, gap, gap), inclusion
 
 
 def enumerate_lifting_problems(f: RupturedFibrationData) -> list[LiftingProblemKey]:

@@ -18,9 +18,9 @@ from .derivability import (
     Substitution,
     Var,
 )
-from .fibration import LiftingProblemKey, RupturedFibrationData
+from .fibration import LiftingProblemKey, RupturedFibrationData, transport_key
 from .ruptured import GapMode, from_kan
-from .simplicial import HornSpec, SimplexId, SimplicialMap, TruncatedComplex
+from .simplicial import SimplexId, SimplicialMap, TruncatedComplex
 
 
 def _edge_complex(vertices, edges, dim_bound=1):
@@ -38,9 +38,7 @@ def _edge_complex(vertices, edges, dim_bound=1):
 def source_anchored_problem(e_index: int, base_edge: int) -> LiftingProblemKey:
     """The transport problem of fiber vertex ``e_index`` along ``base_edge``:
     source face present, target face missing."""
-    return LiftingProblemKey(
-        HornSpec.from_mapping(1, 0, {1: e_index}), SimplexId(1, base_edge)
-    )
+    return transport_key(SimplexId(0, e_index), SimplexId(1, base_edge))
 
 
 def bank_fibration() -> RupturedFibrationData:

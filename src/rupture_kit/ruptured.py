@@ -2,8 +2,8 @@
 the Exclusion condition, and the three-way horn classification.
 
 A ruptured complex adds to a truncated complex a per-dimension set Coh of
-coherently witnessed simplices and a set Gap of horns witnessed as
-unfillable, optionally typed by gap modes. Exclusion is the single law: no
+coherently witnessed simplices and a table Gap of horns witnessed as
+unfillable, each with an optional gap mode. Exclusion is the single law: no
 gapped horn may have a coherent filler. Every horn then sits in exactly one
 of three states: coherently filled, gap-witnessed, or open.
 
@@ -13,7 +13,7 @@ by :func:`coherent_core`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import ExclusionError, KernelError, Violation
@@ -28,6 +28,7 @@ from .simplicial import (
     horn_of,
     horn_violations,
     restrict,
+    validate_complex,
 )
 
 
@@ -59,14 +60,13 @@ class RupturedComplex:
     """A truncated complex with coherence and gap annotations.
 
     ``coh[n]`` is the set of coherent simplex indices in dimension n.
-    ``gap`` is the set of gap-witnessed horns; ``gap_modes`` optionally maps
-    a gapped horn to its mode (absent means a plain mark).
+    ``gap`` maps each gap-witnessed horn to its mode, None for a plain
+    mark: the same table a fibration keeps for its gap-marked problems.
     """
 
     underlying: TruncatedComplex
     coh: tuple[frozenset[int], ...]
-    gap: frozenset[HornSpec]
-    gap_modes: Mapping[HornSpec, GapMode] = field(default_factory=dict)
+    gap: Mapping[HornSpec, Optional[GapMode]]
 
     @classmethod
     def create(
@@ -74,27 +74,22 @@ class RupturedComplex:
         underlying: TruncatedComplex,
         coh: Mapping[int, object] | None = None,
         gap=(),
-        gap_modes: Mapping[HornSpec, GapMode] | None = None,
+        gap_modes: Mapping[HornSpec, Optional[GapMode]] | None = None,
     ) -> "RupturedComplex":
+        """``gap`` lists the gapped horns and ``gap_modes`` gives some of
+        them a mode (the others are plain); a gap table can serve as both."""
         coh = coh or {}
         per_dim = tuple(
             frozenset(coh.get(n, ())) for n in range(underlying.dim_bound + 1)
         )
-        return cls(underlying, per_dim, frozenset(gap), dict(gap_modes or {}))
+        modes = gap_modes or {}
+        return cls(underlying, per_dim, {h: modes.get(h) for h in gap})
 
     def is_coherent(self, sid: SimplexId) -> bool:
         return (
             0 <= sid.dim <= self.underlying.dim_bound
             and sid.index in self.coh[sid.dim]
         )
-
-    def is_gapped(self, h: HornSpec) -> bool:
-        return h in self.gap
-
-    def mode_of(self, h: HornSpec) -> Optional[GapMode]:
-        if h not in self.gap:
-            return None
-        return self.gap_modes.get(h)
 
     def coherent_fillers(self, h: HornSpec) -> list[SimplexId]:
         return [s for s in find_fillers(self.underlying, h) if self.is_coherent(s)]
@@ -118,7 +113,7 @@ class RupturedComplex:
             )
         per_dim = list(self.coh)
         per_dim[sid.dim] = per_dim[sid.dim] | {sid.index}
-        return RupturedComplex(self.underlying, tuple(per_dim), self.gap, dict(self.gap_modes))
+        return RupturedComplex(self.underlying, tuple(per_dim), self.gap)
 
 
 # -- trichotomy --------------------------------------------------------------
@@ -148,6 +143,16 @@ class Open:
 Trichotomy = CoherentlyFilled | GapWitnessed | Open
 
 
+def decide(solutions, gap: Mapping, key) -> Trichotomy:
+    """The one rule behind every trichotomy: coherent solutions first, else
+    the gap entry of ``key`` with its mode, else open."""
+    if solutions:
+        return CoherentlyFilled(tuple(solutions))
+    if key in gap:
+        return GapWitnessed(gap[key])
+    return Open()
+
+
 # -- operations --------------------------------------------------------------
 
 
@@ -169,8 +174,6 @@ def validate_exclusion(r: RupturedComplex) -> list[Violation]:
 def validate_ruptured(r: RupturedComplex) -> list[Violation]:
     """Full structural report: underlying complex validity, coherence marks
     in range, gap horns well-formed, and Exclusion."""
-    from .simplicial import validate_complex
-
     report = list(validate_complex(r.underlying))
     for n, members in enumerate(r.coh):
         for i in members:
@@ -195,12 +198,7 @@ def classify_horn(r: RupturedComplex, h: HornSpec) -> Trichotomy:
     bad = horn_violations(r.underlying, h)
     if bad:
         raise KernelError("; ".join(v.message for v in bad))
-    fillers = r.coherent_fillers(h)
-    if fillers:
-        return CoherentlyFilled(tuple(fillers))
-    if h in r.gap:
-        return GapWitnessed(r.gap_modes.get(h))
-    return Open()
+    return decide(r.coherent_fillers(h), r.gap, h)
 
 
 def from_kan(x: TruncatedComplex) -> RupturedComplex:
@@ -285,8 +283,7 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
         )
         return HornSpec(h.n, h.k, coords)
 
-    gap = []
-    modes = {}
+    gap = {}
     for n in range(1, bound + 1):
         rc = y.count(n - 1)
         for k in range(n + 1):
@@ -294,12 +291,8 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
                 hx = project(h, rc, True)
                 hy = project(h, rc, False)
                 if hx in r.gap or hy in s.gap:
-                    gap.append(h)
-                    left = r.gap_modes.get(hx) if hx in r.gap else None
-                    mode = left or s.gap_modes.get(hy)
-                    if mode is not None:
-                        modes[h] = mode
-    result = RupturedComplex.create(underlying, coh, gap, modes)
+                    gap[h] = r.gap.get(hx) or s.gap.get(hy)
+    result = RupturedComplex.create(underlying, coh, gap, gap)
     conflicts = validate_exclusion(result)
     if conflicts:
         raise ExclusionError(

@@ -248,3 +248,97 @@ class TestShortMap:
         assert run.returncode == 1
         assert run.stdout.startswith("error: map not defined on 1/")
         assert "Traceback" not in run.stdout + run.stderr
+
+
+def _set(path, value):
+    """A mutation of a parsed document: set the value at a key path."""
+
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+
+    return mutate
+
+
+class TestMissingReferences:
+    """Documents that reference a simplex that does not exist, or hold a
+    non-list where a list of rows belongs, exit 2 with the key path."""
+
+    CASES = [
+        ("core", "triangle_kan.json", _set(["faces", "1", 0], [5, 0]), (),
+         "ruptured.faces.1[0]"),
+        ("horns", "triangle_kan.json", _set(["faces", "1", 0], [5, 0]),
+         ("--dim", "2", "--missing", "1", "--json"), "ruptured.faces.1[0]"),
+        ("product", "circle3_gapped.json", _set(["gap", 0, "faces", "1"], 7),
+         ("@circle3_open.json",), "ruptured.gap[0].faces.1"),
+        ("validate", "triangle_kan.json", _set(["coh", "7"], [0]), (), "ruptured.coh.7"),
+        ("core", "triangle_kan.json", _set(["coh", "1"], [0, 9]), (), "ruptured.coh.1"),
+        ("validate", "double_cover_3.json", _set(["gap_lifts"], 5), (),
+         "fibration.gap_lifts"),
+        ("validate", "double_cover_3.json", _set(["composites"], 5), (),
+         "fibration.composites"),
+        ("transport", "bank.json", _set(["gap_lifts", 0, "horn", "faces", "1"], 40),
+         ("--term", "0", "--path", "0"), "fibration.gap_lifts[0].horn.faces.1"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command,fixture,mutate,extra,where", CASES, ids=[f"{c[0]} {c[-1]}" for c in CASES]
+    )
+    def test_exits_two_naming_the_key_path(
+        self, tmp_path, command, fixture, mutate, extra, where
+    ):
+        doc = json.loads((FIXTURES / fixture).read_text())
+        mutate(doc)
+        path = tmp_path / fixture
+        path.write_text(json.dumps(doc))
+        rest = [str(FIXTURES / a[1:]) if a.startswith("@") else a for a in extra]
+        cmd = [sys.executable, "-m", "rupture_kit", command, str(path), *rest]
+        run = subprocess.run(cmd, capture_output=True, text=True, cwd=FIXTURES.parent)
+        assert run.returncode == 2
+        assert run.stdout.startswith("parse error: ")
+        assert f"(at {where})" in run.stdout
+        assert "Traceback" not in run.stdout + run.stderr
+
+
+CAPTURED = json.loads(
+    (FIXTURES.parent / "bench" / "cli_expected.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.fixture(scope="module")
+def identity_documents(tmp_path_factory):
+    """The identity fibration on the base of each fibration fixture that the
+    captured ``compose`` runs read as ``%<name>_identity.json``."""
+    from rupture_kit.documents import Document, load_document, serialize_document
+    from rupture_kit.fibration import RupturedFibrationData
+    from rupture_kit.simplicial import SimplicialMap
+
+    out_dir = tmp_path_factory.mktemp("generated")
+    for name in ("bank", "crane"):
+        f = load_document(FIXTURES / f"{name}.json").body
+        ident = RupturedFibrationData(
+            f.base, f.base, SimplicialMap.identity(f.base.underlying)
+        )
+        (out_dir / f"{name}_identity.json").write_text(
+            serialize_document(Document("fibration", ident)), encoding="utf-8"
+        )
+    return out_dir
+
+
+class TestCapturedOutput:
+    """Every invocation captured in ``bench/cli_expected.json`` gives the
+    same exit code and byte-identical stdout."""
+
+    @pytest.mark.parametrize("invocation", sorted(CAPTURED))
+    def test_matches_capture(self, identity_documents, invocation):
+        expected = CAPTURED[invocation]
+        args = []
+        for a in invocation.split(" "):
+            if a.startswith("@"):
+                a = str(FIXTURES / a[1:])
+            elif a.startswith("%"):
+                a = str(identity_documents / a[1:])
+            args.append(a)
+        assert run_cli(*args) == (expected["exit"], expected["stdout"])

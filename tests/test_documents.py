@@ -1,6 +1,7 @@
 """Document parsing, serialization round-trips, and schema errors."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -176,7 +177,7 @@ class TestGapModePayloads:
         text = serialize_document(Document("ruptured", r))
         again = parse_document(text)
         assert again.body == r
-        assert again.body.gap_modes[horn].payload.cycles() == "(0 1)"
+        assert again.body.gap[horn].payload.cycles() == "(0 1)"
 
 
 class TestLabelAndCountForms:
@@ -219,3 +220,110 @@ def test_fixtures_regenerate_byte_for_byte():
 def test_serialize_unknown_kind():
     with pytest.raises(DocumentError, match="unknown kind 'mystery'"):
         serialize_document(Document("mystery", None))
+
+
+class TestMissingReferences:
+    """References to simplices that do not exist fail at parse time with
+    the key path of the reference."""
+
+    HEAD = (
+        '{"format": "rupture-kit/1", "kind": "ruptured", "dim_bound": 1,'
+        ' "simplices": {"0": 2, "1": 1}, '
+    )
+
+    @pytest.mark.parametrize(
+        "rest,message,where",
+        [
+            ('"faces": {"1": [[1, 2]]}', "no simplex 0/2", "ruptured.faces.1[0]"),
+            ('"faces": {"1": [[1, 0]]}, "coh": {"1": [1]}', "no simplex 1/1", "ruptured.coh.1"),
+            ('"faces": {"1": [[1, 0]]}, "coh": {"-1": []}', "dimension -1 is outside 0..1",
+             "ruptured.coh.-1"),
+            ('"faces": {"1": [[1, 0]]}, "gap": [{"n": 1, "k": 0, "faces": {"1": 4}}]',
+             "no simplex 0/4", "ruptured.gap[0].faces.1"),
+            ('"faces": {"1": [[1, 0]]}, "gap": [{"n": 2, "k": 0, "faces": {"1": 0, "2": 0}}]',
+             "horn dimension 2 exceeds bound 1", "ruptured.gap[0].n"),
+            ('"faces": {"1": [[1, 0]]}, "gap": [{"n": 1, "k": 0, "faces": {"1": 0}},'
+             ' {"n": 1, "k": 0, "faces": {"1": 0}, "mode": {"kind": "drift"}}]',
+             "is listed twice", "ruptured.gap[1]"),
+        ],
+        ids=["face-row", "coh-index", "coh-dimension", "gap-horn-face", "gap-horn-dimension",
+             "gap-horn-twice"],
+    )
+    def test_names_the_key_path(self, rest, message, where):
+        with pytest.raises(DocumentError, match=message) as err:
+            parse_document(self.HEAD + rest + "}")
+        assert err.value.position == where
+
+
+def _set_lift(key, value):
+    return lambda lifts: lifts[0].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "mutate,message,where",
+    [
+        (_set_lift("horn", {"n": 1, "k": 0, "faces": {"1": 40}}), "no simplex 0/40",
+         "fibration.gap_lifts[0].horn.faces.1"),
+        (_set_lift("horn", {"n": 2, "k": 0, "faces": {"1": 0, "2": 0}}),
+         "horn dimension 2 exceeds bound 1", "fibration.gap_lifts[0].horn.n"),
+        (_set_lift("base_simplex", 99), "no simplex 1/99",
+         "fibration.gap_lifts[0].base_simplex"),
+        (lambda lifts: lifts.append(dict(lifts[0], mode=None)), "is listed twice",
+         "fibration.gap_lifts[1]"),
+    ],
+    ids=["horn-face", "horn-dimension", "base-simplex", "listed-twice"],
+)
+def test_bad_gap_lift(mutate, message, where):
+    fixture = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "bank.json"
+    doc = json.loads(fixture.read_text(encoding="utf-8"))
+    mutate(doc["gap_lifts"])
+    with pytest.raises(DocumentError, match=message) as err:
+        parse_document(json.dumps(doc))
+    assert err.value.position == where
+
+
+class TestTreeCodec:
+    """Types and terms share one codec; each keeps its own words."""
+
+    @pytest.mark.parametrize(
+        "body,message,where",
+        [
+            (3, "type must be one of atom/unit/prod", "goal"),
+            ({"atom": ""}, "atom needs a name", "goal"),
+            ({"prod": [{"atom": "A"}]}, "prod needs two components", "goal"),
+            ({"prod": [{"atom": "A"}, {"pair": []}]}, "type must be one of atom/unit/prod",
+             "goal.prod[1]"),
+        ],
+    )
+    def test_type_errors(self, body, message, where):
+        from rupture_kit.documents import body_to_type
+
+        with pytest.raises(DocumentError, match=message) as err:
+            body_to_type(body, "goal")
+        assert err.value.position == where
+
+    @pytest.mark.parametrize(
+        "body,message,where",
+        [
+            ({"atom": "A"}, "term must be one of var/unit/pair", "term"),
+            ({"var": 1}, "var needs a name", "term"),
+            ({"pair": [{"unit": {}}, {"pair": 5}]}, "pair needs two components",
+             "term.pair[1]"),
+        ],
+    )
+    def test_term_errors(self, body, message, where):
+        from rupture_kit.documents import body_to_term
+
+        with pytest.raises(DocumentError, match=message) as err:
+            body_to_term(body, "term")
+        assert err.value.position == where
+
+    def test_round_trip(self):
+        from rupture_kit.derivability import AtomType, Pair, ProdType, UnitTerm, UnitType, Var
+        from rupture_kit.documents import body_to_term, body_to_type, term_to_body, type_to_body
+
+        t = ProdType(AtomType("A"), ProdType(UnitType(), AtomType("B")))
+        assert type_to_body(t) == {"prod": [{"atom": "A"}, {"prod": [{"unit": {}}, {"atom": "B"}]}]}
+        assert body_to_type(type_to_body(t), "t") == t
+        term = Pair(Var("x"), UnitTerm())
+        assert body_to_term(term_to_body(term), "t") == term

@@ -530,3 +530,35 @@ class TestLiftingProblemOracle:
                                 )
             want.sort(key=lambda key: (key.horn, key.base))
             assert enumerate_lifting_problems(f) == want
+
+
+class TestTransportErrors:
+    """Transport checks its inputs as the lifting problem it is: the
+    messages are those of the key's well-formedness report."""
+
+    @pytest.mark.parametrize(
+        "term,path,message",
+        [
+            ((0, 1), (1, 0), r"over 1/0\): proj\(face 1\) != d_1\(base\)"),
+            ((0, 5), (1, 0), r"face 1 missing in total space"),
+            ((0, 0), (0, 0), r"base dimension 0 != 1"),
+            ((0, 0), (1, 3), r"base simplex missing"),
+            ((1, 0), (1, 0), r"transport needs a total-space vertex, got 1/0"),
+        ],
+    )
+    def test_rejection_names_the_broken_part(self, term, path, message):
+        with pytest.raises(KernelError, match=message):
+            transport(bank_fibration(), SimplexId(*term), SimplexId(*path))
+
+    def test_noncoherent_point_and_edge_both_reported(self):
+        cover = trivial_double_cover(3)
+        x, b = cover.total.underlying, cover.base.underlying
+        f = RupturedFibrationData(
+            RupturedComplex.create(x, {0: range(1, 6), 1: range(6)}),
+            RupturedComplex.create(b, {0: range(3), 1: [1, 2]}),
+            cover.proj,
+        )
+        with pytest.raises(KernelError) as err:
+            transport(f, SimplexId(0, 0), SimplexId(1, 0))
+        assert "face 1 = 0/0 is not coherent" in str(err.value)
+        assert "base simplex not coherent" in str(err.value)
