@@ -34,7 +34,7 @@ class EdgePath:
 
     Forward traversal runs source (d_1) to target (d_0); backward runs the
     other way. Consecutive steps must chain through the shared vertex,
-    which :func:`path_violating_step` checks against a host complex.
+    which :func:`check_path` checks against a host complex.
     """
 
     steps: tuple[tuple[int, bool], ...]
@@ -52,9 +52,6 @@ class EdgePath:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def reversed(self) -> "EdgePath":
-        return EdgePath(tuple((e, not d) for e, d in reversed(self.steps)))
 
     def concat(self, other: "EdgePath") -> "EdgePath":
         return EdgePath(self.steps + other.steps)
@@ -166,28 +163,21 @@ def build_cycle(
     return TruncatedComplex.create(2, [m, m, 0], faces, labels)
 
 
+def _over_cycle(base: TruncatedComplex, total: TruncatedComplex) -> RupturedFibrationData:
+    """``total`` over the m-cycle ``base``: vertex and edge j project to j mod m."""
+    wrap = tuple(j % base.count(0) for j in range(total.count(0)))
+    return RupturedFibrationData(from_kan(total), from_kan(base), SimplicialMap((wrap, wrap, ())))
+
+
 def build_double_cover(m: int) -> RupturedFibrationData:
     """The connected double cover of the m-cycle: a 2m-cycle wrapping twice,
     everything coherent, no gap marks."""
-    if m < 3:
-        raise KernelError("a simplicial circle needs at least 3 vertices")
-    total = build_cycle(2 * m, vertex_prefix="w", edge_prefix="f")
-    base = build_cycle(m)
-    proj = SimplicialMap(
-        (
-            tuple(j % m for j in range(2 * m)),
-            tuple(j % m for j in range(2 * m)),
-            (),
-        )
-    )
-    return RupturedFibrationData(from_kan(total), from_kan(base), proj)
+    return _over_cycle(build_cycle(m), build_cycle(2 * m, vertex_prefix="w", edge_prefix="f"))
 
 
 def trivial_double_cover(m: int) -> RupturedFibrationData:
     """Two disjoint copies of the m-cycle over the m-cycle; monodromy is
     trivial by construction."""
-    if m < 3:
-        raise KernelError("a simplicial circle needs at least 3 vertices")
     base = build_cycle(m)
     faces = {
         1: [[(i + 1) % m + m * sheet, i + m * sheet] for sheet in (0, 1) for i in range(m)],
@@ -198,53 +188,50 @@ def trivial_double_cover(m: int) -> RupturedFibrationData:
         1: [f"f{sheet}.{i}" for sheet in (0, 1) for i in range(m)],
     }
     total = TruncatedComplex.create(2, [2 * m, 2 * m, 0], faces, labels)
-    proj = SimplicialMap(
-        (
-            tuple(j % m for j in range(2 * m)),
-            tuple(j % m for j in range(2 * m)),
-            (),
-        )
-    )
-    return RupturedFibrationData(from_kan(total), from_kan(base), proj)
+    return _over_cycle(base, total)
 
 
 # -- lifting and monodromy -----------------------------------------------------
 
 
-def _lifts(f: RupturedFibrationData, edge: int, face_idx: int, at: int) -> list[int]:
-    """Total-space edges over base edge ``edge`` whose d_{face_idx} is
-    vertex ``at``, in ascending index order."""
-    e = f.total.underlying
-    return [
-        te
-        for te in range(e.count(1))
-        if e.face_row(1, te)[face_idx] == at
-        and f.proj.apply(SimplexId(1, te)).index == edge
-    ]
+def _lift_table(
+    f: RupturedFibrationData,
+) -> tuple[dict[tuple[int, int, int], list[int]], Optional[str]]:
+    """Unique path lifting as a table, built in one pass over the total
+    edges: (base edge, face index, total vertex) -> the total edges over
+    that base edge whose face at that index is that vertex, ascending.
+
+    Also returns a description of the first (total vertex, incident base
+    edge, direction), in that order, without exactly one lift; None for a
+    covering.
+    """
+    e, b = f.total.underlying, f.base.underlying
+    table: dict[tuple[int, int, int], list[int]] = {}
+    for te in range(e.count(1)):
+        be = f.proj.apply(SimplexId(1, te)).index
+        row = e.face_row(1, te)
+        for face_idx in (1, 0):
+            table.setdefault((be, face_idx, row[face_idx]), []).append(te)
+    # base edges by the vertex they leave from: forward at d_1, backward at d_0
+    leaving: dict[int, list[tuple[int, int, str]]] = {}
+    for be in range(b.count(1)):
+        row = b.face_row(1, be)
+        for face_idx, direction in ((1, "forward"), (0, "backward")):
+            leaving.setdefault(row[face_idx], []).append((be, face_idx, direction))
+    for w in range(e.count(0)):
+        for be, face_idx, direction in leaving.get(f.proj.apply(SimplexId(0, w)).index, ()):
+            lifts = table.get((be, face_idx, w), ())
+            if len(lifts) != 1:
+                return table, (
+                    f"vertex 0/{w} has {len(lifts)} {direction} lifts of base edge 1/{be}"
+                )
+    return table, None
 
 
 def covering_violation(f: RupturedFibrationData) -> Optional[str]:
     """None when every (total vertex, incident base edge, direction) has
     exactly one lift; otherwise a description of the first failure."""
-    e, b = f.total.underlying, f.base.underlying
-    for w in range(e.count(0)):
-        pv = f.proj.apply(SimplexId(0, w))
-        for be in range(b.count(1)):
-            for face_idx, direction in ((1, "forward"), (0, "backward")):
-                if b.face(SimplexId(1, be), face_idx) != pv:
-                    continue
-                lifts = _lifts(f, be, face_idx, w)
-                if len(lifts) != 1:
-                    return (
-                        f"vertex 0/{w} has {len(lifts)} {direction} lifts of base edge 1/{be}"
-                    )
-    return None
-
-
-def _require_covering(f: RupturedFibrationData) -> None:
-    problem = covering_violation(f)
-    if problem is not None:
-        raise KernelError(f"not a covering: {problem}")
+    return _lift_table(f)[1]
 
 
 def lift_edge_path(
@@ -254,7 +241,9 @@ def lift_edge_path(
 
     The empty path lifts to the empty path at ``start``.
     """
-    _require_covering(f)
+    table, problem = _lift_table(f)
+    if problem is not None:
+        raise KernelError(f"not a covering: {problem}")
     e, b = f.total.underlying, f.base.underlying
     check_path(b, path)
     if start.dim != 0 or not e.has(start):
@@ -268,7 +257,7 @@ def lift_edge_path(
     at = start
     lifted = []
     for edge, forward in path.steps:
-        matches = _lifts(f, edge, 1 if forward else 0, at.index)
+        matches = table.get((edge, 1 if forward else 0, at.index), ())
         if len(matches) != 1:
             raise KernelError(
                 f"not a covering: {len(matches)} lifts of edge 1/{edge} at {at}"
@@ -288,11 +277,11 @@ def fiber_vertices(f: RupturedFibrationData, basepoint: SimplexId) -> list[Simpl
     ]
 
 
-def monodromy(
+def _lift_loop(
     f: RupturedFibrationData, basepoint: SimplexId, loop: EdgePath
-) -> FiberPermutation:
-    """The fiber permutation sending each fiber point to the endpoint of
-    the loop's lift from it."""
+) -> tuple[FiberPermutation, dict[int, EdgePath]]:
+    """The loop's lift from each fiber point over the basepoint, once each,
+    and the fiber permutation their endpoints give."""
     b = f.base.underlying
     check_path(b, loop)
     if basepoint.dim != 0 or not b.has(basepoint):
@@ -300,13 +289,20 @@ def monodromy(
     if loop.steps:
         if path_source(b, loop) != basepoint or path_target(b, loop) != basepoint:
             raise KernelError("loop must start and end at the basepoint")
-    fiber = [v.index for v in fiber_vertices(f, basepoint)]
+    lifts = {v.index: lift_edge_path(f, v, loop) for v in fiber_vertices(f, basepoint)}
     images = {}
-    for v in fiber:
-        lifted = lift_edge_path(f, SimplexId(0, v), loop)
+    for v, lifted in lifts.items():
         end = path_target(f.total.underlying, lifted)
         images[v] = v if end is None else end.index
-    return FiberPermutation.of(fiber, images)
+    return FiberPermutation.of(list(lifts), images), lifts
+
+
+def monodromy(
+    f: RupturedFibrationData, basepoint: SimplexId, loop: EdgePath
+) -> FiberPermutation:
+    """The fiber permutation sending each fiber point to the endpoint of
+    the loop's lift from it."""
+    return _lift_loop(f, basepoint, loop)[0]
 
 
 def monodromy_ruptured(
@@ -318,26 +314,18 @@ def monodromy_ruptured(
 
     The registry is returned embedded in the fibration's ``loop_gaps``.
     """
-    _require_covering(f)
+    # Checked here as well: an empty fiber or loop list calls no lift.
+    problem = covering_violation(f)
+    if problem is not None:
+        raise KernelError(f"not a covering: {problem}")
     registry = {}
     for loop in loops:
-        perm = monodromy(f, basepoint, loop)
-        for v in perm.fiber:
+        perm, lifts = _lift_loop(f, basepoint, loop)
+        for v, lifted in lifts.items():
             start = SimplexId(0, v)
             if perm.apply(v) != v:
-                entry = LoopProblem(
-                    loop.key(),
-                    start,
-                    True,
-                    GapMode("monodromy", perm),
-                )
+                entry = LoopProblem(loop.key(), start, True, GapMode("monodromy", perm))
             else:
-                entry = LoopProblem(
-                    loop.key(),
-                    start,
-                    False,
-                    None,
-                    lift_edge_path(f, start, loop),
-                )
+                entry = LoopProblem(loop.key(), start, False, None, lifted)
             registry[(loop.key(), v)] = entry
     return f.with_loop_gaps(registry)

@@ -351,7 +351,8 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
         here = f"{where}.map.{n}"
         row = map_obj.get(str(n), [])
         _expect(isinstance(row, list), "expected a list of targets", here)
-        levels.append(tuple(_int(v, here) for v in row))
+        count = base.underlying.count(n)
+        levels.append(tuple(_index(v, n, count, f"{here}[{j}]") for j, v in enumerate(row)))
     proj = SimplicialMap(tuple(levels))
     gap_lifts = {}
     for i, row in enumerate(_optional(body, "gap_lifts", where, list)):

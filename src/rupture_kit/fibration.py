@@ -298,14 +298,11 @@ def fiber(
     if not f.base.is_coherent(b):
         raise KernelError(f"base vertex {b} is not coherent")
     e = f.total.underlying
-    keep = [
-        [
-            idx
-            for idx in range(e.count(n))
-            if all(f.proj.apply(v) == b for v in e.vertices_of(SimplexId(n, idx)))
-        ]
-        for n in range(e.dim_bound + 1)
-    ]
+    # A simplex lies over b iff all its faces do, so one dimension decides the next.
+    keep = [[w for w in range(e.count(0)) if f.proj.apply(SimplexId(0, w)) == b]]
+    for n in range(1, e.dim_bound + 1):
+        below = set(keep[-1])
+        keep.append([idx for idx in range(e.count(n)) if below.issuperset(e.face_row(n, idx))])
     sub, inclusion = restrict(e, keep)
     # Coherence marks and gap horns follow the simplices to their new indices.
     position = [
@@ -362,10 +359,9 @@ def compose_fibrations(
             continue
         mid_horn = f.proj.apply_horn(h)
         step1 = LiftingProblemKey(mid_horn, key.base)
-        bad = key_violations(g, step1)
-        if bad:
+        if key_violations(g, step1):
             continue
-        s1 = classify_lift(g, step1)
+        s1 = decide(_solutions(g, step1), g.gap_lifts, step1)
         if isinstance(s1, GapWitnessed):
             gap_lifts[key] = s1.mode
             continue
@@ -376,7 +372,7 @@ def compose_fibrations(
             step2 = LiftingProblemKey(h, mid)
             if key_violations(f, step2):
                 continue
-            statuses.append(classify_lift(f, step2))
+            statuses.append(decide(_solutions(f, step2), f.gap_lifts, step2))
         if any(isinstance(st, CoherentlyFilled) for st in statuses):
             continue
         gapped = [st for st in statuses if isinstance(st, GapWitnessed)]

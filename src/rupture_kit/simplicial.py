@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import KernelError, Violation
 
@@ -145,10 +145,6 @@ class TruncatedComplex:
     def has(self, sid: SimplexId) -> bool:
         return 0 <= sid.dim <= self.dim_bound and 0 <= sid.index < self.counts[sid.dim]
 
-    def simplices(self, n: int) -> Iterator[SimplexId]:
-        for i in range(self.count(n)):
-            yield SimplexId(n, i)
-
     def face_row(self, n: int, index: int) -> tuple[int, ...]:
         return self.face_table[n - 1][index]
 
@@ -160,26 +156,6 @@ class TruncatedComplex:
         if not 0 <= i < len(row):
             raise KernelError(f"face index {i} out of range for {sid}")
         return SimplexId(sid.dim - 1, row[i])
-
-    def faces_of(self, sid: SimplexId) -> tuple[SimplexId, ...]:
-        if sid.dim == 0:
-            return ()
-        return tuple(
-            SimplexId(sid.dim - 1, j) for j in self.face_row(sid.dim, sid.index)
-        )
-
-    def vertices_of(self, sid: SimplexId) -> frozenset[SimplexId]:
-        """All dimension-0 iterated faces of a simplex."""
-        frontier = {sid}
-        while any(s.dim > 0 for s in frontier):
-            nxt = set()
-            for s in frontier:
-                if s.dim == 0:
-                    nxt.add(s)
-                else:
-                    nxt.update(self.faces_of(s))
-            frontier = nxt
-        return frozenset(frontier)
 
     def label(self, sid: SimplexId) -> Optional[str]:
         if not self.labels or sid.dim >= len(self.labels):
@@ -456,9 +432,8 @@ def enumerate_horns(x: TruncatedComplex, n: int, k: int) -> list[HornSpec]:
 def find_fillers(x: TruncatedComplex, h: HornSpec) -> list[SimplexId]:
     """All n-simplices whose i-th face matches the horn for every present i,
     in ascending index order."""
-    bad = horn_violations(x, h)
-    if any(v.kind == "horn-dangling-face" or v.kind == "horn-dimension" for v in bad):
-        raise KernelError("; ".join(v.message for v in bad))
+    if not 1 <= h.n <= x.dim_bound or not all(0 <= f < x.count(h.n - 1) for f in h.faces):
+        raise KernelError("; ".join(v.message for v in horn_violations(x, h)))
     k, faces = h.k, h.faces
     return [
         SimplexId(h.n, idx)

@@ -281,6 +281,13 @@ class TestMissingReferences:
          "fibration.composites"),
         ("transport", "bank.json", _set(["gap_lifts", 0, "horn", "faces", "1"], 40),
          ("--term", "0", "--path", "0"), "fibration.gap_lifts[0].horn.faces.1"),
+        ("monodromy", "double_cover_3.json", _set(["map", "0", 5], 7),
+         ("@monodromy_task_3.json",), "fibration.map.0[5]"),
+        ("validate", "double_cover_3.json", _set(["map", "0", 5], 7), (),
+         "fibration.map.0[5]"),
+        ("transport", "crane.json", _set(["map", "0", 2], 9), ("--term", "0", "--path", "2"),
+         "fibration.map.0[2]"),
+        ("validate", "crane.json", _set(["map", "0", 2], 9), (), "fibration.map.0[2]"),
     ]
 
     @pytest.mark.parametrize(

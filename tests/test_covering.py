@@ -19,12 +19,19 @@ from rupture_kit.covering import (
     trivial_double_cover,
 )
 from rupture_kit.fibration import (
+    LoopProblem,
     RupturedFibrationData,
     detect_transport_horn,
     validate_fibration,
 )
-from rupture_kit.ruptured import from_kan
-from rupture_kit.simplicial import SimplexId, SimplicialMap, is_kan_up_to, validate_complex
+from rupture_kit.ruptured import GapMode, from_kan
+from rupture_kit.simplicial import (
+    SimplexId,
+    SimplicialMap,
+    TruncatedComplex,
+    is_kan_up_to,
+    validate_complex,
+)
 
 
 GEN3 = EdgePath.forward(0, 1, 2)
@@ -262,3 +269,113 @@ class TestFiberPermutation:
     def test_composition_closure(self):
         swap = FiberPermutation.of([0, 3], {0: 3, 3: 0})
         assert swap.compose_after(swap).is_identity()
+
+
+# -- nested edge scans: the reference for the lift table -------------------------
+
+
+def scan_lifts(f, edge, face_idx, at):
+    """Total edges over ``edge`` whose d_{face_idx} is vertex ``at``."""
+    e = f.total.underlying
+    return [
+        te
+        for te in range(e.count(1))
+        if e.face_row(1, te)[face_idx] == at and f.proj.levels[1][te] == edge
+    ]
+
+
+def scan_violation(f):
+    e, b = f.total.underlying, f.base.underlying
+    for w in range(e.count(0)):
+        for be in range(b.count(1)):
+            for face_idx, direction in ((1, "forward"), (0, "backward")):
+                if b.face_row(1, be)[face_idx] != f.proj.levels[0][w]:
+                    continue
+                lifts = scan_lifts(f, be, face_idx, w)
+                if len(lifts) != 1:
+                    return f"vertex 0/{w} has {len(lifts)} {direction} lifts of base edge 1/{be}"
+    return None
+
+
+def scan_lift(f, start, path):
+    """Steps of the lift of ``path`` from total vertex ``start``, and its end."""
+    e, at, steps = f.total.underlying, start, []
+    for edge, forward in path.steps:
+        (te,) = scan_lifts(f, edge, 1 if forward else 0, at)
+        steps.append((te, forward))
+        at = e.face_row(1, te)[0 if forward else 1]
+    return EdgePath(tuple(steps)), at
+
+
+def scan_registry(f, basepoint, loops):
+    fiber = [w for w in range(f.total.underlying.count(0)) if f.proj.levels[0][w] == basepoint]
+    registry = {}
+    for loop in loops:
+        lifts = {v: scan_lift(f, v, loop) for v in fiber}
+        perm = FiberPermutation.of(fiber, {v: end for v, (_, end) in lifts.items()})
+        for v, (lifted, end) in lifts.items():
+            start = SimplexId(0, v)
+            if end != v:
+                entry = LoopProblem(loop.key(), start, True, GapMode("monodromy", perm))
+            else:
+                entry = LoopProblem(loop.key(), start, False, None, lifted)
+            registry[(loop.key(), v)] = entry
+    return registry
+
+
+def with_edges(f, keep):
+    """``f`` with total edges ``keep`` (old indices, repeats allowed) only."""
+    e = f.total.underlying
+    rows = [list(e.face_row(1, te)) for te in keep]
+    total = TruncatedComplex.create(2, [e.count(0), len(rows), 0], {1: rows, 2: []})
+    proj = SimplicialMap((f.proj.levels[0], tuple(f.proj.levels[1][te] for te in keep), ()))
+    return RupturedFibrationData(from_kan(total), f.base, proj)
+
+
+def base_loops(m, basepoint):
+    """Generator from the basepoint, its double, its reverse and the empty loop."""
+    gen = EdgePath.forward(*((basepoint + i) % m for i in range(m)))
+    back = EdgePath.of(*((e, False) for e, _ in reversed(gen.steps)))
+    return [gen, gen.concat(gen), back, EdgePath(())]
+
+
+def oracle_covers():
+    for m in range(3, 9):
+        yield m, build_double_cover(m)
+        yield m, trivial_double_cover(m)
+
+
+class TestLiftTableOracle:
+    def test_covers_match_the_scan(self):
+        for m, cover in oracle_covers():
+            assert covering_violation(cover) is None and scan_violation(cover) is None
+            for b in range(m):
+                loops = base_loops(m, b)
+                got = monodromy_ruptured(cover, SimplexId(0, b), loops)
+                assert got.loop_gaps == scan_registry(cover, b, loops)
+            for w in range(2 * m):
+                for loop in base_loops(m, w % m):
+                    lifted = lift_edge_path(cover, SimplexId(0, w), loop)
+                    assert lifted == scan_lift(cover, w, loop)[0]
+
+    def test_broken_covers_report_the_scan_failure(self):
+        broken = 0
+        for m, cover in oracle_covers():
+            if m > 5:
+                continue
+            edges = list(range(cover.total.underlying.count(1)))
+            for te in edges:
+                dropped = with_edges(cover, edges[:te] + edges[te + 1 :])
+                doubled = with_edges(cover, edges + [te])
+                for f in (dropped, doubled):
+                    want = scan_violation(f)
+                    assert want is not None and covering_violation(f) == want
+                    for call in (
+                        lambda: lift_edge_path(f, SimplexId(0, 0), EdgePath(())),
+                        lambda: monodromy_ruptured(f, SimplexId(0, 0), []),
+                    ):
+                        with pytest.raises(KernelError) as err:
+                            call()
+                        assert str(err.value) == f"not a covering: {want}"
+                    broken += 1
+        assert broken == 2 * 2 * (6 + 8 + 10)

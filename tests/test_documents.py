@@ -254,6 +254,24 @@ class TestMissingReferences:
             parse_document(self.HEAD + rest + "}")
         assert err.value.position == where
 
+    @pytest.mark.parametrize(
+        "fixture,n,j,value,message",
+        [
+            ("double_cover_3.json", "0", 5, 7, "no simplex 0/7"),
+            ("double_cover_3.json", "1", 0, 3, "no simplex 1/3"),
+            ("crane.json", "0", 2, 9, "no simplex 0/9"),
+            ("crane.json", "1", 1, -1, "no simplex 1/-1"),
+        ],
+        ids=["cover-vertex", "cover-edge", "crane-vertex", "crane-edge-negative"],
+    )
+    def test_map_entry_names_the_key_path(self, fixture, n, j, value, message):
+        path = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / fixture
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["map"][n][j] = value
+        with pytest.raises(DocumentError, match=message) as err:
+            parse_document(json.dumps(doc))
+        assert err.value.position == f"fibration.map.{n}[{j}]"
+
 
 def _set_lift(key, value):
     return lambda lifts: lifts[0].__setitem__(key, value)

@@ -48,7 +48,7 @@ from rupture_kit.fixtures import (
     source_anchored_problem,
 )
 
-from support import composition_fixture
+from support import composition_fixture, random_complex
 
 
 class TestValidateFibration:
@@ -497,6 +497,52 @@ class TestTransportOracle:
                     assert transport(f, SimplexId(0, w), SimplexId(1, e)) == want
                     checked += 1
         assert checked >= 100
+
+
+def product_fibrations(seed: int, count: int):
+    """Left projections of products of seeded random complexes; loop edges
+    in the left factor give fibers with edges and triangles."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, s = from_kan(random_complex(rng)), from_kan(random_complex(rng))
+        p = product(r, s)
+        proj = SimplicialMap(
+            tuple(
+                tuple(flat // s.underlying.count(n) for flat in range(p.underlying.count(n)))
+                for n in range(3)
+            )
+        )
+        yield RupturedFibrationData(p, r, proj)
+
+
+class TestFiberOracle:
+    def test_matches_vertex_set_scan(self):
+        kept_above_vertices = 0
+        for f in [*oracle_fibrations(), *product_fibrations(13, 8)]:
+            x = f.total.underlying
+
+            def vertices(n, idx):
+                level = {idx}
+                for m in range(n, 0, -1):
+                    level = {v for s in level for v in x.face_row(m, s)}
+                return level
+
+            for b in sorted(f.base.coh[0]):
+                want = tuple(
+                    tuple(
+                        idx
+                        for idx in range(x.count(n))
+                        if all(f.proj.levels[0][v] == b for v in vertices(n, idx))
+                    )
+                    for n in range(x.dim_bound + 1)
+                )
+                fib, inclusion = fiber(f, SimplexId(0, b))
+                assert inclusion.levels == want
+                assert [fib.underlying.count(n) for n in range(x.dim_bound + 1)] == [
+                    len(level) for level in want
+                ]
+                kept_above_vertices += len(want[1]) + len(want[2])
+        assert kept_above_vertices >= 50
 
 
 class TestLiftingProblemOracle:
