@@ -14,8 +14,8 @@ import json
 import sys
 
 from . import documents as docs
-from .covering import monodromy, monodromy_ruptured
-from .derivability import check_derivable, detect_derivability_horn
+from .covering import FiberPermutation, monodromy_ruptured
+from .derivability import apply_substitution, check_derivable, check_substitution
 from .errors import DocumentError, KernelError
 from .fibration import (
     Coherent,
@@ -162,15 +162,25 @@ def cmd_transport(args) -> int:
     return 0
 
 
+def _permutation(registry, loop) -> FiberPermutation:
+    """A loop's monodromy read from its closure problems: a gapped closure's
+    mode is the whole permutation, and with none gapped every start closes."""
+    closures = {v: e for (key, v), e in registry.items() if key == loop.key()}
+    for entry in closures.values():
+        if entry.gapped:
+            return entry.mode.payload
+    return FiberPermutation.of(list(closures), {v: v for v in closures})
+
+
 def cmd_monodromy(args) -> int:
     fib_doc = _load(args.path, "fibration")
     task_doc = _load(args.task, "covering-task")
     f, task = fib_doc.body, task_doc.body
     ruptured = monodromy_ruptured(f, task.basepoint, list(task.loops))
-    results = []
-    for i, loop in enumerate(task.loops):
-        perm = monodromy(f, task.basepoint, loop)
-        results.append((i, loop, perm))
+    perms = [_permutation(ruptured.loop_gaps, loop) for loop in task.loops]
+    gapped = [
+        (key, entry) for key, entry in sorted(ruptured.loop_gaps.items()) if entry.gapped
+    ]
     if args.json:
         payload = {
             "basepoint": task.basepoint.index,
@@ -180,29 +190,23 @@ def cmd_monodromy(args) -> int:
                     "permutation": perm.cycles(),
                     "images": [list(p) for p in perm.mapping],
                 }
-                for i, _, perm in results
+                for i, perm in enumerate(perms)
             ],
             "gapped_closures": [
                 {
-                    "loop": list(list(s) for s in key[0]),
-                    "start": key[1],
+                    "loop": list(list(s) for s in loop_key),
+                    "start": start,
                     "mode": docs.mode_to_body(entry.mode),
                 }
-                for key, entry in sorted(ruptured.loop_gaps.items())
-                if entry.gapped
+                for (loop_key, start), entry in gapped
             ],
         }
         _emit_json(payload)
     else:
-        for i, _, perm in results:
+        for i, perm in enumerate(perms):
             print(f"loop {i}: permutation: {perm.cycles()}")
-        gapped = [
-            (key, entry)
-            for key, entry in sorted(ruptured.loop_gaps.items())
-            if entry.gapped
-        ]
         print(f"gapped closures: {len(gapped)}")
-        for (loop_key, start), entry in gapped:
+        for (_, start), entry in gapped:
             name = f.total.underlying.name(SimplexId(0, start))
             print(f"  at {name}: {_mode_text(entry.mode)}")
     return 0
@@ -262,14 +266,12 @@ def cmd_derive(args) -> int:
     doc = _load(args.task, "derive-task")
     task = doc.body
     gamma_result = check_derivable(task.gamma, task.term, task.goal)
-    from .derivability import apply_substitution
-
     delta_result = check_derivable(
         task.delta, apply_substitution(task.term, task.sigma), task.goal
     )
-    horn = detect_derivability_horn(
-        task.gamma, task.delta, task.sigma, task.term, task.goal
-    )
+    check_substitution(task.gamma, task.delta, task.sigma)
+    # the derivability horn: derivable in gamma, its image underivable in delta
+    horn = gamma_result.derivable and not delta_result.derivable
     if args.json:
         def cert_body(cert):
             return {
@@ -288,7 +290,7 @@ def cmd_derive(args) -> int:
                     "derivable": delta_result.derivable,
                     "certificate": cert_body(delta_result.certificate),
                 },
-                "horn": horn is not None,
+                "horn": horn,
             }
         )
     else:
@@ -298,7 +300,7 @@ def cmd_derive(args) -> int:
             print(f"{name}: {verdict} (counts: {counts})")
             for line in result.certificate.violations():
                 print(f"  {name} violation: {line}")
-        print(f"horn: {'inhabited' if horn is not None else 'none'}")
+        print(f"horn: {'inhabited' if horn else 'none'}")
     return 0
 
 

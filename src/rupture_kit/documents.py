@@ -351,6 +351,10 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
         here = f"{where}.map.{n}"
         row = map_obj.get(str(n), [])
         _expect(isinstance(row, list), "expected a list of targets", here)
+        have = total.underlying.count(n)
+        _expect(
+            len(row) <= have, f"the total space has no simplex {n}/{have}", f"{here}[{have}]"
+        )
         count = base.underlying.count(n)
         levels.append(tuple(_index(v, n, count, f"{here}[{j}]") for j, v in enumerate(row)))
     proj = SimplicialMap(tuple(levels))

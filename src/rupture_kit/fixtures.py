@@ -7,7 +7,7 @@ Each builder returns fully validated in-memory data; the JSON files under
 
 from __future__ import annotations
 
-from .covering import EdgePath, build_double_cover
+from .covering import EdgePath, build_double_cover, monodromy_ruptured
 from .documents import CoveringTask, DeriveTask
 from .derivability import (
     Annotation,
@@ -156,8 +156,6 @@ def linear_horn_task() -> DeriveTask:
 def mobius_rupture(m: int = 3):
     """The double cover with its generator-loop closure problems
     registered: the monodromy-ruptured structure used across the tests."""
-    from .covering import monodromy_ruptured
-
     cover = build_double_cover(m)
     task = double_cover_task(m)
     return monodromy_ruptured(cover, task.basepoint, list(task.loops))

@@ -90,13 +90,13 @@ class WitnessStore:
     """An append-only collection of witness entries at one level.
 
     ``universe`` restricts the admissible atom labels (None means
-    unrestricted, the level-0 case). ``next_id`` numbers fresh witnesses.
+    unrestricted, the level-0 case). Witness ids count the entries: w1,
+    w2, ... at every level.
     """
 
     entries: tuple[WitnessEntry, ...] = ()
     level: int = 0
     universe: Optional[frozenset[str]] = None
-    next_id: int = 1
 
     def entries_for(self, judgment: JudgmentAtom) -> tuple[WitnessEntry, ...]:
         return tuple(e for e in self.entries if e.judgment == judgment)
@@ -144,10 +144,8 @@ def add_witness(
     for e in store.entries:
         if e.judgment == judgment and e.polarity is not polarity:
             raise ExclusionViolation(judgment, e)
-    entry = WitnessEntry(judgment, polarity, f"w{store.next_id}", payload)
-    return WitnessStore(
-        store.entries + (entry,), store.level, store.universe, store.next_id + 1
-    )
+    entry = WitnessEntry(judgment, polarity, f"w{len(store.entries) + 1}", payload)
+    return WitnessStore(store.entries + (entry,), store.level, store.universe)
 
 
 def is_open(store: WitnessStore, judgment: JudgmentAtom) -> bool:
@@ -199,9 +197,7 @@ def make_horn(
 def level_up(store: WitnessStore) -> WitnessStore:
     """A fresh empty store one level higher whose base atoms are the
     coherence witness ids of this store. Gap witnesses are not lifted."""
-    return WitnessStore(
-        (), store.level + 1, frozenset(store.coherent_ids()), 1
-    )
+    return WitnessStore((), store.level + 1, frozenset(store.coherent_ids()))
 
 
 def is_coherent_fragment(store: WitnessStore) -> bool:

@@ -1,16 +1,20 @@
 """Each input check and each lift runs once per public call.
 
-The checks (``horn_violations``, ``key_violations``) and the path lift
-(``lift_edge_path``) are wrapped in every loaded ``rupture_kit`` module
-that references them, so calls from one module into another are counted.
+The checks (``horn_violations``, ``key_violations``), the path lift
+(``lift_edge_path``) and the derivability decision (``check_derivable``)
+are wrapped in every loaded ``rupture_kit`` module that references them,
+so calls from one module into another are counted.
 """
 
+import contextlib
+import io
+import pathlib
 import random
 import sys
 
 import pytest
 
-from rupture_kit import covering, fibration, simplicial
+from rupture_kit import cli, covering, derivability, fibration, simplicial
 from rupture_kit.covering import EdgePath, build_double_cover, trivial_double_cover
 from rupture_kit.errors import KernelError
 from rupture_kit.fibration import (
@@ -37,7 +41,10 @@ COUNTED = {
     "horn_violations": simplicial.horn_violations,
     "key_violations": fibration.key_violations,
     "lift_edge_path": covering.lift_edge_path,
+    "check_derivable": derivability.check_derivable,
 }
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 @pytest.fixture
@@ -167,3 +174,20 @@ def test_monodromy_ruptured_lifts_each_fiber_point_once(calls):
         build_double_cover(5), SimplexId(0, 0), [generator, generator.concat(generator)]
     )
     assert calls.count("lift_edge_path") == 4
+
+
+def run_cli(*args) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main([str(FIXTURES / a) if a.endswith(".json") else a for a in args])
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_cli_monodromy_lifts_each_fiber_point_once(calls, extra):
+    assert run_cli("monodromy", "double_cover_3.json", "monodromy_task_3.json", *extra) == 0
+    assert calls.count("lift_edge_path") == 4
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_cli_derive_decides_each_judgment_once(calls, extra):
+    assert run_cli("derive", "derive_linear_horn.json", *extra) == 0
+    assert calls.count("check_derivable") == 2

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, report content, and determinism."""
 
+import itertools
 import json
 import pathlib
 import subprocess
@@ -262,6 +263,20 @@ def _set(path, value):
     return mutate
 
 
+def _append(value, *paths):
+    """A mutation of a parsed document: append the value to the list at
+    each key path."""
+
+    def mutate(doc):
+        for path in paths:
+            row = doc
+            for key in path:
+                row = row[key]
+            row.append(value)
+
+    return mutate
+
+
 class TestMissingReferences:
     """Documents that reference a simplex that does not exist, or hold a
     non-list where a list of rows belongs, exit 2 with the key path."""
@@ -288,6 +303,13 @@ class TestMissingReferences:
         ("transport", "crane.json", _set(["map", "0", 2], 9), ("--term", "0", "--path", "2"),
          "fibration.map.0[2]"),
         ("validate", "crane.json", _set(["map", "0", 2], 9), (), "fibration.map.0[2]"),
+        ("transport", "crane.json", _append(0, ["map", "0"]), ("--term", "0", "--path", "2"),
+         "fibration.map.0[3]"),
+        ("validate", "crane.json", _append(0, ["map", "0"]), (), "fibration.map.0[3]"),
+        ("monodromy", "double_cover_3.json", _append(0, ["map", "0"], ["map", "1"]),
+         ("@monodromy_task_3.json",), "fibration.map.0[6]"),
+        ("validate", "double_cover_3.json", _append(0, ["map", "0"], ["map", "1"]), (),
+         "fibration.map.0[6]"),
     ]
 
     @pytest.mark.parametrize(
@@ -349,3 +371,75 @@ class TestCapturedOutput:
                 a = str(identity_documents / a[1:])
             args.append(a)
         assert run_cli(*args) == (expected["exit"], expected["stdout"])
+
+
+class TestMonodromyOracle:
+    """``monodromy --json`` reads each loop's permutation from the closure
+    registry; it must equal ``monodromy`` for moved and fixed loops alike."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_images_match_monodromy(self, tmp_path, m):
+        from rupture_kit.covering import (
+            EdgePath,
+            build_double_cover,
+            monodromy,
+            trivial_double_cover,
+        )
+        from rupture_kit.documents import CoveringTask, Document, serialize_document
+        from rupture_kit.simplicial import SimplexId
+
+        generator = EdgePath.forward(*range(m))
+        loops = (generator, generator.concat(generator), EdgePath(()))
+        basepoint = SimplexId(0, 0)
+        task = tmp_path / "task.json"
+        task_doc = Document("covering-task", CoveringTask(basepoint, loops))
+        task.write_text(serialize_document(task_doc))
+        covers = {"double": build_double_cover(m), "trivial": trivial_double_cover(m)}
+        for name, cover in covers.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(serialize_document(Document("fibration", cover)))
+            code, out = run_cli("monodromy", path, task, "--json")
+            assert code == 0
+            reports = json.loads(out)["loops"]
+            assert len(reports) == len(loops)
+            for loop, report in zip(loops, reports):
+                expected = monodromy(cover, basepoint, loop).mapping
+                assert [tuple(p) for p in report["images"]] == list(expected), (name, loop)
+
+
+class TestDeriveOracle:
+    """``derive`` reports the horn as the conjunction of its two verdicts;
+    it must agree with ``detect_derivability_horn`` either way."""
+
+    def test_horn_matches_detector(self, tmp_path):
+        from rupture_kit.derivability import (
+            Annotation,
+            AtomType,
+            Pair,
+            ProdType,
+            ResourceContext,
+            Substitution,
+            UnitTerm,
+            UnitType,
+            Var,
+            detect_derivability_horn,
+        )
+        from rupture_kit.documents import DeriveTask, Document, serialize_document
+
+        a = AtomType("A")
+        terms = [Var("x"), Pair(Var("x"), Var("x")), UnitTerm()]
+        goals = [a, ProdType(a, a), UnitType()]
+        sigma = Substitution.of({"x": "y"})
+        path = tmp_path / "task.json"
+        seen = set()
+        for here, there, term, goal in itertools.product(Annotation, Annotation, terms, goals):
+            gamma = ResourceContext.of(("x", a, here))
+            delta = ResourceContext.of(("y", a, there))
+            task = DeriveTask(gamma, delta, sigma, term, goal)
+            path.write_text(serialize_document(Document("derive-task", task)))
+            code, out = run_cli("derive", path, "--json")
+            horn = detect_derivability_horn(gamma, delta, sigma, term, goal) is not None
+            assert code == 0
+            assert json.loads(out)["horn"] == horn, (here, there, term, goal)
+            seen.add(horn)
+        assert seen == {True, False}

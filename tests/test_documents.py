@@ -272,6 +272,14 @@ class TestMissingReferences:
             parse_document(json.dumps(doc))
         assert err.value.position == f"fibration.map.{n}[{j}]"
 
+    def test_long_map_level_names_the_missing_total_simplex(self):
+        path = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "crane.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["map"]["0"].append(0)
+        with pytest.raises(DocumentError, match="the total space has no simplex 0/3") as err:
+            parse_document(json.dumps(doc))
+        assert err.value.position == "fibration.map.0[3]"
+
 
 def _set_lift(key, value):
     return lambda lifts: lifts[0].__setitem__(key, value)
