@@ -6,7 +6,8 @@ from __future__ import annotations
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rupture_kit.documents import (
     Document,
@@ -14,7 +15,7 @@ from rupture_kit.documents import (
     serialize_document,
 )
 from rupture_kit.covering import build_double_cover
-from rupture_kit.fixtures import (
+from fixture_builders import (
     bank_fibration,
     bottle_fibration,
     crane_fibration,
@@ -55,7 +56,7 @@ FIXTURES = {
 
 
 def main() -> None:
-    out_dir = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+    out_dir = ROOT / "fixtures"
     out_dir.mkdir(exist_ok=True)
     for name, doc in sorted(FIXTURES.items()):
         path = out_dir / name

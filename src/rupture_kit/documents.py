@@ -6,8 +6,10 @@ index); face lists are ordered d_0..d_n. The parsers raise
 :class:`DocumentError` with a key path on any schema mismatch, and the
 serializers emit values the parsers map back to equal in-memory objects.
 A reference to a simplex that does not exist (a face row entry, a coherence
-mark, a gap-horn face) is a schema mismatch too; simplicial identities,
-horn compatibility and Exclusion are left to the validators.
+mark, a gap-horn face) is a schema mismatch too, and so is a fibration map
+that is not total on the total space or has a level outside the dimensions
+both spaces share; simplicial identities, face commutation, horn
+compatibility and Exclusion are left to the validators.
 
 Document kinds:
 
@@ -346,6 +348,13 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
     base = body_to_ruptured(_get(body, "base", where, dict), f"{where}.base")
     map_obj = _get(body, "map", where, dict)
     top = min(total.underlying.dim_bound, base.underlying.dim_bound)
+    dims = [str(n) for n in range(top + 1)]
+    for key in map_obj:
+        _expect(
+            key in dims,
+            f"map level '{key}' is not a dimension in 0..{top}",
+            f"{where}.map.{key}",
+        )
     levels = []
     for n in range(top + 1):
         here = f"{where}.map.{n}"
@@ -354,6 +363,9 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
         have = total.underlying.count(n)
         _expect(
             len(row) <= have, f"the total space has no simplex {n}/{have}", f"{here}[{have}]"
+        )
+        _expect(
+            len(row) == have, f"map covers {len(row)} of {have} simplices of the total space", here
         )
         count = base.underlying.count(n)
         levels.append(tuple(_index(v, n, count, f"{here}[{j}]") for j, v in enumerate(row)))

@@ -10,16 +10,25 @@ witnesses are data, not mere flags.
 A horn triple is two coherent arrow witnesses that chain, (J, K) then
 (K, L), together with a gapped witness for the direct arrow (J, L).
 
-Stores are values: adding an entry returns a new store. ``level_up``
-starts a fresh store one level higher whose base-atom universe is the
-coherence witness ids of the current store, so the same calculus can be
-replayed over its own witnesses.
+Stores are values: adding an entry returns a new store and leaves the old
+one as it was. The stores of one lineage share an append-only log, with
+the first position of each (judgment, polarity) and of each witness id;
+a store is a prefix of that log. Adding to the store at the log's tip
+appends in place, O(1); adding to any other store forks a new log from a
+copy of its entries, O(n). The Exclusion check, ``is_open`` and ``by_id``
+are one dict probe each (Driscoll, Sarnak, Sleator & Tarjan, *Making data
+structures persistent*, 1989).
+
+``level_up`` starts a fresh store one level higher whose base-atom
+universe is the coherence witness ids of the current store, so the same
+calculus can be replayed over its own witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import KernelError
@@ -85,27 +94,78 @@ class ExclusionViolation(KernelError):
         self.conflicting = conflicting
 
 
-@dataclass(frozen=True)
+class _Log:
+    """The append-only entry list shared by every store of one lineage,
+    with the first position of each (judgment, polarity) and of each
+    witness id."""
+
+    def __init__(self, entries=()):
+        self.entries: list[WitnessEntry] = []
+        self.first: dict[tuple[JudgmentAtom, Polarity], int] = {}
+        self.ids: dict[str, int] = {}
+        for e in entries:
+            self.append(e)
+
+    def append(self, e: WitnessEntry) -> None:
+        self.first.setdefault((e.judgment, e.polarity), len(self.entries))
+        self.ids.setdefault(e.witness_id, len(self.entries))
+        self.entries.append(e)
+
+
 class WitnessStore:
     """An append-only collection of witness entries at one level.
 
     ``universe`` restricts the admissible atom labels (None means
     unrestricted, the level-0 case). Witness ids count the entries: w1,
-    w2, ... at every level.
+    w2, ... at every level. A store is a prefix of a shared log: the first
+    ``len(entries)`` log entries are its own, and a lookup there is one
+    dict probe.
     """
 
-    entries: tuple[WitnessEntry, ...] = ()
-    level: int = 0
-    universe: Optional[frozenset[str]] = None
+    def __init__(
+        self,
+        entries: tuple[WitnessEntry, ...] = (),
+        level: int = 0,
+        universe: Optional[frozenset[str]] = None,
+        _log: Optional[_Log] = None,
+    ):
+        self._log = _Log(entries) if _log is None else _log
+        self._size = len(self._log.entries)
+        self.level = level
+        self.universe = universe
+
+    @cached_property
+    def entries(self) -> tuple[WitnessEntry, ...]:
+        return tuple(self._log.entries[: self._size])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WitnessStore):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "WitnessStore(entries={!r}, level={!r}, universe={!r})".format(*self._key())
+
+    def _key(self) -> tuple:
+        return self.entries, self.level, self.universe
+
+    def _at(self, position: Optional[int]) -> Optional[WitnessEntry]:
+        if position is None or position >= self._size:
+            return None
+        return self._log.entries[position]
+
+    def _first(self, judgment: JudgmentAtom, polarity: Polarity) -> Optional[WitnessEntry]:
+        """The earliest entry of this judgment with this polarity."""
+        return self._at(self._log.first.get((judgment, polarity)))
 
     def entries_for(self, judgment: JudgmentAtom) -> tuple[WitnessEntry, ...]:
         return tuple(e for e in self.entries if e.judgment == judgment)
 
     def by_id(self, witness_id: str) -> Optional[WitnessEntry]:
-        for e in self.entries:
-            if e.witness_id == witness_id:
-                return e
-        return None
+        return self._at(self._log.ids.get(witness_id))
 
     def coherent_ids(self) -> tuple[str, ...]:
         return tuple(
@@ -138,19 +198,24 @@ def add_witness(
     Raises :class:`ExclusionViolation`, naming the conflicting entry, when
     the judgment already carries the opposite polarity; the store is
     unchanged in that case. Repeated witnesses of the same polarity are
-    fine.
+    fine. A store at the tip of its log appends in place; any other store
+    first copies its own entries into a new log.
     """
     store._check_universe(judgment)
-    for e in store.entries:
-        if e.judgment == judgment and e.polarity is not polarity:
-            raise ExclusionViolation(judgment, e)
-    entry = WitnessEntry(judgment, polarity, f"w{len(store.entries) + 1}", payload)
-    return WitnessStore(store.entries + (entry,), store.level, store.universe)
+    other = Polarity.GAPPED if polarity is Polarity.COHERENT else Polarity.COHERENT
+    conflict = store._first(judgment, other)
+    if conflict is not None:
+        raise ExclusionViolation(judgment, conflict)
+    log = store._log
+    if len(log.entries) != store._size:
+        log = _Log(log.entries[: store._size])
+    log.append(WitnessEntry(judgment, polarity, f"w{store._size + 1}", payload))
+    return WitnessStore((), store.level, store.universe, log)
 
 
 def is_open(store: WitnessStore, judgment: JudgmentAtom) -> bool:
     """True iff no entry of either polarity exists for the judgment."""
-    return not store.entries_for(judgment)
+    return all(store._first(judgment, p) is None for p in Polarity)
 
 
 def make_horn(

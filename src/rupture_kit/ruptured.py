@@ -277,21 +277,19 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
         for n in range(bound + 1)
     }
 
-    def project(h: HornSpec, right_count: int, left: bool) -> HornSpec:
-        coords = tuple(
-            (f // right_count) if left else (f % right_count) for f in h.faces
-        )
-        return HornSpec(h.n, h.k, coords)
-
+    # Face rows are componentwise, so the product's (n, k)-horns are exactly
+    # the pairs of factor (n, k)-horns; a pair whose left horn is not gapped
+    # is gapped only through its right horn.
     gap = {}
     for n in range(1, bound + 1):
         rc = y.count(n - 1)
         for k in range(n + 1):
-            for h in enumerate_horns(underlying, n, k):
-                hx = project(h, rc, True)
-                hy = project(h, rc, False)
-                if hx in r.gap or hy in s.gap:
-                    gap[h] = r.gap.get(hx) or s.gap.get(hy)
+            right = enumerate_horns(y, n, k)
+            right_gapped = [hy for hy in right if hy in s.gap]
+            for hx in enumerate_horns(x, n, k):
+                for hy in right if hx in r.gap else right_gapped:
+                    flat = tuple(a * rc + b for a, b in zip(hx.faces, hy.faces))
+                    gap[HornSpec(n, k, flat)] = r.gap.get(hx) or s.gap.get(hy)
     result = RupturedComplex.create(underlying, coh, gap, gap)
     conflicts = validate_exclusion(result)
     if conflicts:

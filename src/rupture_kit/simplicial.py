@@ -19,6 +19,7 @@ vertex {1}, matching the anchoring used by transport problems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -168,6 +169,48 @@ class TruncatedComplex:
     def name(self, sid: SimplexId) -> str:
         """Label when present, else the dim/index form."""
         return self.label(sid) or str(sid)
+
+    @cached_property
+    def incidence(self) -> "Incidence":
+        """The face-incidence index, built on first use and kept with the
+        complex (the frozen dataclass has no slots, so the cache fits)."""
+        return build_incidence(self)
+
+
+@dataclass(frozen=True)
+class Incidence:
+    """Which n-simplices have which faces, for each n >= 1.
+
+    ``fillers[n - 1][k]`` maps a face row with entry k dropped to the
+    ascending indices of the n-simplices filling that (n, k)-horn;
+    ``by_face[n - 1][j]`` maps a face index f to the ascending indices of
+    the n-simplices whose d_j is f.
+    """
+
+    fillers: tuple[tuple[dict[tuple[int, ...], tuple[int, ...]], ...], ...]
+    by_face: tuple[tuple[dict[int, tuple[int, ...]], ...], ...]
+
+
+def build_incidence(x: TruncatedComplex) -> Incidence:
+    """One pass over the face rows of every dimension; the id lists end as
+    tuples, which take less memory and cannot be changed by a caller."""
+
+    def frozen(tables):
+        return tuple({key: tuple(ids) for key, ids in t.items()} for t in tables)
+
+    fillers, by_face = [], []
+    for n, rows in enumerate(x.face_table, 1):
+        drop = tuple({} for _ in range(n + 1))
+        meet = tuple({} for _ in range(n + 1))
+        for idx, row in enumerate(rows):
+            # A row longer than n + 1 (invalid, see validate_complex) fills
+            # no horn, and its extra entries have no table.
+            for j, f in enumerate(row[: n + 1]):
+                drop[j].setdefault(row[:j] + row[j + 1 :], []).append(idx)
+                meet[j].setdefault(f, []).append(idx)
+        fillers.append(frozen(drop))
+        by_face.append(frozen(meet))
+    return Incidence(tuple(fillers), tuple(by_face))
 
 
 @dataclass(frozen=True)
@@ -384,8 +427,8 @@ def horn_violations(x: TruncatedComplex, h: HornSpec) -> list[Violation]:
         return report
     if h.n >= 2:
         rows = x.face_table[h.n - 2]
-        for j in h.present_indices:
-            for i in h.present_indices:
+        for j in fm:
+            for i in fm:
                 if i < j and not _identity_holds(rows, i, fm[i], j, fm[j]):
                     report.append(
                         Violation(
@@ -407,25 +450,33 @@ def enumerate_horns(x: TruncatedComplex, n: int, k: int) -> list[HornSpec]:
     if not 0 <= k <= n:
         raise KernelError(f"horn index k={k} out of range for n={n}")
     present = tuple(i for i in range(n + 1) if i != k)
-    face_count = x.count(n - 1)
+    first = present[0]
     rows = x.face_table[n - 2] if n >= 2 else ()
+    meet = x.incidence.by_face[n - 2][first] if n >= 2 else {}
     result: list[HornSpec] = []
+    chosen: list[int] = []
 
-    def extend(pos: int, chosen: dict[int, int]):
-        if pos == len(present):
-            result.append(
-                HornSpec(n, k, tuple(chosen[i] for i in present))
-            )
+    def extend(pos: int):
+        if pos == n:
+            result.append(HornSpec(n, k, tuple(chosen)))
             return
         i = present[pos]
-        for f in range(face_count):
-            # faces are chosen in ascending index order, so every chosen j < i
-            if all(_identity_holds(rows, j, g, i, f) for j, g in chosen.items()):
-                chosen[i] = f
-                extend(pos + 1, chosen)
-                del chosen[i]
+        # Positions fill in ascending order. The face identity with the first
+        # chosen face fixes this face's d_first, so the index lists exactly
+        # the candidates that pass it, ascending; the other chosen faces are
+        # checked one by one.
+        if chosen:
+            candidates = meet.get(rows[chosen[0]][i - 1], ())
+        else:
+            candidates = range(x.count(n - 1))
+        others = tuple(zip(present[1:pos], chosen[1:]))
+        for f in candidates:
+            if all(_identity_holds(rows, j, g, i, f) for j, g in others):
+                chosen.append(f)
+                extend(pos + 1)
+                chosen.pop()
 
-    extend(0, {})
+    extend(0)
     return result
 
 
@@ -434,12 +485,8 @@ def find_fillers(x: TruncatedComplex, h: HornSpec) -> list[SimplexId]:
     in ascending index order."""
     if not 1 <= h.n <= x.dim_bound or not all(0 <= f < x.count(h.n - 1) for f in h.faces):
         raise KernelError("; ".join(v.message for v in horn_violations(x, h)))
-    k, faces = h.k, h.faces
-    return [
-        SimplexId(h.n, idx)
-        for idx, row in enumerate(x.face_table[h.n - 1])
-        if row[:k] + row[k + 1 :] == faces
-    ]
+    matches = x.incidence.fillers[h.n - 1][h.k].get(h.faces, ())
+    return [SimplexId(h.n, idx) for idx in matches]
 
 
 def is_kan_up_to(

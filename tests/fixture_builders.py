@@ -1,5 +1,5 @@
-"""Bundled finite fixtures: the polysemy and drift fibrations, partial
-transport, and small covering tasks.
+"""Builders of the bundled finite fixtures: the polysemy and drift
+fibrations, partial transport, and small covering tasks.
 
 Each builder returns fully validated in-memory data; the JSON files under
 ``fixtures/`` are these values serialized through the document layer.
@@ -7,9 +7,9 @@ Each builder returns fully validated in-memory data; the JSON files under
 
 from __future__ import annotations
 
-from .covering import EdgePath, build_double_cover, monodromy_ruptured
-from .documents import CoveringTask, DeriveTask
-from .derivability import (
+from rupture_kit.covering import EdgePath, build_double_cover, monodromy_ruptured
+from rupture_kit.documents import CoveringTask, DeriveTask
+from rupture_kit.derivability import (
     Annotation,
     AtomType,
     Pair,
@@ -18,9 +18,9 @@ from .derivability import (
     Substitution,
     Var,
 )
-from .fibration import LiftingProblemKey, RupturedFibrationData, transport_key
-from .ruptured import GapMode, from_kan
-from .simplicial import SimplexId, SimplicialMap, TruncatedComplex
+from rupture_kit.fibration import LiftingProblemKey, RupturedFibrationData, transport_key
+from rupture_kit.ruptured import GapMode, from_kan
+from rupture_kit.simplicial import SimplexId, SimplicialMap, TruncatedComplex
 
 
 def _edge_complex(vertices, edges, dim_bound=1):

@@ -44,7 +44,6 @@ from rupture_kit.fibration import (
     validate_fibration,
 )
 from rupture_kit.fibration import Gapped
-from rupture_kit.fixtures import bank_fibration, crane_fibration
 from rupture_kit.judgments import (
     ArrowJudgment,
     BaseJudgment,
@@ -76,6 +75,7 @@ from rupture_kit.simplicial import (
     standard_simplex,
 )
 
+from fixture_builders import bank_fibration, crane_fibration
 from support import (
     composition_fixture,
     oracle_exclusion_conflicts,

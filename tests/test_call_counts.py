@@ -1,9 +1,11 @@
-"""Each input check and each lift runs once per public call.
+"""Each input check and each lift runs once per public call, and each
+complex builds its incidence index once.
 
 The checks (``horn_violations``, ``key_violations``), the path lift
-(``lift_edge_path``) and the derivability decision (``check_derivable``)
-are wrapped in every loaded ``rupture_kit`` module that references them,
-so calls from one module into another are counted.
+(``lift_edge_path``), the derivability decision (``check_derivable``), the
+index build (``build_incidence``) and horn enumeration are wrapped in every
+loaded ``rupture_kit`` module that references them, so calls from one
+module into another are counted.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import sys
 import pytest
 
 from rupture_kit import cli, covering, derivability, fibration, simplicial
+from rupture_kit.errors import ExclusionError
 from rupture_kit.covering import EdgePath, build_double_cover, trivial_double_cover
 from rupture_kit.errors import KernelError
 from rupture_kit.fibration import (
@@ -26,13 +29,15 @@ from rupture_kit.fibration import (
     key_violations,
     transport,
 )
-from rupture_kit.ruptured import CoherentlyFilled, classify_horn
+from rupture_kit.ruptured import CoherentlyFilled, classify_horn, product
 from rupture_kit.simplicial import (
     HornSpec,
     SimplexId,
     SimplicialMap,
     enumerate_horns,
     find_fillers,
+    is_kan_up_to,
+    standard_simplex,
 )
 
 from support import composition_fixture, random_ruptured
@@ -59,16 +64,33 @@ def calls(monkeypatch):
 
         return counted
 
+    for name, original in COUNTED.items():
+        wrap_everywhere(monkeypatch, original, counting(name, original))
+    return log
+
+
+def wrap_everywhere(monkeypatch, original, wrapper):
+    """Put ``wrapper`` over every loaded ``rupture_kit`` module's reference
+    to ``original``."""
     modules = [
         m for key, m in list(sys.modules.items())
         if key == "rupture_kit" or key.startswith("rupture_kit.")
     ]
-    for name, original in COUNTED.items():
-        wrapper = counting(name, original)
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, wrapper)
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, wrapper)
+
+
+def first_args(monkeypatch, original) -> list:
+    """The first argument of each call to ``original``, in order."""
+    log = []
+
+    def recorded(first, *args, **kwargs):
+        log.append(first)
+        return original(first, *args, **kwargs)
+
+    wrap_everywhere(monkeypatch, original, recorded)
     return log
 
 
@@ -191,3 +213,41 @@ def test_cli_monodromy_lifts_each_fiber_point_once(calls, extra):
 def test_cli_derive_decides_each_judgment_once(calls, extra):
     assert run_cli("derive", "derive_linear_horn.json", *extra) == 0
     assert calls.count("check_derivable") == 2
+
+
+def test_kan_check_builds_one_index(monkeypatch):
+    builds = first_args(monkeypatch, simplicial.build_incidence)
+    x = standard_simplex(8, 3)
+    assert is_kan_up_to(x, 3) == (True, None)
+    assert builds == [x] and builds[0] is x
+
+
+def test_product_enumerates_no_horn_of_the_product(monkeypatch):
+    enumerated = first_args(monkeypatch, simplicial.enumerate_horns)
+    rng = random.Random(8)
+    for _ in range(30):
+        r, s = random_ruptured(rng), random_ruptured(rng)
+        enumerated.clear()
+        product(r, s)
+        assert enumerated
+        assert all(x is r.underlying or x is s.underlying for x in enumerated)
+
+
+def test_with_coherent_shares_its_complexs_index(monkeypatch):
+    builds = first_args(monkeypatch, simplicial.build_incidence)
+    rng = random.Random(9)
+    structures = [random_ruptured(rng) for _ in range(30)]
+    reached = 0
+    for r in structures:
+        x = r.underlying
+        for n in range(x.dim_bound + 1):
+            for i in range(x.count(n)):
+                try:
+                    r = r.with_coherent(SimplexId(n, i))
+                except ExclusionError:
+                    continue
+                reached += 1
+                for h in every_horn(r.underlying):
+                    classify_horn(r, h)
+    assert reached >= 100
+    assert [id(x) for x in builds] == [id(r.underlying) for r in structures]

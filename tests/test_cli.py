@@ -236,7 +236,7 @@ class TestDeterminism:
 
 
 class TestShortMap:
-    def test_monodromy_on_short_edge_map_exits_one(self, tmp_path):
+    def test_monodromy_on_short_edge_map_exits_two(self, tmp_path):
         doc = json.loads((FIXTURES / "double_cover_3.json").read_text())
         doc["map"]["1"] = doc["map"]["1"][:3]
         path = tmp_path / "short_map.json"
@@ -246,8 +246,9 @@ class TestShortMap:
             str(path), str(FIXTURES / "monodromy_task_3.json"),
         ]
         run = subprocess.run(cmd, capture_output=True, text=True, cwd=FIXTURES.parent)
-        assert run.returncode == 1
-        assert run.stdout.startswith("error: map not defined on 1/")
+        assert run.returncode == 2
+        assert run.stdout.startswith("parse error: map covers 3 of 6 simplices")
+        assert "(at fibration.map.1)" in run.stdout
         assert "Traceback" not in run.stdout + run.stderr
 
 
@@ -278,8 +279,9 @@ def _append(value, *paths):
 
 
 class TestMissingReferences:
-    """Documents that reference a simplex that does not exist, or hold a
-    non-list where a list of rows belongs, exit 2 with the key path."""
+    """Documents that reference a simplex that does not exist, hold a
+    non-list where a list of rows belongs, or have a map level that is too
+    short or not a shared dimension, exit 2 with the key path."""
 
     CASES = [
         ("core", "triangle_kan.json", _set(["faces", "1", 0], [5, 0]), (),
@@ -310,6 +312,13 @@ class TestMissingReferences:
          ("@monodromy_task_3.json",), "fibration.map.0[6]"),
         ("validate", "double_cover_3.json", _append(0, ["map", "0"], ["map", "1"]), (),
          "fibration.map.0[6]"),
+        ("transport", "double_cover_3.json", _set(["map", "1"], [0, 1, 2]),
+         ("--term", "0", "--path", "0"), "fibration.map.1"),
+        ("validate", "double_cover_3.json", _set(["map", "1"], [0, 1, 2]), (),
+         "fibration.map.1"),
+        ("validate", "crane.json", _set(["map", "7"], [0]), (), "fibration.map.7"),
+        ("transport", "crane.json", _set(["map", "x"], 5), ("--term", "0", "--path", "0"),
+         "fibration.map.x"),
     ]
 
     @pytest.mark.parametrize(

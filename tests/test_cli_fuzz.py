@@ -4,7 +4,9 @@ Every fixture is mutated many times (a key dropped, an integer bumped, a
 list shortened or lengthened, a value swapped for one of another type, or
 the JSON text cut short) and handed to each command that reads it, in
 process through ``cli.main``. Whatever the input, the command must answer
-with exit 0, 1 or 2; an exception escaping ``main`` fails the test.
+with exit 0, 1 or 2; an exception escaping ``main`` fails the test. And no
+command may answer with exit 0 about a fibration whose map ``validate``
+rejects (a ``map-*`` violation).
 """
 
 import contextlib
@@ -97,15 +99,15 @@ def mutate(rng: random.Random, text: str) -> str:
     return json.dumps(_replace(doc, path, value))
 
 
-def run(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()):
-        return main(argv)
+def run(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        return main(argv), out.getvalue()
 
 
-@pytest.mark.parametrize(
-    "seed,fixture", enumerate(sorted(p.name for p in FIXTURES.glob("*.json")))
-)
-def test_mutated_documents_exit_0_1_or_2(tmp_path, seed, fixture):
+def mutated_runs(tmp_path, seed, fixture):
+    """Each seeded mutation of a fixture, written to disk, with the argv of
+    every command that reads it."""
     text = (FIXTURES / fixture).read_text(encoding="utf-8")
     commands = COMMANDS[json.loads(text)["kind"]]
     rng = random.Random(seed)
@@ -113,13 +115,43 @@ def test_mutated_documents_exit_0_1_or_2(tmp_path, seed, fixture):
     for i in range(MUTATIONS_PER_FIXTURE):
         doc = mutate(rng, text)
         mutated.write_text(doc, encoding="utf-8")
-        for command in commands:
-            argv = [
-                str(mutated) if a == "@" else str(FIXTURES / a) if a.endswith(".json") else a
-                for a in command + ("--json",) * (i % 2)
-            ]
+        yield doc, mutated, [
+            [str(mutated) if a == "@" else str(FIXTURES / a) if a.endswith(".json") else a
+             for a in command + ("--json",) * (i % 2)]
+            for command in commands
+        ]
+
+
+FIXTURE_SEEDS = list(enumerate(sorted(p.name for p in FIXTURES.glob("*.json"))))
+
+
+@pytest.mark.parametrize("seed,fixture", FIXTURE_SEEDS)
+def test_mutated_documents_exit_0_1_or_2(tmp_path, seed, fixture):
+    for doc, _, argvs in mutated_runs(tmp_path, seed, fixture):
+        for argv in argvs:
             try:
-                code = run(argv)
+                code, _ = run(argv)
             except Exception as exc:
-                pytest.fail(f"{command} raised {exc!r} on {doc}")
-            assert code in (0, 1, 2), (command, doc)
+                pytest.fail(f"{argv} raised {exc!r} on {doc}")
+            assert code in (0, 1, 2), (argv, doc)
+
+
+def map_violations(path) -> list[str]:
+    """The ``map-*`` violation kinds ``validate --json`` reports."""
+    code, out = run(["validate", str(path), "--json"])
+    if code != 1 or not out.startswith("{"):
+        return []
+    return [v["kind"] for v in json.loads(out)["violations"] if v["kind"].startswith("map-")]
+
+
+@pytest.mark.parametrize(
+    "seed,fixture",
+    [(seed, name) for seed, name in FIXTURE_SEEDS
+     if json.loads((FIXTURES / name).read_text(encoding="utf-8"))["kind"] == "fibration"],
+)
+def test_no_command_answers_on_a_map_that_validate_rejects(tmp_path, seed, fixture):
+    for doc, path, argvs in mutated_runs(tmp_path, seed, fixture):
+        kinds = map_violations(path)
+        if kinds:
+            for argv in argvs:
+                assert run(argv)[0] != 0, (argv, kinds, doc)

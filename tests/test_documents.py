@@ -280,6 +280,33 @@ class TestMissingReferences:
             parse_document(json.dumps(doc))
         assert err.value.position == "fibration.map.0[3]"
 
+    @pytest.mark.parametrize(
+        "fixture,key,value,message",
+        [
+            ("crane.json", "1", [0], "map covers 1 of 2 simplices of the total space"),
+            ("crane.json", "0", [], "map covers 0 of 3 simplices of the total space"),
+            ("double_cover_3.json", "1", [0, 1, 2], "map covers 3 of 6 simplices"),
+            ("crane.json", "7", [0], "map level '7' is not a dimension in 0..1"),
+            ("crane.json", "x", 5, "map level 'x' is not a dimension in 0..1"),
+            ("crane.json", "01", [0, 1], "map level '01' is not a dimension in 0..1"),
+            ("double_cover_3.json", "-1", [], "map level '-1' is not a dimension in 0..2"),
+        ],
+        ids=["short", "empty", "cover-short", "above-bound", "not-int", "padded", "negative"],
+    )
+    def test_map_level_names_its_key(self, fixture, key, value, message):
+        path = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / fixture
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["map"][key] = value
+        with pytest.raises(DocumentError, match=message) as err:
+            parse_document(json.dumps(doc))
+        assert err.value.position == f"fibration.map.{key}"
+
+    def test_missing_level_of_an_empty_dimension_is_empty(self):
+        path = pathlib.Path(__file__).resolve().parents[1] / "fixtures" / "double_cover_3.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["map"]["2"]
+        assert parse_document(json.dumps(doc)).body.proj.levels[2] == ()
+
 
 def _set_lift(key, value):
     return lambda lifts: lifts[0].__setitem__(key, value)

@@ -40,14 +40,13 @@ from rupture_kit.simplicial import (
     standard_simplex,
 )
 from rupture_kit.covering import EdgePath, build_cycle, build_double_cover, trivial_double_cover
-from rupture_kit.fixtures import (
+from fixture_builders import (
     bank_fibration,
     bottle_fibration,
     crane_fibration,
     mobius_rupture,
     source_anchored_problem,
 )
-
 from support import composition_fixture, random_complex
 
 

@@ -11,6 +11,7 @@ from rupture_kit.judgments import (
     BaseJudgment,
     ExclusionViolation,
     Polarity,
+    WitnessEntry,
     WitnessStore,
     add_witness,
     is_coherent_fragment,
@@ -225,3 +226,93 @@ class TestLevels:
         up = add_witness(up, BaseJudgment("w1"), Polarity.COHERENT)
         with pytest.raises(ExclusionViolation):
             add_witness(up, BaseJudgment("w1"), Polarity.GAPPED)
+
+
+class TestSharedLog:
+    """Every store answers as a linear scan of its own entries would,
+    whether it sits at the tip of its log or not."""
+
+    ATOMS = [J, K, L, M, arrow("J", "K"), arrow("K", "L"), arrow("J", "L")]
+
+    def assert_scans(self, store, expected):
+        assert store.entries == expected
+        for judgment in self.ATOMS:
+            mine = tuple(e for e in expected if e.judgment == judgment)
+            assert store.entries_for(judgment) == mine
+            assert is_open(store, judgment) == (not mine)
+        for i in range(len(expected) + 2):
+            wid = f"w{i + 1}"
+            assert store.by_id(wid) == next((e for e in expected if e.witness_id == wid), None)
+
+    def add_and_check(self, store, expected, judgment, polarity):
+        """Add to a store and compare the outcome with a scan of
+        ``expected``; returns the new (store, expected) or None."""
+        conflict = next(
+            (e for e in expected if e.judgment == judgment and e.polarity is not polarity), None
+        )
+        try:
+            child = add_witness(store, judgment, polarity)
+        except ExclusionViolation as err:
+            assert conflict is not None and err.conflicting == conflict
+            return None
+        assert conflict is None
+        return child, expected + (WitnessEntry(judgment, polarity, f"w{len(expected) + 1}"),)
+
+    def test_random_branches_match_a_scan(self):
+        rng = random.Random(1989)
+        forks = 0
+        for _ in range(60):
+            stores = [(WitnessStore(), ())]
+            extended = set()  # stores that already have a child: not a tip
+            for _ in range(40):
+                store, expected = rng.choice(stores)
+                forks += id(store) in extended
+                out = self.add_and_check(
+                    store, expected, rng.choice(self.ATOMS), rng.choice(list(Polarity))
+                )
+                if out is not None:
+                    stores.append(out)
+                    extended.add(id(store))
+                self.assert_scans(store, expected)
+            for store, expected in stores:
+                self.assert_scans(store, expected)
+                self.assert_scans(WitnessStore(expected), expected)
+        assert forks >= 500
+
+    def test_two_branches_from_one_parent_interleave(self):
+        parent = chain_store()
+        base = parent.entries
+        left = add_witness(parent, J, Polarity.COHERENT)  # parent's log, in place
+        right = add_witness(parent, J, Polarity.GAPPED)  # a copy of parent's entries
+        left = add_witness(left, K, Polarity.GAPPED)
+        right = add_witness(right, K, Polarity.COHERENT)
+        with pytest.raises(ExclusionViolation) as err:
+            add_witness(left, J, Polarity.GAPPED)
+        assert err.value.conflicting.witness_id == "w4"
+        assert err.value.conflicting.polarity is Polarity.COHERENT
+        assert parent.entries == base and len(parent.entries) == 3
+        self.assert_scans(parent, base)
+        self.assert_scans(left, base + (WitnessEntry(J, Polarity.COHERENT, "w4"),
+                                        WitnessEntry(K, Polarity.GAPPED, "w5")))
+        self.assert_scans(right, base + (WitnessEntry(J, Polarity.GAPPED, "w4"),
+                                         WitnessEntry(K, Polarity.COHERENT, "w5")))
+        assert left != right and parent == chain_store()
+
+    def test_directly_constructed_store_answers_from_its_entries(self):
+        # two polarities on J and a repeated id: the first match wins, as a
+        # scan in entry order would find it
+        entries = (
+            WitnessEntry(J, Polarity.COHERENT, "a"),
+            WitnessEntry(J, Polarity.GAPPED, "b"),
+            WitnessEntry(K, Polarity.COHERENT, "a"),
+        )
+        store = WitnessStore(entries, 2, frozenset("JK"))
+        assert store.by_id("a") is entries[0] and store.by_id("w1") is None
+        assert not is_open(store, J) and is_open(store, L)
+        for polarity, conflicting in ((Polarity.COHERENT, 1), (Polarity.GAPPED, 0)):
+            with pytest.raises(ExclusionViolation) as err:
+                add_witness(store, J, polarity)
+            assert err.value.conflicting is entries[conflicting]
+        grown = add_witness(store, K, Polarity.COHERENT)
+        assert grown.entries[-1].witness_id == "w4" and grown.level == 2
+        assert grown.universe == frozenset("JK") and store.entries == entries

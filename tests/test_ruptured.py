@@ -260,6 +260,34 @@ class TestProduct:
                         assert isinstance(classify_horn(p, h), GapWitnessed)
         assert found_gapped > 0
 
+    def test_gaps_match_every_projected_product_horn(self):
+        # oracle: enumerate every horn of the product, project it to both
+        # factors, and apply the gap rule with the left factor's mode first
+        rng = random.Random(41)
+        modes = [None, GapMode("plain"), GapMode("semantic", ("a",)),
+                 GapMode("resource", (("x", 2),))]
+
+        def with_modes(r):
+            return RupturedComplex(r.underlying, r.coh,
+                                   {h: rng.choice(modes) for h in r.gap})
+
+        gapped = 0
+        for _ in range(40):
+            r, s = with_modes(random_ruptured(rng)), with_modes(random_ruptured(rng))
+            p = product(r, s)
+            expected = {}
+            for n in range(1, p.underlying.dim_bound + 1):
+                rc = s.underlying.count(n - 1)
+                for k in range(n + 1):
+                    for h in enumerate_horns(p.underlying, n, k):
+                        hx = HornSpec(n, k, tuple(f // rc for f in h.faces))
+                        hy = HornSpec(n, k, tuple(f % rc for f in h.faces))
+                        if hx in r.gap or hy in s.gap:
+                            expected[h] = r.gap.get(hx) or s.gap.get(hy)
+            assert p.gap == expected
+            gapped += len(expected)
+        assert gapped >= 1000
+
     def test_componentwise_coherence(self):
         r = RupturedComplex.create(triangle(), {0: [0, 1], 1: [2]})
         s = RupturedComplex.create(triangle(), {0: [2], 1: [0, 2]})

@@ -6,7 +6,8 @@ from itertools import product as cartesian
 
 import pytest
 
-from rupture_kit.errors import KernelError
+from rupture_kit.errors import ExclusionError, KernelError
+from rupture_kit.ruptured import product
 from rupture_kit.simplicial import (
     HornSpec,
     SimplexId,
@@ -24,7 +25,7 @@ from rupture_kit.simplicial import (
 )
 from rupture_kit.covering import build_cycle, build_double_cover
 
-from support import random_complex
+from support import random_complex, random_ruptured
 
 
 def doubled_triangle():
@@ -201,6 +202,47 @@ class TestFindFillers:
                         if all(x.face_row(2, i)[j] == f for j, f in fm.items())
                     ]
                     assert got == ref
+
+
+    def test_index_matches_slice_scan(self):
+        # the indexed lookup against comparing every face row with entry k
+        # dropped, on random complexes, complexes reached through
+        # with_coherent and complexes built by product
+        rng = random.Random(47)
+
+        def scan(x, h):
+            rows = x.face_table[h.n - 1]
+            return [SimplexId(h.n, i) for i, row in enumerate(rows)
+                    if row[: h.k] + row[h.k + 1 :] == h.faces]
+
+        def horns(x):
+            for n in range(1, x.dim_bound + 1):
+                for k in range(n + 1):
+                    yield from enumerate_horns(x, n, k)
+                    for i in range(x.count(n)):
+                        yield horn_of(x, SimplexId(n, i), k)
+                    if x.count(n - 1):
+                        for _ in range(3):
+                            faces = tuple(rng.randrange(x.count(n - 1)) for _ in range(n))
+                            yield HornSpec(n, k, faces)
+
+        checked = 0
+        for _ in range(30):
+            r, s = random_ruptured(rng), random_ruptured(rng)
+            x = r.underlying
+            sid = SimplexId(2, 0) if x.count(2) else SimplexId(0, 0)
+            try:
+                grown = r.with_coherent(sid)
+            except ExclusionError:
+                grown = r
+            for y in (x, grown.underlying, product(r, s).underlying):
+                for h in horns(y):
+                    assert find_fillers(y, h) == scan(y, h), h
+                    checked += 1
+            for h in horns(grown.underlying):
+                want = [f for f in scan(x, h) if f.index in grown.coh[h.n]]
+                assert grown.coherent_fillers(h) == want
+        assert checked >= 5000
 
 
 class TestKan:
