@@ -3,8 +3,16 @@ render deterministic reports.
 
 Exit codes: 0 for a clean result, 1 for semantic violations or negative
 findings (and kernel-level argument errors), 2 for parse and IO errors.
-Human-readable output is the default; ``--json`` switches every command to
-a machine-readable report with sorted keys.
+Every command but ``validate`` first runs the validator ``validate`` uses
+on each document it reads, and exits 1 on the first violation instead of
+answering. Human-readable output is the default; ``--json`` switches every
+command to a machine-readable report with sorted keys.
+
+Each command imports the kernel modules it calls when it runs, and the
+document layer imports those of the documents it reads, so a command loads
+only what it uses. The names are imported in the function body on each
+call, never kept in this module, so a wrapper put over a kernel function
+(as ``bench/tracing.py`` does) is the one called.
 """
 
 from __future__ import annotations
@@ -14,34 +22,7 @@ import json
 import sys
 
 from . import documents as docs
-from .covering import FiberPermutation, monodromy_ruptured
-from .derivability import apply_substitution, check_derivable, check_substitution
 from .errors import DocumentError, KernelError
-from .fibration import (
-    Coherent,
-    Gapped,
-    compose_fibrations,
-    transport,
-    validate_fibration_deep,
-)
-from .judgments import (
-    ExclusionViolation,
-    WitnessStore,
-    add_witness,
-    is_coherent_fragment,
-    is_open,
-    level_up,
-    make_horn,
-)
-from .ruptured import (
-    CoherentlyFilled,
-    GapWitnessed,
-    classify_horn,
-    coherent_core,
-    product,
-    validate_ruptured,
-)
-from .simplicial import SimplexId, enumerate_horns, is_kan_up_to, validate_complex
 
 
 def _emit_json(payload) -> None:
@@ -52,12 +33,35 @@ def _mode_text(mode) -> str:
     return f"gapped ({mode.kind})" if mode is not None else "gapped"
 
 
+def _gapped(mode) -> dict:
+    """The JSON state of a gap-witnessed horn or a gapped transport."""
+    return {"state": "gapped", "mode": docs.mode_to_body(mode)}
+
+
+def _violations(doc: docs.Document) -> list:
+    """The report ``validate`` gives on a document; kinds without a
+    validator have none."""
+    if doc.kind == "complex":
+        from .simplicial import validate_complex as validator
+    elif doc.kind == "ruptured":
+        from .ruptured import validate_ruptured as validator
+    elif doc.kind == "fibration":
+        from .fibration import validate_fibration_deep as validator
+    else:
+        return []
+    return validator(doc.body)
+
+
 def _load(path, *kinds) -> docs.Document:
+    """A document of one of ``kinds`` that ``validate`` accepts."""
     doc = docs.load_document(path)
-    if kinds and doc.kind not in kinds:
+    if doc.kind not in kinds:
         raise DocumentError(
             f"expected a {' or '.join(kinds)} document, got '{doc.kind}'", str(path)
         )
+    report = _violations(doc)
+    if report:
+        raise KernelError(f"{path} is not valid: {report[0]}")
     return doc
 
 
@@ -65,23 +69,17 @@ def _load(path, *kinds) -> docs.Document:
 
 
 def cmd_validate(args) -> int:
-    doc = _load(args.path)
-    # Built per call, so a wrapper put over one of these module names (as
-    # bench/tracing.py does) is the one called.
-    validators = {
-        "complex": validate_complex,
-        "ruptured": validate_ruptured,
-        "fibration": validate_fibration_deep,
-    }
-    report = validators[doc.kind](doc.body) if doc.kind in validators else []
+    doc = docs.load_document(args.path)
+    report = _violations(doc)
     kan = None
-    if args.max_dim is not None and not report:
+    if args.max_dim is not None and not report and doc.kind in ("complex", "ruptured"):
+        from .simplicial import is_kan_up_to
+
         target = doc.body.underlying if doc.kind == "ruptured" else doc.body
-        if doc.kind in ("complex", "ruptured"):
-            filled, witness = is_kan_up_to(target, args.max_dim)
-            kan = {"max_dim": args.max_dim, "filled": filled}
-            if witness is not None:
-                kan["witness"] = docs.horn_to_body(witness)
+        filled, witness = is_kan_up_to(target, args.max_dim)
+        kan = {"max_dim": args.max_dim, "filled": filled}
+        if witness is not None:
+            kan["witness"] = docs.horn_to_body(witness)
     if args.json:
         payload = {
             "kind": doc.kind,
@@ -109,75 +107,77 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _state(outcome) -> dict:
-    """The JSON state of a horn or transport outcome."""
-    if isinstance(outcome, CoherentlyFilled):
-        return {"state": "coherent", "fillers": [s.index for s in outcome.fillers]}
-    if isinstance(outcome, Coherent):
-        return {
-            "state": "coherent",
-            "target": outcome.target.index,
-            "multiplicity": outcome.multiplicity,
-        }
-    if isinstance(outcome, (GapWitnessed, Gapped)):
-        return {"state": "gapped", "mode": docs.mode_to_body(outcome.mode)}
-    return {"state": "open"}
-
-
-def _horn_line(h, outcome) -> str:
-    faces = ",".join(f"{i}:{f}" for i, f in h.face_map().items())
-    head = f"n={h.n} k={h.k} faces {faces}"
-    if isinstance(outcome, CoherentlyFilled):
-        ids = ",".join(str(s.index) for s in outcome.fillers)
-        return f"{head} -> coherent fillers {ids}"
-    if isinstance(outcome, GapWitnessed):
-        return f"{head} -> {_mode_text(outcome.mode)}"
-    return f"{head} -> open"
-
-
 def cmd_horns(args) -> int:
+    from .ruptured import CoherentlyFilled, GapWitnessed, classify_horn
+    from .simplicial import enumerate_horns
+
     r = _load(args.path, "ruptured").body
     horns = enumerate_horns(r.underlying, args.dim, args.missing)
-    rows = [(h, classify_horn(r, h)) for h in horns]
+    rows = []
+    for h in horns:
+        outcome = classify_horn(r, h)
+        if isinstance(outcome, CoherentlyFilled):
+            ids = [s.index for s in outcome.fillers]
+            state = {"state": "coherent", "fillers": ids}
+            text = "coherent fillers " + ",".join(map(str, ids))
+        elif isinstance(outcome, GapWitnessed):
+            state, text = _gapped(outcome.mode), _mode_text(outcome.mode)
+        else:
+            state, text = {"state": "open"}, "open"
+        rows.append((h, state, text))
     if args.json:
-        _emit_json([{"horn": docs.horn_to_body(h), **_state(o)} for h, o in rows])
+        _emit_json([{"horn": docs.horn_to_body(h), **state} for h, state, _ in rows])
     else:
-        for h, outcome in rows:
-            print(_horn_line(h, outcome))
+        for h, _, text in rows:
+            faces = ",".join(f"{i}:{f}" for i, f in h.face_map().items())
+            print(f"n={h.n} k={h.k} faces {faces} -> {text}")
     return 0
 
 
 def cmd_transport(args) -> int:
+    from .fibration import Coherent, Gapped, transport
+    from .simplicial import SimplexId
+
     f = _load(args.path, "fibration").body
     outcome = transport(f, SimplexId(0, args.term), SimplexId(1, args.path_edge))
-    if args.json:
-        _emit_json(_state(outcome))
-    elif isinstance(outcome, Coherent):
+    if isinstance(outcome, Coherent):
+        state = {
+            "state": "coherent",
+            "target": outcome.target.index,
+            "multiplicity": outcome.multiplicity,
+        }
         name = f.total.underlying.name(outcome.target)
-        print(f"coherent -> {name} (multiplicity {outcome.multiplicity})")
+        text = f"coherent -> {name} (multiplicity {outcome.multiplicity})"
     elif isinstance(outcome, Gapped):
-        print(_mode_text(outcome.mode))
+        state, text = _gapped(outcome.mode), _mode_text(outcome.mode)
     else:
-        print("open")
+        state, text = {"state": "open"}, "open"
+    if args.json:
+        _emit_json(state)
+    else:
+        print(text)
     return 0
 
 
-def _permutation(registry, loop) -> FiberPermutation:
-    """A loop's monodromy read from its closure problems: a gapped closure's
-    mode is the whole permutation, and with none gapped every start closes."""
-    closures = {v: e for (key, v), e in registry.items() if key == loop.key()}
-    for entry in closures.values():
-        if entry.gapped:
-            return entry.mode.payload
-    return FiberPermutation.of(list(closures), {v: v for v in closures})
-
-
 def cmd_monodromy(args) -> int:
-    fib_doc = _load(args.path, "fibration")
-    task_doc = _load(args.task, "covering-task")
-    f, task = fib_doc.body, task_doc.body
+    from .covering import FiberPermutation, monodromy_ruptured
+    from .simplicial import SimplexId
+
+    f = _load(args.path, "fibration").body
+    task = _load(args.task, "covering-task").body
     ruptured = monodromy_ruptured(f, task.basepoint, list(task.loops))
-    perms = [_permutation(ruptured.loop_gaps, loop) for loop in task.loops]
+
+    def permutation(loop) -> FiberPermutation:
+        """A loop's monodromy read from its closure problems: a gapped
+        closure's mode is the whole permutation, and with none gapped every
+        start closes."""
+        closures = {v: e for (key, v), e in ruptured.loop_gaps.items() if key == loop.key()}
+        for entry in closures.values():
+            if entry.gapped:
+                return entry.mode.payload
+        return FiberPermutation.of(list(closures), {v: v for v in closures})
+
+    perms = [permutation(loop) for loop in task.loops]
     gapped = [
         (key, entry) for key, entry in sorted(ruptured.loop_gaps.items()) if entry.gapped
     ]
@@ -213,8 +213,9 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_core(args) -> int:
-    doc = _load(args.path, "ruptured")
-    r = doc.body
+    from .ruptured import coherent_core
+
+    r = _load(args.path, "ruptured").body
     core, inclusion = coherent_core(r)
     if args.json:
         _emit_json(
@@ -236,6 +237,8 @@ def cmd_core(args) -> int:
 
 
 def cmd_product(args) -> int:
+    from .ruptured import product
+
     left = _load(args.left, "ruptured")
     right = _load(args.right, "ruptured")
     result = product(left.body, right.body)
@@ -250,6 +253,8 @@ def cmd_product(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    from .fibration import compose_fibrations
+
     first = _load(args.first, "fibration")
     second = _load(args.second, "fibration")
     result = compose_fibrations(first.body, second.body)
@@ -263,8 +268,9 @@ def cmd_compose(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    doc = _load(args.task, "derive-task")
-    task = doc.body
+    from .derivability import apply_substitution, check_derivable, check_substitution
+
+    task = _load(args.task, "derive-task").body
     gamma_result = check_derivable(task.gamma, task.term, task.goal)
     delta_result = check_derivable(
         task.delta, apply_substitution(task.term, task.sigma), task.goal
@@ -305,17 +311,27 @@ def cmd_derive(args) -> int:
 
 
 def cmd_judgments(args) -> int:
-    doc = _load(args.script, "judgment-script")
+    from .judgments import (
+        ExclusionViolation,
+        WitnessStore,
+        add_witness,
+        is_coherent_fragment,
+        is_open,
+        level_up,
+        make_horn,
+    )
+
+    script = _load(args.script, "judgment-script").body
     store = WitnessStore()
     lines = []
     failures = 0
-    for cmd in doc.body:
+    for cmd in script:
         if cmd.op == "add":
             try:
                 store = add_witness(store, cmd.judgment, cmd.polarity, cmd.payload)
                 lines.append(
                     f"add {cmd.judgment} {cmd.polarity.value}: "
-                    f"{store.entries[-1].witness_id}"
+                    f"{store.last().witness_id}"
                 )
             except ExclusionViolation as exc:
                 failures += 1

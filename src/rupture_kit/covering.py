@@ -57,6 +57,15 @@ class EdgePath:
         return EdgePath(self.steps + other.steps)
 
 
+@dataclass(frozen=True)
+class CoveringTask:
+    """The loops at a base vertex whose monodromy ``rupture-kit monodromy``
+    reports: the body of a covering-task document."""
+
+    basepoint: SimplexId
+    loops: tuple[EdgePath, ...]
+
+
 def step_endpoints(x: TruncatedComplex, step: tuple[int, bool]) -> tuple[SimplexId, SimplexId]:
     """(start, end) vertices of one directed step."""
     edge, forward = step
@@ -194,44 +203,10 @@ def trivial_double_cover(m: int) -> RupturedFibrationData:
 # -- lifting and monodromy -----------------------------------------------------
 
 
-def _lift_table(
-    f: RupturedFibrationData,
-) -> tuple[dict[tuple[int, int, int], list[int]], Optional[str]]:
-    """Unique path lifting as a table, built in one pass over the total
-    edges: (base edge, face index, total vertex) -> the total edges over
-    that base edge whose face at that index is that vertex, ascending.
-
-    Also returns a description of the first (total vertex, incident base
-    edge, direction), in that order, without exactly one lift; None for a
-    covering.
-    """
-    e, b = f.total.underlying, f.base.underlying
-    table: dict[tuple[int, int, int], list[int]] = {}
-    for te in range(e.count(1)):
-        be = f.proj.apply(SimplexId(1, te)).index
-        row = e.face_row(1, te)
-        for face_idx in (1, 0):
-            table.setdefault((be, face_idx, row[face_idx]), []).append(te)
-    # base edges by the vertex they leave from: forward at d_1, backward at d_0
-    leaving: dict[int, list[tuple[int, int, str]]] = {}
-    for be in range(b.count(1)):
-        row = b.face_row(1, be)
-        for face_idx, direction in ((1, "forward"), (0, "backward")):
-            leaving.setdefault(row[face_idx], []).append((be, face_idx, direction))
-    for w in range(e.count(0)):
-        for be, face_idx, direction in leaving.get(f.proj.apply(SimplexId(0, w)).index, ()):
-            lifts = table.get((be, face_idx, w), ())
-            if len(lifts) != 1:
-                return table, (
-                    f"vertex 0/{w} has {len(lifts)} {direction} lifts of base edge 1/{be}"
-                )
-    return table, None
-
-
 def covering_violation(f: RupturedFibrationData) -> Optional[str]:
     """None when every (total vertex, incident base edge, direction) has
     exactly one lift; otherwise a description of the first failure."""
-    return _lift_table(f)[1]
+    return f.lift_table[1]
 
 
 def lift_edge_path(
@@ -241,7 +216,7 @@ def lift_edge_path(
 
     The empty path lifts to the empty path at ``start``.
     """
-    table, problem = _lift_table(f)
+    table, problem = f.lift_table
     if problem is not None:
         raise KernelError(f"not a covering: {problem}")
     e, b = f.total.underlying, f.base.underlying

@@ -196,6 +196,18 @@ class DerivabilityHorn:
     target_certificate: UsageCertificate
 
 
+@dataclass(frozen=True)
+class DeriveTask:
+    """A term and goal judged in ``gamma`` and, renamed by ``sigma``, in
+    ``delta``: the body of a derive-task document."""
+
+    gamma: ResourceContext
+    delta: ResourceContext
+    sigma: Substitution
+    term: TupleTerm
+    goal: TypeExpr
+
+
 # -- operations ----------------------------------------------------------------
 
 

@@ -11,6 +11,13 @@ that is not total on the total space or has a level outside the dimensions
 both spaces share; simplicial identities, face commutation, horn
 compatibility and Exclusion are left to the validators.
 
+Each kind's codec imports its kernel module when it runs, so that a
+command loads only the modules of the documents it reads: this module
+itself imports none. A codec imports once per document, never per row:
+the row readers it shares with the public row codecs return plain values
+(``_horn_fields``, ``_mode_fields``, ``_judgment_labels``) or take the
+classes the codec imported (the type and term trees).
+
 Document kinds:
 
     complex          dim_bound, simplices {"n": count | [labels]},
@@ -29,31 +36,31 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, Optional
 
-from .covering import EdgePath, FiberPermutation
-from .derivability import (
-    Annotation,
-    AtomType,
-    Binding,
-    Pair,
-    ProdType,
-    ResourceContext,
-    Substitution,
-    TupleTerm,
-    TypeExpr,
-    UnitTerm,
-    UnitType,
-    Var,
-)
 from .errors import DocumentError
-from .fibration import LiftingProblemKey, RupturedFibrationData
-from .judgments import ArrowJudgment, BaseJudgment, JudgmentAtom, Polarity
-from .ruptured import GapMode, RupturedComplex
-from .simplicial import HornSpec, SimplexId, SimplicialMap, TruncatedComplex
+
+if TYPE_CHECKING:
+    from .covering import CoveringTask
+    from .derivability import DeriveTask, ResourceContext, TupleTerm, TypeExpr
+    from .fibration import RupturedFibrationData
+    from .judgments import JudgmentAtom, ScriptCommand
+    from .ruptured import GapMode, RupturedComplex
+    from .simplicial import HornSpec, SimplexId, TruncatedComplex
 
 FORMAT = "rupture-kit/1"
+
+# The task records live next to the kernel modules they feed, and load with
+# them; they can still be imported from here.
+_TASKS = {"CoveringTask": "covering", "DeriveTask": "derivability", "ScriptCommand": "judgments"}
+
+
+def __getattr__(name: str):
+    if name not in _TASKS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__package__}.{_TASKS[name]}"), name)
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,8 @@ def complex_to_body(x: TruncatedComplex) -> dict:
 
 
 def body_to_complex(body: Mapping, where: str = "complex") -> TruncatedComplex:
+    from .simplicial import TruncatedComplex
+
     dim_bound = _int(_get(body, "dim_bound", where), f"{where}.dim_bound")
     _expect(dim_bound >= 0, "dim_bound must be non-negative", f"{where}.dim_bound")
     simplices = _get(body, "simplices", where, dict)
@@ -172,32 +181,36 @@ def body_to_complex(body: Mapping, where: str = "complex") -> TruncatedComplex:
 def mode_to_body(mode: Optional[GapMode]) -> Optional[dict]:
     if mode is None:
         return None
-    payload: Any = None
-    if isinstance(mode.payload, FiberPermutation):
-        payload = {
-            "fiber": list(mode.payload.fiber),
-            "images": [list(pair) for pair in mode.payload.mapping],
-        }
-    elif isinstance(mode.payload, tuple):
-        payload = [
-            list(item) if isinstance(item, tuple) else item for item in mode.payload
-        ]
-    elif mode.payload is not None:
-        payload = mode.payload
+    payload: Any = mode.payload
+    if isinstance(payload, tuple):
+        payload = [list(item) if isinstance(item, tuple) else item for item in payload]
+    elif payload is not None:
+        # Only a monodromy mode carries such a payload, and only then is
+        # covering loaded.
+        from .covering import FiberPermutation
+
+        if isinstance(payload, FiberPermutation):
+            payload = {
+                "fiber": list(payload.fiber),
+                "images": [list(pair) for pair in payload.mapping],
+            }
     return {"kind": mode.kind, "payload": payload}
 
 
-def body_to_mode(body, where: str) -> Optional[GapMode]:
+def _mode_fields(body, where: str) -> Optional[tuple[str, object]]:
+    """The (kind, payload) of a gap mode body; None for no mode."""
     if body is None:
         return None
     kind = _get(body, "kind", where, str)
     _expect(bool(kind), "mode kind must be non-empty", f"{where}.kind")
     payload = body.get("payload")
+    here = f"{where}.payload"
     if kind == "plain":
-        _expect(payload is None, "plain mode carries no payload", f"{where}.payload")
-        return GapMode("plain")
+        _expect(payload is None, "plain mode carries no payload", here)
+        return kind, None
     if kind == "monodromy":
-        here = f"{where}.payload"
+        from .covering import FiberPermutation
+
         fiber = [_int(v, here) for v in _get(payload, "fiber", here, list)]
         images = _get(payload, "images", here, list)
         mapping = {}
@@ -209,19 +222,17 @@ def body_to_mode(body, where: str) -> Optional[GapMode]:
             )
             mapping[_int(pair[0], here)] = _int(pair[1], here)
         try:
-            return GapMode("monodromy", FiberPermutation.of(fiber, mapping))
+            return kind, FiberPermutation.of(fiber, mapping)
         except Exception as exc:
             raise DocumentError(str(exc), here)
     if kind == "semantic":
-        here = f"{where}.payload"
         _expect(
             isinstance(payload, list) and all(isinstance(v, str) for v in payload),
             "semantic payload must be a list of feature strings",
             here,
         )
-        return GapMode("semantic", tuple(payload))
+        return kind, tuple(payload)
     if kind == "resource":
-        here = f"{where}.payload"
         _expect(isinstance(payload, list), "resource payload must be a list", here)
         counts = []
         for pair in payload:
@@ -233,9 +244,16 @@ def body_to_mode(body, where: str) -> Optional[GapMode]:
                 here,
             )
             counts.append((pair[0], _int(pair[1], here)))
-        return GapMode("resource", tuple(counts))
+        return kind, tuple(counts)
     _expect(payload is None, f"unknown mode kind '{kind}' cannot carry payload", where)
-    return GapMode(kind)
+    return kind, None
+
+
+def body_to_mode(body, where: str) -> Optional[GapMode]:
+    from .ruptured import GapMode
+
+    fields = _mode_fields(body, where)
+    return None if fields is None else GapMode(*fields)
 
 
 # -- ruptured complexes ----------------------------------------------------------
@@ -249,8 +267,9 @@ def horn_to_body(h: HornSpec) -> dict:
     }
 
 
-def body_to_horn(body: Mapping, where: str, within: TruncatedComplex) -> HornSpec:
-    """A horn whose faces must be simplices of ``within``."""
+def _horn_fields(body: Mapping, where: str, within: TruncatedComplex) -> tuple[int, int, dict]:
+    """The (n, k, face map) of a horn body whose faces must be simplices of
+    ``within``."""
     n = _int(_get(body, "n", where), f"{where}.n")
     k = _int(_get(body, "k", where), f"{where}.k")
     _expect(n >= 1 and 0 <= k <= n, f"bad horn shape (n={n}, k={k})", where)
@@ -272,7 +291,14 @@ def body_to_horn(body: Mapping, where: str, within: TruncatedComplex) -> HornSpe
     _expect(n <= bound, f"horn dimension {n} exceeds bound {bound}", f"{where}.n")
     for i, f in mapping.items():
         _index(f, n - 1, within.count(n - 1), f"{where}.faces.{i}")
-    return HornSpec.from_mapping(n, k, mapping)
+    return n, k, mapping
+
+
+def body_to_horn(body: Mapping, where: str, within: TruncatedComplex) -> HornSpec:
+    """A horn whose faces must be simplices of ``within``."""
+    from .simplicial import HornSpec
+
+    return HornSpec.from_mapping(*_horn_fields(body, where, within))
 
 
 def ruptured_to_body(r: RupturedComplex) -> dict:
@@ -292,6 +318,9 @@ def ruptured_to_body(r: RupturedComplex) -> dict:
 
 
 def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
+    from .ruptured import GapMode, RupturedComplex
+    from .simplicial import HornSpec
+
     underlying = body_to_complex(body, where)
     coh_obj = _optional(body, "coh", where, dict)
     coh = {}
@@ -308,9 +337,10 @@ def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
     gap = {}
     for i, row in enumerate(_optional(body, "gap", where, list)):
         here = f"{where}.gap[{i}]"
-        h = body_to_horn(row, here, underlying)
+        h = HornSpec.from_mapping(*_horn_fields(row, here, underlying))
         _expect(h not in gap, f"{h} is listed twice", here)
-        gap[h] = body_to_mode(row.get("mode"), f"{here}.mode")
+        mode = _mode_fields(row.get("mode"), f"{here}.mode")
+        gap[h] = None if mode is None else GapMode(*mode)
     return RupturedComplex.create(underlying, coh, gap, gap)
 
 
@@ -344,6 +374,10 @@ def fibration_to_body(f: RupturedFibrationData) -> dict:
 
 
 def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrationData:
+    from .fibration import LiftingProblemKey, RupturedFibrationData
+    from .ruptured import GapMode
+    from .simplicial import HornSpec, SimplexId, SimplicialMap
+
     total = body_to_ruptured(_get(body, "total", where, dict), f"{where}.total")
     base = body_to_ruptured(_get(body, "base", where, dict), f"{where}.base")
     map_obj = _get(body, "map", where, dict)
@@ -374,7 +408,7 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
     for i, row in enumerate(_optional(body, "gap_lifts", where, list)):
         here = f"{where}.gap_lifts[{i}]"
         horn_body = _get(row, "horn", here, dict)
-        horn = body_to_horn(horn_body, f"{here}.horn", total.underlying)
+        horn = HornSpec.from_mapping(*_horn_fields(horn_body, f"{here}.horn", total.underlying))
         base_index = _index(
             _get(row, "base_simplex", here),
             horn.n,
@@ -383,7 +417,8 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
         )
         key = LiftingProblemKey(horn, SimplexId(horn.n, base_index))
         _expect(key not in gap_lifts, f"{key} is listed twice", here)
-        gap_lifts[key] = body_to_mode(row.get("mode"), f"{here}.mode")
+        mode = _mode_fields(row.get("mode"), f"{here}.mode")
+        gap_lifts[key] = None if mode is None else GapMode(*mode)
     composites = {}
     for i, row in enumerate(_optional(body, "composites", where, list)):
         here = f"{where}.composites[{i}]"
@@ -397,12 +432,6 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
 # -- covering tasks -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoveringTask:
-    basepoint: SimplexId
-    loops: tuple[EdgePath, ...]
-
-
 def covering_task_to_body(task: CoveringTask) -> dict:
     return {
         "basepoint": task.basepoint.index,
@@ -414,6 +443,9 @@ def covering_task_to_body(task: CoveringTask) -> dict:
 
 
 def body_to_covering_task(body: Mapping, where: str = "covering-task") -> CoveringTask:
+    from .covering import CoveringTask, EdgePath
+    from .simplicial import SimplexId
+
     basepoint = _int(_get(body, "basepoint", where), f"{where}.basepoint")
     loops = []
     rows = _get(body, "loops", where, list)
@@ -434,19 +466,19 @@ def body_to_covering_task(body: Mapping, where: str = "covering-task") -> Coveri
 # -- derive tasks ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeriveTask:
-    gamma: ResourceContext
-    delta: ResourceContext
-    sigma: Substitution
-    term: TupleTerm
-    goal: TypeExpr
-
-
 # Types and terms share one grammar: a named leaf, the unit and a binary node.
-# Each row: (what, leaf key, leaf class, unit class, node key, node class).
-_TYPE_TREE = ("type", "atom", AtomType, UnitType, "prod", ProdType)
-_TERM_TREE = ("term", "var", Var, UnitTerm, "pair", Pair)
+# Each tree is (what, leaf key, leaf class, unit class, node key, node class),
+# with its classes imported from derivability when it is read.
+def _type_tree():
+    from .derivability import AtomType, ProdType, UnitType
+
+    return ("type", "atom", AtomType, UnitType, "prod", ProdType)
+
+
+def _term_tree():
+    from .derivability import Pair, UnitTerm, Var
+
+    return ("term", "var", Var, UnitTerm, "pair", Pair)
 
 
 def _tree_to_body(tree, t) -> dict:
@@ -480,17 +512,28 @@ def _body_to_tree(tree, body, where: str):
     raise DocumentError(f"{what} must be one of {leaf}/unit/{node}", where)
 
 
-type_to_body = partial(_tree_to_body, _TYPE_TREE)
-body_to_type = partial(_body_to_tree, _TYPE_TREE)
-term_to_body = partial(_tree_to_body, _TERM_TREE)
-body_to_term = partial(_body_to_tree, _TERM_TREE)
+def type_to_body(t: TypeExpr) -> dict:
+    return _tree_to_body(_type_tree(), t)
+
+
+def body_to_type(body, where: str) -> TypeExpr:
+    return _body_to_tree(_type_tree(), body, where)
+
+
+def term_to_body(t: TupleTerm) -> dict:
+    return _tree_to_body(_term_tree(), t)
+
+
+def body_to_term(body, where: str) -> TupleTerm:
+    return _body_to_tree(_term_tree(), body, where)
 
 
 def context_to_body(ctx: ResourceContext) -> list:
+    tree = _type_tree()
     return [
         {
             "var": b.var,
-            "type": type_to_body(b.type),
+            "type": _tree_to_body(tree, b.type),
             "annotation": b.annotation.value,
         }
         for b in ctx.bindings
@@ -498,12 +541,15 @@ def context_to_body(ctx: ResourceContext) -> list:
 
 
 def body_to_context(rows, where: str) -> ResourceContext:
+    from .derivability import Annotation, Binding, ResourceContext
+
     _expect(isinstance(rows, list), "context must be a list of bindings", where)
+    tree = _type_tree()
     bindings = []
     for i, row in enumerate(rows):
         here = f"{where}[{i}]"
         var = _get(row, "var", here, str)
-        t = body_to_type(_get(row, "type", here), f"{here}.type")
+        t = _body_to_tree(tree, _get(row, "type", here), f"{here}.type")
         ann_text = _get(row, "annotation", here, str)
         try:
             ann = Annotation(ann_text)
@@ -527,6 +573,8 @@ def derive_task_to_body(task: DeriveTask) -> dict:
 
 
 def body_to_derive_task(body: Mapping, where: str = "derive-task") -> DeriveTask:
+    from .derivability import DeriveTask, Substitution
+
     gamma = body_to_context(_get(body, "gamma", where), f"{where}.gamma")
     delta = body_to_context(_get(body, "delta", where), f"{where}.delta")
     sigma_obj = _get(body, "sigma", where, dict)
@@ -541,30 +589,21 @@ def body_to_derive_task(body: Mapping, where: str = "derive-task") -> DeriveTask
 # -- judgment scripts ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScriptCommand:
-    op: str
-    judgment: Optional[JudgmentAtom] = None
-    polarity: Optional[Polarity] = None
-    payload: object = None
-    first: Optional[str] = None
-    second: Optional[str] = None
-    gap: Optional[str] = None
-
-
 def judgment_to_body(j: JudgmentAtom) -> dict:
-    if isinstance(j, BaseJudgment):
+    # A base atom has a label; an arrow has a source and a target.
+    if hasattr(j, "label"):
         return {"atom": j.label}
     return {"arrow": [j.source, j.target]}
 
 
-def body_to_judgment(body, where: str) -> JudgmentAtom:
+def _judgment_labels(body, where: str) -> tuple[str, ...]:
+    """(label,) of an atom body, (source, target) of an arrow body."""
     if not isinstance(body, dict) or len(body) != 1:
         raise DocumentError("judgment must be atom or arrow", where)
     if "atom" in body:
         label = body["atom"]
         _expect(isinstance(label, str) and bool(label), "atom needs a label", where)
-        return BaseJudgment(label)
+        return (label,)
     if "arrow" in body:
         pair = body["arrow"]
         _expect(
@@ -574,8 +613,15 @@ def body_to_judgment(body, where: str) -> JudgmentAtom:
             "arrow needs [source, target] labels",
             where,
         )
-        return ArrowJudgment(pair[0], pair[1])
+        return tuple(pair)
     raise DocumentError("judgment must be atom or arrow", where)
+
+
+def body_to_judgment(body, where: str) -> JudgmentAtom:
+    from .judgments import ArrowJudgment, BaseJudgment
+
+    labels = _judgment_labels(body, where)
+    return BaseJudgment(*labels) if len(labels) == 1 else ArrowJudgment(*labels)
 
 
 def script_to_body(commands) -> dict:
@@ -600,13 +646,19 @@ def script_to_body(commands) -> dict:
 
 
 def body_to_script(body: Mapping, where: str = "judgment-script") -> list[ScriptCommand]:
+    from .judgments import ArrowJudgment, BaseJudgment, Polarity, ScriptCommand
+
+    def read_judgment(row, here):
+        labels = _judgment_labels(_get(row, "judgment", here), f"{here}.judgment")
+        return BaseJudgment(*labels) if len(labels) == 1 else ArrowJudgment(*labels)
+
     rows = _get(body, "script", where, list)
     commands = []
     for i, row in enumerate(rows):
         here = f"{where}.script[{i}]"
         op = _get(row, "op", here, str)
         if op == "add":
-            judgment = body_to_judgment(_get(row, "judgment", here), f"{here}.judgment")
+            judgment = read_judgment(row, here)
             pol_text = _get(row, "polarity", here, str)
             try:
                 polarity = Polarity(pol_text)
@@ -616,8 +668,7 @@ def body_to_script(body: Mapping, where: str = "judgment-script") -> list[Script
                 ScriptCommand("add", judgment, polarity, row.get("payload"))
             )
         elif op == "is_open":
-            judgment = body_to_judgment(_get(row, "judgment", here), f"{here}.judgment")
-            commands.append(ScriptCommand("is_open", judgment))
+            commands.append(ScriptCommand("is_open", read_judgment(row, here)))
         elif op == "horn":
             commands.append(
                 ScriptCommand(

@@ -18,6 +18,7 @@ covering machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import KernelError, Violation
@@ -87,6 +88,47 @@ class RupturedFibrationData:
 
     def with_loop_gaps(self, registry) -> "RupturedFibrationData":
         return replace(self, loop_gaps=dict(registry))
+
+    @cached_property
+    def lift_table(self) -> tuple[dict[tuple[int, int, int], list[int]], Optional[str]]:
+        """The edge-lifting table of :func:`build_lift_table`, built on first
+        use and kept with the fibration (the frozen dataclass has no slots,
+        so the cache fits)."""
+        return build_lift_table(self)
+
+
+def build_lift_table(
+    f: RupturedFibrationData,
+) -> tuple[dict[tuple[int, int, int], list[int]], Optional[str]]:
+    """Unique path lifting as a table, built in one pass over the total
+    edges: (base edge, face index, total vertex) -> the total edges over
+    that base edge whose face at that index is that vertex, ascending.
+
+    Also returns a description of the first (total vertex, incident base
+    edge, direction), in that order, without exactly one lift; None for a
+    covering.
+    """
+    e, b = f.total.underlying, f.base.underlying
+    table: dict[tuple[int, int, int], list[int]] = {}
+    for te in range(e.count(1)):
+        be = f.proj.apply(SimplexId(1, te)).index
+        row = e.face_row(1, te)
+        for face_idx in (1, 0):
+            table.setdefault((be, face_idx, row[face_idx]), []).append(te)
+    # base edges by the vertex they leave from: forward at d_1, backward at d_0
+    leaving: dict[int, list[tuple[int, int, str]]] = {}
+    for be in range(b.count(1)):
+        row = b.face_row(1, be)
+        for face_idx, direction in ((1, "forward"), (0, "backward")):
+            leaving.setdefault(row[face_idx], []).append((be, face_idx, direction))
+    for w in range(e.count(0)):
+        for be, face_idx, direction in leaving.get(f.proj.apply(SimplexId(0, w)).index, ()):
+            lifts = table.get((be, face_idx, w), ())
+            if len(lifts) != 1:
+                return table, (
+                    f"vertex 0/{w} has {len(lifts)} {direction} lifts of base edge 1/{be}"
+                )
+    return table, None
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,20 @@ class HornTriple:
     gap: str
 
 
+@dataclass(frozen=True)
+class ScriptCommand:
+    """One row of a judgment-script document: ``add``, ``is_open``,
+    ``horn`` or ``level_up``, with the fields that op reads."""
+
+    op: str
+    judgment: Optional[JudgmentAtom] = None
+    polarity: Optional[Polarity] = None
+    payload: object = None
+    first: Optional[str] = None
+    second: Optional[str] = None
+    gap: Optional[str] = None
+
+
 class ExclusionViolation(KernelError):
     """Adding the opposite polarity for an already-witnessed judgment."""
 
@@ -160,6 +174,11 @@ class WitnessStore:
     def _first(self, judgment: JudgmentAtom, polarity: Polarity) -> Optional[WitnessEntry]:
         """The earliest entry of this judgment with this polarity."""
         return self._at(self._log.first.get((judgment, polarity)))
+
+    def last(self) -> Optional[WitnessEntry]:
+        """The newest entry, None when empty; O(1), unlike ``entries[-1]``,
+        which copies the store's entries."""
+        return self._at(self._size - 1) if self._size else None
 
     def entries_for(self, judgment: JudgmentAtom) -> tuple[WitnessEntry, ...]:
         return tuple(e for e in self.entries if e.judgment == judgment)

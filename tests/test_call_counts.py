@@ -1,22 +1,24 @@
-"""Each input check and each lift runs once per public call, and each
-complex builds its incidence index once.
+"""Each input check and each lift runs once per public call, each complex
+builds its incidence index once, and each fibration its lift table once.
 
 The checks (``horn_violations``, ``key_violations``), the path lift
 (``lift_edge_path``), the derivability decision (``check_derivable``), the
-index build (``build_incidence``) and horn enumeration are wrapped in every
-loaded ``rupture_kit`` module that references them, so calls from one
-module into another are counted.
+index and table builds (``build_incidence``, ``build_lift_table``) and horn
+enumeration are wrapped in every loaded ``rupture_kit`` module that
+references them, so calls from one module into another are counted.
 """
 
 import contextlib
 import io
+import json
 import pathlib
 import random
 import sys
+from functools import cached_property
 
 import pytest
 
-from rupture_kit import cli, covering, derivability, fibration, simplicial
+from rupture_kit import cli, covering, derivability, fibration, judgments, simplicial
 from rupture_kit.errors import ExclusionError
 from rupture_kit.covering import EdgePath, build_double_cover, trivial_double_cover
 from rupture_kit.errors import KernelError
@@ -251,3 +253,48 @@ def test_with_coherent_shares_its_complexs_index(monkeypatch):
                     classify_horn(r, h)
     assert reached >= 100
     assert [id(x) for x in builds] == [id(r.underlying) for r in structures]
+
+
+def test_lift_table_is_built_once_per_fibration(monkeypatch):
+    builds = first_args(monkeypatch, fibration.build_lift_table)
+    generator = EdgePath.forward(*range(5))
+    cover = build_double_cover(5)
+    base = SimplexId(0, 0)
+    covering.monodromy_ruptured(cover, base, [generator, generator.concat(generator)])
+    for _ in range(3):
+        covering.monodromy(cover, base, generator)
+    assert covering.covering_violation(cover) is None
+    assert builds == [cover] and builds[0] is cover
+
+
+def script_document(tmp_path, adds: int) -> pathlib.Path:
+    """A judgment script of ``adds`` adds, every tenth one rejected."""
+    rows = []
+    for i in range(adds):
+        polarity = "gapped" if i % 10 == 9 else "coherent"
+        label = f"J{i - 1}" if polarity == "gapped" else f"J{i}"
+        rows.append({"op": "add", "judgment": {"atom": label}, "polarity": polarity})
+    path = tmp_path / f"script_{adds}.json"
+    path.write_text(json.dumps({"format": "rupture-kit/1", "kind": "judgment-script",
+                                "script": rows}))
+    return path
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_cli_judgments_copies_the_entries_once(monkeypatch, tmp_path, extra):
+    """Only the final store's entries are copied out, whatever the script's
+    length; reading each new entry costs O(1)."""
+    copied = []
+    entries = judgments.WitnessStore.entries
+
+    def counted(store):
+        copied.append(store)
+        return entries.func(store)
+
+    counting = cached_property(counted)
+    counting.__set_name__(judgments.WitnessStore, "entries")
+    monkeypatch.setattr(judgments.WitnessStore, "entries", counting)
+    for adds in (20, 400):
+        copied.clear()
+        assert run_cli("judgments", str(script_document(tmp_path, adds)), *extra) == 1
+        assert len(copied) == 1

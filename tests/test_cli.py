@@ -24,6 +24,18 @@ def run_cli(*args):
     return code, buf.getvalue()
 
 
+# A coherent 2-simplex filling a gap-witnessed horn.
+EXCLUSION_CONFLICT = {
+    "format": "rupture-kit/1",
+    "kind": "ruptured",
+    "dim_bound": 2,
+    "simplices": {"0": 3, "1": 3, "2": 1},
+    "faces": {"1": [[1, 0], [2, 0], [2, 1]], "2": [[2, 1, 0]]},
+    "coh": {"0": [0, 1, 2], "1": [0, 1, 2], "2": [0]},
+    "gap": [{"n": 2, "k": 1, "faces": {"0": 2, "2": 0}}],
+}
+
+
 class TestValidate:
     def test_valid_documents_exit_zero(self):
         for name in ("triangle.json", "triangle_kan.json", "bank.json"):
@@ -31,17 +43,8 @@ class TestValidate:
             assert code == 0 and out.startswith("valid")
 
     def test_exclusion_conflict_exits_one(self, tmp_path):
-        conflict = {
-            "format": "rupture-kit/1",
-            "kind": "ruptured",
-            "dim_bound": 2,
-            "simplices": {"0": 3, "1": 3, "2": 1},
-            "faces": {"1": [[1, 0], [2, 0], [2, 1]], "2": [[2, 1, 0]]},
-            "coh": {"0": [0, 1, 2], "1": [0, 1, 2], "2": [0]},
-            "gap": [{"n": 2, "k": 1, "faces": {"0": 2, "2": 0}}],
-        }
         path = tmp_path / "conflict.json"
-        path.write_text(json.dumps(conflict))
+        path.write_text(json.dumps(EXCLUSION_CONFLICT))
         code, out = run_cli("validate", path)
         assert code == 1
         assert out.count("exclusion") == 1
@@ -235,6 +238,37 @@ class TestDeterminism:
         assert first.stdout  # nonempty report
 
 
+class TestRejectedDocuments:
+    """A command other than ``validate`` exits 1 on a document that
+    ``validate`` rejects, naming the file and the first violation, and
+    prints no answer."""
+
+    def test_transport_on_a_map_that_breaks_face_commutation(self, tmp_path):
+        doc = json.loads((FIXTURES / "crane.json").read_text())
+        doc["total"]["faces"]["1"][0][0] = 2
+        path = tmp_path / "crane.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli("transport", path, "--term", 0, "--path", 0)
+        assert code == 1
+        assert out == f"error: {path} is not valid: face-commutation: f(d_0(1/0)) != d_0(f(1/0))\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("horns", "--dim", "2", "--missing", "1"), ("core",), ("product", "@triangle_kan.json")],
+        ids=lambda a: a[0],
+    )
+    def test_ruptured_commands_on_an_exclusion_conflict(self, tmp_path, argv):
+        path = tmp_path / "conflict.json"
+        path.write_text(json.dumps(EXCLUSION_CONFLICT))
+        assert run_cli("validate", path)[0] == 1
+        command, *rest = argv
+        rest = [str(FIXTURES / a[1:]) if a.startswith("@") else a for a in rest]
+        code, out = run_cli(command, path, *rest)
+        assert code == 1
+        assert out.startswith(f"error: {path} is not valid: exclusion: ")
+        assert out.count("\n") == 1
+
+
 class TestShortMap:
     def test_monodromy_on_short_edge_map_exits_two(self, tmp_path):
         doc = json.loads((FIXTURES / "double_cover_3.json").read_text())
@@ -365,6 +399,26 @@ def identity_documents(tmp_path_factory):
     return out_dir
 
 
+def captured_args(invocation, identity_documents) -> list[str]:
+    """The argv of a captured invocation: "@name" is a fixture and "%name"
+    a generated identity document."""
+    args = []
+    for a in invocation.split(" "):
+        if a.startswith("@"):
+            a = str(FIXTURES / a[1:])
+        elif a.startswith("%"):
+            a = str(identity_documents / a[1:])
+        args.append(a)
+    return args
+
+
+def first_of_each_command(invocations) -> list[str]:
+    first = {}
+    for invocation in sorted(invocations):
+        first.setdefault(invocation.split(" ")[0], invocation)
+    return sorted(first.values())
+
+
 class TestCapturedOutput:
     """Every invocation captured in ``bench/cli_expected.json`` gives the
     same exit code and byte-identical stdout."""
@@ -372,14 +426,18 @@ class TestCapturedOutput:
     @pytest.mark.parametrize("invocation", sorted(CAPTURED))
     def test_matches_capture(self, identity_documents, invocation):
         expected = CAPTURED[invocation]
-        args = []
-        for a in invocation.split(" "):
-            if a.startswith("@"):
-                a = str(FIXTURES / a[1:])
-            elif a.startswith("%"):
-                a = str(identity_documents / a[1:])
-            args.append(a)
+        args = captured_args(invocation, identity_documents)
         assert run_cli(*args) == (expected["exit"], expected["stdout"])
+
+    @pytest.mark.parametrize("invocation", first_of_each_command(CAPTURED))
+    def test_fresh_interpreter_matches_capture(self, identity_documents, invocation):
+        """One invocation of each subcommand as its own process, where no
+        earlier test has loaded a module for it."""
+        expected = CAPTURED[invocation]
+        args = captured_args(invocation, identity_documents)
+        run = subprocess.run([sys.executable, "-m", "rupture_kit", *args],
+                             capture_output=True, text=True, cwd=FIXTURES.parent)
+        assert (run.returncode, run.stdout) == (expected["exit"], expected["stdout"])
 
 
 class TestMonodromyOracle:

@@ -5,8 +5,8 @@ list shortened or lengthened, a value swapped for one of another type, or
 the JSON text cut short) and handed to each command that reads it, in
 process through ``cli.main``. Whatever the input, the command must answer
 with exit 0, 1 or 2; an exception escaping ``main`` fails the test. And no
-command may answer with exit 0 about a fibration whose map ``validate``
-rejects (a ``map-*`` violation).
+command may answer with exit 0 about a document that ``validate`` rejects,
+whether for its map (a ``map-*`` violation) or for any other reason.
 """
 
 import contextlib
@@ -155,3 +155,16 @@ def test_no_command_answers_on_a_map_that_validate_rejects(tmp_path, seed, fixtu
         if kinds:
             for argv in argvs:
                 assert run(argv)[0] != 0, (argv, kinds, doc)
+
+
+@pytest.mark.parametrize("seed,fixture", FIXTURE_SEEDS)
+def test_no_command_answers_on_a_document_that_validate_rejects(tmp_path, seed, fixture):
+    rejected = 0
+    for doc, path, argvs in mutated_runs(tmp_path, seed, fixture):
+        verdict, report = run(["validate", str(path)])
+        if verdict == 0:
+            continue
+        rejected += 1
+        for argv in argvs:
+            assert run(argv)[0] != 0, (argv, report, doc)
+    assert rejected
