@@ -244,12 +244,9 @@ def lift_edge_path(
 
 
 def fiber_vertices(f: RupturedFibrationData, basepoint: SimplexId) -> list[SimplexId]:
-    e = f.total.underlying
-    return [
-        SimplexId(0, w)
-        for w in range(e.count(0))
-        if f.proj.apply(SimplexId(0, w)) == basepoint
-    ]
+    """The total vertices over a base vertex, ascending."""
+    over = f.vertices_over.get(basepoint.index, ()) if basepoint.dim == 0 else ()
+    return [SimplexId(0, w) for w in over]
 
 
 def _lift_loop(

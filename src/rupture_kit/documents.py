@@ -91,8 +91,9 @@ def _get(obj: Mapping, key: str, where: str, expected=None):
 def _optional(body: Mapping, key: str, where: str, kind: type):
     """An optional list or object; absent means empty."""
     value = body.get(key, kind())
-    noun = "a list" if kind is list else "an object"
-    _expect(isinstance(value, kind), f"{key} must be {noun}", f"{where}.{key}")
+    if not isinstance(value, kind):
+        noun = "a list" if kind is list else "an object"
+        raise DocumentError(f"{key} must be {noun}", f"{where}.{key}")
     return value
 
 
@@ -103,9 +104,14 @@ def _int(value, where: str) -> int:
 
 
 def _index(value, dim: int, count: int, where: str) -> int:
-    """An integer naming one of the ``count`` simplices of dimension ``dim``."""
+    """An integer naming one of the ``count`` simplices of dimension ``dim``.
+
+    Loops over many values call this only when ``type(v) is int and
+    0 <= v < count`` fails, so that they build the key path only for an
+    error; this check stays the rule."""
     i = _int(value, where)
-    _expect(0 <= i < count, f"no simplex {dim}/{i}", where)
+    if not 0 <= i < count:
+        raise DocumentError(f"no simplex {dim}/{i}", where)
     return i
 
 
@@ -160,18 +166,18 @@ def body_to_complex(body: Mapping, where: str = "complex") -> TruncatedComplex:
             f"{counts[n]} simplices need {counts[n]} face rows, got {len(rows)}",
             here,
         )
-        parsed_rows = []
+        count = counts[n - 1]
         for i, row in enumerate(rows):
-            _expect(isinstance(row, list), "face row must be a list", f"{here}[{i}]")
-            _expect(
-                len(row) == n + 1,
-                f"face row needs {n + 1} entries, got {len(row)}",
-                f"{here}[{i}]",
-            )
-            parsed_rows.append(
-                [_index(v, n - 1, counts[n - 1], f"{here}[{i}]") for v in row]
-            )
-        faces[n] = parsed_rows
+            if not isinstance(row, list):
+                raise DocumentError("face row must be a list", f"{here}[{i}]")
+            if len(row) != n + 1:
+                raise DocumentError(
+                    f"face row needs {n + 1} entries, got {len(row)}", f"{here}[{i}]"
+                )
+            for v in row:
+                if not (type(v) is int and 0 <= v < count):
+                    _index(v, n - 1, count, f"{here}[{i}]")
+        faces[n] = rows
     return TruncatedComplex.create(dim_bound, counts, faces, labels)
 
 
@@ -267,12 +273,19 @@ def horn_to_body(h: HornSpec) -> dict:
     }
 
 
-def _horn_fields(body: Mapping, where: str, within: TruncatedComplex) -> tuple[int, int, dict]:
-    """The (n, k, face map) of a horn body whose faces must be simplices of
-    ``within``."""
-    n = _int(_get(body, "n", where), f"{where}.n")
-    k = _int(_get(body, "k", where), f"{where}.k")
-    _expect(n >= 1 and 0 <= k <= n, f"bad horn shape (n={n}, k={k})", where)
+def _horn_fields(
+    body: Mapping, where: str, within: TruncatedComplex
+) -> tuple[int, int, tuple[int, ...]]:
+    """The (n, k, faces) of a horn body whose faces must be simplices of
+    ``within``. Key paths and messages are built only for an error."""
+    n = _get(body, "n", where)
+    if type(n) is not int:
+        _int(n, f"{where}.n")
+    k = _get(body, "k", where)
+    if type(k) is not int:
+        _int(k, f"{where}.k")
+    if not (n >= 1 and 0 <= k <= n):
+        raise DocumentError(f"bad horn shape (n={n}, k={k})", where)
     faces_obj = _get(body, "faces", where, dict)
     mapping = {}
     for key, value in faces_obj.items():
@@ -280,25 +293,27 @@ def _horn_fields(body: Mapping, where: str, within: TruncatedComplex) -> tuple[i
             i = int(key)
         except ValueError:
             raise DocumentError(f"face index '{key}' is not an integer", f"{where}.faces")
-        mapping[i] = _int(value, f"{where}.faces.{key}")
-    expected = [i for i in range(n + 1) if i != k]
-    _expect(
-        sorted(mapping) == expected,
-        f"horn faces must cover indices {expected}",
-        f"{where}.faces",
-    )
+        if type(value) is not int:
+            _int(value, f"{where}.faces.{key}")
+        mapping[i] = value
+    present = [i for i in range(n + 1) if i != k]
+    if len(mapping) != n or not all(i in mapping for i in present):
+        raise DocumentError(f"horn faces must cover indices {present}", f"{where}.faces")
     bound = within.dim_bound
-    _expect(n <= bound, f"horn dimension {n} exceeds bound {bound}", f"{where}.n")
+    if n > bound:
+        raise DocumentError(f"horn dimension {n} exceeds bound {bound}", f"{where}.n")
+    count = within.count(n - 1)
     for i, f in mapping.items():
-        _index(f, n - 1, within.count(n - 1), f"{where}.faces.{i}")
-    return n, k, mapping
+        if not 0 <= f < count:
+            _index(f, n - 1, count, f"{where}.faces.{i}")
+    return n, k, tuple([mapping[i] for i in present])
 
 
 def body_to_horn(body: Mapping, where: str, within: TruncatedComplex) -> HornSpec:
     """A horn whose faces must be simplices of ``within``."""
     from .simplicial import HornSpec
 
-    return HornSpec.from_mapping(*_horn_fields(body, where, within))
+    return HornSpec(*_horn_fields(body, where, within))
 
 
 def ruptured_to_body(r: RupturedComplex) -> dict:
@@ -333,14 +348,19 @@ def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
         bound = underlying.dim_bound
         _expect(0 <= n <= bound, f"dimension {n} is outside 0..{bound}", here)
         _expect(isinstance(members, list), "expected a list of indices", here)
-        coh[n] = [_index(v, n, underlying.count(n), here) for v in members]
+        count = underlying.count(n)
+        for v in members:
+            if not (type(v) is int and 0 <= v < count):
+                _index(v, n, count, here)
+        coh[n] = members
     gap = {}
     for i, row in enumerate(_optional(body, "gap", where, list)):
         here = f"{where}.gap[{i}]"
-        h = HornSpec.from_mapping(*_horn_fields(row, here, underlying))
-        _expect(h not in gap, f"{h} is listed twice", here)
-        mode = _mode_fields(row.get("mode"), f"{here}.mode")
-        gap[h] = None if mode is None else GapMode(*mode)
+        h = HornSpec(*_horn_fields(row, here, underlying))
+        if h in gap:
+            raise DocumentError(f"{h} is listed twice", here)
+        mode = row.get("mode")
+        gap[h] = None if mode is None else GapMode(*_mode_fields(mode, f"{here}.mode"))
     return RupturedComplex.create(underlying, coh, gap, gap)
 
 
@@ -402,13 +422,16 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
             len(row) == have, f"map covers {len(row)} of {have} simplices of the total space", here
         )
         count = base.underlying.count(n)
-        levels.append(tuple(_index(v, n, count, f"{here}[{j}]") for j, v in enumerate(row)))
+        for j, v in enumerate(row):
+            if not (type(v) is int and 0 <= v < count):
+                _index(v, n, count, f"{here}[{j}]")
+        levels.append(tuple(row))
     proj = SimplicialMap(tuple(levels))
     gap_lifts = {}
     for i, row in enumerate(_optional(body, "gap_lifts", where, list)):
         here = f"{where}.gap_lifts[{i}]"
         horn_body = _get(row, "horn", here, dict)
-        horn = HornSpec.from_mapping(*_horn_fields(horn_body, f"{here}.horn", total.underlying))
+        horn = HornSpec(*_horn_fields(horn_body, f"{here}.horn", total.underlying))
         base_index = _index(
             _get(row, "base_simplex", here),
             horn.n,
@@ -416,9 +439,10 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
             f"{here}.base_simplex",
         )
         key = LiftingProblemKey(horn, SimplexId(horn.n, base_index))
-        _expect(key not in gap_lifts, f"{key} is listed twice", here)
-        mode = _mode_fields(row.get("mode"), f"{here}.mode")
-        gap_lifts[key] = None if mode is None else GapMode(*mode)
+        if key in gap_lifts:
+            raise DocumentError(f"{key} is listed twice", here)
+        mode = row.get("mode")
+        gap_lifts[key] = None if mode is None else GapMode(*_mode_fields(mode, f"{here}.mode"))
     composites = {}
     for i, row in enumerate(_optional(body, "composites", where, list)):
         here = f"{where}.composites[{i}]"

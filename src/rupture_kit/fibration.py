@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import KernelError, Violation
 from .ruptured import (
@@ -42,11 +42,10 @@ from .simplicial import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class LiftingProblemKey:
+class LiftingProblemKey(NamedTuple):
     """A horn in the total space together with the coherent base simplex it
-    should lift. The base simplex's dimension equals the horn's. Keys order
-    by (horn, base)."""
+    should lift. The base simplex's dimension equals the horn's. A key is
+    the tuple (horn, base) and orders as one."""
 
     horn: HornSpec
     base: SimplexId
@@ -95,6 +94,20 @@ class RupturedFibrationData:
         use and kept with the fibration (the frozen dataclass has no slots,
         so the cache fits)."""
         return build_lift_table(self)
+
+    @cached_property
+    def vertices_over(self) -> dict[int, tuple[int, ...]]:
+        """Base vertex index -> the ascending indices of the total vertices
+        over it: the preimage of ``proj.levels[0]``, built on first use and
+        kept with the fibration like ``lift_table``."""
+        count = self.total.underlying.count(0)
+        level = self.proj.levels[0] if self.proj.levels else ()
+        if len(level) < count:
+            raise KernelError(f"map not defined on 0/{len(level)}")
+        over: dict[int, list[int]] = {}
+        for w in range(count):
+            over.setdefault(level[w], []).append(w)
+        return {v: tuple(ws) for v, ws in over.items()}
 
 
 def build_lift_table(
@@ -184,38 +197,38 @@ def key_violations(f: RupturedFibrationData, key: LiftingProblemKey) -> list[Vio
     """Well-formedness of a lifting problem: horn faces exist and are
     coherent in the total space, the base simplex is coherent with matching
     dimension, and proj(face_i) = d_i(base) for every present i."""
-    report: list[Violation] = []
     e, b = f.total.underlying, f.base.underlying
-    h = key.horn
-    if not 1 <= h.n <= e.dim_bound:
-        report.append(Violation("lift-horn-dim", f"{key}: horn dimension out of range"))
-        return report
-    present = h.present_indices
-    for i, fc in zip(present, h.faces):
-        if not 0 <= fc < e.count(h.n - 1):
+    h, base = key
+    n, k = h.n, h.k
+    if not 1 <= n <= e.dim_bound:
+        return [Violation("lift-horn-dim", f"{key}: horn dimension out of range")]
+    report: list[Violation] = []
+    count, coh = e.count(n - 1), f.total.coh[n - 1]
+    # The j-th assigned face sits at index i = j + (j >= k).
+    for j, fc in enumerate(h.faces):
+        if not 0 <= fc < count:
             report.append(
-                Violation("lift-horn-face", f"{key}: face {i} missing in total space")
+                Violation("lift-horn-face", f"{key}: face {j + (j >= k)} missing in total space")
             )
-        elif not f.total.is_coherent(SimplexId(h.n - 1, fc)):
+        elif fc not in coh:
             report.append(
                 Violation(
                     "lift-horn-coherence",
-                    f"{key}: face {i} = {h.n - 1}/{fc} is not coherent",
+                    f"{key}: face {j + (j >= k)} = {n - 1}/{fc} is not coherent",
                 )
             )
-    if key.base.dim != h.n:
-        report.append(
-            Violation("lift-base-dim", f"{key}: base dimension {key.base.dim} != {h.n}")
-        )
-    elif not b.has(key.base):
+    if base.dim != n:
+        report.append(Violation("lift-base-dim", f"{key}: base dimension {base.dim} != {n}"))
+    elif not b.has(base):
         report.append(Violation("lift-base-missing", f"{key}: base simplex missing"))
-    elif not f.base.is_coherent(key.base):
+    elif not f.base.is_coherent(base):
         report.append(Violation("lift-base-coherence", f"{key}: base simplex not coherent"))
     if report:
         return report
-    base_row = b.face_row(h.n, key.base.index)
-    for i, fc in zip(present, h.faces):
-        if f.proj.apply(SimplexId(h.n - 1, fc)).index != base_row[i]:
+    base_row = b.face_row(n, base.index)
+    for j, t in enumerate(f.proj.apply_horn(h).faces):
+        i = j + (j >= k)
+        if t != base_row[i]:
             report.append(
                 Violation(
                     "lift-compatibility",
@@ -340,25 +353,34 @@ def fiber(
     if not f.base.is_coherent(b):
         raise KernelError(f"base vertex {b} is not coherent")
     e = f.total.underlying
-    # A simplex lies over b iff all its faces do, so one dimension decides the next.
-    keep = [[w for w in range(e.count(0)) if f.proj.apply(SimplexId(0, w)) == b]]
+    # A simplex lies over b iff all its faces do, so one dimension decides
+    # the next, and its candidates are the simplices whose d_0 lies over b.
+    keep = [f.vertices_over.get(b.index, ())]
     for n in range(1, e.dim_bound + 1):
         below = set(keep[-1])
-        keep.append([idx for idx in range(e.count(n)) if below.issuperset(e.face_row(n, idx))])
+        meet = e.incidence.by_face[n - 1][0]
+        keep.append(
+            [
+                idx
+                for fc in keep[-1]
+                for idx in meet.get(fc, ())
+                if below.issuperset(e.face_row(n, idx))
+            ]
+        )
     sub, inclusion = restrict(e, keep)
-    # Coherence marks and gap horns follow the simplices to their new indices.
-    position = [
-        {old: new for new, old in enumerate(level)} for level in inclusion.levels
-    ]
+    # Coherence marks follow the simplices to their new indices; the gap
+    # horns are the fiber's own horns whose image is gapped.
     coh = {
-        n: {position[n][old] for old in f.total.coh[n] if old in position[n]}
-        for n in range(e.dim_bound + 1)
+        n: [new for new, old in enumerate(level) if old in f.total.coh[n]]
+        for n, level in enumerate(inclusion.levels)
     }
-    gap = {
-        HornSpec(h.n, h.k, tuple(position[h.n - 1][fc] for fc in h.faces)): mode
-        for h, mode in f.total.gap.items()
-        if all(fc in position[h.n - 1] for fc in h.faces)
-    }
+    gap = {}
+    for n in range(1, sub.dim_bound + 1):
+        for k in range(n + 1):
+            for h in enumerate_horns(sub, n, k):
+                image = inclusion.apply_horn(h)
+                if image in f.total.gap:
+                    gap[h] = f.total.gap[image]
     return RupturedComplex.create(sub, coh, gap, gap), inclusion
 
 
@@ -368,9 +390,10 @@ def enumerate_lifting_problems(f: RupturedFibrationData) -> list[LiftingProblemK
     top = min(f.total.underlying.dim_bound, f.base.underlying.dim_bound)
     out = []
     for n in range(1, top + 1):
+        coh = f.total.coh[n - 1]
         for k in range(n + 1):
             for h in enumerate_horns(f.total.underlying, n, k):
-                if all(f.total.is_coherent(SimplexId(n - 1, fc)) for fc in h.faces):
+                if coh.issuperset(h.faces):
                     for base_sid in f.base.coherent_fillers(f.proj.apply_horn(h)):
                         out.append(LiftingProblemKey(h, base_sid))
     return out
@@ -383,11 +406,12 @@ def compose_fibrations(
 
     The composite's gap-marked problems are materialized over every
     well-formed problem of the composite: a problem is gapped when its
-    base-level step is gapped, or that step is coherent and the total-level
-    step over every coherent middle lift is gapped (the least middle's mode
-    is used). It is coherent when some middle admits a coherent total-level
-    solution, and open otherwise. Loop registries and composite
-    designations of the first stage do not survive composition.
+    base-level step is gapped, or that step is coherent, no coherent middle
+    lift admits a coherent total-level solution, and the total-level step
+    over some middle lift is gapped (the least such middle's mode is used;
+    the others may be open). It is coherent when some middle admits a
+    coherent total-level solution, and open otherwise. Loop registries and
+    composite designations of the first stage do not survive composition.
     """
     if f.base != g.total:
         raise KernelError("composition needs the first base to equal the second total")
@@ -396,11 +420,10 @@ def compose_fibrations(
     mid_bound = f.base.underlying.dim_bound
     gap_lifts: dict[LiftingProblemKey, Optional[GapMode]] = {}
     for key in enumerate_lifting_problems(composite):
-        h = key.horn
+        h, base = key
         if h.n > mid_bound:
             continue
-        mid_horn = f.proj.apply_horn(h)
-        step1 = LiftingProblemKey(mid_horn, key.base)
+        step1 = LiftingProblemKey(f.proj.apply_horn(h), base)
         if key_violations(g, step1):
             continue
         s1 = decide(_solutions(g, step1), g.gap_lifts, step1)

@@ -92,7 +92,9 @@ class RupturedComplex:
         )
 
     def coherent_fillers(self, h: HornSpec) -> list[SimplexId]:
-        return [s for s in find_fillers(self.underlying, h) if self.is_coherent(s)]
+        fillers = find_fillers(self.underlying, h)
+        coh = self.coh[h.n]
+        return [s for s in fillers if s.index in coh]
 
     def with_coherent(self, sid: SimplexId) -> "RupturedComplex":
         """Return a copy with one more coherent simplex.
@@ -159,8 +161,12 @@ def decide(solutions, gap: Mapping, key) -> Trichotomy:
 def validate_exclusion(r: RupturedComplex) -> list[Violation]:
     """Report every (gapped horn, coherent filler) conflict; empty iff
     Exclusion holds."""
+    return _exclusion_report(r, sorted(r.gap))
+
+
+def _exclusion_report(r: RupturedComplex, horns) -> list[Violation]:
     report = []
-    for h in sorted(r.gap):
+    for h in horns:
         for s in r.coherent_fillers(h):
             report.append(
                 Violation(
@@ -181,10 +187,11 @@ def validate_ruptured(r: RupturedComplex) -> list[Violation]:
                 report.append(
                     Violation("coh-range", f"coherent mark {n}/{i} has no simplex")
                 )
-    for h in sorted(r.gap):
+    horns = sorted(r.gap)
+    for h in horns:
         report.extend(horn_violations(r.underlying, h))
     if not report:
-        report.extend(validate_exclusion(r))
+        report.extend(_exclusion_report(r, horns))
     return report
 
 

@@ -21,14 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import KernelError, Violation
 
 
-@dataclass(frozen=True, order=True)
-class SimplexId:
-    """Identity of a simplex inside one complex: (dimension, index)."""
+class SimplexId(NamedTuple):
+    """Identity of a simplex inside one complex: (dimension, index).
+
+    A tuple: it equals, hashes and orders as the plain pair."""
 
     dim: int
     index: int
@@ -37,30 +38,32 @@ class SimplexId:
         return f"{self.dim}/{self.index}"
 
 
-@dataclass(frozen=True, order=True)
-class HornSpec:
-    """A (n, k)-horn: faces for every index i != k, the k-th face missing.
-
-    ``faces`` lists the assigned face indices (into dimension n-1) for the
-    present indices in ascending order of i. Ordering of HornSpec values is
-    lexicographic on (n, k, faces).
-    """
-
+class _HornFields(NamedTuple):
     n: int
     k: int
     faces: tuple[int, ...]
 
-    def __post_init__(self):
-        if not (self.n >= 1 and 0 <= self.k <= self.n):
-            raise KernelError(f"horn index k={self.k} out of range for n={self.n}")
-        if len(self.faces) != self.n:
-            raise KernelError(
-                f"(n={self.n}, k={self.k})-horn needs {self.n} faces, got {len(self.faces)}"
-            )
+
+class HornSpec(_HornFields):
+    """A (n, k)-horn: faces for every index i != k, the k-th face missing.
+
+    ``faces`` lists the assigned face indices (into dimension n-1) for the
+    present indices in ascending order of i. A horn is the tuple
+    (n, k, faces), so ordering is lexicographic on (n, k, faces).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, k: int, faces: tuple[int, ...]) -> "HornSpec":
+        if not (n >= 1 and 0 <= k <= n):
+            raise KernelError(f"horn index k={k} out of range for n={n}")
+        if len(faces) != n:
+            raise KernelError(f"(n={n}, k={k})-horn needs {n} faces, got {len(faces)}")
+        return _HornFields.__new__(cls, n, k, faces)
 
     @property
     def present_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n + 1) if i != self.k)
+        return (*range(self.k), *range(self.k + 1, self.n + 1))
 
     def face(self, i: int) -> int:
         """Assigned face index at position i (i != k)."""
@@ -234,9 +237,13 @@ class SimplicialMap:
         return SimplexId(sid.dim, self.levels[sid.dim][sid.index])
 
     def apply_horn(self, h: HornSpec) -> HornSpec:
-        return HornSpec(
-            h.n, h.k, tuple(self.apply(SimplexId(h.n - 1, f)).index for f in h.faces)
-        )
+        d = h.n - 1
+        level = self.levels[d] if d < len(self.levels) else ()
+        size = len(level)
+        for f in h.faces:
+            if f >= size:
+                raise KernelError(f"map not defined on {d}/{f}")
+        return HornSpec(h.n, h.k, tuple([level[f] for f in h.faces]))
 
     @classmethod
     def identity(cls, x: TruncatedComplex) -> "SimplicialMap":
@@ -414,9 +421,10 @@ def horn_violations(x: TruncatedComplex, h: HornSpec) -> list[Violation]:
             Violation("horn-dimension", f"horn dimension {h.n} exceeds bound {x.dim_bound}")
         )
         return report
-    fm = h.face_map()
-    for i, f in fm.items():
-        if not 0 <= f < x.count(h.n - 1):
+    faces = tuple(zip(h.present_indices, h.faces))
+    count = x.count(h.n - 1)
+    for i, f in faces:
+        if not 0 <= f < count:
             report.append(
                 Violation(
                     "horn-dangling-face",
@@ -427,9 +435,9 @@ def horn_violations(x: TruncatedComplex, h: HornSpec) -> list[Violation]:
         return report
     if h.n >= 2:
         rows = x.face_table[h.n - 2]
-        for j in fm:
-            for i in fm:
-                if i < j and not _identity_holds(rows, i, fm[i], j, fm[j]):
+        for b, (j, fj) in enumerate(faces):
+            for i, fi in faces[:b]:
+                if not _identity_holds(rows, i, fi, j, fj):
                     report.append(
                         Violation(
                             "horn-compatibility",
@@ -449,32 +457,33 @@ def enumerate_horns(x: TruncatedComplex, n: int, k: int) -> list[HornSpec]:
         raise KernelError(f"horn dimension {n} not in 1..{x.dim_bound}")
     if not 0 <= k <= n:
         raise KernelError(f"horn index k={k} out of range for n={n}")
-    present = tuple(i for i in range(n + 1) if i != k)
-    first = present[0]
+    present = (*range(k), *range(k + 1, n + 1))
     rows = x.face_table[n - 2] if n >= 2 else ()
-    meet = x.incidence.by_face[n - 2][first] if n >= 2 else {}
+    meet = x.incidence.by_face[n - 2][present[0]] if n >= 2 else {}
     result: list[HornSpec] = []
     chosen: list[int] = []
 
     def extend(pos: int):
-        if pos == n:
-            result.append(HornSpec(n, k, tuple(chosen)))
-            return
         i = present[pos]
-        # Positions fill in ascending order. The face identity with the first
-        # chosen face fixes this face's d_first, so the index lists exactly
-        # the candidates that pass it, ascending; the other chosen faces are
-        # checked one by one.
+        # Positions fill in ascending order. The face identity with a chosen
+        # face g at position j < i fixes this face's d_j to d_{i-1}(g). For
+        # the first chosen face the index lists exactly the candidates,
+        # ascending; the others filter them.
         if chosen:
             candidates = meet.get(rows[chosen[0]][i - 1], ())
+            fixed = [(j, rows[g][i - 1]) for j, g in zip(present[1:pos], chosen[1:])]
+            if fixed:
+                candidates = [f for f in candidates if all(rows[f][j] == d for j, d in fixed)]
         else:
             candidates = range(x.count(n - 1))
-        others = tuple(zip(present[1:pos], chosen[1:]))
+        if pos == n - 1:
+            for f in candidates:
+                result.append(HornSpec(n, k, (*chosen, f)))
+            return
         for f in candidates:
-            if all(_identity_holds(rows, j, g, i, f) for j, g in others):
-                chosen.append(f)
-                extend(pos + 1)
-                chosen.pop()
+            chosen.append(f)
+            extend(pos + 1)
+            chosen.pop()
 
     extend(0)
     return result
@@ -483,10 +492,10 @@ def enumerate_horns(x: TruncatedComplex, n: int, k: int) -> list[HornSpec]:
 def find_fillers(x: TruncatedComplex, h: HornSpec) -> list[SimplexId]:
     """All n-simplices whose i-th face matches the horn for every present i,
     in ascending index order."""
-    if not 1 <= h.n <= x.dim_bound or not all(0 <= f < x.count(h.n - 1) for f in h.faces):
+    n, k, faces = h
+    if not 1 <= n <= x.dim_bound or min(faces) < 0 or max(faces) >= x.counts[n - 1]:
         raise KernelError("; ".join(v.message for v in horn_violations(x, h)))
-    matches = x.incidence.fillers[h.n - 1][h.k].get(h.faces, ())
-    return [SimplexId(h.n, idx) for idx in matches]
+    return [SimplexId(n, idx) for idx in x.incidence.fillers[n - 1][k].get(faces, ())]
 
 
 def is_kan_up_to(

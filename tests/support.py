@@ -7,7 +7,9 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 from rupture_kit.fibration import LiftingProblemKey, RupturedFibrationData
 from rupture_kit.ruptured import GapMode, RupturedComplex
@@ -18,6 +20,15 @@ from rupture_kit.simplicial import (
     TruncatedComplex,
     enumerate_horns,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def cli_env() -> dict:
+    """The environment of a ``python -m rupture_kit`` child process: this
+    checkout's ``src`` first on PYTHONPATH, however pytest was started."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
 def random_complex(rng: random.Random, max_vertices=8, max_edges=14, max_triangles=8):

@@ -77,6 +77,7 @@ from rupture_kit.simplicial import (
 
 from fixture_builders import bank_fibration, crane_fibration
 from support import (
+    cli_env,
     composition_fixture,
     oracle_exclusion_conflicts,
     random_ruptured,
@@ -471,7 +472,7 @@ def test_cli_round_trip_and_determinism():
         ]
         for argv in commands:
             cmd = [sys.executable, "-m", "rupture_kit"] + argv
-            first = subprocess.run(cmd, capture_output=True)
-            second = subprocess.run(cmd, capture_output=True)
+            first = subprocess.run(cmd, capture_output=True, env=cli_env())
+            second = subprocess.run(cmd, capture_output=True, env=cli_env())
             assert first.returncode == second.returncode == 0
             assert first.stdout == second.stdout and first.stdout

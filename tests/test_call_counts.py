@@ -1,5 +1,6 @@
 """Each input check and each lift runs once per public call, each complex
-builds its incidence index once, and each fibration its lift table once.
+builds its incidence index once, each fibration its lift table once, and a
+fiber reads the face rows around it only.
 
 The checks (``horn_violations``, ``key_violations``), the path lift
 (``lift_edge_path``), the derivability decision (``check_derivable``), the
@@ -265,6 +266,28 @@ def test_lift_table_is_built_once_per_fibration(monkeypatch):
         covering.monodromy(cover, base, generator)
     assert covering.covering_violation(cover) is None
     assert builds == [cover] and builds[0] is cover
+
+
+def test_fiber_reads_only_the_face_rows_at_its_vertices(monkeypatch):
+    """The fiber over a base vertex of a double cover has two vertices and
+    no edge, whatever the cycle's length: fiber reads the face rows of the
+    simplices whose d_0 is one of those vertices, not every total row."""
+    reads = []
+    face_row = simplicial.TruncatedComplex.face_row
+
+    def counted(x, n, index):
+        reads.append((n, index))
+        return face_row(x, n, index)
+
+    monkeypatch.setattr(simplicial.TruncatedComplex, "face_row", counted)
+    counts = []
+    for m in (4, 16, 64):
+        cover = build_double_cover(m)
+        reads.clear()
+        fib, _ = fibration.fiber(cover, SimplexId(0, 0))
+        assert fib.underlying.counts == (2, 0, 0)
+        counts.append(len(reads))
+    assert counts == [2, 2, 2]
 
 
 def script_document(tmp_path, adds: int) -> pathlib.Path:

@@ -10,6 +10,8 @@ import pytest
 
 from rupture_kit.cli import main
 
+from support import cli_env
+
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
@@ -231,8 +233,8 @@ class TestDeterminism:
         cmd = [sys.executable, "-m", "rupture_kit"] + [
             str(FIXTURES / a) if a.endswith(".json") else a for a in argv
         ]
-        first = subprocess.run(cmd, capture_output=True, cwd=FIXTURES.parent)
-        second = subprocess.run(cmd, capture_output=True, cwd=FIXTURES.parent)
+        first = subprocess.run(cmd, capture_output=True, cwd=FIXTURES.parent, env=cli_env())
+        second = subprocess.run(cmd, capture_output=True, cwd=FIXTURES.parent, env=cli_env())
         assert first.returncode == second.returncode
         assert first.stdout == second.stdout
         assert first.stdout  # nonempty report
@@ -279,7 +281,9 @@ class TestShortMap:
             sys.executable, "-m", "rupture_kit", "monodromy",
             str(path), str(FIXTURES / "monodromy_task_3.json"),
         ]
-        run = subprocess.run(cmd, capture_output=True, text=True, cwd=FIXTURES.parent)
+        run = subprocess.run(
+            cmd, capture_output=True, text=True, cwd=FIXTURES.parent, env=cli_env()
+        )
         assert run.returncode == 2
         assert run.stdout.startswith("parse error: map covers 3 of 6 simplices")
         assert "(at fibration.map.1)" in run.stdout
@@ -367,7 +371,9 @@ class TestMissingReferences:
         path.write_text(json.dumps(doc))
         rest = [str(FIXTURES / a[1:]) if a.startswith("@") else a for a in extra]
         cmd = [sys.executable, "-m", "rupture_kit", command, str(path), *rest]
-        run = subprocess.run(cmd, capture_output=True, text=True, cwd=FIXTURES.parent)
+        run = subprocess.run(
+            cmd, capture_output=True, text=True, cwd=FIXTURES.parent, env=cli_env()
+        )
         assert run.returncode == 2
         assert run.stdout.startswith("parse error: ")
         assert f"(at {where})" in run.stdout
@@ -436,7 +442,8 @@ class TestCapturedOutput:
         expected = CAPTURED[invocation]
         args = captured_args(invocation, identity_documents)
         run = subprocess.run([sys.executable, "-m", "rupture_kit", *args],
-                             capture_output=True, text=True, cwd=FIXTURES.parent)
+                             capture_output=True, text=True, cwd=FIXTURES.parent,
+                             env=cli_env())
         assert (run.returncode, run.stdout) == (expected["exit"], expected["stdout"])
 
 

@@ -37,6 +37,7 @@ from rupture_kit.simplicial import (
     SimplicialMap,
     TruncatedComplex,
     enumerate_horns,
+    find_fillers,
     standard_simplex,
 )
 from rupture_kit.covering import EdgePath, build_cycle, build_double_cover, trivial_double_cover
@@ -425,17 +426,22 @@ class TestFunctorialityHorn:
             )
 
 
-def product_projection() -> RupturedFibrationData:
-    """cycle(3) x cycle(4) projected onto the left factor."""
-    r, s = from_kan(build_cycle(3)), from_kan(build_cycle(4))
+def left_projection(r: RupturedComplex, s: RupturedComplex) -> RupturedFibrationData:
+    """r x s projected onto r."""
     p = product(r, s)
+    top = p.underlying.dim_bound
     proj = SimplicialMap(
         tuple(
             tuple(flat // s.underlying.count(n) for flat in range(p.underlying.count(n)))
-            for n in range(3)
+            for n in range(top + 1)
         )
     )
     return RupturedFibrationData(p, r, proj)
+
+
+def product_projection() -> RupturedFibrationData:
+    """cycle(3) x cycle(4) projected onto the left factor."""
+    return left_projection(from_kan(build_cycle(3)), from_kan(build_cycle(4)))
 
 
 def thinned(f: RupturedFibrationData, rng: random.Random) -> RupturedFibrationData:
@@ -503,15 +509,7 @@ def product_fibrations(seed: int, count: int):
     in the left factor give fibers with edges and triangles."""
     rng = random.Random(seed)
     for _ in range(count):
-        r, s = from_kan(random_complex(rng)), from_kan(random_complex(rng))
-        p = product(r, s)
-        proj = SimplicialMap(
-            tuple(
-                tuple(flat // s.underlying.count(n) for flat in range(p.underlying.count(n)))
-                for n in range(3)
-            )
-        )
-        yield RupturedFibrationData(p, r, proj)
+        yield left_projection(from_kan(random_complex(rng)), from_kan(random_complex(rng)))
 
 
 class TestFiberOracle:
@@ -542,6 +540,41 @@ class TestFiberOracle:
                 ]
                 kept_above_vertices += len(want[1]) + len(want[2])
         assert kept_above_vertices >= 50
+
+
+    def test_marks_follow_the_kept_simplices(self):
+        """Coherence marks and gap horns of the fiber match a scan of every
+        mark of a total space with random marks and modes."""
+        rng = random.Random(23)
+        kept_gaps = 0
+        for f in product_fibrations(17, 8):
+            x = f.total.underlying
+            coh = {n: [i for i in range(x.count(n)) if rng.random() < 0.7]
+                   for n in range(x.dim_bound + 1)}
+            gap = {
+                h: rng.choice([None, GapMode("plain"), GapMode("semantic", ("cut",))])
+                for n in range(1, x.dim_bound + 1)
+                for k in range(n + 1)
+                for h in enumerate_horns(x, n, k)
+                if rng.random() < 0.5
+            }
+            f = RupturedFibrationData(RupturedComplex.create(x, coh, gap, gap), f.base, f.proj)
+            for b in sorted(f.base.coh[0]):
+                fib, inclusion = fiber(f, SimplexId(0, b))
+                position = [{old: new for new, old in enumerate(level)}
+                            for level in inclusion.levels]
+                assert fib.coh == tuple(
+                    frozenset(position[n][i] for i in coh[n] if i in position[n])
+                    for n in range(x.dim_bound + 1)
+                )
+                want = {
+                    HornSpec(h.n, h.k, tuple(position[h.n - 1][fc] for fc in h.faces)): mode
+                    for h, mode in gap.items()
+                    if all(fc in position[h.n - 1] for fc in h.faces)
+                }
+                assert dict(fib.gap) == want
+                kept_gaps += len(want)
+        assert kept_gaps >= 100
 
 
 class TestLiftingProblemOracle:
@@ -607,3 +640,144 @@ class TestTransportErrors:
             transport(f, SimplexId(0, 0), SimplexId(1, 0))
         assert "face 1 = 0/0 is not coherent" in str(err.value)
         assert "base simplex not coherent" in str(err.value)
+
+
+def identity_over(r: RupturedComplex) -> RupturedFibrationData:
+    return RupturedFibrationData(r, r, SimplicialMap.identity(r.underlying))
+
+
+def compose_towers():
+    """Composable pairs (f, g): the nine truth-table towers, identity steps
+    on either side of fibrations of dimension 1 and 2, and towers of two
+    product projections with 2-horns in every stage."""
+    for s1 in "CGO":
+        for s2 in "CGO":
+            upper, lower, _, _ = composition_fixture(s1, s2)
+            yield upper, lower
+    tri = from_kan(standard_simplex(2, 2))
+    square = left_projection(from_kan(standard_simplex(3, 2)), tri)
+    for fib in (
+        bank_fibration(), crane_fibration(), bottle_fibration(),
+        build_double_cover(3), trivial_double_cover(3), square,
+    ):
+        yield fib, identity_over(fib.base)
+        yield identity_over(fib.total), fib
+    lower = left_projection(from_kan(build_cycle(3)), tri)
+    yield left_projection(lower.total, tri), lower
+    # One vertex with two loops and every triangle on them: over tri, each
+    # edge and triangle of the middle space has two lifts, so a base-level
+    # step has two middle solutions.
+    loops = TruncatedComplex.create(
+        2, [1, 2, 8], {1: [[0, 0], [0, 0]], 2: [list(c) for c in cartesian(range(2), repeat=3)]}
+    )
+    doubled = left_projection(tri, from_kan(loops))
+    yield left_projection(doubled.total, tri), doubled
+
+
+def thinned_tower(f, g, rng: random.Random):
+    """A copy of the tower with some coherence marks, gap marks and modes
+    dropped in every stage, and some gap marks put on random horns."""
+
+    def thin(r: RupturedComplex) -> RupturedComplex:
+        coh = {n: [i for i in sorted(members) if rng.random() < 0.8]
+               for n, members in enumerate(r.coh)}
+        return RupturedComplex.create(r.underlying, coh, r.gap, r.gap)
+
+    def marks(fib, total, base):
+        gaps = {key: mode for key, mode in fib.gap_lifts.items() if rng.random() < 0.7}
+        x, b = total.underlying, base.underlying
+        for n in range(1, min(x.dim_bound, b.dim_bound) + 1):
+            for k in range(n + 1):
+                for h in enumerate_horns(x, n, k):
+                    for base_sid in find_fillers(b, fib.proj.apply_horn(h)):
+                        if rng.random() < 0.4:
+                            key = LiftingProblemKey(h, base_sid)
+                            gaps[key] = GapMode("semantic", (f"marked {len(gaps)}",))
+        return {key: mode if rng.random() < 0.7 else None for key, mode in gaps.items()}
+
+    e, mid, a = thin(f.total), thin(f.base), thin(g.base)
+    return (
+        RupturedFibrationData(e, mid, f.proj, marks(f, e, mid)),
+        RupturedFibrationData(mid, a, g.proj, marks(g, mid, a)),
+    )
+
+
+def scanned_gap_lifts(f: RupturedFibrationData, g: RupturedFibrationData) -> dict:
+    """The gap table of the composite of f: E -> B and g: B -> A by nested
+    scans of the documented rule, reading only face rows, coherence marks,
+    map levels and the two gap tables."""
+    e, b, a = f.total.underlying, f.base.underlying, g.base.underlying
+
+    def step(fib, n, present, faces, target):
+        """One stage's problem (horn ``faces`` at ``present``, over
+        ``target``): ("C", coherent solutions), ("G", mode) or ("O", None)."""
+        x = fib.total.underlying
+        solutions = [
+            s
+            for s in range(x.count(n))
+            if s in fib.total.coh[n]
+            and all(x.face_row(n, s)[i] == fc for i, fc in zip(present, faces))
+            and fib.proj.levels[n][s] == target
+        ]
+        if solutions:
+            return "C", solutions
+        k = next(i for i in range(n + 1) if i not in present)
+        key = LiftingProblemKey(HornSpec(n, k, tuple(faces)), SimplexId(n, target))
+        if key in fib.gap_lifts:
+            return "G", fib.gap_lifts[key]
+        return "O", None
+
+    want = {}
+    for n in range(1, min(e.dim_bound, b.dim_bound, a.dim_bound) + 1):
+        for k in range(n + 1):
+            present = [i for i in range(n + 1) if i != k]
+            for faces in cartesian(range(e.count(n - 1)), repeat=n):
+                fm = dict(zip(present, faces))
+                if not all(fc in f.total.coh[n - 1] for fc in faces):
+                    continue
+                if not all(
+                    e.face_row(n - 1, fm[j])[i] == e.face_row(n - 1, fm[i])[j - 1]
+                    for i in present
+                    for j in present
+                    if i < j
+                ):
+                    continue
+                mid = [f.proj.levels[n - 1][fc] for fc in faces]
+                for base in range(a.count(n)):
+                    if base not in g.base.coh[n] or any(
+                        g.proj.levels[n - 1][m] != a.face_row(n, base)[i]
+                        for i, m in zip(present, mid)
+                    ):
+                        continue
+                    # The base-level step is well formed only over coherent middle faces.
+                    if not all(m in f.base.coh[n - 1] for m in mid):
+                        continue
+                    key = LiftingProblemKey(HornSpec(n, k, faces), SimplexId(n, base))
+                    status, found = step(g, n, present, mid, base)
+                    if status == "G":
+                        want[key] = found
+                    elif status == "C":
+                        upper = [step(f, n, present, faces, m) for m in found]
+                        gapped = [mode for st, mode in upper if st == "G"]
+                        if gapped and not any(st == "C" for st, _ in upper):
+                            want[key] = gapped[0]
+    return want
+
+
+class TestComposeOracle:
+    def test_gap_table_matches_nested_scans(self):
+        rng = random.Random(29)
+        towers = list(compose_towers())
+        towers += [thinned_tower(f, g, rng) for f, g in towers for _ in range(3)]
+        seen = {"gapped": 0, "upper": 0, "plain": 0, "2-horn": 0}
+        for f, g in towers:
+            want = scanned_gap_lifts(f, g)
+            assert dict(compose_fibrations(f, g).gap_lifts) == want
+            seen["gapped"] += len(want)
+            seen["upper"] += sum(
+                LiftingProblemKey(f.proj.apply_horn(key.horn), key.base) not in g.gap_lifts
+                for key in want
+            )
+            seen["plain"] += sum(mode is None for mode in want.values())
+            seen["2-horn"] += sum(key.horn.n == 2 for key in want)
+        assert seen["gapped"] >= 100 and min(seen.values()) >= 20, seen

@@ -2,11 +2,13 @@
 filler search, and the Kan check."""
 
 import random
+from dataclasses import make_dataclass
 from itertools import product as cartesian
 
 import pytest
 
 from rupture_kit.errors import ExclusionError, KernelError
+from rupture_kit.fibration import LiftingProblemKey
 from rupture_kit.ruptured import product
 from rupture_kit.simplicial import (
     HornSpec,
@@ -405,3 +407,79 @@ class TestHornComplexOracle:
                         "-".join(map(str, c)) for c in levels[m]
                     ]
                 assert validate_complex(x) == []
+
+
+# The value types as frozen dataclasses: the reference their tuples keep
+# hash, order, equality and repr with.
+RefSimplexId = make_dataclass(
+    "SimplexId", [("dim", int), ("index", int)], frozen=True, order=True
+)
+RefHornSpec = make_dataclass(
+    "HornSpec", [("n", int), ("k", int), ("faces", tuple)], frozen=True, order=True
+)
+RefLiftingProblemKey = make_dataclass(
+    "LiftingProblemKey", [("horn", RefHornSpec), ("base", RefSimplexId)],
+    frozen=True, order=True,
+)
+
+
+class TestValueTypes:
+    @staticmethod
+    def seeded_fields(rng):
+        """Seeded ((dim, index), (n, k, faces)) field pairs, with repeats."""
+        out = []
+        for _ in range(40):
+            n = rng.randrange(1, 4)
+            faces = tuple(rng.randrange(3) for _ in range(n))
+            out.append(((rng.randrange(3), rng.randrange(4)), (n, rng.randrange(n + 1), faces)))
+        return out
+
+    def test_match_a_frozen_dataclass(self):
+        fields = self.seeded_fields(random.Random(41))
+        pairs = []
+        for sid, horn in fields:
+            pairs.append((SimplexId(*sid), RefSimplexId(*sid)))
+            pairs.append((HornSpec(*horn), RefHornSpec(*horn)))
+            key = LiftingProblemKey(HornSpec(*horn), SimplexId(*sid))
+            pairs.append((key, RefLiftingProblemKey(RefHornSpec(*horn), RefSimplexId(*sid))))
+        for value, ref in pairs:
+            assert hash(value) == hash(ref)
+            assert repr(value) == repr(ref)
+            for other, other_ref in pairs:
+                if type(other_ref) is type(ref):
+                    assert (value == other) == (ref == other_ref)
+                    assert (value < other) == (ref < other_ref)
+
+    def test_are_tuples(self):
+        sid = SimplexId(1, 2)
+        dim, index = sid
+        assert sid == (1, 2) and hash(sid) == hash((1, 2)) and (dim, index) == (1, 2)
+        h = HornSpec(2, 1, (4, 5))
+        assert h == (2, 1, (4, 5)) and len(h) == 3
+        assert HornSpec(n=2, k=1, faces=(4, 5)) == h
+        assert str(sid) == "1/2" and str(h) == "horn(n=2, k=1, faces={0:4, 2:5})"
+
+    @pytest.mark.parametrize(
+        "n,k,faces,message",
+        [
+            (0, 0, (), "horn index k=0 out of range for n=0"),
+            (2, 3, (1, 2), "horn index k=3 out of range for n=2"),
+            (2, -1, (1, 2), "horn index k=-1 out of range for n=2"),
+            (2, 1, (1,), r"\(n=2, k=1\)-horn needs 2 faces, got 1"),
+            (1, 0, (1, 2), r"\(n=1, k=0\)-horn needs 1 faces, got 2"),
+        ],
+    )
+    def test_horn_shape_errors_keep_their_text(self, n, k, faces, message):
+        with pytest.raises(KernelError, match=f"^{message}$"):
+            HornSpec(n, k, faces)
+
+    def test_attributes_cannot_be_assigned(self):
+        values = [
+            (SimplexId(0, 1), ("dim", "index", "label")),
+            (HornSpec(1, 0, (2,)), ("n", "k", "faces", "label")),
+            (LiftingProblemKey(HornSpec(1, 0, (2,)), SimplexId(1, 0)), ("horn", "base")),
+        ]
+        for value, names in values:
+            for name in names:
+                with pytest.raises(AttributeError):
+                    setattr(value, name, 0)
