@@ -66,37 +66,39 @@ class CoveringTask:
     loops: tuple[EdgePath, ...]
 
 
-def step_endpoints(x: TruncatedComplex, step: tuple[int, bool]) -> tuple[SimplexId, SimplexId]:
-    """(start, end) vertices of one directed step."""
+def _step_ends(x: TruncatedComplex, step: tuple[int, bool]) -> tuple[int, int]:
+    """(start, end) vertex indices of one directed step."""
     edge, forward = step
-    sid = SimplexId(1, edge)
-    src, tgt = x.face(sid, 1), x.face(sid, 0)
-    return (src, tgt) if forward else (tgt, src)
+    row = x.face_table[0][edge]
+    if len(row) < 2:
+        x.face(SimplexId(1, edge), 1)  # raises: no face at index 1
+    return (row[1], row[0]) if forward else (row[0], row[1])
 
 
 def path_source(x: TruncatedComplex, path: EdgePath) -> Optional[SimplexId]:
     if not path.steps:
         return None
-    return step_endpoints(x, path.steps[0])[0]
+    return SimplexId(0, _step_ends(x, path.steps[0])[0])
 
 
 def path_target(x: TruncatedComplex, path: EdgePath) -> Optional[SimplexId]:
     if not path.steps:
         return None
-    return step_endpoints(x, path.steps[-1])[1]
+    return SimplexId(0, _step_ends(x, path.steps[-1])[1])
 
 
 def check_path(x: TruncatedComplex, path: EdgePath) -> None:
     """Raise unless every edge exists and consecutive steps chain."""
+    count = x.count(1)
     prev_end = None
     for step in path.steps:
         edge, _ = step
-        if not 0 <= edge < x.count(1):
+        if not 0 <= edge < count:
             raise KernelError(f"edge path references missing edge 1/{edge}")
-        start, end = step_endpoints(x, step)
+        start, end = _step_ends(x, step)
         if prev_end is not None and start != prev_end:
             raise KernelError(
-                f"edge path breaks at edge 1/{edge}: starts at {start}, expected {prev_end}"
+                f"edge path breaks at edge 1/{edge}: starts at 0/{start}, expected 0/{prev_end}"
             )
         prev_end = end
 
@@ -229,17 +231,19 @@ def lift_edge_path(
             raise KernelError(
                 f"source mismatch: proj({start}) != path source {src}"
             )
-    at = start
+    # Every edge in the table has a face row of at least two entries.
+    rows = e.face_table[0] if e.dim_bound else ()
+    at = start.index
     lifted = []
     for edge, forward in path.steps:
-        matches = table.get((edge, 1 if forward else 0, at.index), ())
+        matches = table.get((edge, 1 if forward else 0, at), ())
         if len(matches) != 1:
             raise KernelError(
-                f"not a covering: {len(matches)} lifts of edge 1/{edge} at {at}"
+                f"not a covering: {len(matches)} lifts of edge 1/{edge} at 0/{at}"
             )
         te = matches[0]
         lifted.append((te, forward))
-        at = e.face(SimplexId(1, te), 0 if forward else 1)
+        at = rows[te][0 if forward else 1]
     return EdgePath(tuple(lifted))
 
 

@@ -26,7 +26,6 @@ from .ruptured import (
     CoherentlyFilled,
     GapMode,
     GapWitnessed,
-    Open,
     RupturedComplex,
     Trichotomy,
     decide,
@@ -101,7 +100,7 @@ class RupturedFibrationData:
         over it: the preimage of ``proj.levels[0]``, built on first use and
         kept with the fibration like ``lift_table``."""
         count = self.total.underlying.count(0)
-        level = self.proj.levels[0] if self.proj.levels else ()
+        level = self.proj.level(0)
         if len(level) < count:
             raise KernelError(f"map not defined on 0/{len(level)}")
         over: dict[int, list[int]] = {}
@@ -122,20 +121,24 @@ def build_lift_table(
     covering.
     """
     e, b = f.total.underlying, f.base.underlying
+    vertex_of, edge_of = f.proj.level(0), f.proj.level(1)
     table: dict[tuple[int, int, int], list[int]] = {}
     for te in range(e.count(1)):
-        be = f.proj.apply(SimplexId(1, te)).index
-        row = e.face_row(1, te)
+        if te >= len(edge_of):
+            raise KernelError(f"map not defined on 1/{te}")
+        row = e.face_table[0][te]
         for face_idx in (1, 0):
-            table.setdefault((be, face_idx, row[face_idx]), []).append(te)
+            table.setdefault((edge_of[te], face_idx, row[face_idx]), []).append(te)
     # base edges by the vertex they leave from: forward at d_1, backward at d_0
     leaving: dict[int, list[tuple[int, int, str]]] = {}
     for be in range(b.count(1)):
-        row = b.face_row(1, be)
+        row = b.face_table[0][be]
         for face_idx, direction in ((1, "forward"), (0, "backward")):
             leaving.setdefault(row[face_idx], []).append((be, face_idx, direction))
     for w in range(e.count(0)):
-        for be, face_idx, direction in leaving.get(f.proj.apply(SimplexId(0, w)).index, ()):
+        if w >= len(vertex_of):
+            raise KernelError(f"map not defined on 0/{w}")
+        for be, face_idx, direction in leaving.get(vertex_of[w], ()):
             lifts = table.get((be, face_idx, w), ())
             if len(lifts) != 1:
                 return table, (
@@ -226,9 +229,12 @@ def key_violations(f: RupturedFibrationData, key: LiftingProblemKey) -> list[Vio
     if report:
         return report
     base_row = b.face_row(n, base.index)
-    for j, t in enumerate(f.proj.apply_horn(h).faces):
+    level = f.proj.level(n - 1)
+    for j, fc in enumerate(h.faces):
+        if fc >= len(level):
+            raise KernelError(f"map not defined on {n - 1}/{fc}")
         i = j + (j >= k)
-        if t != base_row[i]:
+        if level[fc] != base_row[i]:
             report.append(
                 Violation(
                     "lift-compatibility",
@@ -238,12 +244,27 @@ def key_violations(f: RupturedFibrationData, key: LiftingProblemKey) -> list[Vio
     return report
 
 
-def _solutions(f: RupturedFibrationData, key: LiftingProblemKey) -> list[SimplexId]:
-    """Coherent total-space simplices that fill the horn and project onto
-    the base simplex, in ascending index order."""
-    return [
-        s for s in f.total.coherent_fillers(key.horn) if f.proj.apply(s) == key.base
-    ]
+def _coherent_lifts(f: RupturedFibrationData, h: HornSpec) -> dict[int, int]:
+    """The coherent total-space fillers of a horn whose faces exist, in
+    ascending index order, each with the index of its image under the
+    projection."""
+    n = h.n
+    level = f.proj.level(n)
+    coh = f.total.coh[n]
+    lifts = {}
+    for s in f.total.underlying.incidence.fillers[n - 1][h.k].get(h.faces, ()):
+        if s in coh:
+            if s >= len(level):
+                raise KernelError(f"map not defined on {n}/{s}")
+            lifts[s] = level[s]
+    return lifts
+
+
+def _solutions(f: RupturedFibrationData, key: LiftingProblemKey) -> list[int]:
+    """Indices of the coherent total-space simplices that fill the horn of a
+    well-formed key and project onto its base simplex, ascending."""
+    base = key.base.index
+    return [s for s, image in _coherent_lifts(f, key.horn).items() if image == base]
 
 
 # -- operations --------------------------------------------------------------
@@ -265,7 +286,7 @@ def validate_fibration(f: RupturedFibrationData) -> list[Violation]:
             report.append(
                 Violation(
                     "lifting-exclusion",
-                    f"{key} is gap-marked but coherent {sol} solves it",
+                    f"{key} is gap-marked but coherent {key.horn.n}/{sol} solves it",
                 )
             )
     return report
@@ -287,7 +308,8 @@ def classify_lift(f: RupturedFibrationData, key: LiftingProblemKey) -> Trichotom
     bad = key_violations(f, key)
     if bad:
         raise KernelError("; ".join(v.message for v in bad))
-    return decide(_solutions(f, key), f.gap_lifts, key)
+    n = key.horn.n
+    return decide([SimplexId(n, s) for s in _solutions(f, key)], f.gap_lifts, key)
 
 
 def transport_key(e: SimplexId, path: SimplexId) -> LiftingProblemKey:
@@ -387,15 +409,26 @@ def fiber(
 def enumerate_lifting_problems(f: RupturedFibrationData) -> list[LiftingProblemKey]:
     """Every well-formed lifting problem representable in the truncation,
     in (horn, base) order."""
-    top = min(f.total.underlying.dim_bound, f.base.underlying.dim_bound)
+    e, b = f.total.underlying, f.base.underlying
     out = []
-    for n in range(1, top + 1):
-        coh = f.total.coh[n - 1]
+    for n in range(1, min(e.dim_bound, b.dim_bound) + 1):
+        coh, base_coh = f.total.coh[n - 1], f.base.coh[n]
+        level = f.proj.level(n - 1)
+        count = b.count(n - 1)
+        # Coherent faces whose image is a base simplex. A coherent horn with
+        # any other face takes the checked path, which raises.
+        mapped = coh.intersection(i for i, t in enumerate(level) if 0 <= t < count)
         for k in range(n + 1):
-            for h in enumerate_horns(f.total.underlying, n, k):
-                if coh.issuperset(h.faces):
-                    for base_sid in f.base.coherent_fillers(f.proj.apply_horn(h)):
-                        out.append(LiftingProblemKey(h, base_sid))
+            fillers = b.incidence.fillers[n - 1][k]
+            for h in enumerate_horns(e, n, k):
+                faces = h.faces
+                if not mapped.issuperset(faces):
+                    if coh.issuperset(faces):
+                        f.base.coherent_fillers(f.proj.apply_horn(h))
+                    continue
+                for s in fillers.get(tuple([level[i] for i in faces]), ()):
+                    if s in base_coh:
+                        out.append(LiftingProblemKey(h, SimplexId(n, s)))
     return out
 
 
@@ -412,6 +445,13 @@ def compose_fibrations(
     the others may be open). It is coherent when some middle admits a
     coherent total-level solution, and open otherwise. Loop registries and
     composite designations of the first stage do not survive composition.
+
+    Only the base-level step is checked with :func:`key_violations`. The
+    total-level step (horn, mid) over a coherent middle lift is then well
+    formed by construction: the horn's faces are coherent in the total
+    space (the composite problem is well formed), ``mid`` is a coherent
+    simplex of the middle space of the horn's dimension, and ``mid`` fills
+    the projected horn, so proj(face i) = d_i(mid) for every present i.
     """
     if f.base != g.total:
         raise KernelError("composition needs the first base to equal the second total")
@@ -426,23 +466,18 @@ def compose_fibrations(
         step1 = LiftingProblemKey(f.proj.apply_horn(h), base)
         if key_violations(g, step1):
             continue
-        s1 = decide(_solutions(g, step1), g.gap_lifts, step1)
-        if isinstance(s1, GapWitnessed):
-            gap_lifts[key] = s1.mode
+        mids = _solutions(g, step1)
+        if not mids:
+            if step1 in g.gap_lifts:
+                gap_lifts[key] = g.gap_lifts[step1]
             continue
-        if isinstance(s1, Open):
+        if not set(_coherent_lifts(f, h).values()).isdisjoint(mids):
             continue
-        statuses = []
-        for mid in s1.fillers:
-            step2 = LiftingProblemKey(h, mid)
-            if key_violations(f, step2):
-                continue
-            statuses.append(decide(_solutions(f, step2), f.gap_lifts, step2))
-        if any(isinstance(st, CoherentlyFilled) for st in statuses):
-            continue
-        gapped = [st for st in statuses if isinstance(st, GapWitnessed)]
-        if gapped:
-            gap_lifts[key] = gapped[0].mode
+        for mid in mids:
+            step2 = LiftingProblemKey(h, SimplexId(h.n, mid))
+            if step2 in f.gap_lifts:
+                gap_lifts[key] = f.gap_lifts[step2]
+                break
     return RupturedFibrationData(f.total, g.base, proj, gap_lifts)
 
 

@@ -231,6 +231,10 @@ class SimplicialMap:
     def top_dim(self) -> int:
         return len(self.levels) - 1
 
+    def level(self, n: int) -> tuple[int, ...]:
+        """The targets of the n-simplices; empty above the top dimension."""
+        return self.levels[n] if n < len(self.levels) else ()
+
     def apply(self, sid: SimplexId) -> SimplexId:
         if sid.dim > self.top_dim or sid.index >= len(self.levels[sid.dim]):
             raise KernelError(f"map not defined on {sid}")
@@ -238,7 +242,7 @@ class SimplicialMap:
 
     def apply_horn(self, h: HornSpec) -> HornSpec:
         d = h.n - 1
-        level = self.levels[d] if d < len(self.levels) else ()
+        level = self.level(d)
         size = len(level)
         for f in h.faces:
             if f >= size:
@@ -555,16 +559,27 @@ def check_simplicial_map(
                 )
     if report:
         return report
+    # Every level is total and lands in Y, so only a face row that is too
+    # short or points past its dimension can fail to index below.
     for n in range(1, f.top_dim + 1):
+        below, level = f.levels[n - 1], f.levels[n]
+        rows, images = x.face_table[n - 1], y.face_table[n - 1]
         for idx in range(x.count(n)):
-            src = SimplexId(n, idx)
-            img = f.apply(src)
-            for i in range(n + 1):
-                if f.apply(x.face(src, i)) != y.face(img, i):
-                    report.append(
-                        Violation(
-                            "face-commutation",
-                            f"f(d_{i}({src})) != d_{i}(f({src}))",
+            row, image = rows[idx], images[level[idx]]
+            try:
+                for i in range(n + 1):
+                    if below[row[i]] != image[i]:
+                        report.append(
+                            Violation(
+                                "face-commutation",
+                                f"f(d_{i}({n}/{idx})) != d_{i}(f({n}/{idx}))",
+                            )
                         )
-                    )
+            except IndexError:
+                # The checked calls raise the KernelError that names the face.
+                src, img = SimplexId(n, idx), SimplexId(n, level[idx])
+                for i in range(n + 1):
+                    f.apply(x.face(src, i))
+                    y.face(img, i)
+                raise
     return report

@@ -10,6 +10,7 @@ from rupture_kit.covering import (
     FiberPermutation,
     build_cycle,
     build_double_cover,
+    check_path,
     covering_violation,
     fiber_vertices,
     lift_edge_path,
@@ -148,6 +149,91 @@ class TestLifting:
             assert len(candidates) == 1
             lifted = lift_edge_path(cover, SimplexId(0, start), GEN3)
             assert tuple(te for te, _ in lifted.steps) == candidates[0]
+
+
+class TestPathErrors:
+    """The exact texts of the path, lift and loop rejections."""
+
+    @pytest.mark.parametrize(
+        "path,message",
+        [
+            (EdgePath.forward(0, 5), "edge path references missing edge 1/5"),
+            (EdgePath.forward(-1), "edge path references missing edge 1/-1"),
+            (EdgePath.forward(0, 2), "edge path breaks at edge 1/2: starts at 0/2, expected 0/1"),
+            (
+                EdgePath.of((0, True), (0, True)),
+                "edge path breaks at edge 1/0: starts at 0/0, expected 0/1",
+            ),
+            (
+                EdgePath.of((0, True), (1, False)),
+                "edge path breaks at edge 1/1: starts at 0/2, expected 0/1",
+            ),
+        ],
+    )
+    def test_check_path(self, path, message):
+        with pytest.raises(KernelError) as err:
+            check_path(build_cycle(3), path)
+        assert str(err.value) == message
+
+    def test_check_path_on_a_short_face_row(self):
+        x = TruncatedComplex.create(1, [2, 2], {1: [[1, 0], [1]]})
+        with pytest.raises(KernelError) as err:
+            check_path(x, EdgePath.forward(0, 1))
+        assert str(err.value) == "face index 1 out of range for 1/1"
+
+    @pytest.mark.parametrize(
+        "start,path,message",
+        [
+            ((1, 0), GEN3, "lift must start at a total-space vertex, got 1/0"),
+            ((0, 6), GEN3, "lift must start at a total-space vertex, got 0/6"),
+            ((0, 1), GEN3, "source mismatch: proj(0/1) != path source 0/0"),
+            ((0, 0), EdgePath.of((1, False)), "source mismatch: proj(0/0) != path source 0/2"),
+            ((0, 0), EdgePath.forward(3), "edge path references missing edge 1/3"),
+        ],
+    )
+    def test_lift_edge_path(self, start, path, message):
+        with pytest.raises(KernelError) as err:
+            lift_edge_path(build_double_cover(3), SimplexId(*start), path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "levels,message",
+        [
+            (((0, 1, 2, 0), (0, 1, 2, 0, 1, 2), ()), "map not defined on 0/4"),
+            (((0, 1, 2, 0, 1, 2), (0, 1, 2), ()), "map not defined on 1/3"),
+            (((0, 1, 2, 0, 1, 2),), "map not defined on 1/0"),
+        ],
+    )
+    def test_lift_table_over_a_short_level(self, levels, message):
+        cover = build_double_cover(3)
+        f = RupturedFibrationData(cover.total, cover.base, SimplicialMap(levels))
+        for call in (
+            lambda: covering_violation(f),
+            lambda: lift_edge_path(f, SimplexId(0, 0), GEN3),
+        ):
+            with pytest.raises(KernelError) as err:
+                call()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "basepoint,loop,message",
+        [
+            ((0, 3), GEN3, "basepoint must be a base vertex, got 0/3"),
+            ((1, 0), GEN3, "basepoint must be a base vertex, got 1/0"),
+            ((0, 0), EdgePath.forward(0, 1), "loop must start and end at the basepoint"),
+            ((0, 1), GEN3, "loop must start and end at the basepoint"),
+            ((0, 0), EdgePath.forward(0, 2), "edge path breaks at edge 1/2: starts at 0/2, expected 0/1"),
+        ],
+    )
+    def test_loop(self, basepoint, loop, message):
+        cover = build_double_cover(3)
+        for call in (
+            lambda: monodromy(cover, SimplexId(*basepoint), loop),
+            lambda: monodromy_ruptured(cover, SimplexId(*basepoint), [GEN3, loop]),
+        ):
+            with pytest.raises(KernelError) as err:
+                call()
+            assert str(err.value) == message
 
 
 class TestMonodromy:

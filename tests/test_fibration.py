@@ -503,6 +503,112 @@ class TestTransportOracle:
                     checked += 1
         assert checked >= 100
 
+    def test_matches_edge_scan_on_seeded_fibrations(self):
+        """Seeded fibrations with parallel total edges over one base edge,
+        incoherent points and edges, and gap marks (some on problems that
+        have a coherent lift): every (term, edge) pair, out-of-range ones
+        included, against one scan over all total edges."""
+        rng = random.Random(37)
+        seen = {"coherent": 0, "multiple": 0, "gapped": 0, "marked-coherent": 0,
+                "open": 0, "rejected": 0}
+        for _ in range(60):
+            f = seeded_transport_fibration(rng)
+            x, b = f.total.underlying, f.base.underlying
+            vertex_of, edge_of = f.proj.levels[0], f.proj.levels[1]
+            for w in range(x.count(0) + 1):
+                for e in range(b.count(1) + 1):
+                    well_formed = (
+                        w in f.total.coh[0] and e in f.base.coh[1]
+                        and vertex_of[w] == b.face_row(1, e)[1]
+                    )
+                    if not well_formed:
+                        with pytest.raises(KernelError):
+                            transport(f, SimplexId(0, w), SimplexId(1, e))
+                        seen["rejected"] += 1
+                        continue
+                    lifts = [
+                        t for t in range(x.count(1))
+                        if t in f.total.coh[1] and x.face_row(1, t)[1] == w and edge_of[t] == e
+                    ]
+                    key = LiftingProblemKey(HornSpec(1, 0, (w,)), SimplexId(1, e))
+                    if lifts:
+                        want = Coherent(SimplexId(0, x.face_row(1, lifts[0])[0]), len(lifts))
+                        seen["coherent"] += 1
+                        seen["multiple"] += len(lifts) > 1
+                        seen["marked-coherent"] += key in f.gap_lifts
+                    elif key in f.gap_lifts:
+                        want = Gapped(f.gap_lifts[key])
+                        seen["gapped"] += 1
+                    else:
+                        want = OpenTransport()
+                        seen["open"] += 1
+                    assert transport(f, SimplexId(0, w), SimplexId(1, e)) == want
+        assert min(seen.values()) >= 20, seen
+
+
+class TestSeededLiftingProblems:
+    def test_match_the_edge_scan(self):
+        """On seeded 1-dimensional fibrations with incoherent points and
+        base edges: the (1, 0)-problems are the coherent base edges leaving
+        the image of a coherent point, the (1, 1)-problems those arriving."""
+        rng = random.Random(41)
+        skipped_base = 0
+        for _ in range(60):
+            f = seeded_transport_fibration(rng)
+            b = f.base.underlying
+            want = []
+            for k in (0, 1):
+                for w in sorted(f.total.coh[0]):
+                    for e in range(b.count(1)):
+                        if b.face_row(1, e)[1 - k] != f.proj.levels[0][w]:
+                            continue
+                        if e not in f.base.coh[1]:
+                            skipped_base += 1
+                            continue
+                        want.append(LiftingProblemKey(HornSpec(1, k, (w,)), SimplexId(1, e)))
+            assert enumerate_lifting_problems(f) == want
+        assert skipped_base >= 20
+
+
+def seeded_transport_fibration(rng: random.Random) -> RupturedFibrationData:
+    """A 1-dimensional fibration: one to three points over each base vertex,
+    zero to three total edges over each base edge (a repeated face row is a
+    parallel edge), random coherence in both spaces, and gap marks with
+    random modes on about a third of the transport problems."""
+    v = rng.randint(1, 4)
+    base_rows = [[rng.randrange(v), rng.randrange(v)] for _ in range(rng.randint(1, 5))]
+    over = {b: [] for b in range(v)}
+    vertex_of = []
+    for b in range(v):
+        for _ in range(rng.randint(1, 3)):
+            over[b].append(len(vertex_of))
+            vertex_of.append(b)
+    rows, edge_of = [], []
+    for e, (tgt, src) in enumerate(base_rows):
+        for _ in range(rng.randint(0, 3)):
+            row = [rng.choice(over[tgt]), rng.choice(over[src])]
+            for _ in range(rng.choice((1, 1, 2))):
+                rows.append(row)
+                edge_of.append(e)
+    total = TruncatedComplex.create(1, [len(vertex_of), len(rows)], {1: rows})
+    base = TruncatedComplex.create(1, [v, len(base_rows)], {1: base_rows})
+    total_coh = {0: [w for w in range(len(vertex_of)) if rng.random() < 0.85],
+                 1: [t for t in range(len(rows)) if rng.random() < 0.6]}
+    base_coh = {0: range(v), 1: [e for e in range(len(base_rows)) if rng.random() < 0.85]}
+    modes = [None, GapMode("plain"), GapMode("semantic", ("cut",))]
+    gap_lifts = {
+        LiftingProblemKey(HornSpec(1, 0, (w,)), SimplexId(1, e)): rng.choice(modes)
+        for w in range(len(vertex_of))
+        for e, (_, src) in enumerate(base_rows)
+        if vertex_of[w] == src and rng.random() < 0.35
+    }
+    return RupturedFibrationData(
+        RupturedComplex.create(total, total_coh),
+        RupturedComplex.create(base, base_coh),
+        SimplicialMap((tuple(vertex_of), tuple(edge_of))),
+        gap_lifts,
+    )
+
 
 def product_fibrations(seed: int, count: int):
     """Left projections of products of seeded random complexes; loop edges
@@ -640,6 +746,68 @@ class TestTransportErrors:
             transport(f, SimplexId(0, 0), SimplexId(1, 0))
         assert "face 1 = 0/0 is not coherent" in str(err.value)
         assert "base simplex not coherent" in str(err.value)
+
+
+def with_levels(f: RupturedFibrationData, *levels) -> RupturedFibrationData:
+    """``f`` with its projection's levels replaced (no check)."""
+    return RupturedFibrationData(f.total, f.base, SimplicialMap(tuple(levels)), f.gap_lifts)
+
+
+class TestMapLevelErrors:
+    """A level that is too short or points outside the base raises the
+    error of the first problem that reads it, with its exact text."""
+
+    @pytest.mark.parametrize(
+        "vertices,message",
+        [
+            ((0, 1, 2, 0), "map not defined on 0/4"),
+            ((), "map not defined on 0/0"),
+            ((0, 1, 7, 0, 1, 2), "horn(n=1, k=0, faces={1:7}) face 1 references missing 0/7"),
+            ((0, 1, -1, 0, 1, 2), "horn(n=1, k=0, faces={1:-1}) face 1 references missing 0/-1"),
+        ],
+    )
+    def test_enumerate_lifting_problems(self, vertices, message):
+        cover = build_double_cover(3)
+        with pytest.raises(KernelError) as err:
+            enumerate_lifting_problems(with_levels(cover, vertices, cover.proj.levels[1], ()))
+        assert str(err.value) == message
+
+    def test_enumerate_skips_incoherent_faces_outside_the_level(self):
+        cover = build_double_cover(3)
+        total = RupturedComplex.create(
+            cover.total.underlying, {0: range(4), 1: range(6)}
+        )
+        f = RupturedFibrationData(total, cover.base, SimplicialMap(((0, 1, 2, 0), *cover.proj.levels[1:])))
+        assert len(enumerate_lifting_problems(f)) == 8
+
+    @pytest.mark.parametrize(
+        "term,vertices,edges,message",
+        [
+            (3, (0, 1, 2, 0, 1, 2), (0, 1, 2), "map not defined on 1/3"),
+            (4, (0, 1, 2, 0, 1, 2), (0, 1, 2, 0), "map not defined on 1/4"),
+            (0, (0, 1, 2, 0, 1, 2), (), "map not defined on 1/0"),
+            (4, (0, 1, 2, 0), (0, 1, 2, 0, 1, 2), "map not defined on 0/4"),
+        ],
+    )
+    def test_transport(self, term, vertices, edges, message):
+        cover = build_double_cover(3)
+        f = with_levels(cover, vertices, edges, ())
+        with pytest.raises(KernelError) as err:
+            transport(f, SimplexId(0, term), SimplexId(1, term % 3))
+        assert str(err.value) == message
+
+    def test_transport_reads_only_its_lifts(self):
+        cover = build_double_cover(3)
+        f = with_levels(cover, cover.proj.levels[0], (0, 1, 2), ())
+        assert transport(f, SimplexId(0, 0), SimplexId(1, 0)) == Coherent(SimplexId(0, 1), 1)
+
+    @pytest.mark.parametrize("edges", [(0, 1, 2), ()])
+    def test_compose(self, edges):
+        cover = build_double_cover(3)
+        f = with_levels(cover, cover.proj.levels[0], edges, ())
+        with pytest.raises(KernelError) as err:
+            compose_fibrations(f, identity_over(cover.base))
+        assert str(err.value) == f"map not defined on 1/{len(edges)}"
 
 
 def identity_over(r: RupturedComplex) -> RupturedFibrationData:

@@ -310,6 +310,105 @@ class TestSimplicialMap:
         comp = SimplicialMap.compose(ident, ident)
         assert comp == ident
 
+    def test_matches_the_simplex_id_scan(self):
+        """Seeded maps, most of them broken, against the face-commutation
+        check written with ``SimplexId`` and ``face``: the same report, or
+        the same error, for each."""
+        rng = random.Random(43)
+        seen = {"clean": 0, "commutation": 0, "shape": 0, "raised": 0}
+        for _ in range(300):
+            x, y = random_complex(rng), random_complex(rng)
+            if rng.random() < 0.5:
+                y = x
+            f = seeded_map(rng, x, y)
+            x = seeded_defect(rng, x)
+            want = outcome(check_simplicial_map_scan, f, x, y)
+            assert outcome(check_simplicial_map, f, x, y) == want
+            if isinstance(want, str):
+                seen["raised"] += 1
+            elif not want:
+                seen["clean"] += 1
+            else:
+                seen["commutation" if want[0][0] == "face-commutation" else "shape"] += 1
+        assert min(seen.values()) >= 10, seen
+
+
+def seeded_map(rng: random.Random, x: TruncatedComplex, y: TruncatedComplex) -> SimplicialMap:
+    """The identity when x is y, else a map to random targets; then a few
+    entries moved, and sometimes a level cut short, pointed out of range or
+    dropped."""
+    if x is y:
+        levels = [list(range(x.count(n))) for n in range(x.dim_bound + 1)]
+    else:
+        levels = [[rng.randrange(y.count(n)) if y.count(n) else 0 for _ in range(x.count(n))]
+                  for n in range(x.dim_bound + 1)]
+    for level in levels:
+        if level and rng.random() < 0.3:
+            level[rng.randrange(len(level))] = rng.randrange(len(level))
+    defect = rng.random()
+    if defect < 0.05 and levels[1]:
+        levels[1].pop()
+    elif defect < 0.1 and levels[0]:
+        levels[0][0] = y.count(0) + 1
+    elif defect < 0.15:
+        levels.pop()
+    return SimplicialMap(tuple(tuple(level) for level in levels))
+
+
+def seeded_defect(rng: random.Random, x: TruncatedComplex) -> TruncatedComplex:
+    """Sometimes a face row cut short or pointing past its dimension."""
+    if rng.random() >= 0.1 or not x.count(1):
+        return x
+    rows = [list(row) for row in x.face_table[0]]
+    row = rows[rng.randrange(len(rows))]
+    if rng.random() < 0.5:
+        row.pop()
+    else:
+        row[0] = x.count(0) + 2
+    faces = {1: rows, 2: [list(row) for row in x.face_table[1]]}
+    return TruncatedComplex.create(2, x.counts, faces)
+
+
+def outcome(check, f, x, y):
+    """The report as (kind, message) pairs, or the text of the error."""
+    try:
+        return [(v.kind, v.message) for v in check(f, x, y)]
+    except (KernelError, IndexError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def check_simplicial_map_scan(f, x, y):
+    """The totality, range and face-commutation checks, face by face through
+    ``SimplexId``, ``SimplicialMap.apply`` and ``TruncatedComplex.face``."""
+    from rupture_kit.errors import Violation
+
+    report = []
+    expected_top = min(x.dim_bound, y.dim_bound)
+    if f.top_dim != expected_top:
+        report.append(Violation(
+            "map-levels", f"map covers dimensions 0..{f.top_dim}, expected 0..{expected_top}"))
+    for n in range(min(f.top_dim, expected_top) + 1):
+        if len(f.levels[n]) != x.count(n):
+            report.append(Violation(
+                "map-totality",
+                f"dimension {n}: {len(f.levels[n])} entries for {x.count(n)} simplices"))
+            continue
+        for i, t in enumerate(f.levels[n]):
+            if not 0 <= t < y.count(n):
+                report.append(Violation(
+                    "map-range", f"f({n}/{i}) = {n}/{t} is not a simplex of the target"))
+    if report:
+        return report
+    for n in range(1, f.top_dim + 1):
+        for idx in range(x.count(n)):
+            src = SimplexId(n, idx)
+            img = f.apply(src)
+            for i in range(n + 1):
+                if f.apply(x.face(src, i)) != y.face(img, i):
+                    report.append(Violation(
+                        "face-commutation", f"f(d_{i}({src})) != d_{i}(f({src}))"))
+    return report
+
 
 class TestApplyHorn:
     def test_maps_each_face(self):
