@@ -298,6 +298,9 @@ def validate_fibration_deep(f: RupturedFibrationData) -> list[Violation]:
     for name, r in (("total", f.total), ("base", f.base)):
         for v in validate_ruptured(r):
             report.append(Violation(v.kind, f"{name}: {v.message}"))
+    # The projection check reads every face row, so it needs rows that fit.
+    if any(v.kind in ("face-arity", "dangling-face") for v in report):
+        return report
     report.extend(validate_fibration(f))
     return report
 
@@ -391,18 +394,20 @@ def fiber(
         )
     sub, inclusion = restrict(e, keep)
     # Coherence marks follow the simplices to their new indices; the gap
-    # horns are the fiber's own horns whose image is gapped.
+    # horns are the fiber's own horns whose image is gapped, so there are
+    # none to look for when the total space has no gap horns.
     coh = {
         n: [new for new, old in enumerate(level) if old in f.total.coh[n]]
         for n, level in enumerate(inclusion.levels)
     }
     gap = {}
-    for n in range(1, sub.dim_bound + 1):
-        for k in range(n + 1):
-            for h in enumerate_horns(sub, n, k):
-                image = inclusion.apply_horn(h)
-                if image in f.total.gap:
-                    gap[h] = f.total.gap[image]
+    if f.total.gap:
+        for n in range(1, sub.dim_bound + 1):
+            for k in range(n + 1):
+                for h in enumerate_horns(sub, n, k):
+                    image = inclusion.apply_horn(h)
+                    if image in f.total.gap:
+                        gap[h] = f.total.gap[image]
     return RupturedComplex.create(sub, coh, gap, gap), inclusion
 
 

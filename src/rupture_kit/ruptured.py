@@ -92,9 +92,15 @@ class RupturedComplex:
         )
 
     def coherent_fillers(self, h: HornSpec) -> list[SimplexId]:
-        fillers = find_fillers(self.underlying, h)
-        coh = self.coh[h.n]
-        return [s for s in fillers if s.index in coh]
+        """The fillers of ``h`` that lie in Coh, ascending; a horn that does
+        not fit the complex raises as in :func:`find_fillers`."""
+        n, k, faces = h
+        x = self.underlying
+        if not 1 <= n <= x.dim_bound or min(faces) < 0 or max(faces) >= x.counts[n - 1]:
+            find_fillers(x, h)
+        coh = self.coh[n]
+        fillers = x.incidence.fillers[n - 1][k].get(faces, ())
+        return [SimplexId(n, s) for s in fillers if s in coh]
 
     def with_coherent(self, sid: SimplexId) -> "RupturedComplex":
         """Return a copy with one more coherent simplex.
@@ -106,8 +112,17 @@ class RupturedComplex:
             raise KernelError(f"no simplex {sid} in the complex")
         conflicts = []
         if sid.dim >= 1:
-            filled = (horn_of(self.underlying, sid, k) for k in range(sid.dim + 1))
-            conflicts = [(h, sid) for h in filled if h in self.gap]
+            x, n = self.underlying, sid.dim
+            row = x.face_row(n, sid.index)
+            if len(row) != n + 1:
+                horn_of(x, sid, 0)  # raises the horn's arity error
+            # A HornSpec hashes and compares as its (n, k, faces) tuple, so
+            # one is built only for a conflict.
+            conflicts = [
+                (horn_of(x, sid, k), sid)
+                for k in range(n + 1)
+                if (n, k, row[:k] + row[k + 1 :]) in self.gap
+            ]
         if conflicts:
             raise ExclusionError(
                 f"coherent {sid} would fill {len(conflicts)} gap-witnessed horn(s)",

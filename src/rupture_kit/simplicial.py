@@ -175,45 +175,51 @@ class TruncatedComplex:
 
     @cached_property
     def incidence(self) -> "Incidence":
-        """The face-incidence index, built on first use and kept with the
-        complex (the frozen dataclass has no slots, so the cache fits)."""
-        return build_incidence(self)
+        """The face-incidence index, kept with the complex (the frozen
+        dataclass has no slots, so the cache fits); each of its two tables
+        is built on first use."""
+        return Incidence(self)
 
 
-@dataclass(frozen=True)
 class Incidence:
     """Which n-simplices have which faces, for each n >= 1.
 
     ``fillers[n - 1][k]`` maps a face row with entry k dropped to the
     ascending indices of the n-simplices filling that (n, k)-horn;
     ``by_face[n - 1][j]`` maps a face index f to the ascending indices of
-    the n-simplices whose d_j is f.
+    the n-simplices whose d_j is f. Each table is built on first use, so a
+    complex that is only classified never holds ``by_face`` and one that
+    only gives fibers never holds ``fillers``.
     """
 
-    fillers: tuple[tuple[dict[tuple[int, ...], tuple[int, ...]], ...], ...]
-    by_face: tuple[tuple[dict[int, tuple[int, ...]], ...], ...]
+    def __init__(self, x: TruncatedComplex):
+        self.complex = x
+
+    @cached_property
+    def fillers(self) -> tuple[tuple[dict[tuple[int, ...], tuple[int, ...]], ...], ...]:
+        return build_incidence(self.complex, "fillers")
+
+    @cached_property
+    def by_face(self) -> tuple[tuple[dict[int, tuple[int, ...]], ...], ...]:
+        return build_incidence(self.complex, "by_face")
 
 
-def build_incidence(x: TruncatedComplex) -> Incidence:
-    """One pass over the face rows of every dimension; the id lists end as
+def build_incidence(x: TruncatedComplex, part: str) -> tuple:
+    """One table of :class:`Incidence`, ``"fillers"`` or ``"by_face"``, in
+    one pass over the face rows of every dimension; the id lists end as
     tuples, which take less memory and cannot be changed by a caller."""
-
-    def frozen(tables):
-        return tuple({key: tuple(ids) for key, ids in t.items()} for t in tables)
-
-    fillers, by_face = [], []
+    drop = part == "fillers"
+    tables = []
     for n, rows in enumerate(x.face_table, 1):
-        drop = tuple({} for _ in range(n + 1))
-        meet = tuple({} for _ in range(n + 1))
+        per_j = tuple({} for _ in range(n + 1))
         for idx, row in enumerate(rows):
             # A row longer than n + 1 (invalid, see validate_complex) fills
             # no horn, and its extra entries have no table.
-            for j, f in enumerate(row[: n + 1]):
-                drop[j].setdefault(row[:j] + row[j + 1 :], []).append(idx)
-                meet[j].setdefault(f, []).append(idx)
-        fillers.append(frozen(drop))
-        by_face.append(frozen(meet))
-    return Incidence(tuple(fillers), tuple(by_face))
+            for j in range(min(len(row), n + 1)):
+                key = row[:j] + row[j + 1 :] if drop else row[j]
+                per_j[j].setdefault(key, []).append(idx)
+        tables.append(tuple({key: tuple(ids) for key, ids in t.items()} for t in per_j))
+    return tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -256,13 +262,15 @@ class SimplicialMap:
     @classmethod
     def compose(cls, outer: "SimplicialMap", inner: "SimplicialMap") -> "SimplicialMap":
         """outer after inner, defined up to the smaller top dimension."""
-        top = min(outer.top_dim, inner.top_dim)
-        return cls(
-            tuple(
-                tuple(outer.levels[n][j] for j in inner.levels[n])
-                for n in range(top + 1)
-            )
-        )
+        levels = []
+        for n in range(min(outer.top_dim, inner.top_dim) + 1):
+            level, targets = outer.levels[n], inner.levels[n]
+            try:
+                levels.append(tuple([level[j] for j in targets]))
+            except IndexError:
+                j = next(j for j in targets if j >= len(level))
+                raise KernelError(f"map not defined on {n}/{j}") from None
+        return cls(tuple(levels))
 
 
 # -- the shared rules -------------------------------------------------------
@@ -272,13 +280,6 @@ def horn_of(x: TruncatedComplex, sid: SimplexId, k: int) -> HornSpec:
     """The (n, k)-horn a simplex fills: its face row with entry k dropped."""
     row = x.face_row(sid.dim, sid.index)
     return HornSpec(sid.dim, k, row[:k] + row[k + 1 :])
-
-
-def _identity_holds(rows, i: int, fi: int, j: int, fj: int) -> bool:
-    """d_i d_j = d_{j-1} d_i on a boundary whose i-th face is ``fi`` and
-    j-th face is ``fj`` (i < j); ``rows`` are the face rows of their
-    dimension."""
-    return rows[fj][i] == rows[fi][j - 1]
 
 
 def restrict(
@@ -406,7 +407,7 @@ def validate_complex(x: TruncatedComplex) -> list[Violation]:
             row = x.face_row(n, idx)
             for j in range(n + 1):
                 for i in range(j):
-                    if not _identity_holds(rows, i, row[i], j, row[j]):
+                    if rows[row[j]][i] != rows[row[i]][j - 1]:
                         report.append(
                             Violation(
                                 "simplicial-identity",
@@ -419,29 +420,29 @@ def validate_complex(x: TruncatedComplex) -> list[Violation]:
 def horn_violations(x: TruncatedComplex, h: HornSpec) -> list[Violation]:
     """Well-formedness of a horn inside a complex: references and boundary
     compatibility d_i(faces[j]) = d_{j-1}(faces[i]) for present i < j."""
-    report: list[Violation] = []
-    if not 1 <= h.n <= x.dim_bound:
-        report.append(
-            Violation("horn-dimension", f"horn dimension {h.n} exceeds bound {x.dim_bound}")
-        )
-        return report
-    faces = tuple(zip(h.present_indices, h.faces))
-    count = x.count(h.n - 1)
-    for i, f in faces:
-        if not 0 <= f < count:
-            report.append(
-                Violation(
-                    "horn-dangling-face",
-                    f"{h} face {i} references missing {h.n - 1}/{f}",
-                )
+    n, k, faces = h
+    if not 1 <= n <= x.dim_bound:
+        return [Violation("horn-dimension", f"horn dimension {n} exceeds bound {x.dim_bound}")]
+    # The a-th assigned face sits at index i = a if a < k else a + 1.
+    count = x.counts[n - 1]
+    if min(faces) < 0 or max(faces) >= count:
+        return [
+            Violation(
+                "horn-dangling-face",
+                f"{h} face {a if a < k else a + 1} references missing {n - 1}/{f}",
             )
-    if report:
-        return report
-    if h.n >= 2:
-        rows = x.face_table[h.n - 2]
-        for b, (j, fj) in enumerate(faces):
-            for i, fi in faces[:b]:
-                if not _identity_holds(rows, i, fi, j, fj):
+            for a, f in enumerate(faces)
+            if not 0 <= f < count
+        ]
+    report: list[Violation] = []
+    if n >= 2:
+        rows = x.face_table[n - 2]
+        for b in range(1, n):
+            j = b if b < k else b + 1
+            row_j = rows[faces[b]]
+            for a in range(b):
+                i = a if a < k else a + 1
+                if row_j[i] != rows[faces[a]][j - 1]:
                     report.append(
                         Violation(
                             "horn-compatibility",

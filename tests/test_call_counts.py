@@ -1,6 +1,7 @@
 """Each input check and each lift runs once per public call, each complex
-builds its incidence index once, each fibration its lift table once, and a
-fiber reads the face rows around it only.
+builds each table of its incidence index once and only when a call reads
+it, each fibration its lift table once, and a fiber reads the face rows
+around it only.
 
 The checks (``horn_violations``, ``key_violations``), the path lift
 (``lift_edge_path``), the derivability decision (``check_derivable``), the
@@ -32,7 +33,14 @@ from rupture_kit.fibration import (
     key_violations,
     transport,
 )
-from rupture_kit.ruptured import CoherentlyFilled, classify_horn, product
+from rupture_kit.ruptured import (
+    CoherentlyFilled,
+    classify_horn,
+    from_kan,
+    fully_gapped,
+    product,
+    validate_ruptured,
+)
 from rupture_kit.simplicial import (
     HornSpec,
     SimplexId,
@@ -92,6 +100,19 @@ def first_args(monkeypatch, original) -> list:
     def recorded(first, *args, **kwargs):
         log.append(first)
         return original(first, *args, **kwargs)
+
+    wrap_everywhere(monkeypatch, original, recorded)
+    return log
+
+
+def incidence_builds(monkeypatch) -> list:
+    """(complex, table name) for each incidence table built, in order."""
+    log = []
+    original = simplicial.build_incidence
+
+    def recorded(x, part):
+        log.append((x, part))
+        return original(x, part)
 
     wrap_everywhere(monkeypatch, original, recorded)
     return log
@@ -221,10 +242,50 @@ def test_cli_derive_decides_each_judgment_once(calls, extra):
 
 
 def test_kan_check_builds_one_index(monkeypatch):
-    builds = first_args(monkeypatch, simplicial.build_incidence)
+    builds = incidence_builds(monkeypatch)
     x = standard_simplex(8, 3)
     assert is_kan_up_to(x, 3) == (True, None)
-    assert builds == [x] and builds[0] is x
+    assert [(y is x, part) for y, part in builds] == [(True, "by_face"), (True, "fillers")]
+
+
+def test_classifying_builds_only_the_filler_table(monkeypatch):
+    builds = incidence_builds(monkeypatch)
+    rng = random.Random(12)
+    for _ in range(30):
+        r = random_ruptured(rng)
+        horns = list(every_horn(r.underlying))
+        builds.clear()
+        for h in horns:
+            classify_horn(r, h)
+        validate_ruptured(r)
+        assert [(y is r.underlying, part) for y, part in builds] == [(True, "fillers")]
+
+
+def test_fiber_builds_only_the_face_table(monkeypatch):
+    builds = incidence_builds(monkeypatch)
+    for cover in covers():
+        builds.clear()
+        for v in range(cover.base.underlying.count(0)):
+            fibration.fiber(cover, SimplexId(0, v))
+        assert [(y is cover.total.underlying, part) for y, part in builds] == [
+            (True, "by_face")
+        ]
+
+
+def test_fiber_enumerates_no_horn_without_total_gap_horns(monkeypatch):
+    enumerated = first_args(monkeypatch, simplicial.enumerate_horns)
+    for cover in covers():
+        assert not cover.total.gap
+        for v in range(cover.base.underlying.count(0)):
+            fibration.fiber(cover, SimplexId(0, v))
+        assert enumerated == []
+    # With gap horns in the total space, fiber enumerates its own horns only.
+    x = standard_simplex(2, 2)
+    f = RupturedFibrationData(fully_gapped(x), from_kan(x), SimplicialMap.identity(x))
+    enumerated.clear()
+    fib, _ = fibration.fiber(f, SimplexId(0, 0))
+    assert fib.gap == {HornSpec(1, 0, (0,)): None, HornSpec(1, 1, (0,)): None}
+    assert enumerated and all(y is fib.underlying for y in enumerated)
 
 
 def test_product_enumerates_no_horn_of_the_product(monkeypatch):
@@ -239,7 +300,7 @@ def test_product_enumerates_no_horn_of_the_product(monkeypatch):
 
 
 def test_with_coherent_shares_its_complexs_index(monkeypatch):
-    builds = first_args(monkeypatch, simplicial.build_incidence)
+    builds = incidence_builds(monkeypatch)
     rng = random.Random(9)
     structures = [random_ruptured(rng) for _ in range(30)]
     reached = 0
@@ -255,7 +316,9 @@ def test_with_coherent_shares_its_complexs_index(monkeypatch):
                 for h in every_horn(r.underlying):
                     classify_horn(r, h)
     assert reached >= 100
-    assert [id(x) for x in builds] == [id(r.underlying) for r in structures]
+    for table in ("by_face", "fillers"):
+        built = [id(x) for x, part in builds if part == table]
+        assert built == [id(r.underlying) for r in structures]
 
 
 def test_lift_table_is_built_once_per_fibration(monkeypatch):

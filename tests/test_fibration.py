@@ -1,6 +1,7 @@
 """Lifting problems, transport, fibers, horn detectors, and composition."""
 
 import random
+from dataclasses import replace
 from itertools import product as cartesian
 
 import pytest
@@ -20,6 +21,7 @@ from rupture_kit.fibration import (
     fiber,
     transport,
     validate_fibration,
+    validate_fibration_deep,
 )
 from rupture_kit.ruptured import (
     CoherentlyFilled,
@@ -74,6 +76,20 @@ class TestValidateFibration:
         assert any(
             v.kind == "face-commutation" for v in validate_fibration(bad)
         )
+
+    @pytest.mark.parametrize("side", ["total", "base"])
+    @pytest.mark.parametrize("row,kind", [((3,), "face-arity"), ((9, 0), "dangling-face")])
+    def test_deep_reports_a_face_row_that_does_not_fit(self, side, row, kind):
+        # the projection check would read the row, so it is not run
+        cover = build_double_cover(3)
+        r = getattr(cover, side)
+        x = r.underlying
+        rows = list(x.face_table[0])
+        rows[2] = row
+        cut = RupturedComplex(replace(x, face_table=(tuple(rows), *x.face_table[1:])),
+                              r.coh, r.gap)
+        report = validate_fibration_deep(replace(cover, **{side: cut}))
+        assert [(v.kind, v.message.split(":")[0]) for v in report] == [(kind, side)]
 
     def test_malformed_key_reported(self):
         bank = bank_fibration()
@@ -800,6 +816,13 @@ class TestMapLevelErrors:
         cover = build_double_cover(3)
         f = with_levels(cover, cover.proj.levels[0], (0, 1, 2), ())
         assert transport(f, SimplexId(0, 0), SimplexId(1, 0)) == Coherent(SimplexId(0, 1), 1)
+
+    def test_compose_over_a_short_outer_level(self):
+        cover = build_double_cover(3)
+        outer = with_levels(identity_over(cover.base), cover.proj.levels[0][:3], (0, 1), ())
+        with pytest.raises(KernelError) as err:
+            compose_fibrations(cover, outer)
+        assert str(err.value) == "map not defined on 1/2"
 
     @pytest.mark.parametrize("edges", [(0, 1, 2), ()])
     def test_compose(self, edges):

@@ -410,3 +410,80 @@ class TestWithCoherentOracle:
                     else:
                         assert r.with_coherent(sid).is_coherent(sid)
         assert rejected >= 100
+
+    def test_conflicts_and_message_match_a_gap_table_scan(self):
+        # each k in turn, the horn the simplex fills at k against every
+        # gapped horn by its fields
+        rng = random.Random(62)
+        rejected = 0
+        for i in range(100):
+            r = random_ruptured(rng, force_valid=(i % 2 == 0), gap_p=0.6)
+            x = r.underlying
+            for n in range(1, x.dim_bound + 1):
+                for idx in range(x.count(n)):
+                    sid, row = SimplexId(n, idx), x.face_row(n, idx)
+                    want = [
+                        (g, sid)
+                        for k in range(n + 1)
+                        for g in sorted(r.gap)
+                        if (g.n, g.k, g.faces) == (n, k, row[:k] + row[k + 1 :])
+                    ]
+                    if not want:
+                        continue
+                    with pytest.raises(ExclusionError) as err:
+                        r.with_coherent(sid)
+                    assert list(err.value.conflicts) == want
+                    assert all(type(h) is HornSpec for h, _ in err.value.conflicts)
+                    assert str(err.value) == (
+                        f"coherent {sid} would fill {len(want)} gap-witnessed horn(s)"
+                    )
+                    rejected += 1
+        assert rejected >= 100
+
+    @pytest.mark.parametrize("row,message", [
+        ((1,), "(n=1, k=0)-horn needs 1 faces, got 0"),
+        ((1, 0, 2), "(n=1, k=0)-horn needs 1 faces, got 2"),
+        ((), "(n=1, k=0)-horn needs 1 faces, got 0"),
+    ])
+    def test_a_row_of_the_wrong_length_raises_the_horn_error(self, row, message):
+        x = TruncatedComplex.create(1, [3, 2], {1: [(1, 0), row]})
+        r = RupturedComplex.create(x, {}, [HornSpec(1, 0, (0,))])
+        with pytest.raises(KernelError) as err:
+            r.with_coherent(SimplexId(1, 1))
+        assert str(err.value) == message
+
+
+class TestCoherentFillersOracle:
+    def test_matches_find_fillers_filtered_by_coh(self):
+        # the same fillers in the same order, or the same error text, for
+        # enumerated horns, horns drawn at random and horns that do not fit
+        rng = random.Random(63)
+        seen = {"coherent": 0, "incoherent only": 0, "none": 0, "raised": 0}
+        for _ in range(150):
+            r = random_ruptured(rng, force_valid=False)
+            x = r.underlying
+            horns = []
+            for n in range(1, x.dim_bound + 2):
+                for k in range(n + 1):
+                    if n <= x.dim_bound:
+                        horns.extend(enumerate_horns(x, n, k))
+                    count = x.count(n - 1)
+                    horns.extend(
+                        HornSpec(n, k, tuple(rng.randrange(-1, count + 2) for _ in range(n)))
+                        for _ in range(3)
+                    )
+            for h in horns:
+                try:
+                    fillers = find_fillers(x, h)
+                except KernelError as err:
+                    with pytest.raises(KernelError) as got:
+                        r.coherent_fillers(h)
+                    assert str(got.value) == str(err)
+                    seen["raised"] += 1
+                    continue
+                want = [s for s in fillers if s.index in r.coh[h.n]]
+                got = r.coherent_fillers(h)
+                assert got == want
+                assert all(type(s) is SimplexId for s in got)
+                seen["coherent" if want else "incoherent only" if fillers else "none"] += 1
+        assert min(seen.values()) >= 50, seen

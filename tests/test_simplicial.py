@@ -20,6 +20,7 @@ from rupture_kit.simplicial import (
     find_fillers,
     horn_complex,
     horn_of,
+    horn_violations,
     is_kan_up_to,
     restrict,
     standard_simplex,
@@ -310,6 +311,16 @@ class TestSimplicialMap:
         comp = SimplicialMap.compose(ident, ident)
         assert comp == ident
 
+    @pytest.mark.parametrize("outer,inner,message", [
+        (((0, 1, 2), (0, 1)), ((0, 1, 2), (0, 1, 2)), "map not defined on 1/2"),
+        (((0, 1), (0, 1, 2)), ((0, 1, 2), (0, 1, 2)), "map not defined on 0/2"),
+        (((0, 1, 2), (0, 1)), ((0, 1, 2), (1, 4, 3)), "map not defined on 1/4"),
+    ])
+    def test_compose_rejects_a_short_outer_level(self, outer, inner, message):
+        with pytest.raises(KernelError) as err:
+            SimplicialMap.compose(SimplicialMap(outer), SimplicialMap(inner))
+        assert str(err.value) == message
+
     def test_matches_the_simplex_id_scan(self):
         """Seeded maps, most of them broken, against the face-commutation
         check written with ``SimplexId`` and ``face``: the same report, or
@@ -407,6 +418,104 @@ def check_simplicial_map_scan(f, x, y):
                 if f.apply(x.face(src, i)) != y.face(img, i):
                     report.append(Violation(
                         "face-commutation", f"f(d_{i}({src})) != d_{i}(f({src}))"))
+    return report
+
+
+class TestHornViolationsOracle:
+    def test_matches_the_reference_check(self):
+        """Seeded horns, many of them malformed, against the check written
+        with ``present_indices`` and one face identity per pair: the same
+        report in the same order, or the same error, for each."""
+        rng = random.Random(71)
+        seen = dict.fromkeys(
+            ["clean", "horn-dimension", "horn-dangling-face", "horn-compatibility",
+             "several", "raised"], 0)
+        for trial in range(400):
+            x = random_complex(rng) if trial % 4 else seeded_tetrahedra(rng)
+            if trial % 4 == 1:
+                x = seeded_defect(rng, x)
+            for h in seeded_horns(rng, x):
+                want = horn_outcome(horn_violations_reference, x, h)
+                assert horn_outcome(horn_violations, x, h) == want, h
+                if isinstance(want, str):
+                    seen["raised"] += 1
+                    continue
+                seen[want[0][0] if want else "clean"] += 1
+                seen["several"] += len(want) > 1
+        assert min(seen.values()) >= 10, seen
+
+
+def seeded_tetrahedra(rng: random.Random) -> TruncatedComplex:
+    """The 3-skeleton of the 4-simplex with a few 3-simplices whose
+    faces are redrawn at random, so their horns fail in several places."""
+    x = standard_simplex(4, 3)
+    rows = [list(row) for row in x.face_table[2]]
+    for row in rng.sample(rows, 2):
+        row[rng.randrange(4)] = rng.randrange(x.count(2))
+    faces = {n: [list(row) for row in x.face_table[n - 1]] for n in (1, 2)}
+    return TruncatedComplex.create(3, x.counts, {**faces, 3: rows})
+
+
+def seeded_horns(rng: random.Random, x: TruncatedComplex) -> list[HornSpec]:
+    """Horns of every dimension up to one past the bound: enumerated ones,
+    the horns the simplices fill, faces drawn at random (mostly
+    incompatible) and faces drawn past either end of their dimension."""
+    valid = not validate_complex(x)
+    horns = []
+    for n in range(1, x.dim_bound + 2):
+        count = x.count(n - 1)
+        for k in range(n + 1):
+            if n <= x.dim_bound:
+                if valid:
+                    horns.extend(enumerate_horns(x, n, k)[:3])
+                horns.extend(horn_of(x, SimplexId(n, i), k) for i in range(min(3, x.count(n)))
+                             if len(x.face_row(n, i)) == n + 1)
+            for _ in range(3):
+                faces = tuple(
+                    rng.randrange(-2, count + 2) if rng.random() < 0.3
+                    else rng.randrange(max(count, 1))
+                    for _ in range(n)
+                )
+                horns.append(HornSpec(n, k, faces))
+    return horns
+
+
+def horn_outcome(check, x, h):
+    """The report as (kind, message) pairs, or the type and text of the
+    error."""
+    try:
+        return [(v.kind, v.message) for v in check(x, h)]
+    except (KernelError, IndexError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def horn_violations_reference(x, h):
+    """References, then d_i(faces[j]) = d_{j-1}(faces[i]) for each present
+    pair i < j, walked through ``present_indices``."""
+    from rupture_kit.errors import Violation
+
+    report = []
+    if not 1 <= h.n <= x.dim_bound:
+        report.append(
+            Violation("horn-dimension", f"horn dimension {h.n} exceeds bound {x.dim_bound}")
+        )
+        return report
+    faces = tuple(zip(h.present_indices, h.faces))
+    count = x.count(h.n - 1)
+    for i, f in faces:
+        if not 0 <= f < count:
+            report.append(Violation(
+                "horn-dangling-face", f"{h} face {i} references missing {h.n - 1}/{f}"))
+    if report:
+        return report
+    if h.n >= 2:
+        rows = x.face_table[h.n - 2]
+        for b, (j, fj) in enumerate(faces):
+            for i, fi in faces[:b]:
+                if rows[fj][i] != rows[fi][j - 1]:
+                    report.append(Violation(
+                        "horn-compatibility",
+                        f"{h}: d_{i}(faces[{j}]) != d_{j - 1}(faces[{i}])"))
     return report
 
 
