@@ -70,8 +70,6 @@ def _step_ends(x: TruncatedComplex, step: tuple[int, bool]) -> tuple[int, int]:
     """(start, end) vertex indices of one directed step."""
     edge, forward = step
     row = x.face_table[0][edge]
-    if len(row) < 2:
-        x.face(SimplexId(1, edge), 1)  # raises: no face at index 1
     return (row[1], row[0]) if forward else (row[0], row[1])
 
 
@@ -231,7 +229,6 @@ def lift_edge_path(
             raise KernelError(
                 f"source mismatch: proj({start}) != path source {src}"
             )
-    # Every edge in the table has a face row of at least two entries.
     rows = e.face_table[0] if e.dim_bound else ()
     at = start.index
     lifted = []

@@ -6,10 +6,12 @@ index); face lists are ordered d_0..d_n. The parsers raise
 :class:`DocumentError` with a key path on any schema mismatch, and the
 serializers emit values the parsers map back to equal in-memory objects.
 A reference to a simplex that does not exist (a face row entry, a coherence
-mark, a gap-horn face) is a schema mismatch too, and so is a fibration map
-that is not total on the total space or has a level outside the dimensions
-both spaces share; simplicial identities, face commutation, horn
-compatibility and Exclusion are left to the validators.
+mark, a gap-horn face, a composite edge) is a schema mismatch too, and so is
+a fibration map that is not total on the total space or has a level outside
+the dimensions both spaces share: the constructors check face rows and map
+levels, and their :class:`ShapeError` becomes a key path. Simplicial
+identities, face commutation, horn compatibility and Exclusion are left to
+the validators.
 
 Each kind's codec imports its kernel module when it runs, so that a
 command loads only the modules of the documents it reads: this module
@@ -35,10 +37,10 @@ Document kinds:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Mapping, Optional
 
-from .errors import DocumentError
+from .errors import DocumentError, ShapeError
 
 if TYPE_CHECKING:
     from .covering import CoveringTask
@@ -156,29 +158,11 @@ def body_to_complex(body: Mapping, where: str = "complex") -> TruncatedComplex:
         else:
             raise DocumentError("expected a count or a label array", here)
     faces_obj = _optional(body, "faces", where, dict)
-    faces = {}
-    for n in range(1, dim_bound + 1):
-        rows = faces_obj.get(str(n), [])
-        here = f"{where}.faces.{n}"
-        _expect(isinstance(rows, list), "expected a list of face rows", here)
-        _expect(
-            len(rows) == counts[n],
-            f"{counts[n]} simplices need {counts[n]} face rows, got {len(rows)}",
-            here,
-        )
-        count = counts[n - 1]
-        for i, row in enumerate(rows):
-            if not isinstance(row, list):
-                raise DocumentError("face row must be a list", f"{here}[{i}]")
-            if len(row) != n + 1:
-                raise DocumentError(
-                    f"face row needs {n + 1} entries, got {len(row)}", f"{here}[{i}]"
-                )
-            for v in row:
-                if not (type(v) is int and 0 <= v < count):
-                    _index(v, n - 1, count, f"{here}[{i}]")
-        faces[n] = rows
-    return TruncatedComplex.create(dim_bound, counts, faces, labels)
+    faces = {n: faces_obj.get(str(n), []) for n in range(1, dim_bound + 1)}
+    try:
+        return TruncatedComplex.create(dim_bound, counts, faces, labels)
+    except ShapeError as exc:
+        raise DocumentError(exc.reason, f"{where}.{exc.key_path}") from None
 
 
 # -- gap modes -----------------------------------------------------------------
@@ -409,24 +393,13 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
             f"map level '{key}' is not a dimension in 0..{top}",
             f"{where}.map.{key}",
         )
-    levels = []
-    for n in range(top + 1):
-        here = f"{where}.map.{n}"
-        row = map_obj.get(str(n), [])
-        _expect(isinstance(row, list), "expected a list of targets", here)
-        have = total.underlying.count(n)
-        _expect(
-            len(row) <= have, f"the total space has no simplex {n}/{have}", f"{here}[{have}]"
-        )
-        _expect(
-            len(row) == have, f"map covers {len(row)} of {have} simplices of the total space", here
-        )
-        count = base.underlying.count(n)
-        for j, v in enumerate(row):
-            if not (type(v) is int and 0 <= v < count):
-                _index(v, n, count, f"{here}[{j}]")
-        levels.append(tuple(row))
-    proj = SimplicialMap(tuple(levels))
+    proj = SimplicialMap(tuple(map_obj.get(str(n), []) for n in range(top + 1)))
+    # Built before the gap lifts are read, so that a bad map level is the
+    # first error, as the document lists it.
+    try:
+        f = RupturedFibrationData(total, base, proj)
+    except ShapeError as exc:
+        raise DocumentError(exc.reason, f"{where}.{exc.key_path}") from None
     gap_lifts = {}
     for i, row in enumerate(_optional(body, "gap_lifts", where, list)):
         here = f"{where}.gap_lifts[{i}]"
@@ -444,13 +417,18 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
         mode = row.get("mode")
         gap_lifts[key] = None if mode is None else GapMode(*_mode_fields(mode, f"{here}.mode"))
     composites = {}
+    edges = base.underlying.count(1)
     for i, row in enumerate(_optional(body, "composites", where, list)):
         here = f"{where}.composites[{i}]"
         first = _int(_get(row, "first", here), here)
         second = _int(_get(row, "second", here), here)
         comp = _int(_get(row, "composite", here), here)
+        for edge in (first, second, comp):
+            _index(edge, 1, edges, here)
+        if (first, second) in composites:
+            raise DocumentError(f"composite of ({first}, {second}) is listed twice", here)
         composites[(first, second)] = comp
-    return RupturedFibrationData(total, base, proj, gap_lifts, composites)
+    return replace(f, gap_lifts=gap_lifts, composites=composites)
 
 
 # -- covering tasks -----------------------------------------------------------------

@@ -9,6 +9,17 @@ class KernelError(Exception):
     """A kernel operation was called with arguments that violate its contract."""
 
 
+class ShapeError(KernelError):
+    """A complex or fibration built with a face row or map level that does
+    not fit its counts. ``path`` is the position as document keys, e.g.
+    ``("faces", 1, 0)``, and ``key_path`` writes it as ``faces.1[0]``."""
+
+    def __init__(self, reason: str, *path):
+        self.reason, self.path = reason, path
+        self.key_path = ".".join(map(str, path[:2])) + "".join(f"[{i}]" for i in path[2:])
+        super().__init__(f"{reason} (at {self.key_path})")
+
+
 class ExclusionError(KernelError):
     """A construction would put a coherent filler and a gap witness on the same horn."""
 

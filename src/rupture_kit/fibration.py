@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import KernelError, Violation
+from .errors import KernelError, ShapeError, Violation
 from .ruptured import (
     CoherentlyFilled,
     GapMode,
@@ -35,6 +35,7 @@ from .simplicial import (
     HornSpec,
     SimplexId,
     SimplicialMap,
+    bad_index,
     check_simplicial_map,
     enumerate_horns,
     restrict,
@@ -84,6 +85,31 @@ class RupturedFibrationData:
         default_factory=dict
     )
 
+    def __post_init__(self):
+        """The map's shape rule of every construction, else :class:`ShapeError`:
+        a level for each dimension both spaces share, each one int (not a
+        bool) per total-space simplex naming a base simplex. A list may stand
+        for a tuple; the levels are stored as tuples."""
+        e, b = self.total.underlying, self.base.underlying
+        top, levels = min(e.dim_bound, b.dim_bound), self.proj.levels
+        if len(levels) != top + 1:
+            reason = f"map covers dimensions 0..{len(levels) - 1}, expected 0..{top}"
+            raise ShapeError(reason, "map")
+        for n, level in enumerate(levels):
+            have = e.counts[n]
+            if type(level) not in (list, tuple):
+                raise ShapeError("expected a list of targets", "map", n)
+            if len(level) > have:
+                raise ShapeError(f"the total space has no simplex {n}/{have}", "map", n, have)
+            if len(level) != have:
+                reason = f"map covers {len(level)} of {have} simplices of the total space"
+                raise ShapeError(reason, "map", n)
+            bad = bad_index(level, n, b.counts[n])
+            if bad:
+                raise ShapeError(bad[1], "map", n, bad[0])
+        if type(levels) is not tuple or any(type(level) is not tuple for level in levels):
+            object.__setattr__(self, "proj", SimplicialMap(tuple(map(tuple, levels))))
+
     def with_loop_gaps(self, registry) -> "RupturedFibrationData":
         return replace(self, loop_gaps=dict(registry))
 
@@ -99,13 +125,9 @@ class RupturedFibrationData:
         """Base vertex index -> the ascending indices of the total vertices
         over it: the preimage of ``proj.levels[0]``, built on first use and
         kept with the fibration like ``lift_table``."""
-        count = self.total.underlying.count(0)
-        level = self.proj.level(0)
-        if len(level) < count:
-            raise KernelError(f"map not defined on 0/{len(level)}")
         over: dict[int, list[int]] = {}
-        for w in range(count):
-            over.setdefault(level[w], []).append(w)
+        for w, v in enumerate(self.proj.levels[0]):
+            over.setdefault(v, []).append(w)
         return {v: tuple(ws) for v, ws in over.items()}
 
 
@@ -122,23 +144,22 @@ def build_lift_table(
     """
     e, b = f.total.underlying, f.base.underlying
     vertex_of, edge_of = f.proj.level(0), f.proj.level(1)
+    if len(edge_of) < e.count(1):
+        # A base without edges leaves the total edges unmapped.
+        f.proj.apply(SimplexId(1, len(edge_of)))  # raises
     table: dict[tuple[int, int, int], list[int]] = {}
-    for te in range(e.count(1)):
-        if te >= len(edge_of):
-            raise KernelError(f"map not defined on 1/{te}")
+    for te, be in enumerate(edge_of):
         row = e.face_table[0][te]
         for face_idx in (1, 0):
-            table.setdefault((edge_of[te], face_idx, row[face_idx]), []).append(te)
+            table.setdefault((be, face_idx, row[face_idx]), []).append(te)
     # base edges by the vertex they leave from: forward at d_1, backward at d_0
     leaving: dict[int, list[tuple[int, int, str]]] = {}
     for be in range(b.count(1)):
         row = b.face_table[0][be]
         for face_idx, direction in ((1, "forward"), (0, "backward")):
             leaving.setdefault(row[face_idx], []).append((be, face_idx, direction))
-    for w in range(e.count(0)):
-        if w >= len(vertex_of):
-            raise KernelError(f"map not defined on 0/{w}")
-        for be, face_idx, direction in leaving.get(vertex_of[w], ()):
+    for w, v in enumerate(vertex_of):
+        for be, face_idx, direction in leaving.get(v, ()):
             lifts = table.get((be, face_idx, w), ())
             if len(lifts) != 1:
                 return table, (
@@ -229,10 +250,8 @@ def key_violations(f: RupturedFibrationData, key: LiftingProblemKey) -> list[Vio
     if report:
         return report
     base_row = b.face_row(n, base.index)
-    level = f.proj.level(n - 1)
+    level = f.proj.levels[n - 1]
     for j, fc in enumerate(h.faces):
-        if fc >= len(level):
-            raise KernelError(f"map not defined on {n - 1}/{fc}")
         i = j + (j >= k)
         if level[fc] != base_row[i]:
             report.append(
@@ -249,15 +268,10 @@ def _coherent_lifts(f: RupturedFibrationData, h: HornSpec) -> dict[int, int]:
     ascending index order, each with the index of its image under the
     projection."""
     n = h.n
-    level = f.proj.level(n)
+    level = f.proj.levels[n]
     coh = f.total.coh[n]
-    lifts = {}
-    for s in f.total.underlying.incidence.fillers[n - 1][h.k].get(h.faces, ()):
-        if s in coh:
-            if s >= len(level):
-                raise KernelError(f"map not defined on {n}/{s}")
-            lifts[s] = level[s]
-    return lifts
+    fillers = f.total.underlying.incidence.fillers[n - 1][h.k].get(h.faces, ())
+    return {s: level[s] for s in fillers if s in coh}
 
 
 def _solutions(f: RupturedFibrationData, key: LiftingProblemKey) -> list[int]:
@@ -298,9 +312,6 @@ def validate_fibration_deep(f: RupturedFibrationData) -> list[Violation]:
     for name, r in (("total", f.total), ("base", f.base)):
         for v in validate_ruptured(r):
             report.append(Violation(v.kind, f"{name}: {v.message}"))
-    # The projection check reads every face row, so it needs rows that fit.
-    if any(v.kind in ("face-arity", "dangling-face") for v in report):
-        return report
     report.extend(validate_fibration(f))
     return report
 
@@ -418,18 +429,12 @@ def enumerate_lifting_problems(f: RupturedFibrationData) -> list[LiftingProblemK
     out = []
     for n in range(1, min(e.dim_bound, b.dim_bound) + 1):
         coh, base_coh = f.total.coh[n - 1], f.base.coh[n]
-        level = f.proj.level(n - 1)
-        count = b.count(n - 1)
-        # Coherent faces whose image is a base simplex. A coherent horn with
-        # any other face takes the checked path, which raises.
-        mapped = coh.intersection(i for i, t in enumerate(level) if 0 <= t < count)
+        level = f.proj.levels[n - 1]
         for k in range(n + 1):
             fillers = b.incidence.fillers[n - 1][k]
             for h in enumerate_horns(e, n, k):
                 faces = h.faces
-                if not mapped.issuperset(faces):
-                    if coh.issuperset(faces):
-                        f.base.coherent_fillers(f.proj.apply_horn(h))
+                if not coh.issuperset(faces):
                     continue
                 for s in fillers.get(tuple([level[i] for i in faces]), ()):
                     if s in base_coh:

@@ -114,8 +114,6 @@ class RupturedComplex:
         if sid.dim >= 1:
             x, n = self.underlying, sid.dim
             row = x.face_row(n, sid.index)
-            if len(row) != n + 1:
-                horn_of(x, sid, 0)  # raises the horn's arity error
             # A HornSpec hashes and compares as its (n, k, faces) tuple, so
             # one is built only for a conflict.
             conflicts = [
@@ -220,7 +218,10 @@ def classify_horn(r: RupturedComplex, h: HornSpec) -> Trichotomy:
     bad = horn_violations(r.underlying, h)
     if bad:
         raise KernelError("; ".join(v.message for v in bad))
-    return decide(r.coherent_fillers(h), r.gap, h)
+    # The horn fits, so its coherent fillers are read without a second check.
+    n, k, faces = h
+    fillers = r.underlying.incidence.fillers[n - 1][k].get(faces, ())
+    return decide([SimplexId(n, s) for s in fillers if s in r.coh[n]], r.gap, h)
 
 
 def from_kan(x: TruncatedComplex) -> RupturedComplex:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import KernelError, Violation
+from .errors import KernelError, ShapeError, Violation
 
 
 class SimplexId(NamedTuple):
@@ -103,6 +103,43 @@ class TruncatedComplex:
     face_table: tuple[tuple[tuple[int, ...], ...], ...]
     labels: tuple[Optional[tuple[str, ...]], ...] = field(default=())
 
+    def __post_init__(self):
+        """The shape rule of every construction, else :class:`ShapeError`:
+        ``dim_bound + 1`` counts and, for each n >= 1, one face row per
+        n-simplex, each n + 1 ints (not bools) naming (n-1)-simplices. A list
+        may stand for a tuple; the rows are stored as tuples."""
+        d, counts, table = self.dim_bound, tuple(self.counts), self.face_table
+        if type(d) is not int or d < 0:
+            raise ShapeError("dim_bound must be a non-negative integer", "dim_bound")
+        if len(counts) != d + 1 or any(type(c) is not int or c < 0 for c in counts):
+            raise ShapeError(f"need {d + 1} non-negative counts, got {list(counts)}", "counts")
+        if len(table) != d:
+            raise ShapeError(f"need {d} face row lists, got {len(table)}", "faces")
+        for n, rows in enumerate(table, 1):
+            count, below, width = counts[n], counts[n - 1], n + 1
+            if type(rows) not in (list, tuple):
+                raise ShapeError("expected a list of face rows", "faces", n)
+            if len(rows) != count:
+                reason = f"{count} simplices need {count} face rows, got {len(rows)}"
+                raise ShapeError(reason, "faces", n)
+            if (
+                set(map(type, rows)) <= {list, tuple}
+                and set(map(len, rows)) <= {width}
+                and not bad_index(list(chain.from_iterable(rows)), n - 1, below)
+            ):
+                continue
+            for i, row in enumerate(rows):  # the first row that does not fit
+                if type(row) not in (list, tuple):
+                    raise ShapeError("face row must be a list", "faces", n, i)
+                if len(row) != width:
+                    reason = f"face row needs {width} entries, got {len(row)}"
+                    raise ShapeError(reason, "faces", n, i)
+                bad = bad_index(row, n - 1, below)
+                if bad:
+                    raise ShapeError(bad[1], "faces", n, i)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "face_table", tuple(tuple(map(tuple, rows)) for rows in table))
+
     @classmethod
     def create(
         cls,
@@ -114,30 +151,18 @@ class TruncatedComplex:
         """Build a complex from per-dimension counts and face lists.
 
         ``faces[n]`` lists, for each n-simplex in index order, its d_0..d_n
-        face indices. No validation beyond basic shape is performed here;
-        run :func:`validate_complex` to check references and identities.
+        face indices. The constructor checks their shape; run
+        :func:`validate_complex` to check the simplicial identities.
         """
-        if dim_bound < 0:
-            raise KernelError("dim_bound must be non-negative")
-        counts = tuple(counts)
-        if len(counts) != dim_bound + 1:
-            raise KernelError(f"need {dim_bound + 1} counts, got {len(counts)}")
         faces = faces or {}
-        table = []
-        for n in range(1, dim_bound + 1):
-            rows = faces.get(n, ())
-            if len(rows) != counts[n]:
-                raise KernelError(
-                    f"dimension {n}: {counts[n]} simplices but {len(rows)} face rows"
-                )
-            table.append(tuple(tuple(row) for row in rows))
+        table = tuple(faces.get(n, ()) for n in range(1, dim_bound + 1))
         labels = labels or {}
         label_tuple = tuple(
             tuple(labels[n]) if n in labels else None for n in range(dim_bound + 1)
         )
         if all(l is None for l in label_tuple):
             label_tuple = ()
-        return cls(dim_bound, counts, tuple(table), label_tuple)
+        return cls(dim_bound, counts, table, label_tuple)
 
     # -- basic queries -----------------------------------------------------
 
@@ -213,13 +238,26 @@ def build_incidence(x: TruncatedComplex, part: str) -> tuple:
     for n, rows in enumerate(x.face_table, 1):
         per_j = tuple({} for _ in range(n + 1))
         for idx, row in enumerate(rows):
-            # A row longer than n + 1 (invalid, see validate_complex) fills
-            # no horn, and its extra entries have no table.
-            for j in range(min(len(row), n + 1)):
+            for j in range(n + 1):
                 key = row[:j] + row[j + 1 :] if drop else row[j]
                 per_j[j].setdefault(key, []).append(idx)
         tables.append(tuple({key: tuple(ids) for key, ids in t.items()} for t in per_j))
     return tuple(tables)
+
+
+def bad_index(values: Sequence, dim: int, count: int) -> Optional[tuple[int, str]]:
+    """The position and reason of the first entry of ``values`` that is not
+    the index of one of the ``count`` simplices of dimension ``dim`` (an
+    ``int`` in range, not a ``bool``); None, after a few C-level scans,
+    when every entry is one."""
+    if not values or set(map(type, values)) == {int} and 0 <= min(values) <= max(values) < count:
+        return None
+    for j, v in enumerate(values):
+        if type(v) is not int:
+            return j, "expected an integer"
+        if not 0 <= v < count:
+            return j, f"no simplex {dim}/{v}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -265,11 +303,10 @@ class SimplicialMap:
         levels = []
         for n in range(min(outer.top_dim, inner.top_dim) + 1):
             level, targets = outer.levels[n], inner.levels[n]
-            try:
-                levels.append(tuple([level[j] for j in targets]))
-            except IndexError:
-                j = next(j for j in targets if j >= len(level))
-                raise KernelError(f"map not defined on {n}/{j}") from None
+            if targets and not 0 <= min(targets) <= max(targets) < len(level):
+                j = next(j for j in targets if not 0 <= j < len(level))
+                raise KernelError(f"map not defined on {n}/{j}")
+            levels.append(tuple([level[j] for j in targets]))
         return cls(tuple(levels))
 
 
@@ -373,34 +410,10 @@ def horn_complex(n: int, k: int) -> TruncatedComplex:
 
 
 def validate_complex(x: TruncatedComplex) -> list[Violation]:
-    """Check face-reference resolution and the simplicial identities.
-
-    Returns an empty report iff every face reference resolves to a simplex
-    of the correct dimension and d_i d_j = d_{j-1} d_i holds for all i < j
-    on every simplex of dimension >= 2.
-    """
+    """Check the simplicial identities: empty iff d_i d_j = d_{j-1} d_i
+    holds for all i < j on every simplex of dimension >= 2. Face rows that
+    do not fit their counts cannot be built, so they need no report."""
     report: list[Violation] = []
-    for n in range(1, x.dim_bound + 1):
-        for idx in range(x.count(n)):
-            row = x.face_row(n, idx)
-            if len(row) != n + 1:
-                report.append(
-                    Violation(
-                        "face-arity",
-                        f"simplex {n}/{idx} has {len(row)} faces, expected {n + 1}",
-                    )
-                )
-                continue
-            for i, f in enumerate(row):
-                if not 0 <= f < x.count(n - 1):
-                    report.append(
-                        Violation(
-                            "dangling-face",
-                            f"simplex {n}/{idx} face d_{i} references missing {n - 1}/{f}",
-                        )
-                    )
-    if report:
-        return report
     for n in range(2, x.dim_bound + 1):
         rows = x.face_table[n - 2]
         for idx in range(x.count(n)):
@@ -530,7 +543,8 @@ def check_simplicial_map(
     """Totality and face-commutation report for f: X -> Y.
 
     Empty iff f is defined on every simplex of X up to the common bound,
-    lands in Y, and satisfies f(d_i(s)) = d_i(f(s)) everywhere.
+    lands in Y, and satisfies f(d_i(s)) = d_i(f(s)) everywhere. A bare map
+    is built without its spaces, so only here are its levels checked.
     """
     report: list[Violation] = []
     expected_top = min(x.dim_bound, y.dim_bound)
@@ -560,27 +574,17 @@ def check_simplicial_map(
                 )
     if report:
         return report
-    # Every level is total and lands in Y, so only a face row that is too
-    # short or points past its dimension can fail to index below.
     for n in range(1, f.top_dim + 1):
         below, level = f.levels[n - 1], f.levels[n]
         rows, images = x.face_table[n - 1], y.face_table[n - 1]
         for idx in range(x.count(n)):
             row, image = rows[idx], images[level[idx]]
-            try:
-                for i in range(n + 1):
-                    if below[row[i]] != image[i]:
-                        report.append(
-                            Violation(
-                                "face-commutation",
-                                f"f(d_{i}({n}/{idx})) != d_{i}(f({n}/{idx}))",
-                            )
+            for i in range(n + 1):
+                if below[row[i]] != image[i]:
+                    report.append(
+                        Violation(
+                            "face-commutation",
+                            f"f(d_{i}({n}/{idx})) != d_{i}(f({n}/{idx}))",
                         )
-            except IndexError:
-                # The checked calls raise the KernelError that names the face.
-                src, img = SimplexId(n, idx), SimplexId(n, level[idx])
-                for i in range(n + 1):
-                    f.apply(x.face(src, i))
-                    y.face(img, i)
-                raise
+                    )
     return report

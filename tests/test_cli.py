@@ -290,6 +290,35 @@ class TestShortMap:
         assert "Traceback" not in run.stdout + run.stderr
 
 
+class TestComposites:
+    """A composite designation names three base edges, and each (first,
+    second) pair once; otherwise every command exits 2 at the entry."""
+
+    @pytest.mark.parametrize(
+        "composites,message",
+        [
+            ([{"first": 99, "second": 0, "composite": 7},
+              {"first": 99, "second": 0, "composite": 8}],
+             "no simplex 1/99 (at fibration.composites[0])"),
+            ([{"first": 0, "second": 1, "composite": 5}],
+             "no simplex 1/5 (at fibration.composites[0])"),
+            ([{"first": 0, "second": 1, "composite": 2},
+              {"first": 0, "second": 1, "composite": 0}],
+             "composite of (0, 1) is listed twice (at fibration.composites[1])"),
+        ],
+        ids=["first", "composite", "listed-twice"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["validate"], ["transport", "--term", "0", "--path", "0"]]
+    )
+    def test_exits_two(self, tmp_path, composites, message, command):
+        doc = json.loads((FIXTURES / "crane.json").read_text())
+        doc["composites"] = composites
+        path = tmp_path / "crane.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(command[0], path, *command[1:]) == (2, f"parse error: {message}\n")
+
+
 def _set(path, value):
     """A mutation of a parsed document: set the value at a key path."""
 

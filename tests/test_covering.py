@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from rupture_kit.errors import KernelError
+from rupture_kit.errors import KernelError, ShapeError
 from rupture_kit.covering import (
     EdgePath,
     FiberPermutation,
@@ -34,8 +34,19 @@ from rupture_kit.simplicial import (
     validate_complex,
 )
 
-
 GEN3 = EdgePath.forward(0, 1, 2)
+
+
+def first_unmapped(proj: SimplicialMap, x: TruncatedComplex) -> str | None:
+    """The error a bare map raises on the first simplex of x, in (dim,
+    index) order, that its levels leave out; None when it maps them all."""
+    for n in range(x.dim_bound + 1):
+        for i in range(x.count(n)):
+            try:
+                proj.apply(SimplexId(n, i))
+            except KernelError as err:
+                return str(err)
+    return None
 
 
 class TestBuilders:
@@ -176,10 +187,10 @@ class TestPathErrors:
         assert str(err.value) == message
 
     def test_check_path_on_a_short_face_row(self):
-        x = TruncatedComplex.create(1, [2, 2], {1: [[1, 0], [1]]})
-        with pytest.raises(KernelError) as err:
-            check_path(x, EdgePath.forward(0, 1))
-        assert str(err.value) == "face index 1 out of range for 1/1"
+        # such a row is refused when the complex is built, so no path meets it
+        with pytest.raises(ShapeError) as err:
+            TruncatedComplex.create(1, [2, 2], {1: [[1, 0], [1]]})
+        assert str(err.value) == "face row needs 2 entries, got 1 (at faces.1[1])"
 
     @pytest.mark.parametrize(
         "start,path,message",
@@ -197,23 +208,37 @@ class TestPathErrors:
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
-        "levels,message",
+        "levels,message,reason",
         [
-            (((0, 1, 2, 0), (0, 1, 2, 0, 1, 2), ()), "map not defined on 0/4"),
-            (((0, 1, 2, 0, 1, 2), (0, 1, 2), ()), "map not defined on 1/3"),
-            (((0, 1, 2, 0, 1, 2),), "map not defined on 1/0"),
+            (((0, 1, 2, 0), (0, 1, 2, 0, 1, 2), ()), "map not defined on 0/4",
+             "map covers 4 of 6 simplices of the total space (at map.0)"),
+            (((0, 1, 2, 0, 1, 2), (0, 1, 2), ()), "map not defined on 1/3",
+             "map covers 3 of 6 simplices of the total space (at map.1)"),
+            (((0, 1, 2, 0, 1, 2),), "map not defined on 1/0",
+             "map covers dimensions 0..0, expected 0..2 (at map)"),
         ],
     )
-    def test_lift_table_over_a_short_level(self, levels, message):
+    def test_lift_table_over_a_short_level(self, levels, message, reason):
+        """A level that leaves out a simplex the lift table reads (as a bare
+        map: ``message``) cannot be built into a fibration."""
         cover = build_double_cover(3)
-        f = RupturedFibrationData(cover.total, cover.base, SimplicialMap(levels))
+        assert first_unmapped(SimplicialMap(levels), cover.total.underlying) == message
+        with pytest.raises(ShapeError) as err:
+            RupturedFibrationData(cover.total, cover.base, SimplicialMap(levels))
+        assert str(err.value) == reason
+
+    def test_lift_table_over_a_base_without_edges(self):
+        # The map stops at the vertices, so the total edges have no image.
+        cycle = from_kan(build_cycle(3))
+        point = from_kan(TruncatedComplex.create(0, [1]))
+        f = RupturedFibrationData(cycle, point, SimplicialMap(((0, 0, 0),)))
         for call in (
             lambda: covering_violation(f),
-            lambda: lift_edge_path(f, SimplexId(0, 0), GEN3),
+            lambda: lift_edge_path(f, SimplexId(0, 0), EdgePath(())),
         ):
             with pytest.raises(KernelError) as err:
                 call()
-            assert str(err.value) == message
+            assert str(err.value) == "map not defined on 1/0"
 
     @pytest.mark.parametrize(
         "basepoint,loop,message",

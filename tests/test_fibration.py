@@ -6,7 +6,7 @@ from itertools import product as cartesian
 
 import pytest
 
-from rupture_kit.errors import KernelError
+from rupture_kit.errors import KernelError, ShapeError
 from rupture_kit.fibration import (
     Coherent,
     Gapped,
@@ -78,18 +78,20 @@ class TestValidateFibration:
         )
 
     @pytest.mark.parametrize("side", ["total", "base"])
-    @pytest.mark.parametrize("row,kind", [((3,), "face-arity"), ((9, 0), "dangling-face")])
-    def test_deep_reports_a_face_row_that_does_not_fit(self, side, row, kind):
-        # the projection check would read the row, so it is not run
+    @pytest.mark.parametrize(
+        "row,reason", [((3,), "face row needs 2 entries, got 1"), ((9, 0), "no simplex 0/9")]
+    )
+    def test_deep_reports_a_face_row_that_does_not_fit(self, side, row, reason):
+        # Such a row is refused when the space is built, so the deep check
+        # never meets it; the cover itself is clean.
         cover = build_double_cover(3)
-        r = getattr(cover, side)
-        x = r.underlying
+        x = getattr(cover, side).underlying
         rows = list(x.face_table[0])
         rows[2] = row
-        cut = RupturedComplex(replace(x, face_table=(tuple(rows), *x.face_table[1:])),
-                              r.coh, r.gap)
-        report = validate_fibration_deep(replace(cover, **{side: cut}))
-        assert [(v.kind, v.message.split(":")[0]) for v in report] == [(kind, side)]
+        with pytest.raises(ShapeError) as err:
+            replace(x, face_table=(tuple(rows), *x.face_table[1:]))
+        assert str(err.value) == f"{reason} (at faces.1[2])"
+        assert validate_fibration_deep(cover) == []
 
     def test_malformed_key_reported(self):
         bank = bank_fibration()
@@ -282,7 +284,9 @@ class TestFiber:
             [4, 4, 1],
             {1: [[1, 0], [2, 1], [2, 0], [3, 0]], 2: [[1, 2, 0]]},
         )
-        base = from_kan(standard_simplex(0, 2))
+        # one vertex with a loop edge and a triangle on it, so that every
+        # edge and the triangle have an image
+        base = from_kan(TruncatedComplex.create(2, [1, 1, 1], {1: [[0, 0]], 2: [[0, 0, 0]]}))
         total = RupturedComplex.create(
             total_complex,
             {0: range(4), 1: [0, 1, 2], 2: [0]},
@@ -293,6 +297,7 @@ class TestFiber:
             base,
             SimplicialMap(((0, 0, 0, 0), (0, 0, 0, 0), (0,))),
         )
+        assert validate_fibration(f) == []
         fib, inc = fiber(f, SimplexId(0, 0))
         assert fib.underlying.count(0) == 4
         # translate and compare classification through the inclusion
@@ -765,36 +770,58 @@ class TestTransportErrors:
 
 
 def with_levels(f: RupturedFibrationData, *levels) -> RupturedFibrationData:
-    """``f`` with its projection's levels replaced (no check)."""
+    """``f`` with its projection's levels replaced."""
     return RupturedFibrationData(f.total, f.base, SimplicialMap(tuple(levels)), f.gap_lifts)
 
 
+def first_horn_off_the_base(proj: SimplicialMap, f: RupturedFibrationData) -> str | None:
+    """The error of the first (1, 0)-horn of f's total space whose image
+    under a bare map is no horn of f's base; None when every image is one."""
+    for h in enumerate_horns(f.total.underlying, 1, 0):
+        try:
+            f.base.coherent_fillers(proj.apply_horn(h))
+        except KernelError as err:
+            return str(err)
+    return None
+
+
 class TestMapLevelErrors:
-    """A level that is too short or points outside the base raises the
-    error of the first problem that reads it, with its exact text."""
+    """A level that is too short or points outside the base cannot be built
+    into a fibration, whatever would read it. As a bare map it still raises
+    the error (``message``) of the first simplex or horn it cannot carry."""
 
     @pytest.mark.parametrize(
-        "vertices,message",
+        "vertices,message,reason",
         [
-            ((0, 1, 2, 0), "map not defined on 0/4"),
-            ((), "map not defined on 0/0"),
-            ((0, 1, 7, 0, 1, 2), "horn(n=1, k=0, faces={1:7}) face 1 references missing 0/7"),
-            ((0, 1, -1, 0, 1, 2), "horn(n=1, k=0, faces={1:-1}) face 1 references missing 0/-1"),
+            ((0, 1, 2, 0), "map not defined on 0/4",
+             "map covers 4 of 6 simplices of the total space (at map.0)"),
+            ((), "map not defined on 0/0",
+             "map covers 0 of 6 simplices of the total space (at map.0)"),
+            ((0, 1, 7, 0, 1, 2), "horn(n=1, k=0, faces={1:7}) face 1 references missing 0/7",
+             "no simplex 0/7 (at map.0[2])"),
+            ((0, 1, -1, 0, 1, 2), "horn(n=1, k=0, faces={1:-1}) face 1 references missing 0/-1",
+             "no simplex 0/-1 (at map.0[2])"),
         ],
     )
-    def test_enumerate_lifting_problems(self, vertices, message):
+    def test_enumerate_lifting_problems(self, vertices, message, reason):
         cover = build_double_cover(3)
-        with pytest.raises(KernelError) as err:
-            enumerate_lifting_problems(with_levels(cover, vertices, cover.proj.levels[1], ()))
-        assert str(err.value) == message
+        levels = (vertices, cover.proj.levels[1], ())
+        assert first_horn_off_the_base(SimplicialMap(levels), cover) == message
+        with pytest.raises(ShapeError) as err:
+            with_levels(cover, *levels)
+        assert str(err.value) == reason
 
     def test_enumerate_skips_incoherent_faces_outside_the_level(self):
+        # refused even when every vertex the level leaves out is incoherent
         cover = build_double_cover(3)
         total = RupturedComplex.create(
             cover.total.underlying, {0: range(4), 1: range(6)}
         )
-        f = RupturedFibrationData(total, cover.base, SimplicialMap(((0, 1, 2, 0), *cover.proj.levels[1:])))
-        assert len(enumerate_lifting_problems(f)) == 8
+        with pytest.raises(ShapeError) as err:
+            RupturedFibrationData(
+                total, cover.base, SimplicialMap(((0, 1, 2, 0), *cover.proj.levels[1:]))
+            )
+        assert str(err.value) == "map covers 4 of 6 simplices of the total space (at map.0)"
 
     @pytest.mark.parametrize(
         "term,vertices,edges,message",
@@ -806,31 +833,52 @@ class TestMapLevelErrors:
         ],
     )
     def test_transport(self, term, vertices, edges, message):
+        # the bare map leaves out the point or the edge lifting it
         cover = build_double_cover(3)
-        f = with_levels(cover, vertices, edges, ())
+        bare = SimplicialMap((vertices, edges, ()))
         with pytest.raises(KernelError) as err:
-            transport(f, SimplexId(0, term), SimplexId(1, term % 3))
+            for sid in (SimplexId(0, term), SimplexId(1, term)):
+                bare.apply(sid)
         assert str(err.value) == message
+        with pytest.raises(ShapeError) as err:
+            with_levels(cover, vertices, edges, ())
+        n, short = (0, vertices) if len(vertices) < 6 else (1, edges)
+        assert str(err.value) == (
+            f"map covers {len(short)} of 6 simplices of the total space (at map.{n})"
+        )
 
     def test_transport_reads_only_its_lifts(self):
+        # refused even where transport would read only lifts the level covers
         cover = build_double_cover(3)
-        f = with_levels(cover, cover.proj.levels[0], (0, 1, 2), ())
-        assert transport(f, SimplexId(0, 0), SimplexId(1, 0)) == Coherent(SimplexId(0, 1), 1)
+        with pytest.raises(ShapeError) as err:
+            with_levels(cover, cover.proj.levels[0], (0, 1, 2), ())
+        assert str(err.value) == "map covers 3 of 6 simplices of the total space (at map.1)"
 
     def test_compose_over_a_short_outer_level(self):
         cover = build_double_cover(3)
-        outer = with_levels(identity_over(cover.base), cover.proj.levels[0][:3], (0, 1), ())
-        with pytest.raises(KernelError) as err:
-            compose_fibrations(cover, outer)
-        assert str(err.value) == "map not defined on 1/2"
+        with pytest.raises(ShapeError) as err:
+            with_levels(identity_over(cover.base), cover.proj.levels[0][:3], (0, 1), ())
+        assert str(err.value) == "map covers 2 of 3 simplices of the total space (at map.1)"
 
     @pytest.mark.parametrize("edges", [(0, 1, 2), ()])
     def test_compose(self, edges):
         cover = build_double_cover(3)
-        f = with_levels(cover, cover.proj.levels[0], edges, ())
-        with pytest.raises(KernelError) as err:
-            compose_fibrations(f, identity_over(cover.base))
-        assert str(err.value) == f"map not defined on 1/{len(edges)}"
+        with pytest.raises(ShapeError) as err:
+            with_levels(cover, cover.proj.levels[0], edges, ())
+        assert str(err.value) == (
+            f"map covers {len(edges)} of 6 simplices of the total space (at map.1)"
+        )
+
+
+    def test_compose_through_a_lower_middle_space(self):
+        # The middle space stops at vertices, so the composite edge to edge
+        # map has no edge level: the composite is refused, not returned short.
+        edge, point = from_kan(standard_simplex(1, 1)), from_kan(standard_simplex(0, 0))
+        f = RupturedFibrationData(edge, point, SimplicialMap(((0, 0),)))
+        g = RupturedFibrationData(point, edge, SimplicialMap(((0,),)))
+        with pytest.raises(ShapeError) as err:
+            compose_fibrations(f, g)
+        assert str(err.value) == "map covers dimensions 0..0, expected 0..1 (at map)"
 
 
 def identity_over(r: RupturedComplex) -> RupturedFibrationData:

@@ -2,10 +2,11 @@
 and rupture-preserving morphisms."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from rupture_kit.errors import ExclusionError, KernelError
+from rupture_kit.errors import ExclusionError, KernelError, ShapeError
 from rupture_kit.ruptured import (
     CoherentlyFilled,
     GapMode,
@@ -381,6 +382,24 @@ class TestValidateRuptured:
         r = RupturedComplex.create(d2, {}, [HornSpec.from_mapping(2, 1, {0: 9, 2: 0})])
         assert any(v.kind == "horn-dangling-face" for v in validate_ruptured(r))
 
+    def test_a_short_row_under_a_gap_horn_cannot_be_built(self):
+        # A row cut short under a 2-dimensional gap horn is refused when the
+        # complex is built, by every construction path, so no horn check
+        # can index past it.
+        d2 = standard_simplex(2, 2)
+        rows = {n: [list(row) for row in d2.face_table[n - 1]] for n in (1, 2)}
+        rows[1][0] = [1]
+        for build in (
+            lambda: TruncatedComplex.create(2, d2.counts, rows),
+            lambda: replace(d2, face_table=(((1,), *d2.face_table[0][1:]), d2.face_table[1])),
+        ):
+            with pytest.raises(ShapeError) as err:
+                build()
+            assert str(err.value) == "face row needs 2 entries, got 1 (at faces.1[0])"
+        # the same gap horn over the whole rows is reported, not raised
+        r = RupturedComplex.create(d2, {}, [HornSpec(2, 1, (0, 2))])
+        assert [v.kind for v in validate_ruptured(r)] == ["horn-compatibility"]
+
 
 class TestWithCoherentOracle:
     def test_rejects_iff_a_gap_horn_scan_finds_a_match(self):
@@ -440,17 +459,21 @@ class TestWithCoherentOracle:
                     rejected += 1
         assert rejected >= 100
 
-    @pytest.mark.parametrize("row,message", [
-        ((1,), "(n=1, k=0)-horn needs 1 faces, got 0"),
-        ((1, 0, 2), "(n=1, k=0)-horn needs 1 faces, got 2"),
-        ((), "(n=1, k=0)-horn needs 1 faces, got 0"),
+    @pytest.mark.parametrize("row,message,reason", [
+        ((1,), "(n=1, k=0)-horn needs 1 faces, got 0", "face row needs 2 entries, got 1"),
+        ((1, 0, 2), "(n=1, k=0)-horn needs 1 faces, got 2", "face row needs 2 entries, got 3"),
+        ((), "(n=1, k=0)-horn needs 1 faces, got 0", "face row needs 2 entries, got 0"),
     ])
-    def test_a_row_of_the_wrong_length_raises_the_horn_error(self, row, message):
-        x = TruncatedComplex.create(1, [3, 2], {1: [(1, 0), row]})
-        r = RupturedComplex.create(x, {}, [HornSpec(1, 0, (0,))])
+    def test_a_row_of_the_wrong_length_raises_the_horn_error(self, row, message, reason):
+        """The horn cut from such a row raises the horn error, and the row
+        itself is refused when the complex is built, so ``with_coherent``
+        never cuts one."""
         with pytest.raises(KernelError) as err:
-            r.with_coherent(SimplexId(1, 1))
+            HornSpec(1, 0, row[1:])
         assert str(err.value) == message
+        with pytest.raises(ShapeError) as err:
+            TruncatedComplex.create(1, [3, 2], {1: [(1, 0), row]})
+        assert str(err.value) == f"{reason} (at faces.1[1])"
 
 
 class TestCoherentFillersOracle:

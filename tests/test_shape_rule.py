@@ -1,0 +1,210 @@
+"""The shape rule of complexes and fibrations, against an oracle written here.
+
+Each fixture with face rows or a map has one face row or one map level
+changed at a time: cut, extended, an entry made negative, pointed past the
+end, or given as a bool or a float, or an entry swapped for another index
+that fits. The constructor must refuse the value exactly when the oracle
+calls it malformed, naming the oracle's reason and position, and
+``parse_document`` must report that reason at the matching key path. A few
+parse errors are also pinned verbatim.
+"""
+
+import copy
+import json
+import pathlib
+import random
+
+import pytest
+
+from rupture_kit.documents import parse_document
+from rupture_kit.errors import DocumentError, ShapeError
+from rupture_kit.fibration import RupturedFibrationData
+from rupture_kit.simplicial import SimplicialMap, TruncatedComplex
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+SHAPED = ["bank.json", "bottle.json", "circle3_gapped.json", "circle3_open.json", "crane.json",
+          "double_cover_3.json", "triangle.json", "triangle_kan.json"]
+OPS = ["cut", "extend", "negative", "past", "bool", "float", "swap"]
+
+
+def counts_of(space: dict) -> list[int]:
+    """Simplex counts of a complex body (a count or a label list per n)."""
+    return [
+        len(entry) if isinstance(entry, list) else entry
+        for entry in (space["simplices"].get(str(n), 0) for n in range(space["dim_bound"] + 1))
+    ]
+
+
+def entry_problem(v, dim: int, count: int):
+    """Why ``v`` names none of the ``count`` simplices of dimension ``dim``."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        return "expected an integer"
+    if v < 0 or v >= count:
+        return f"no simplex {dim}/{v}"
+    return None
+
+
+def face_problem(space: dict):
+    """The first face row of a complex body that breaks the rule, as
+    (reason, position), dimension by dimension and row by row."""
+    counts = counts_of(space)
+    for n in range(1, space["dim_bound"] + 1):
+        for i, row in enumerate(space["faces"].get(str(n), [])):
+            if not isinstance(row, list):
+                return "face row must be a list", ("faces", n, i)
+            if len(row) != n + 1:
+                return f"face row needs {n + 1} entries, got {len(row)}", ("faces", n, i)
+            for v in row:
+                reason = entry_problem(v, n - 1, counts[n - 1])
+                if reason:
+                    return reason, ("faces", n, i)
+    return None
+
+
+def map_problem(doc: dict):
+    """The first map level of a fibration body that breaks the rule."""
+    total, base = counts_of(doc["total"]), counts_of(doc["base"])
+    for n in range(min(len(total), len(base))):
+        level = doc["map"].get(str(n), [])
+        if len(level) > total[n]:
+            return f"the total space has no simplex {n}/{total[n]}", ("map", n, total[n])
+        if len(level) < total[n]:
+            return f"map covers {len(level)} of {total[n]} simplices of the total space", ("map", n)
+        for j, v in enumerate(level):
+            reason = entry_problem(v, n, base[n])
+            if reason:
+                return reason, ("map", n, j)
+    return None
+
+
+def at(doc: dict, keys: tuple):
+    """The value at a key path."""
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+def targets(doc: dict) -> list[tuple]:
+    """Key paths of every face row and every map level of a document."""
+    spaces = [("total",), ("base",)] if doc["kind"] == "fibration" else [()]
+    out = []
+    for space in spaces:
+        for n, rows in at(doc, space)["faces"].items():
+            out.extend((*space, "faces", n, i) for i in range(len(rows)))
+    out.extend(("map", n) for n in doc.get("map", {}))
+    return out
+
+
+def mutate(rng: random.Random, values: list, op: str, bound: int) -> list:
+    """``values`` (a face row or a map level) changed by ``op``; ``bound``
+    is the number of simplices its entries may name."""
+    values = list(values)
+    if op == "cut":
+        return values[:-1]
+    if op == "extend":
+        return values + [0]
+    if not values:
+        return values
+    j = rng.randrange(len(values))
+    values[j] = {
+        "negative": -1,
+        "past": bound,
+        "bool": values[j] == 1,
+        "float": float(values[j]),
+        "swap": rng.randrange(bound) if bound else values[j],
+    }[op]
+    return values
+
+
+def build(doc: dict, space: tuple):
+    """The kernel value a document's face rows or map make, from the raw
+    JSON values: a complex for a face row, a fibration for a map level."""
+    if space == ("map",):
+        parsed = parse_document(json.dumps(strip_map(doc))).body
+        levels = tuple(doc["map"].get(str(n), []) for n in range(len(parsed.proj.levels)))
+        return RupturedFibrationData(parsed.total, parsed.base, SimplicialMap(levels))
+    body = at(doc, space)
+    faces = {n: body["faces"].get(str(n), []) for n in range(1, body["dim_bound"] + 1)}
+    return TruncatedComplex.create(body["dim_bound"], counts_of(body), faces)
+
+
+def strip_map(doc: dict) -> dict:
+    """A fibration document with a map that fits, so only the spaces parse."""
+    total, base = counts_of(doc["total"]), counts_of(doc["base"])
+    top = min(len(total), len(base))
+    return {**doc, "map": {str(n): [0] * total[n] for n in range(top)}, "gap_lifts": [],
+            "composites": []}
+
+
+def key_path(kind: str, space: tuple, position: tuple) -> str:
+    head = ".".join([kind, *space, *map(str, position[:2])])
+    return head + "".join(f"[{i}]" for i in position[2:])
+
+
+@pytest.mark.parametrize("fixture", SHAPED)
+def test_constructor_refuses_exactly_what_the_oracle_calls_malformed(fixture):
+    original = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
+    rng = random.Random(fixture)
+    seen = {"refused": 0, "built": 0}
+    for _ in range(60):
+        doc = copy.deepcopy(original)
+        path, op = rng.choice(targets(doc)), rng.choice(OPS)
+        if path[0] == "map":
+            space, bound = ("map",), counts_of(doc["base"])[int(path[1])]
+        else:
+            space = path[:-3]
+            bound = counts_of(at(doc, space))[int(path[-2]) - 1]
+        holder = at(doc, path[:-1])
+        holder[path[-1]] = mutate(rng, holder[path[-1]], op, bound)
+        if space == ("map",):
+            want, where = map_problem(doc), ()
+        else:
+            want, where = face_problem(at(doc, space)), space
+        try:
+            build(doc, space)
+        except ShapeError as err:
+            assert want is not None, (fixture, path, op, str(err))
+            assert (err.reason, err.path) == want, (fixture, path, op)
+            with pytest.raises(DocumentError) as parsed:
+                parse_document(json.dumps(doc))
+            assert str(parsed.value) == f"{want[0]} (at {key_path(doc['kind'], where, want[1])})"
+            seen["refused"] += 1
+            continue
+        assert want is None, (fixture, path, op, want)
+        parse_document(json.dumps(doc))
+        seen["built"] += 1
+    assert seen["refused"] >= 30 and seen["built"] >= 3, seen
+
+
+# Parse errors of single edits, verbatim: the reason and key path are part
+# of the document format.
+PINNED = [
+    ("triangle.json", ("faces", "2", 0), lambda r: r[:2],
+     "face row needs 3 entries, got 2", "complex.faces.2[0]"),
+    ("triangle_kan.json", ("faces", "1", 1), lambda r: r + [0],
+     "face row needs 2 entries, got 3", "ruptured.faces.1[1]"),
+    ("circle3_gapped.json", ("faces", "1", 2), lambda r: [r[0], True],
+     "expected an integer", "ruptured.faces.1[2]"),
+    ("crane.json", ("total", "faces", "1", 1), lambda r: [r[0], 1.0],
+     "expected an integer", "fibration.total.faces.1[1]"),
+    ("double_cover_3.json", ("base", "faces", "1", 0), lambda r: [-1, r[1]],
+     "no simplex 0/-1", "fibration.base.faces.1[0]"),
+    ("double_cover_3.json", ("map", "1"), lambda r: r + [0],
+     "the total space has no simplex 1/6", "fibration.map.1[6]"),
+    ("bottle.json", ("map", "0"), lambda r: [r[0], False, r[2]],
+     "expected an integer", "fibration.map.0[1]"),
+    ("bank.json", ("map", "0"), lambda r: r[:1],
+     "map covers 1 of 2 simplices of the total space", "fibration.map.0"),
+    ("crane.json", ("map", "1"), lambda r: [r[0], 7], "no simplex 1/7", "fibration.map.1[1]"),
+]
+
+
+@pytest.mark.parametrize("fixture,path,edit,message,where", PINNED,
+                         ids=[f"{c[0]} {c[-1]}" for c in PINNED])
+def test_pinned_parse_errors(fixture, path, edit, message, where):
+    doc = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
+    holder = at(doc, path[:-1])
+    holder[path[-1]] = edit(holder[path[-1]])
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps(doc))
+    assert (err.value.args[0], err.value.position) == (message, where)
