@@ -16,10 +16,9 @@ is mu(beta) composed after mu(alpha).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .errors import KernelError
+from .errors import KernelError, record
 from .fibration import (
     LoopProblem,
     RupturedFibrationData,
@@ -28,8 +27,8 @@ from .ruptured import GapMode, from_kan
 from .simplicial import SimplexId, SimplicialMap, TruncatedComplex
 
 
-@dataclass(frozen=True)
-class EdgePath:
+@record
+class EdgePath(NamedTuple):
     """An ordered walk along edges, each traversed forward or backward.
 
     Forward traversal runs source (d_1) to target (d_0); backward runs the
@@ -57,8 +56,8 @@ class EdgePath:
         return EdgePath(self.steps + other.steps)
 
 
-@dataclass(frozen=True)
-class CoveringTask:
+@record
+class CoveringTask(NamedTuple):
     """The loops at a base vertex whose monodromy ``rupture-kit monodromy``
     reports: the body of a covering-task document."""
 
@@ -101,8 +100,8 @@ def check_path(x: TruncatedComplex, path: EdgePath) -> None:
         prev_end = end
 
 
-@dataclass(frozen=True)
-class FiberPermutation:
+@record
+class FiberPermutation(NamedTuple):
     """A bijection on the fiber vertices over a basepoint.
 
     ``mapping`` pairs (source vertex index, image vertex index), sorted on

@@ -21,11 +21,10 @@ annotations that makes the horn inhabitable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
-from .errors import KernelError
+from .errors import KernelError, record
 
 
 class Annotation(Enum):
@@ -47,22 +46,22 @@ class Annotation(Enum):
 # -- types and terms ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AtomType:
+@record
+class AtomType(NamedTuple):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class UnitType:
+@record
+class UnitType(NamedTuple):
     def __str__(self) -> str:
         return "Unit"
 
 
-@dataclass(frozen=True)
-class ProdType:
+@record
+class ProdType(NamedTuple):
     left: "TypeExpr"
     right: "TypeExpr"
 
@@ -73,22 +72,22 @@ class ProdType:
 TypeExpr = Union[AtomType, UnitType, ProdType]
 
 
-@dataclass(frozen=True)
-class Var:
+@record
+class Var(NamedTuple):
     name: str
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class UnitTerm:
+@record
+class UnitTerm(NamedTuple):
     def __str__(self) -> str:
         return "()"
 
 
-@dataclass(frozen=True)
-class Pair:
+@record
+class Pair(NamedTuple):
     left: "TupleTerm"
     right: "TupleTerm"
 
@@ -99,27 +98,32 @@ class Pair:
 TupleTerm = Union[Var, UnitTerm, Pair]
 
 
-@dataclass(frozen=True)
-class Binding:
+@record
+class Binding(NamedTuple):
     var: str
     type: TypeExpr
     annotation: Annotation
 
 
-@dataclass(frozen=True)
-class ResourceContext:
+class _ContextFields(NamedTuple):
+    bindings: tuple[Binding, ...]
+
+
+@record
+class ResourceContext(_ContextFields):
     """An ordered list of annotated bindings with distinct variable names."""
 
-    bindings: tuple[Binding, ...]
+    __slots__ = ()
+
+    def __new__(cls, bindings: tuple[Binding, ...]) -> "ResourceContext":
+        names = [b.var for b in bindings]
+        if len(set(names)) != len(names):
+            raise KernelError("context variable names must be distinct")
+        return tuple.__new__(cls, (bindings,))
 
     @classmethod
     def of(cls, *bindings: tuple[str, TypeExpr, Annotation]) -> "ResourceContext":
         return cls(tuple(Binding(v, t, a) for v, t, a in bindings))
-
-    def __post_init__(self):
-        names = [b.var for b in self.bindings]
-        if len(set(names)) != len(names):
-            raise KernelError("context variable names must be distinct")
 
     def lookup(self, name: str) -> Optional[Binding]:
         for b in self.bindings:
@@ -128,8 +132,8 @@ class ResourceContext:
         return None
 
 
-@dataclass(frozen=True)
-class UsageCertificate:
+@record
+class UsageCertificate(NamedTuple):
     """Occurrence counts per context variable with per-annotation verdicts.
 
     ``counts`` and ``verdicts`` pair every context variable with its exact
@@ -159,14 +163,14 @@ class UsageCertificate:
         return out
 
 
-@dataclass(frozen=True)
-class DerivabilityResult:
+@record
+class DerivabilityResult(NamedTuple):
     derivable: bool
     certificate: UsageCertificate
 
 
-@dataclass(frozen=True)
-class Substitution:
+@record
+class Substitution(NamedTuple):
     """A type-matching rename of one context's variables into another's.
 
     ``mapping`` sends each variable of the judgment's home context to a
@@ -187,8 +191,8 @@ class Substitution:
         return None
 
 
-@dataclass(frozen=True)
-class DerivabilityHorn:
+@record
+class DerivabilityHorn(NamedTuple):
     """Derivable here, witnessed underivable after substitution."""
 
     source_certificate: UsageCertificate
@@ -196,8 +200,8 @@ class DerivabilityHorn:
     target_certificate: UsageCertificate
 
 
-@dataclass(frozen=True)
-class DeriveTask:
+@record
+class DeriveTask(NamedTuple):
     """A term and goal judged in ``gamma`` and, renamed by ``sigma``, in
     ``delta``: the body of a derive-task document."""
 

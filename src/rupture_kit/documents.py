@@ -37,10 +37,9 @@ Document kinds:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Optional
 
-from .errors import DocumentError, ShapeError
+from .errors import DocumentError, ShapeError, record
 
 if TYPE_CHECKING:
     from .covering import CoveringTask
@@ -65,8 +64,8 @@ def __getattr__(name: str):
     return getattr(import_module(f"{__package__}.{_TASKS[name]}"), name)
 
 
-@dataclass(frozen=True)
-class Document:
+@record
+class Document(NamedTuple):
     kind: str
     body: object
 
@@ -172,7 +171,8 @@ def mode_to_body(mode: Optional[GapMode]) -> Optional[dict]:
     if mode is None:
         return None
     payload: Any = mode.payload
-    if isinstance(payload, tuple):
+    # A fiber permutation is a tuple too, but not a plain one.
+    if type(payload) is tuple:
         payload = [list(item) if isinstance(item, tuple) else item for item in payload]
     elif payload is not None:
         # Only a monodromy mode carries such a payload, and only then is
@@ -428,7 +428,7 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
         if (first, second) in composites:
             raise DocumentError(f"composite of ({first}, {second}) is listed twice", here)
         composites[(first, second)] = comp
-    return replace(f, gap_lifts=gap_lifts, composites=composites)
+    return f._replace(gap_lifts=gap_lifts, composites=composites)
 
 
 # -- covering tasks -----------------------------------------------------------------

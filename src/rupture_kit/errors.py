@@ -1,8 +1,9 @@
-"""Shared error types and the validation-report row used across the kernel."""
+"""Shared error types, the validation-report row, and the finishing touch
+every kernel record gets."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class KernelError(Exception):
@@ -45,8 +46,39 @@ class DocumentError(Exception):
         return base
 
 
-@dataclass(frozen=True)
-class Violation:
+# A named tuple's ``_make``, which ``_replace`` calls, builds through
+# ``tuple.__new__``; this one builds through the class, so that the check
+# in a record's ``__new__`` runs on every path.
+checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
+def _eq(self, other):
+    kind = type(other)
+    if kind is type(self) or kind is tuple:
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _ne(self, other):
+    eq = _eq(self, other)
+    return eq if eq is NotImplemented else not eq
+
+
+def record(cls):
+    """Finish a named tuple class as a kernel record: it equals the records
+    of its own class and the plain tuple of its fields, nothing else (two
+    records of one arity stay apart), and hashes as that tuple; ``_make``
+    and ``_replace`` build through the class; and a record without fields
+    is true, as every value object is."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _eq, _ne, tuple.__hash__
+    cls._make = checked_make
+    if not cls._fields:
+        cls.__bool__ = lambda self: True
+    return cls
+
+
+@record
+class Violation(NamedTuple):
     """One row of a validation report.
 
     ``kind`` is a stable machine-checkable code; ``message`` is the

@@ -17,11 +17,10 @@ covering machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import KernelError, ShapeError, Violation
+from .errors import KernelError, ShapeError, Violation, record
 from .ruptured import (
     CoherentlyFilled,
     GapMode,
@@ -54,8 +53,8 @@ class LiftingProblemKey(NamedTuple):
         return f"lift({self.horn} over {self.base})"
 
 
-@dataclass(frozen=True)
-class LoopProblem:
+@record
+class LoopProblem(NamedTuple):
     """One based-loop closure problem: lift a loop to a loop at ``start``.
 
     Coherent entries carry the closing lift; gapped entries carry a
@@ -69,29 +68,40 @@ class LoopProblem:
     closing_lift: Optional[object] = None  # EdgePath when coherent
 
 
-@dataclass(frozen=True)
-class RupturedFibrationData:
-    """A projection between ruptured complexes plus its gap-marked lifting
-    problems, composite-edge designations, and based-loop registry."""
-
+class _FibrationFields(NamedTuple):
     total: RupturedComplex
     base: RupturedComplex
     proj: SimplicialMap
-    gap_lifts: Mapping[LiftingProblemKey, Optional[GapMode]] = field(
-        default_factory=dict
-    )
-    composites: Mapping[tuple[int, int], int] = field(default_factory=dict)
-    loop_gaps: Mapping[tuple[tuple[tuple[int, bool], ...], int], LoopProblem] = field(
-        default_factory=dict
-    )
+    gap_lifts: Mapping[LiftingProblemKey, Optional[GapMode]]
+    composites: Mapping[tuple[int, int], int]
+    loop_gaps: Mapping[tuple[tuple[tuple[int, bool], ...], int], LoopProblem]
 
-    def __post_init__(self):
+
+@record
+class RupturedFibrationData(_FibrationFields):
+    """A projection between ruptured complexes plus its gap-marked lifting
+    problems, composite-edge designations, and based-loop registry; each of
+    the last three starts as a new empty dict when left out.
+
+    No ``__slots__``: each fibration keeps a ``__dict__`` for its cached
+    lift table and vertex preimages.
+    """
+
+    def __new__(
+        cls,
+        total: RupturedComplex,
+        base: RupturedComplex,
+        proj: SimplicialMap,
+        gap_lifts: Optional[Mapping] = None,
+        composites: Optional[Mapping] = None,
+        loop_gaps: Optional[Mapping] = None,
+    ) -> "RupturedFibrationData":
         """The map's shape rule of every construction, else :class:`ShapeError`:
         a level for each dimension both spaces share, each one int (not a
         bool) per total-space simplex naming a base simplex. A list may stand
         for a tuple; the levels are stored as tuples."""
-        e, b = self.total.underlying, self.base.underlying
-        top, levels = min(e.dim_bound, b.dim_bound), self.proj.levels
+        e, b = total.underlying, base.underlying
+        top, levels = min(e.dim_bound, b.dim_bound), proj.levels
         if len(levels) != top + 1:
             reason = f"map covers dimensions 0..{len(levels) - 1}, expected 0..{top}"
             raise ShapeError(reason, "map")
@@ -108,16 +118,17 @@ class RupturedFibrationData:
             if bad:
                 raise ShapeError(bad[1], "map", n, bad[0])
         if type(levels) is not tuple or any(type(level) is not tuple for level in levels):
-            object.__setattr__(self, "proj", SimplicialMap(tuple(map(tuple, levels))))
+            proj = SimplicialMap(tuple(map(tuple, levels)))
+        tables = [{} if t is None else t for t in (gap_lifts, composites, loop_gaps)]
+        return tuple.__new__(cls, (total, base, proj, *tables))
 
     def with_loop_gaps(self, registry) -> "RupturedFibrationData":
-        return replace(self, loop_gaps=dict(registry))
+        return self._replace(loop_gaps=dict(registry))
 
     @cached_property
     def lift_table(self) -> tuple[dict[tuple[int, int, int], list[int]], Optional[str]]:
         """The edge-lifting table of :func:`build_lift_table`, built on first
-        use and kept with the fibration (the frozen dataclass has no slots,
-        so the cache fits)."""
+        use and kept with the fibration in its ``__dict__``."""
         return build_lift_table(self)
 
     @cached_property
@@ -168,8 +179,8 @@ def build_lift_table(
     return table, None
 
 
-@dataclass(frozen=True)
-class Coherent:
+@record
+class Coherent(NamedTuple):
     """Transport succeeded; ``multiplicity`` counts the coherent lifts and
     ``target`` is the endpoint of the least one."""
 
@@ -177,21 +188,21 @@ class Coherent:
     multiplicity: int = 1
 
 
-@dataclass(frozen=True)
-class Gapped:
+@record
+class Gapped(NamedTuple):
     mode: Optional[GapMode] = None
 
 
-@dataclass(frozen=True)
-class OpenTransport:
+@record
+class OpenTransport(NamedTuple):
     pass
 
 
 TransportOutcome = Coherent | Gapped | OpenTransport
 
 
-@dataclass(frozen=True)
-class TransportHornInhabitant:
+@record
+class TransportHornInhabitant(NamedTuple):
     """A coherent term, a coherent path, and the gap witness of their
     lifting problem. ``path`` is a base edge, or an edge path for
     based-loop closure problems."""
@@ -201,8 +212,8 @@ class TransportHornInhabitant:
     gap: Optional[GapMode]
 
 
-@dataclass(frozen=True)
-class FunctorialityHornInhabitant:
+@record
+class FunctorialityHornInhabitant(NamedTuple):
     """Stepwise transport succeeded but the designated composite is gapped."""
 
     term: SimplexId

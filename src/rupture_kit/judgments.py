@@ -26,12 +26,11 @@ calculus can be replayed over its own witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .errors import KernelError
+from .errors import KernelError, record
 
 
 class Polarity(Enum):
@@ -39,26 +38,36 @@ class Polarity(Enum):
     GAPPED = "gapped"
 
 
-@dataclass(frozen=True)
-class BaseJudgment:
+class _BaseFields(NamedTuple):
     label: str
 
-    def __post_init__(self):
-        if not self.label:
+
+@record
+class BaseJudgment(_BaseFields):
+    __slots__ = ()
+
+    def __new__(cls, label: str) -> "BaseJudgment":
+        if not label:
             raise KernelError("judgment label must be non-empty")
+        return tuple.__new__(cls, (label,))
 
     def __str__(self) -> str:
         return self.label
 
 
-@dataclass(frozen=True)
-class ArrowJudgment:
+class _ArrowFields(NamedTuple):
     source: str
     target: str
 
-    def __post_init__(self):
-        if not self.source or not self.target:
+
+@record
+class ArrowJudgment(_ArrowFields):
+    __slots__ = ()
+
+    def __new__(cls, source: str, target: str) -> "ArrowJudgment":
+        if not source or not target:
             raise KernelError("arrow labels must be non-empty")
+        return tuple.__new__(cls, (source, target))
 
     def __str__(self) -> str:
         return f"{self.source} => {self.target}"
@@ -67,23 +76,23 @@ class ArrowJudgment:
 JudgmentAtom = Union[BaseJudgment, ArrowJudgment]
 
 
-@dataclass(frozen=True)
-class WitnessEntry:
+@record
+class WitnessEntry(NamedTuple):
     judgment: JudgmentAtom
     polarity: Polarity
     witness_id: str
     payload: object = None
 
 
-@dataclass(frozen=True)
-class HornTriple:
+@record
+class HornTriple(NamedTuple):
     first: str
     second: str
     gap: str
 
 
-@dataclass(frozen=True)
-class ScriptCommand:
+@record
+class ScriptCommand(NamedTuple):
     """One row of a judgment-script document: ``add``, ``is_open``,
     ``horn`` or ``level_up``, with the fields that op reads."""
 

@@ -13,10 +13,9 @@ by :func:`coherent_core`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
-from .errors import ExclusionError, KernelError, Violation
+from .errors import ExclusionError, KernelError, Violation, record
 from .simplicial import (
     HornSpec,
     SimplexId,
@@ -32,8 +31,13 @@ from .simplicial import (
 )
 
 
-@dataclass(frozen=True)
-class GapMode:
+class _ModeFields(NamedTuple):
+    kind: str
+    payload: object = None
+
+
+@record
+class GapMode(_ModeFields):
     """How a horn fails to fill: a kind label plus kind-specific payload.
 
     Payloads are canonical hashable values: a fiber permutation for
@@ -41,12 +45,12 @@ class GapMode:
     of feature strings for "semantic", and None for "plain".
     """
 
-    kind: str
-    payload: object = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.kind:
+    def __new__(cls, kind: str, payload: object = None) -> "GapMode":
+        if not kind:
             raise KernelError("gap mode kind must be non-empty")
+        return tuple.__new__(cls, (kind, payload))
 
     def __str__(self) -> str:
         return self.kind
@@ -55,8 +59,8 @@ class GapMode:
 PLAIN = GapMode("plain")
 
 
-@dataclass(frozen=True)
-class RupturedComplex:
+@record
+class RupturedComplex(NamedTuple):
     """A truncated complex with coherence and gap annotations.
 
     ``coh[n]`` is the set of coherent simplex indices in dimension n.
@@ -134,24 +138,29 @@ class RupturedComplex:
 # -- trichotomy --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoherentlyFilled:
-    """The horn has at least one coherent filler; all of them are listed."""
-
+class _FilledFields(NamedTuple):
     fillers: tuple[SimplexId, ...]
 
-    def __post_init__(self):
-        if not self.fillers:
+
+@record
+class CoherentlyFilled(_FilledFields):
+    """The horn has at least one coherent filler; all of them are listed."""
+
+    __slots__ = ()
+
+    def __new__(cls, fillers: tuple[SimplexId, ...]) -> "CoherentlyFilled":
+        if not fillers:
             raise KernelError("coherent filling needs at least one filler")
+        return tuple.__new__(cls, (fillers,))
 
 
-@dataclass(frozen=True)
-class GapWitnessed:
+@record
+class GapWitnessed(NamedTuple):
     mode: Optional[GapMode] = None
 
 
-@dataclass(frozen=True)
-class Open:
+@record
+class Open(NamedTuple):
     pass
 
 

@@ -18,12 +18,11 @@ vertex {1}, matching the anchoring used by transport problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import KernelError, ShapeError, Violation
+from .errors import KernelError, ShapeError, Violation, checked_make, record
 
 
 class SimplexId(NamedTuple):
@@ -53,6 +52,7 @@ class HornSpec(_HornFields):
     """
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, n: int, k: int, faces: tuple[int, ...]) -> "HornSpec":
         if not (n >= 1 and 0 <= k <= n):
@@ -88,27 +88,38 @@ class HornSpec(_HornFields):
         return f"horn(n={self.n}, k={self.k}, faces={{{inner}}})"
 
 
-@dataclass(frozen=True)
-class TruncatedComplex:
+class _ComplexFields(NamedTuple):
+    dim_bound: int
+    counts: tuple[int, ...]
+    face_table: tuple[tuple[tuple[int, ...], ...], ...]
+    labels: tuple[Optional[tuple[str, ...]], ...] = ()
+
+
+@record
+class TruncatedComplex(_ComplexFields):
     """A finite simplicial structure truncated at ``dim_bound``.
 
     ``counts[n]`` is the number of n-simplices. ``face_table[n-1][i]`` holds
     the ordered face indices (d_0 .. d_n) of simplex (n, i), each an index
     into dimension n-1. ``labels[n]`` is an optional tuple of human-readable
     names; labels are metadata only and carry no semantics.
+
+    No ``__slots__``: each complex keeps a ``__dict__`` for its cached
+    incidence index.
     """
 
-    dim_bound: int
-    counts: tuple[int, ...]
-    face_table: tuple[tuple[tuple[int, ...], ...], ...]
-    labels: tuple[Optional[tuple[str, ...]], ...] = field(default=())
-
-    def __post_init__(self):
+    def __new__(
+        cls,
+        dim_bound: int,
+        counts: Sequence[int],
+        face_table: Sequence[Sequence[Sequence[int]]],
+        labels: tuple[Optional[tuple[str, ...]], ...] = (),
+    ) -> "TruncatedComplex":
         """The shape rule of every construction, else :class:`ShapeError`:
         ``dim_bound + 1`` counts and, for each n >= 1, one face row per
         n-simplex, each n + 1 ints (not bools) naming (n-1)-simplices. A list
         may stand for a tuple; the rows are stored as tuples."""
-        d, counts, table = self.dim_bound, tuple(self.counts), self.face_table
+        d, counts, table = dim_bound, tuple(counts), face_table
         if type(d) is not int or d < 0:
             raise ShapeError("dim_bound must be a non-negative integer", "dim_bound")
         if len(counts) != d + 1 or any(type(c) is not int or c < 0 for c in counts):
@@ -137,8 +148,8 @@ class TruncatedComplex:
                 bad = bad_index(row, n - 1, below)
                 if bad:
                     raise ShapeError(bad[1], "faces", n, i)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "face_table", tuple(tuple(map(tuple, rows)) for rows in table))
+        table = tuple(tuple(map(tuple, rows)) for rows in table)
+        return tuple.__new__(cls, (d, counts, table, labels))
 
     @classmethod
     def create(
@@ -187,10 +198,10 @@ class TruncatedComplex:
         return SimplexId(sid.dim - 1, row[i])
 
     def label(self, sid: SimplexId) -> Optional[str]:
-        if not self.labels or sid.dim >= len(self.labels):
+        if not self.labels or not 0 <= sid.dim < len(self.labels):
             return None
         per_dim = self.labels[sid.dim]
-        if per_dim is None or sid.index >= len(per_dim):
+        if per_dim is None or not 0 <= sid.index < len(per_dim):
             return None
         return per_dim[sid.index]
 
@@ -200,9 +211,8 @@ class TruncatedComplex:
 
     @cached_property
     def incidence(self) -> "Incidence":
-        """The face-incidence index, kept with the complex (the frozen
-        dataclass has no slots, so the cache fits); each of its two tables
-        is built on first use."""
+        """The face-incidence index, kept with the complex in its
+        ``__dict__``; each of its two tables is built on first use."""
         return Incidence(self)
 
 
@@ -260,8 +270,8 @@ def bad_index(values: Sequence, dim: int, count: int) -> Optional[tuple[int, str
     return None
 
 
-@dataclass(frozen=True)
-class SimplicialMap:
+@record
+class SimplicialMap(NamedTuple):
     """A per-dimension total map of simplex indices between two complexes.
 
     ``levels[n][i]`` is the target index of source simplex (n, i). The map
@@ -277,19 +287,20 @@ class SimplicialMap:
 
     def level(self, n: int) -> tuple[int, ...]:
         """The targets of the n-simplices; empty above the top dimension."""
-        return self.levels[n] if n < len(self.levels) else ()
+        return self.levels[n] if 0 <= n < len(self.levels) else ()
 
     def apply(self, sid: SimplexId) -> SimplexId:
-        if sid.dim > self.top_dim or sid.index >= len(self.levels[sid.dim]):
+        dim, index = sid
+        if not 0 <= dim <= self.top_dim or not 0 <= index < len(self.levels[dim]):
             raise KernelError(f"map not defined on {sid}")
-        return SimplexId(sid.dim, self.levels[sid.dim][sid.index])
+        return SimplexId(dim, self.levels[dim][index])
 
     def apply_horn(self, h: HornSpec) -> HornSpec:
         d = h.n - 1
         level = self.level(d)
         size = len(level)
         for f in h.faces:
-            if f >= size:
+            if not 0 <= f < size:
                 raise KernelError(f"map not defined on {d}/{f}")
         return HornSpec(h.n, h.k, tuple([level[f] for f in h.faces]))
 

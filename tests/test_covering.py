@@ -91,10 +91,7 @@ class TestBuilders:
         cover = build_double_cover(3)
         # drop one total edge: some vertex loses its unique lift
         total = cover.total.underlying
-        import dataclasses
-
-        smaller = dataclasses.replace(
-            total,
+        smaller = total._replace(
             counts=(6, 5, 0),
             face_table=(total.face_table[0][:5], ()),
             labels=(total.labels[0], total.labels[1][:5], None),

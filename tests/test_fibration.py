@@ -1,7 +1,6 @@
 """Lifting problems, transport, fibers, horn detectors, and composition."""
 
 import random
-from dataclasses import replace
 from itertools import product as cartesian
 
 import pytest
@@ -89,7 +88,7 @@ class TestValidateFibration:
         rows = list(x.face_table[0])
         rows[2] = row
         with pytest.raises(ShapeError) as err:
-            replace(x, face_table=(tuple(rows), *x.face_table[1:]))
+            x._replace(face_table=(tuple(rows), *x.face_table[1:]))
         assert str(err.value) == f"{reason} (at faces.1[2])"
         assert validate_fibration_deep(cover) == []
 

@@ -2,7 +2,6 @@
 and rupture-preserving morphisms."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -391,7 +390,7 @@ class TestValidateRuptured:
         rows[1][0] = [1]
         for build in (
             lambda: TruncatedComplex.create(2, d2.counts, rows),
-            lambda: replace(d2, face_table=(((1,), *d2.face_table[0][1:]), d2.face_table[1])),
+            lambda: d2._replace(face_table=(((1,), *d2.face_table[0][1:]), d2.face_table[1])),
         ):
             with pytest.raises(ShapeError) as err:
                 build()

@@ -2,14 +2,58 @@
 filler search, and the Kan check."""
 
 import random
-from dataclasses import make_dataclass
+from dataclasses import field, make_dataclass
 from itertools import product as cartesian
 
 import pytest
 
-from rupture_kit.errors import ExclusionError, KernelError, ShapeError
-from rupture_kit.fibration import LiftingProblemKey
-from rupture_kit.ruptured import product
+from rupture_kit.covering import CoveringTask, EdgePath, FiberPermutation
+from rupture_kit.derivability import (
+    Annotation,
+    AtomType,
+    Binding,
+    DerivabilityHorn,
+    DerivabilityResult,
+    DeriveTask,
+    Pair,
+    ProdType,
+    ResourceContext,
+    Substitution,
+    UnitTerm,
+    UnitType,
+    UsageCertificate,
+    Var,
+)
+from rupture_kit.documents import Document
+from rupture_kit.errors import ExclusionError, KernelError, ShapeError, Violation
+from rupture_kit.fibration import (
+    Coherent,
+    FunctorialityHornInhabitant,
+    Gapped,
+    LiftingProblemKey,
+    LoopProblem,
+    OpenTransport,
+    RupturedFibrationData,
+    TransportHornInhabitant,
+)
+from rupture_kit.judgments import (
+    ArrowJudgment,
+    BaseJudgment,
+    HornTriple,
+    Polarity,
+    ScriptCommand,
+    WitnessEntry,
+)
+from rupture_kit.ruptured import (
+    CoherentlyFilled,
+    GapMode,
+    GapWitnessed,
+    Open,
+    RupturedComplex,
+    fully_gapped,
+    from_kan,
+    product,
+)
 from rupture_kit.simplicial import (
     HornSpec,
     SimplexId,
@@ -635,6 +679,198 @@ RefLiftingProblemKey = make_dataclass(
 )
 
 
+class Spec:
+    """A record to build from fields that may hold specs themselves: as the
+    record, or as its reference dataclass."""
+
+    def __init__(self, cls, *fields):
+        self.cls, self.fields = cls, fields
+
+    def __repr__(self):
+        return f"Spec({self.cls.__name__}, {self.fields!r})"
+
+
+def _nonempty(message, *names):
+    def check(self):
+        if not all(getattr(self, name) for name in names):
+            raise KernelError(message)
+    return check
+
+
+def _distinct_names(self):
+    names = [b.var for b in self.bindings]
+    if len(set(names)) != len(names):
+        raise KernelError("context variable names must be distinct")
+
+
+# The checks the records ran as dataclasses, in ``__post_init__``. The shape
+# rules of ``TruncatedComplex`` and ``RupturedFibrationData`` are pinned
+# against an oracle in test_shape_rule.py, so only well-formed ones are
+# seeded here.
+OLD_CHECKS = {
+    CoherentlyFilled: _nonempty("coherent filling needs at least one filler", "fillers"),
+    GapMode: _nonempty("gap mode kind must be non-empty", "kind"),
+    ResourceContext: _distinct_names,
+    BaseJudgment: _nonempty("judgment label must be non-empty", "label"),
+    ArrowJudgment: _nonempty("arrow labels must be non-empty", "source", "target"),
+}
+
+WORDS = ["", "a", "b", "x", "plain"]
+SIDS = [SimplexId(0, 0), SimplexId(0, 1), SimplexId(1, 0)]
+COMPLEXES = [standard_simplex(1, 1), standard_simplex(2, 2), build_cycle(3)]
+RUPTURED = [from_kan(COMPLEXES[0]), fully_gapped(COMPLEXES[1])]
+COVERS = [build_double_cover(3), build_double_cover(4)]
+
+
+def _word(rng, blank=True):
+    return rng.choice(WORDS if blank else WORDS[1:])
+
+
+def _gap_mode(rng):
+    payload = rng.choice([None, ("f",), (("x", 1),), Spec(FiberPermutation, (0, 3), ((0, 3), (3, 0)))])
+    return Spec(GapMode, _word(rng), *rng.choice([(), (payload,)]))
+
+
+def _mode(rng):
+    return rng.choice([None, _gap_mode(rng)])
+
+
+def _path(rng):
+    return Spec(EdgePath, tuple((rng.randrange(3), rng.random() < 0.5) for _ in range(rng.randrange(3))))
+
+
+def _tree(rng, leaf, unit, node, depth=2):
+    pick = rng.randrange(3 if depth else 2)
+    if pick == 0:
+        return Spec(leaf, _word(rng, False))
+    if pick == 1:
+        return Spec(unit)
+    return Spec(node, _tree(rng, leaf, unit, node, depth - 1), _tree(rng, leaf, unit, node, depth - 1))
+
+
+def _type(rng):
+    return _tree(rng, AtomType, UnitType, ProdType)
+
+
+def _term(rng):
+    return _tree(rng, Var, UnitTerm, Pair)
+
+
+def _context(rng):
+    return Spec(ResourceContext, tuple(
+        Spec(Binding, rng.choice("xyz"), _type(rng), rng.choice(list(Annotation)))
+        for _ in range(rng.randrange(3))
+    ))
+
+
+def _certificate(rng):
+    names = sorted(rng.sample("xyz", rng.randrange(3)))
+    return Spec(UsageCertificate, tuple((v, rng.randrange(3)) for v in names),
+                tuple((v, rng.random() < 0.5) for v in names),
+                *rng.choice([(), (None,), ("pair term against non-product goal Unit",)]))
+
+
+def _substitution(rng):
+    return Spec(Substitution, tuple(sorted({rng.choice("xy"): rng.choice("yz")}.items())))
+
+
+def _judgment(rng):
+    return rng.choice([Spec(BaseJudgment, _word(rng)), Spec(ArrowJudgment, _word(rng), _word(rng))])
+
+
+# Each record's seeded fields, drawn from small pools so that equal values
+# come up; some fail the record's check.
+RECORD_FIELDS = {
+    Violation: lambda r: (_word(r), _word(r)),
+    TruncatedComplex: lambda r: tuple(r.choice(COMPLEXES)),
+    SimplicialMap: lambda r: (r.choice([((0, 1), (0,)), ((0, 0), (0,)), ((0,),)]),),
+    GapMode: lambda r: _gap_mode(r).fields,
+    RupturedComplex: lambda r: tuple(r.choice(RUPTURED)),
+    CoherentlyFilled: lambda r: (tuple(r.sample(SIDS, r.randrange(3))),),
+    GapWitnessed: lambda r: r.choice([(), (_mode(r),)]),
+    Open: lambda r: (),
+    LoopProblem: lambda r: (((0, True),) * r.randrange(1, 3), r.choice(SIDS), r.random() < 0.5,
+                            *r.choice([(), (_mode(r),), (None, _path(r))])),
+    RupturedFibrationData: lambda r: tuple(r.choice(COVERS))[:r.randrange(3, 7)],
+    Coherent: lambda r: (r.choice(SIDS), *r.choice([(), (1,), (2,)])),
+    Gapped: lambda r: r.choice([(), (_mode(r),)]),
+    OpenTransport: lambda r: (),
+    TransportHornInhabitant: lambda r: (r.choice(SIDS), r.choice([r.choice(SIDS), _path(r)]), _mode(r)),
+    FunctorialityHornInhabitant: lambda r: (*(r.choice(SIDS) for _ in range(6)), _mode(r)),
+    EdgePath: lambda r: _path(r).fields,
+    CoveringTask: lambda r: (r.choice(SIDS), tuple(_path(r) for _ in range(r.randrange(3)))),
+    FiberPermutation: lambda r: r.choice([((0, 3), ((0, 3), (3, 0))), ((0, 3), ((0, 0), (3, 3)))]),
+    AtomType: lambda r: (_word(r, False),),
+    UnitType: lambda r: (),
+    ProdType: lambda r: (_type(r), _type(r)),
+    Var: lambda r: (_word(r, False),),
+    UnitTerm: lambda r: (),
+    Pair: lambda r: (_term(r), _term(r)),
+    Binding: lambda r: (r.choice("xy"), _type(r), r.choice(list(Annotation))),
+    ResourceContext: lambda r: _context(r).fields,
+    UsageCertificate: lambda r: _certificate(r).fields,
+    DerivabilityResult: lambda r: (r.random() < 0.5, _certificate(r)),
+    Substitution: lambda r: _substitution(r).fields,
+    DerivabilityHorn: lambda r: (_certificate(r), _substitution(r), _certificate(r)),
+    DeriveTask: lambda r: (_context(r), _context(r), _substitution(r), _term(r), _type(r)),
+    BaseJudgment: lambda r: (r.choice(["", "a", "b"]),),
+    ArrowJudgment: lambda r: (_word(r), _word(r)),
+    WitnessEntry: lambda r: (_judgment(r), r.choice(list(Polarity)), _word(r, False),
+                             *r.choice([(), ("note",)])),
+    HornTriple: lambda r: (_word(r), _word(r), _word(r)),
+    ScriptCommand: lambda r: r.choice([("level_up",), ("is_open", _judgment(r)),
+                                       ("add", _judgment(r), Polarity.GAPPED, {"n": 1})]),
+    Document: lambda r: (_word(r, False), r.choice([_type(r), _context(r), RUPTURED[0]])),
+}
+RECORDS = list(RECORD_FIELDS)
+
+
+def reference(cls):
+    """The record as the frozen dataclass it was: its fields, defaults and
+    old check, and its own ``__str__`` and ``__len__``."""
+    fields = [
+        (name, object, field(default=cls._field_defaults[name]))
+        if name in cls._field_defaults else (name, object)
+        for name in cls._fields
+    ]
+    if cls is RupturedFibrationData:
+        fields[3:] = [(name, object, field(default_factory=dict)) for name in cls._fields[3:]]
+    namespace = {name: vars(cls)[name] for name in ("__str__", "__len__") if name in vars(cls)}
+    if cls in OLD_CHECKS:
+        namespace["__post_init__"] = OLD_CHECKS[cls]
+    return make_dataclass(cls.__name__, fields, frozen=True, namespace=namespace)
+
+
+REFERENCES = {cls: reference(cls) for cls in RECORDS}
+
+
+def seeded_record(cls, rng) -> Spec:
+    return Spec(cls, *RECORD_FIELDS[cls](rng))
+
+
+def build(value, as_reference: bool):
+    if isinstance(value, Spec):
+        cls = REFERENCES[value.cls] if as_reference else value.cls
+        return cls(*(build(v, as_reference) for v in value.fields))
+    if type(value) is tuple:
+        return tuple(build(v, as_reference) for v in value)
+    return value
+
+
+def outcome_of(spec: Spec, as_reference: bool):
+    try:
+        return "built", build(spec, as_reference)
+    except KernelError as exc:
+        return f"{type(exc).__name__}: {exc}", None
+
+
+def hash_of(value):
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
+
+
 class TestValueTypes:
     @staticmethod
     def seeded_fields(rng):
@@ -695,3 +931,93 @@ class TestValueTypes:
             for name in names:
                 with pytest.raises(AttributeError):
                     setattr(value, name, 0)
+
+    def test_records_match_their_dataclass(self):
+        values = [seeded_record(cls, random.Random(f"{cls.__name__}-{i}"))
+                  for cls in RECORDS for i in range(8)]
+        built = []
+        for spec in values:
+            got, want = outcome_of(spec, False), outcome_of(spec, True)
+            assert got[0] == want[0], spec
+            if got[0] != "built":
+                continue
+            value, ref = got[1], want[1]
+            assert type(value) is spec.cls and type(ref).__name__ == spec.cls.__name__
+            assert repr(value) == repr(ref) and str(value) == str(ref)
+            assert bool(value) == bool(ref)
+            assert hash_of(value) == hash_of(ref)
+            # the one intended difference: a record equals its plain field tuple
+            assert value == tuple(value) and not value != tuple(value)
+            assert ref != tuple(value)
+            built.append((value, ref))
+        assert {type(v) for v, _ in built} == set(RECORDS)
+        for value, ref in built:
+            for other, other_ref in built:
+                assert (value == other) == (ref == other_ref), (value, other)
+                assert (value != other) == (ref != other_ref), (value, other)
+
+    def test_same_arity_records_stay_apart(self):
+        mode = GapMode("plain")
+        groups = [
+            [Open(), OpenTransport(), UnitType(), UnitTerm()],
+            [GapWitnessed(mode), Gapped(mode)],
+            [Var("x"), AtomType("x"), BaseJudgment("x")],
+            [Pair(Var("x"), UnitTerm()), ProdType(AtomType("x"), UnitType())],
+            [Violation("a", "b"), ArrowJudgment("a", "b"), Document("a", "b")],
+        ]
+        for group in groups:
+            assert len(set(group)) == len(group)
+            assert all(value for value in group)
+            for a in group:
+                for b in group:
+                    assert (a == b) == (a is b) and (a != b) == (a is not b)
+                    assert hash(a) == hash(tuple(a))
+
+    def test_replace_and_make_run_the_check(self):
+        d2 = standard_simplex(2, 2)
+        cover = build_double_cover(3)
+        short_map = SimplicialMap((cover.proj.levels[0][:5], *cover.proj.levels[1:]))
+        binding = Binding("x", UnitType(), Annotation.LINEAR)
+        cases = [
+            (HornSpec(2, 1, (4, 5)), {"faces": (1,)}),
+            (HornSpec(2, 1, (4, 5)), {"n": 0, "k": 0, "faces": ()}),
+            (d2, {"face_table": (((1,), *d2.face_table[0][1:]), d2.face_table[1])}),
+            (d2, {"counts": (3, 3)}),
+            (cover, {"proj": short_map}),
+            (CoherentlyFilled((SimplexId(1, 0),)), {"fillers": ()}),
+            (GapMode("plain"), {"kind": ""}),
+            (ResourceContext((binding,)), {"bindings": (binding, binding)}),
+            (BaseJudgment("J"), {"label": ""}),
+            (ArrowJudgment("J", "K"), {"target": ""}),
+        ]
+        for value, changes in cases:
+            fields = value._asdict() | changes
+            with pytest.raises(KernelError) as built:
+                type(value)(**fields)
+            for make in (lambda: value._replace(**changes),
+                         lambda: type(value)._make(fields.values())):
+                with pytest.raises(KernelError) as got:
+                    make()
+                assert type(got.value) is type(built.value)
+                assert str(got.value) == str(built.value)
+            assert type(value)._make(value) == value
+            assert value._replace() == value
+
+
+class TestNegativeIds:
+    def test_a_map_is_not_defined_on_a_negative_id(self):
+        f = SimplicialMap(((0, 1), (0,)))
+        for sid in (SimplexId(0, -1), SimplexId(-1, 0), SimplexId(1, -1)):
+            with pytest.raises(KernelError, match=f"^map not defined on {sid}$"):
+                f.apply(sid)
+        with pytest.raises(KernelError, match="^map not defined on 0/-1$"):
+            f.apply_horn(HornSpec(1, 0, (-1,)))
+        assert f.apply(SimplexId(0, 1)) == SimplexId(0, 1)
+        assert f.apply_horn(HornSpec(1, 0, (1,))) == HornSpec(1, 0, (1,))
+        assert f.level(-1) == () and f.level(1) == (0,)
+
+    def test_a_negative_id_has_no_label(self):
+        d1 = standard_simplex(1, 1)
+        assert d1.label(SimplexId(0, -1)) is None and d1.label(SimplexId(-1, 0)) is None
+        assert d1.name(SimplexId(0, -1)) == "0/-1"
+        assert d1.label(SimplexId(0, 1)) == "1"
