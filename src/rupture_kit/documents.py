@@ -318,7 +318,7 @@ def ruptured_to_body(r: RupturedComplex) -> dict:
 
 def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
     from .ruptured import GapMode, RupturedComplex
-    from .simplicial import HornSpec
+    from .simplicial import HornSpec, bad_index
 
     underlying = body_to_complex(body, where)
     coh_obj = _optional(body, "coh", where, dict)
@@ -332,10 +332,9 @@ def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
         bound = underlying.dim_bound
         _expect(0 <= n <= bound, f"dimension {n} is outside 0..{bound}", here)
         _expect(isinstance(members, list), "expected a list of indices", here)
-        count = underlying.count(n)
-        for v in members:
-            if not (type(v) is int and 0 <= v < count):
-                _index(v, n, count, here)
+        bad = bad_index(members, n, underlying.count(n))
+        if bad:
+            raise DocumentError(bad[1], here)
         coh[n] = members
     gap = {}
     for i, row in enumerate(_optional(body, "gap", where, list)):
@@ -345,7 +344,7 @@ def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
             raise DocumentError(f"{h} is listed twice", here)
         mode = row.get("mode")
         gap[h] = None if mode is None else GapMode(*_mode_fields(mode, f"{here}.mode"))
-    return RupturedComplex.create(underlying, coh, gap, gap)
+    return RupturedComplex.create(underlying, coh, gap)
 
 
 # -- fibrations -------------------------------------------------------------------

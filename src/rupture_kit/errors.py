@@ -11,9 +11,9 @@ class KernelError(Exception):
 
 
 class ShapeError(KernelError):
-    """A complex or fibration built with a face row or map level that does
-    not fit its counts. ``path`` is the position as document keys, e.g.
-    ``("faces", 1, 0)``, and ``key_path`` writes it as ``faces.1[0]``."""
+    """A complex, ruptured complex or map built with a face row, coherence
+    mark or map level that does not fit. ``path`` is the position as document
+    keys, e.g. ``("faces", 1, 0)``; ``key_path`` writes it as ``faces.1[0]``."""
 
     def __init__(self, reason: str, *path):
         self.reason, self.path = reason, path

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import KernelError, ShapeError, Violation, record
+from .errors import KernelError, Violation, record
 from .ruptured import (
     CoherentlyFilled,
     GapMode,
@@ -34,10 +34,10 @@ from .simplicial import (
     HornSpec,
     SimplexId,
     SimplicialMap,
-    bad_index,
     check_simplicial_map,
     enumerate_horns,
     restrict,
+    shaped_map,
 )
 
 
@@ -96,29 +96,9 @@ class RupturedFibrationData(_FibrationFields):
         composites: Optional[Mapping] = None,
         loop_gaps: Optional[Mapping] = None,
     ) -> "RupturedFibrationData":
-        """The map's shape rule of every construction, else :class:`ShapeError`:
-        a level for each dimension both spaces share, each one int (not a
-        bool) per total-space simplex naming a base simplex. A list may stand
-        for a tuple; the levels are stored as tuples."""
-        e, b = total.underlying, base.underlying
-        top, levels = min(e.dim_bound, b.dim_bound), proj.levels
-        if len(levels) != top + 1:
-            reason = f"map covers dimensions 0..{len(levels) - 1}, expected 0..{top}"
-            raise ShapeError(reason, "map")
-        for n, level in enumerate(levels):
-            have = e.counts[n]
-            if type(level) not in (list, tuple):
-                raise ShapeError("expected a list of targets", "map", n)
-            if len(level) > have:
-                raise ShapeError(f"the total space has no simplex {n}/{have}", "map", n, have)
-            if len(level) != have:
-                reason = f"map covers {len(level)} of {have} simplices of the total space"
-                raise ShapeError(reason, "map", n)
-            bad = bad_index(level, n, b.counts[n])
-            if bad:
-                raise ShapeError(bad[1], "map", n, bad[0])
-        if type(levels) is not tuple or any(type(level) is not tuple for level in levels):
-            proj = SimplicialMap(tuple(map(tuple, levels)))
+        """The map-level rule of :func:`shaped_map` on every construction,
+        else :class:`ShapeError`; the levels are stored as tuples."""
+        proj = shaped_map(proj, total.underlying, base.underlying)
         tables = [{} if t is None else t for t in (gap_lifts, composites, loop_gaps)]
         return tuple.__new__(cls, (total, base, proj, *tables))
 
@@ -430,7 +410,7 @@ def fiber(
                     image = inclusion.apply_horn(h)
                     if image in f.total.gap:
                         gap[h] = f.total.gap[image]
-    return RupturedComplex.create(sub, coh, gap, gap), inclusion
+    return RupturedComplex.create(sub, coh, gap), inclusion
 
 
 def enumerate_lifting_problems(f: RupturedFibrationData) -> list[LiftingProblemKey]:

@@ -13,14 +13,15 @@ by :func:`coherent_core`.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import ExclusionError, KernelError, Violation, record
+from .errors import ExclusionError, KernelError, ShapeError, Violation, record
 from .simplicial import (
     HornSpec,
     SimplexId,
     SimplicialMap,
     TruncatedComplex,
+    bad_index,
     check_simplicial_map,
     enumerate_horns,
     find_fillers,
@@ -59,8 +60,14 @@ class GapMode(_ModeFields):
 PLAIN = GapMode("plain")
 
 
+class _RupturedFields(NamedTuple):
+    underlying: TruncatedComplex
+    coh: tuple[frozenset[int], ...]
+    gap: Mapping[HornSpec, Optional[GapMode]]
+
+
 @record
-class RupturedComplex(NamedTuple):
+class RupturedComplex(_RupturedFields):
     """A truncated complex with coherence and gap annotations.
 
     ``coh[n]`` is the set of coherent simplex indices in dimension n.
@@ -68,26 +75,43 @@ class RupturedComplex(NamedTuple):
     mark: the same table a fibration keeps for its gap-marked problems.
     """
 
-    underlying: TruncatedComplex
-    coh: tuple[frozenset[int], ...]
-    gap: Mapping[HornSpec, Optional[GapMode]]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        underlying: TruncatedComplex,
+        coh: Sequence[Iterable[int]],
+        gap: Mapping[HornSpec, Optional[GapMode]],
+    ) -> "RupturedComplex":
+        """The shape rule of every construction, else :class:`ShapeError`:
+        one collection of marks per dimension 0..dim_bound, each mark an
+        int (not a bool) naming a simplex of its dimension. The marks are
+        stored as frozensets."""
+        counts = underlying.counts
+        if len(coh) != len(counts):
+            raise ShapeError(f"need {len(counts)} coherence levels, got {len(coh)}", "coh")
+        for n, marks in enumerate(coh):
+            bad = bad_index(marks, n, counts[n])
+            if bad:
+                raise ShapeError(bad[1], "coh", n)
+        return tuple.__new__(cls, (underlying, tuple(map(frozenset, coh)), gap))
 
     @classmethod
     def create(
         cls,
         underlying: TruncatedComplex,
-        coh: Mapping[int, object] | None = None,
-        gap=(),
-        gap_modes: Mapping[HornSpec, Optional[GapMode]] | None = None,
+        coh: Mapping[int, Iterable[int]] | None = None,
+        gap: Mapping[HornSpec, Optional[GapMode]] | Iterable[HornSpec] = (),
     ) -> "RupturedComplex":
-        """``gap`` lists the gapped horns and ``gap_modes`` gives some of
-        them a mode (the others are plain); a gap table can serve as both."""
-        coh = coh or {}
-        per_dim = tuple(
-            frozenset(coh.get(n, ())) for n in range(underlying.dim_bound + 1)
-        )
-        modes = gap_modes or {}
-        return cls(underlying, per_dim, {h: modes.get(h) for h in gap})
+        """``coh`` maps a dimension in 0..dim_bound to its coherent indices;
+        ``gap`` maps each gapped horn to its mode, or lists plain ones."""
+        coh, dims = coh or {}, range(underlying.dim_bound + 1)
+        for n in coh:
+            if n not in dims:
+                raise ShapeError(f"dimension {n!r} is outside 0..{dims[-1]}", "coh", n)
+        # A mapping has keys, as dict() itself decides.
+        gap = dict(gap) if hasattr(gap, "keys") else dict.fromkeys(gap)
+        return cls(underlying, [tuple(coh.get(n, ())) for n in dims], gap)
 
     def is_coherent(self, sid: SimplexId) -> bool:
         return (
@@ -132,7 +156,8 @@ class RupturedComplex(NamedTuple):
             )
         per_dim = list(self.coh)
         per_dim[sid.dim] = per_dim[sid.dim] | {sid.index}
-        return RupturedComplex(self.underlying, tuple(per_dim), self.gap)
+        # has(sid) checked the one new mark, so the shape rule is skipped.
+        return tuple.__new__(RupturedComplex, (self.underlying, tuple(per_dim), self.gap))
 
 
 # -- trichotomy --------------------------------------------------------------
@@ -200,15 +225,9 @@ def _exclusion_report(r: RupturedComplex, horns) -> list[Violation]:
 
 
 def validate_ruptured(r: RupturedComplex) -> list[Violation]:
-    """Full structural report: underlying complex validity, coherence marks
-    in range, gap horns well-formed, and Exclusion."""
+    """Full structural report: underlying complex validity, gap horns
+    well-formed, and Exclusion."""
     report = list(validate_complex(r.underlying))
-    for n, members in enumerate(r.coh):
-        for i in members:
-            if not 0 <= i < r.underlying.count(n):
-                report.append(
-                    Violation("coh-range", f"coherent mark {n}/{i} has no simplex")
-                )
     horns = sorted(r.gap)
     for h in horns:
         report.extend(horn_violations(r.underlying, h))
@@ -322,7 +341,7 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
                 for hy in right if hx in r.gap else right_gapped:
                     flat = tuple(a * rc + b for a, b in zip(hx.faces, hy.faces))
                     gap[HornSpec(n, k, flat)] = r.gap.get(hx) or s.gap.get(hy)
-    result = RupturedComplex.create(underlying, coh, gap, gap)
+    result = RupturedComplex.create(underlying, coh, gap)
     conflicts = validate_exclusion(result)
     if conflicts:
         raise ExclusionError(

@@ -192,6 +192,8 @@ class TruncatedComplex(_ComplexFields):
         """d_i of a simplex of dimension >= 1."""
         if sid.dim < 1:
             raise KernelError(f"simplex {sid} has no faces")
+        if not self.has(sid):
+            raise KernelError(f"no simplex {sid} in the complex")
         row = self.face_row(sid.dim, sid.index)
         if not 0 <= i < len(row):
             raise KernelError(f"face index {i} out of range for {sid}")
@@ -275,8 +277,9 @@ class SimplicialMap(NamedTuple):
     """A per-dimension total map of simplex indices between two complexes.
 
     ``levels[n][i]`` is the target index of source simplex (n, i). The map
-    covers dimensions 0..len(levels)-1; whether it commutes with faces is
-    checked by :func:`check_simplicial_map`.
+    covers dimensions 0..len(levels)-1. It is built without its complexes:
+    :func:`shaped_map` checks its levels against them, and
+    :func:`check_simplicial_map` whether it commutes with faces.
     """
 
     levels: tuple[tuple[int, ...], ...]
@@ -324,6 +327,32 @@ class SimplicialMap(NamedTuple):
 # -- the shared rules -------------------------------------------------------
 
 
+def shaped_map(f: SimplicialMap, x: TruncatedComplex, y: TruncatedComplex) -> SimplicialMap:
+    """The map-level rule of f: X -> Y, else :class:`ShapeError` at the first
+    failing position: a level for each dimension both complexes share, each
+    one int (not a bool) per simplex of X (the total space) naming a simplex
+    of Y. A list may stand for a tuple; f is returned with tuple levels."""
+    top, levels = min(x.dim_bound, y.dim_bound), f.levels
+    if len(levels) != top + 1:
+        reason = f"map covers dimensions 0..{len(levels) - 1}, expected 0..{top}"
+        raise ShapeError(reason, "map")
+    for n, level in enumerate(levels):
+        have = x.counts[n]
+        if type(level) not in (list, tuple):
+            raise ShapeError("expected a list of targets", "map", n)
+        if len(level) > have:
+            raise ShapeError(f"the total space has no simplex {n}/{have}", "map", n, have)
+        if len(level) != have:
+            reason = f"map covers {len(level)} of {have} simplices of the total space"
+            raise ShapeError(reason, "map", n)
+        bad = bad_index(level, n, y.counts[n])
+        if bad:
+            raise ShapeError(bad[1], "map", n, bad[0])
+    if type(levels) is not tuple or any(type(level) is not tuple for level in levels):
+        return SimplicialMap(tuple(map(tuple, levels)))
+    return f
+
+
 def horn_of(x: TruncatedComplex, sid: SimplexId, k: int) -> HornSpec:
     """The (n, k)-horn a simplex fills: its face row with entry k dropped."""
     row = x.face_row(sid.dim, sid.index)
@@ -369,8 +398,6 @@ def standard_simplex(n: int, dim_bound: int) -> TruncatedComplex:
     """
     if n < 0:
         raise KernelError("n must be non-negative")
-    if dim_bound < 0:
-        raise KernelError("dim_bound must be non-negative")
     subsets: list[list[tuple[int, ...]]] = []
     index_of: list[dict[tuple[int, ...], int]] = []
     for m in range(dim_bound + 1):
@@ -551,40 +578,12 @@ def is_kan_up_to(
 def check_simplicial_map(
     f: SimplicialMap, x: TruncatedComplex, y: TruncatedComplex
 ) -> list[Violation]:
-    """Totality and face-commutation report for f: X -> Y.
-
-    Empty iff f is defined on every simplex of X up to the common bound,
-    lands in Y, and satisfies f(d_i(s)) = d_i(f(s)) everywhere. A bare map
-    is built without its spaces, so only here are its levels checked.
-    """
+    """Face-commutation report for f: X -> Y: empty iff f(d_i(s)) = d_i(f(s))
+    on every simplex of X. Levels that do not fit X -> Y raise
+    :class:`ShapeError` from :func:`shaped_map`, as a fibration's
+    constructor does, so they need no report."""
+    f = shaped_map(f, x, y)
     report: list[Violation] = []
-    expected_top = min(x.dim_bound, y.dim_bound)
-    if f.top_dim != expected_top:
-        report.append(
-            Violation(
-                "map-levels",
-                f"map covers dimensions 0..{f.top_dim}, expected 0..{expected_top}",
-            )
-        )
-    for n in range(min(f.top_dim, expected_top) + 1):
-        if len(f.levels[n]) != x.count(n):
-            report.append(
-                Violation(
-                    "map-totality",
-                    f"dimension {n}: {len(f.levels[n])} entries for {x.count(n)} simplices",
-                )
-            )
-            continue
-        for i, t in enumerate(f.levels[n]):
-            if not 0 <= t < y.count(n):
-                report.append(
-                    Violation(
-                        "map-range",
-                        f"f({n}/{i}) = {n}/{t} is not a simplex of the target",
-                    )
-                )
-    if report:
-        return report
     for n in range(1, f.top_dim + 1):
         below, level = f.levels[n - 1], f.levels[n]
         rows, images = x.face_table[n - 1], y.face_table[n - 1]

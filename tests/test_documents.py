@@ -173,7 +173,7 @@ class TestGapModePayloads:
         circle = build_cycle(3)
         horn = enumerate_horns(circle, 2, 1)[0]
         mode = GapMode("monodromy", FiberPermutation.of([0, 1], {0: 1, 1: 0}))
-        r = RupturedComplex.create(circle, {0: range(3)}, [horn], {horn: mode})
+        r = RupturedComplex.create(circle, {0: range(3)}, {horn: mode})
         text = serialize_document(Document("ruptured", r))
         again = parse_document(text)
         assert again.body == r

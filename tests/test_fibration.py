@@ -684,7 +684,7 @@ class TestFiberOracle:
                 for h in enumerate_horns(x, n, k)
                 if rng.random() < 0.5
             }
-            f = RupturedFibrationData(RupturedComplex.create(x, coh, gap, gap), f.base, f.proj)
+            f = RupturedFibrationData(RupturedComplex.create(x, coh, gap), f.base, f.proj)
             for b in sorted(f.base.coh[0]):
                 fib, inclusion = fiber(f, SimplexId(0, b))
                 position = [{old: new for new, old in enumerate(level)}
@@ -919,7 +919,7 @@ def thinned_tower(f, g, rng: random.Random):
     def thin(r: RupturedComplex) -> RupturedComplex:
         coh = {n: [i for i in sorted(members) if rng.random() < 0.8]
                for n, members in enumerate(r.coh)}
-        return RupturedComplex.create(r.underlying, coh, r.gap, r.gap)
+        return RupturedComplex.create(r.underlying, coh, r.gap)
 
     def marks(fib, total, base):
         gaps = {key: mode for key, mode in fib.gap_lifts.items() if rng.random() < 0.7}

@@ -48,12 +48,10 @@ def inner_horn(x):
 def circle_with_inner_gaps(mode=None):
     circle = build_cycle(3)
     horns = enumerate_horns(circle, 2, 1)
-    modes = {h: mode for h in horns} if mode else {}
     return RupturedComplex.create(
         circle,
         {n: range(circle.count(n)) for n in range(3)},
-        horns,
-        modes,
+        {h: mode for h in horns},
     )
 
 
@@ -373,8 +371,9 @@ class TestMorphisms:
 class TestValidateRuptured:
     def test_out_of_range_coherence_reported(self):
         d1 = standard_simplex(1, 1)
-        r = RupturedComplex.create(d1, {0: [5]})
-        assert any(v.kind == "coh-range" for v in validate_ruptured(r))
+        with pytest.raises(ShapeError) as err:
+            RupturedComplex.create(d1, {0: [5]})
+        assert str(err.value) == "no simplex 0/5 (at coh.0)"
 
     def test_malformed_gap_horn_reported(self):
         d2 = triangle()

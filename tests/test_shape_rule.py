@@ -1,12 +1,16 @@
-"""The shape rule of complexes and fibrations, against an oracle written here.
+"""The shape rule of complexes, fibration maps and coherence marks, against
+oracles written here.
 
 Each fixture with face rows or a map has one face row or one map level
 changed at a time: cut, extended, an entry made negative, pointed past the
 end, or given as a bool or a float, or an entry swapped for another index
 that fits. The constructor must refuse the value exactly when the oracle
 calls it malformed, naming the oracle's reason and position, and
-``parse_document`` must report that reason at the matching key path. A few
-parse errors are also pinned verbatim.
+``parse_document`` must report that reason at the matching key path. A map
+level is checked three ways with one rule: by the fibration constructor,
+and as a bare map by ``check_simplicial_map`` and ``check_morphism``.
+Coherence marks get the same treatment through ``RupturedComplex.create``,
+``_replace`` and ``_make``. A few parse errors are also pinned verbatim.
 """
 
 import copy
@@ -19,7 +23,8 @@ import pytest
 from rupture_kit.documents import parse_document
 from rupture_kit.errors import DocumentError, ShapeError
 from rupture_kit.fibration import RupturedFibrationData
-from rupture_kit.simplicial import SimplicialMap, TruncatedComplex
+from rupture_kit.ruptured import RupturedComplex, check_morphism
+from rupture_kit.simplicial import SimplicialMap, TruncatedComplex, check_simplicial_map
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SHAPED = ["bank.json", "bottle.json", "circle3_gapped.json", "circle3_open.json", "crane.json",
@@ -116,16 +121,34 @@ def mutate(rng: random.Random, values: list, op: str, bound: int) -> list:
     return values
 
 
-def build(doc: dict, space: tuple):
-    """The kernel value a document's face rows or map make, from the raw
-    JSON values: a complex for a face row, a fibration for a map level."""
-    if space == ("map",):
-        parsed = parse_document(json.dumps(strip_map(doc))).body
-        levels = tuple(doc["map"].get(str(n), []) for n in range(len(parsed.proj.levels)))
-        return RupturedFibrationData(parsed.total, parsed.base, SimplicialMap(levels))
-    body = at(doc, space)
+def map_parts(doc: dict) -> tuple:
+    """The total space and base a fibration document parses to, and its map
+    as a bare map of the raw JSON levels."""
+    parsed = parse_document(json.dumps(strip_map(doc))).body
+    levels = tuple(doc["map"].get(str(n), []) for n in range(len(parsed.proj.levels)))
+    return parsed.total, parsed.base, SimplicialMap(levels)
+
+
+# The three callers of the map-level rule.
+MAP_CHECKS = {
+    "fibration": lambda e, b, f: RupturedFibrationData(e, b, f),
+    "check_simplicial_map": lambda e, b, f: check_simplicial_map(f, e.underlying, b.underlying),
+    "check_morphism": lambda e, b, f: check_morphism(f, e, b),
+}
+
+
+def complex_of(body: dict) -> TruncatedComplex:
     faces = {n: body["faces"].get(str(n), []) for n in range(1, body["dim_bound"] + 1)}
     return TruncatedComplex.create(body["dim_bound"], counts_of(body), faces)
+
+
+def refusal(build, *args):
+    """The (reason, position) of the ``ShapeError`` ``build`` raises, or None."""
+    try:
+        build(*args)
+    except ShapeError as err:
+        return err.reason, err.path
+    return None
 
 
 def strip_map(doc: dict) -> dict:
@@ -158,22 +181,120 @@ def test_constructor_refuses_exactly_what_the_oracle_calls_malformed(fixture):
         holder[path[-1]] = mutate(rng, holder[path[-1]], op, bound)
         if space == ("map",):
             want, where = map_problem(doc), ()
+            parts = map_parts(doc)
+            got = {name: refusal(check, *parts) for name, check in MAP_CHECKS.items()}
         else:
             want, where = face_problem(at(doc, space)), space
-        try:
-            build(doc, space)
-        except ShapeError as err:
-            assert want is not None, (fixture, path, op, str(err))
-            assert (err.reason, err.path) == want, (fixture, path, op)
-            with pytest.raises(DocumentError) as parsed:
-                parse_document(json.dumps(doc))
-            assert str(parsed.value) == f"{want[0]} (at {key_path(doc['kind'], where, want[1])})"
-            seen["refused"] += 1
+            got = {"complex": refusal(complex_of, at(doc, space))}
+        assert set(got.values()) == {want}, (fixture, path, op, want, got)
+        if want is None:
+            parse_document(json.dumps(doc))
+            seen["built"] += 1
             continue
-        assert want is None, (fixture, path, op, want)
-        parse_document(json.dumps(doc))
-        seen["built"] += 1
+        with pytest.raises(DocumentError) as parsed:
+            parse_document(json.dumps(doc))
+        assert str(parsed.value) == f"{want[0]} (at {key_path(doc['kind'], where, want[1])})"
+        seen["refused"] += 1
     assert seen["refused"] >= 30 and seen["built"] >= 3, seen
+
+
+FIBRATIONS = [name for name in SHAPED if "map" in json.loads((FIXTURES / name).read_text())]
+
+
+@pytest.mark.parametrize("fixture", FIBRATIONS)
+@pytest.mark.parametrize("edit", ["drop", "add"])
+def test_a_map_with_a_level_too_few_or_too_many_is_refused_by_all_three(fixture, edit):
+    doc = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
+    total, base, f = map_parts(doc)
+    levels = f.levels[:-1] if edit == "drop" else f.levels + ((),)
+    top = len(f.levels) - 1
+    want = (f"map covers dimensions 0..{len(levels) - 1}, expected 0..{top}", ("map",))
+    for check in MAP_CHECKS.values():
+        assert refusal(check, total, base, SimplicialMap(levels)) == want
+
+
+COH_SPACES = {"bank.json": [("total",), ("base",)], "bottle.json": [("total",), ("base",)],
+              "circle3_gapped.json": [()], "circle3_open.json": [()],
+              "crane.json": [("total",), ("base",)],
+              "double_cover_3.json": [("total",), ("base",)], "triangle_kan.json": [()]}
+COH_OPS = ["past", "negative", "bool", "key above", "key below", "swap", "drop"]
+
+
+def coh_problem(body: dict):
+    """The first coherence mark or key of a ruptured body that breaks the
+    rule, in document order, as (reason, position)."""
+    counts, bound = counts_of(body), body["dim_bound"]
+    for key, marks in body["coh"].items():
+        n = int(key)
+        if not 0 <= n <= bound:
+            return f"dimension {n} is outside 0..{bound}", ("coh", n)
+        for v in marks:
+            reason = entry_problem(v, n, counts[n])
+            if reason:
+                return reason, ("coh", n)
+    return None
+
+
+def mutate_coh(rng: random.Random, body: dict, op: str) -> None:
+    """Change one coherence mark or key of a ruptured body in place."""
+    coh, counts, bound = body["coh"], counts_of(body), body["dim_bound"]
+    if op in ("key above", "key below"):
+        coh[str(bound + 1 if op == "key above" else -1)] = [0]
+        return
+    n = rng.choice(sorted(coh))
+    marks = coh[n]
+    if op == "drop":
+        if marks:
+            marks.pop(rng.randrange(len(marks)))
+        return
+    value = {"past": counts[int(n)], "negative": -1, "bool": rng.random() < 0.5,
+             "swap": rng.randrange(counts[int(n)]) if counts[int(n)] else None}[op]
+    if value is None:
+        return
+    if marks and rng.random() < 0.5:
+        marks[rng.randrange(len(marks))] = value
+    else:
+        marks.insert(rng.randrange(len(marks) + 1), value)
+
+
+@pytest.mark.parametrize("fixture", sorted(COH_SPACES))
+def test_coherence_marks_are_refused_exactly_when_the_oracle_calls_them_malformed(fixture):
+    original = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
+    parsed = parse_document(json.dumps(original)).body
+    rng = random.Random(f"coh {fixture}")
+    seen = {"refused": 0, "built": 0}
+    for _ in range(40):
+        doc = copy.deepcopy(original)
+        space, op = rng.choice(COH_SPACES[fixture]), rng.choice(COH_OPS)
+        body = at(doc, space)
+        mutate_coh(rng, body, op)
+        want = coh_problem(body)
+        r = getattr(parsed, space[0]) if space else parsed
+        coh = {int(n): marks for n, marks in body["coh"].items()}
+        levels = [coh.get(n, []) for n in range(r.underlying.dim_bound + 1)]
+        if want is not None and want[0].startswith("dimension"):
+            levels.append([0])  # a key out of range: one level too many
+        builds = [
+            lambda: RupturedComplex.create(r.underlying, coh, r.gap),
+            lambda: r._replace(coh=levels),
+            lambda: RupturedComplex._make((r.underlying, levels, r.gap)),
+        ]
+        got = [refusal(build) for build in builds]
+        assert got[0] == want, (fixture, space, op, got)
+        if want is None:
+            assert got == [None] * 3, (fixture, space, op, got)
+            assert builds[1]().coh == tuple(frozenset(level) for level in levels)
+            parse_document(json.dumps(doc))
+            seen["built"] += 1
+            continue
+        assert None not in got, (fixture, space, op, got)
+        if not want[0].startswith("dimension"):
+            assert got[1] == got[2] == want, (fixture, space, op, got)
+        with pytest.raises(DocumentError) as err:
+            parse_document(json.dumps(doc))
+        assert str(err.value) == f"{want[0]} (at {key_path(doc['kind'], space, want[1])})"
+        seen["refused"] += 1
+    assert seen["refused"] >= 15 and seen["built"] >= 3, seen
 
 
 # Parse errors of single edits, verbatim: the reason and key path are part
@@ -196,6 +317,11 @@ PINNED = [
     ("bank.json", ("map", "0"), lambda r: r[:1],
      "map covers 1 of 2 simplices of the total space", "fibration.map.0"),
     ("crane.json", ("map", "1"), lambda r: [r[0], 7], "no simplex 1/7", "fibration.map.1[1]"),
+    ("triangle_kan.json", ("coh",), lambda c: {**c, "01": [7]}, "no simplex 1/7", "ruptured.coh.01"),
+    ("circle3_open.json", ("coh",), lambda c: {**c, "-1": [0]},
+     "dimension -1 is outside 0..2", "ruptured.coh.-1"),
+    ("bank.json", ("total", "coh", "0"), lambda m: m + [False],
+     "expected an integer", "fibration.total.coh.0"),
 ]
 
 

@@ -106,6 +106,8 @@ class TestStandardSimplex:
     def test_rejects_negative(self):
         with pytest.raises(KernelError):
             standard_simplex(-1, 2)
+        with pytest.raises(ShapeError, match="^dim_bound must be a non-negative integer"):
+            standard_simplex(2, -1)
 
 
 class TestHornComplex:
@@ -346,8 +348,9 @@ class TestSimplicialMap:
     def test_totality_checked(self):
         d2 = standard_simplex(2, 2)
         short = SimplicialMap(((0, 1), (0, 1, 2), (0,)))
-        report = check_simplicial_map(short, d2, d2)
-        assert any(v.kind == "map-totality" for v in report)
+        with pytest.raises(ShapeError) as err:
+            check_simplicial_map(short, d2, d2)
+        assert str(err.value) == "map covers 2 of 3 simplices of the total space (at map.0)"
 
     def test_compose_respects_application(self):
         d2 = standard_simplex(2, 2)
@@ -368,24 +371,25 @@ class TestSimplicialMap:
     def test_matches_the_simplex_id_scan(self):
         """Seeded maps, most of them broken, against the face-commutation
         check written with ``SimplexId`` and ``face``: the same report, or
-        the same error, for each. A seeded face-row defect is refused when
+        the same error, for each. A map whose levels do not fit is refused
+        with the same ``ShapeError``. A seeded face-row defect is refused when
         the complex is built, and the map is checked against the complex as
         it was."""
         rng = random.Random(43)
-        seen = {"clean": 0, "commutation": 0, "shape": 0, "refused": 0}
+        seen = {"clean": 0, "commutation": 0, "refused": 0, "rows refused": 0}
         for _ in range(300):
             x, y = random_complex(rng), random_complex(rng)
             if rng.random() < 0.5:
                 y = x
             f = seeded_map(rng, x, y)
-            seen["refused"] += refuses_seeded_defect(rng, x)
+            seen["rows refused"] += refuses_seeded_defect(rng, x)
             want = outcome(check_simplicial_map_scan, f, x, y)
             assert outcome(check_simplicial_map, f, x, y) == want
-            assert isinstance(want, list), want
-            if not want:
-                seen["clean"] += 1
+            if isinstance(want, str):
+                assert want.startswith("ShapeError: "), want
+                seen["refused"] += 1
             else:
-                seen["commutation" if want[0][0] == "face-commutation" else "shape"] += 1
+                seen["commutation" if want else "clean"] += 1
         assert min(seen.values()) >= 10, seen
 
 
@@ -442,27 +446,23 @@ def outcome(check, f, x, y):
 
 
 def check_simplicial_map_scan(f, x, y):
-    """The totality, range and face-commutation checks, face by face through
-    ``SimplexId``, ``SimplicialMap.apply`` and ``TruncatedComplex.face``."""
-    from rupture_kit.errors import Violation
-
+    """The level rule, simplex by simplex through ``SimplexId`` and ``has``,
+    then the face-commutation check, face by face through
+    ``SimplicialMap.apply`` and ``TruncatedComplex.face``."""
+    top = min(x.dim_bound, y.dim_bound)
+    if f.top_dim != top:
+        raise ShapeError(f"map covers dimensions 0..{f.top_dim}, expected 0..{top}", "map")
+    for n, level in enumerate(f.levels):
+        have = x.count(n)
+        if len(level) > have:
+            raise ShapeError(f"the total space has no simplex {n}/{have}", "map", n, have)
+        if len(level) < have:
+            raise ShapeError(
+                f"map covers {len(level)} of {have} simplices of the total space", "map", n)
+        for i, t in enumerate(level):
+            if not y.has(SimplexId(n, t)):
+                raise ShapeError(f"no simplex {n}/{t}", "map", n, i)
     report = []
-    expected_top = min(x.dim_bound, y.dim_bound)
-    if f.top_dim != expected_top:
-        report.append(Violation(
-            "map-levels", f"map covers dimensions 0..{f.top_dim}, expected 0..{expected_top}"))
-    for n in range(min(f.top_dim, expected_top) + 1):
-        if len(f.levels[n]) != x.count(n):
-            report.append(Violation(
-                "map-totality",
-                f"dimension {n}: {len(f.levels[n])} entries for {x.count(n)} simplices"))
-            continue
-        for i, t in enumerate(f.levels[n]):
-            if not 0 <= t < y.count(n):
-                report.append(Violation(
-                    "map-range", f"f({n}/{i}) = {n}/{t} is not a simplex of the target"))
-    if report:
-        return report
     for n in range(1, f.top_dim + 1):
         for idx in range(x.count(n)):
             src = SimplexId(n, idx)
@@ -1021,3 +1021,11 @@ class TestNegativeIds:
         assert d1.label(SimplexId(0, -1)) is None and d1.label(SimplexId(-1, 0)) is None
         assert d1.name(SimplexId(0, -1)) == "0/-1"
         assert d1.label(SimplexId(0, 1)) == "1"
+
+    @pytest.mark.parametrize("sid", [SimplexId(1, -1), SimplexId(1, 5), SimplexId(5, 0)],
+                             ids=str)
+    def test_face_of_an_id_that_names_no_simplex_raises(self, sid):
+        d1 = standard_simplex(1, 1)
+        with pytest.raises(KernelError, match=f"^no simplex {sid} in the complex$"):
+            d1.face(sid, 0)
+        assert d1.face(SimplexId(1, 0), 0) == SimplexId(0, 1)
