@@ -9,11 +9,7 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from rupture_kit.documents import (
-    Document,
-    ScriptCommand,
-    serialize_document,
-)
+from rupture_kit.documents import Document, serialize_document
 from rupture_kit.covering import build_double_cover
 from fixture_builders import (
     bank_fibration,
@@ -22,7 +18,7 @@ from fixture_builders import (
     double_cover_task,
     linear_horn_task,
 )
-from rupture_kit.judgments import ArrowJudgment, BaseJudgment, Polarity
+from rupture_kit.judgments import ArrowJudgment, BaseJudgment, Polarity, ScriptCommand
 from rupture_kit.ruptured import from_kan, fully_gapped
 from rupture_kit.simplicial import standard_simplex
 from rupture_kit.covering import build_cycle

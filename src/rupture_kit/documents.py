@@ -6,19 +6,23 @@ index); face lists are ordered d_0..d_n. The parsers raise
 :class:`DocumentError` with a key path on any schema mismatch, and the
 serializers emit values the parsers map back to equal in-memory objects.
 A reference to a simplex that does not exist (a face row entry, a coherence
-mark, a gap-horn face, a composite edge) is a schema mismatch too, and so is
-a fibration map that is not total on the total space or has a level outside
-the dimensions both spaces share: the constructors check face rows and map
-levels, and their :class:`ShapeError` becomes a key path. Simplicial
+mark, a gap-horn face, a composite edge) is a schema mismatch too, and so are
+a ``simplices``, ``faces`` or ``map`` key that names no dimension of its
+complex and a fibration map that is not total on the total space: the
+constructors check face rows and map levels, and their :class:`ShapeError`
+becomes a key path. Simplicial
 identities, face commutation, horn compatibility and Exclusion are left to
 the validators.
 
 Each kind's codec imports its kernel module when it runs, so that a
 command loads only the modules of the documents it reads: this module
 itself imports none. A codec imports once per document, never per row:
-the row readers it shares with the public row codecs return plain values
-(``_horn_fields``, ``_mode_fields``, ``_judgment_labels``) or take the
-classes the codec imported (the type and term trees).
+the row readers that two codecs share return plain values
+(``_horn_fields``, ``_mode_fields``) or take the classes the codec
+imported (the type and term trees). Besides the six codec pairs and the
+document functions, the public surface is the four row serializers the CLI
+prints rows with: ``complex_to_body``, ``horn_to_body``, ``mode_to_body``
+and ``judgment_to_body``.
 
 Document kinds:
 
@@ -43,25 +47,13 @@ from .errors import DocumentError, ShapeError, record
 
 if TYPE_CHECKING:
     from .covering import CoveringTask
-    from .derivability import DeriveTask, ResourceContext, TupleTerm, TypeExpr
+    from .derivability import DeriveTask, ResourceContext
     from .fibration import RupturedFibrationData
     from .judgments import JudgmentAtom, ScriptCommand
     from .ruptured import GapMode, RupturedComplex
-    from .simplicial import HornSpec, SimplexId, TruncatedComplex
+    from .simplicial import HornSpec, TruncatedComplex
 
 FORMAT = "rupture-kit/1"
-
-# The task records live next to the kernel modules they feed, and load with
-# them; they can still be imported from here.
-_TASKS = {"CoveringTask": "covering", "DeriveTask": "derivability", "ScriptCommand": "judgments"}
-
-
-def __getattr__(name: str):
-    if name not in _TASKS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    return getattr(import_module(f"{__package__}.{_TASKS[name]}"), name)
 
 
 @record
@@ -104,18 +96,6 @@ def _int(value, where: str) -> int:
     return value
 
 
-def _index(value, dim: int, count: int, where: str) -> int:
-    """An integer naming one of the ``count`` simplices of dimension ``dim``.
-
-    Loops over many values call this only when ``type(v) is int and
-    0 <= v < count`` fails, so that they build the key path only for an
-    error; this check stays the rule."""
-    i = _int(value, where)
-    if not 0 <= i < count:
-        raise DocumentError(f"no simplex {dim}/{i}", where)
-    return i
-
-
 # -- complexes -----------------------------------------------------------------
 
 
@@ -140,6 +120,10 @@ def body_to_complex(body: Mapping, where: str = "complex") -> TruncatedComplex:
     dim_bound = _int(_get(body, "dim_bound", where), f"{where}.dim_bound")
     _expect(dim_bound >= 0, "dim_bound must be non-negative", f"{where}.dim_bound")
     simplices = _get(body, "simplices", where, dict)
+    dims = [str(n) for n in range(dim_bound + 1)]
+    for key in simplices:
+        _expect(key in dims, f"dimension '{key}' is outside 0..{dim_bound}",
+                f"{where}.simplices.{key}")
     counts = []
     labels = {}
     for n in range(dim_bound + 1):
@@ -157,6 +141,9 @@ def body_to_complex(body: Mapping, where: str = "complex") -> TruncatedComplex:
         else:
             raise DocumentError("expected a count or a label array", here)
     faces_obj = _optional(body, "faces", where, dict)
+    for key in faces_obj:
+        _expect(key in dims[1:], f"dimension '{key}' is outside 1..{dim_bound}",
+                f"{where}.faces.{key}")
     faces = {n: faces_obj.get(str(n), []) for n in range(1, dim_bound + 1)}
     try:
         return TruncatedComplex.create(dim_bound, counts, faces, labels)
@@ -239,13 +226,6 @@ def _mode_fields(body, where: str) -> Optional[tuple[str, object]]:
     return kind, None
 
 
-def body_to_mode(body, where: str) -> Optional[GapMode]:
-    from .ruptured import GapMode
-
-    fields = _mode_fields(body, where)
-    return None if fields is None else GapMode(*fields)
-
-
 # -- ruptured complexes ----------------------------------------------------------
 
 
@@ -286,18 +266,13 @@ def _horn_fields(
     bound = within.dim_bound
     if n > bound:
         raise DocumentError(f"horn dimension {n} exceeds bound {bound}", f"{where}.n")
-    count = within.count(n - 1)
-    for i, f in mapping.items():
-        if not 0 <= f < count:
-            _index(f, n - 1, count, f"{where}.faces.{i}")
+    count, values = within.count(n - 1), list(mapping.values())
+    if not 0 <= min(values) <= max(values) < count:
+        from .simplicial import bad_index
+
+        j, reason = bad_index(values, n - 1, count)
+        raise DocumentError(reason, f"{where}.faces.{list(mapping)[j]}")
     return n, k, tuple([mapping[i] for i in present])
-
-
-def body_to_horn(body: Mapping, where: str, within: TruncatedComplex) -> HornSpec:
-    """A horn whose faces must be simplices of ``within``."""
-    from .simplicial import HornSpec
-
-    return HornSpec(*_horn_fields(body, where, within))
 
 
 def ruptured_to_body(r: RupturedComplex) -> dict:
@@ -379,7 +354,7 @@ def fibration_to_body(f: RupturedFibrationData) -> dict:
 def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrationData:
     from .fibration import LiftingProblemKey, RupturedFibrationData
     from .ruptured import GapMode
-    from .simplicial import HornSpec, SimplexId, SimplicialMap
+    from .simplicial import HornSpec, SimplexId, SimplicialMap, bad_index
 
     total = body_to_ruptured(_get(body, "total", where, dict), f"{where}.total")
     base = body_to_ruptured(_get(body, "base", where, dict), f"{where}.base")
@@ -404,12 +379,10 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
         here = f"{where}.gap_lifts[{i}]"
         horn_body = _get(row, "horn", here, dict)
         horn = HornSpec(*_horn_fields(horn_body, f"{here}.horn", total.underlying))
-        base_index = _index(
-            _get(row, "base_simplex", here),
-            horn.n,
-            base.underlying.count(horn.n),
-            f"{here}.base_simplex",
-        )
+        base_index = _get(row, "base_simplex", here)
+        bad = bad_index([base_index], horn.n, base.underlying.count(horn.n))
+        if bad:
+            raise DocumentError(bad[1], f"{here}.base_simplex")
         key = LiftingProblemKey(horn, SimplexId(horn.n, base_index))
         if key in gap_lifts:
             raise DocumentError(f"{key} is listed twice", here)
@@ -422,8 +395,9 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
         first = _int(_get(row, "first", here), here)
         second = _int(_get(row, "second", here), here)
         comp = _int(_get(row, "composite", here), here)
-        for edge in (first, second, comp):
-            _index(edge, 1, edges, here)
+        bad = bad_index((first, second, comp), 1, edges)
+        if bad:
+            raise DocumentError(bad[1], here)
         if (first, second) in composites:
             raise DocumentError(f"composite of ({first}, {second}) is listed twice", here)
         composites[(first, second)] = comp
@@ -513,23 +487,7 @@ def _body_to_tree(tree, body, where: str):
     raise DocumentError(f"{what} must be one of {leaf}/unit/{node}", where)
 
 
-def type_to_body(t: TypeExpr) -> dict:
-    return _tree_to_body(_type_tree(), t)
-
-
-def body_to_type(body, where: str) -> TypeExpr:
-    return _body_to_tree(_type_tree(), body, where)
-
-
-def term_to_body(t: TupleTerm) -> dict:
-    return _tree_to_body(_term_tree(), t)
-
-
-def body_to_term(body, where: str) -> TupleTerm:
-    return _body_to_tree(_term_tree(), body, where)
-
-
-def context_to_body(ctx: ResourceContext) -> list:
+def _context_to_body(ctx: ResourceContext) -> list:
     tree = _type_tree()
     return [
         {
@@ -541,7 +499,7 @@ def context_to_body(ctx: ResourceContext) -> list:
     ]
 
 
-def body_to_context(rows, where: str) -> ResourceContext:
+def _body_to_context(rows, where: str) -> ResourceContext:
     from .derivability import Annotation, Binding, ResourceContext
 
     _expect(isinstance(rows, list), "context must be a list of bindings", where)
@@ -565,25 +523,25 @@ def body_to_context(rows, where: str) -> ResourceContext:
 
 def derive_task_to_body(task: DeriveTask) -> dict:
     return {
-        "gamma": context_to_body(task.gamma),
-        "delta": context_to_body(task.delta),
+        "gamma": _context_to_body(task.gamma),
+        "delta": _context_to_body(task.delta),
         "sigma": {src: dst for src, dst in task.sigma.mapping},
-        "term": term_to_body(task.term),
-        "goal": type_to_body(task.goal),
+        "term": _tree_to_body(_term_tree(), task.term),
+        "goal": _tree_to_body(_type_tree(), task.goal),
     }
 
 
 def body_to_derive_task(body: Mapping, where: str = "derive-task") -> DeriveTask:
     from .derivability import DeriveTask, Substitution
 
-    gamma = body_to_context(_get(body, "gamma", where), f"{where}.gamma")
-    delta = body_to_context(_get(body, "delta", where), f"{where}.delta")
+    gamma = _body_to_context(_get(body, "gamma", where), f"{where}.gamma")
+    delta = _body_to_context(_get(body, "delta", where), f"{where}.delta")
     sigma_obj = _get(body, "sigma", where, dict)
     for key, value in sigma_obj.items():
         _expect(isinstance(value, str), "sigma images must be variable names", f"{where}.sigma.{key}")
     sigma = Substitution.of(sigma_obj)
-    term = body_to_term(_get(body, "term", where), f"{where}.term")
-    goal = body_to_type(_get(body, "goal", where), f"{where}.goal")
+    term = _body_to_tree(_term_tree(), _get(body, "term", where), f"{where}.term")
+    goal = _body_to_tree(_type_tree(), _get(body, "goal", where), f"{where}.goal")
     return DeriveTask(gamma, delta, sigma, term, goal)
 
 
@@ -595,34 +553,6 @@ def judgment_to_body(j: JudgmentAtom) -> dict:
     if hasattr(j, "label"):
         return {"atom": j.label}
     return {"arrow": [j.source, j.target]}
-
-
-def _judgment_labels(body, where: str) -> tuple[str, ...]:
-    """(label,) of an atom body, (source, target) of an arrow body."""
-    if not isinstance(body, dict) or len(body) != 1:
-        raise DocumentError("judgment must be atom or arrow", where)
-    if "atom" in body:
-        label = body["atom"]
-        _expect(isinstance(label, str) and bool(label), "atom needs a label", where)
-        return (label,)
-    if "arrow" in body:
-        pair = body["arrow"]
-        _expect(
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(isinstance(v, str) and v for v in pair),
-            "arrow needs [source, target] labels",
-            where,
-        )
-        return tuple(pair)
-    raise DocumentError("judgment must be atom or arrow", where)
-
-
-def body_to_judgment(body, where: str) -> JudgmentAtom:
-    from .judgments import ArrowJudgment, BaseJudgment
-
-    labels = _judgment_labels(body, where)
-    return BaseJudgment(*labels) if len(labels) == 1 else ArrowJudgment(*labels)
 
 
 def script_to_body(commands) -> dict:
@@ -650,8 +580,23 @@ def body_to_script(body: Mapping, where: str = "judgment-script") -> list[Script
     from .judgments import ArrowJudgment, BaseJudgment, Polarity, ScriptCommand
 
     def read_judgment(row, here):
-        labels = _judgment_labels(_get(row, "judgment", here), f"{here}.judgment")
-        return BaseJudgment(*labels) if len(labels) == 1 else ArrowJudgment(*labels)
+        body, at = _get(row, "judgment", here), f"{here}.judgment"
+        one = isinstance(body, dict) and len(body) == 1
+        if one and "atom" in body:
+            label = body["atom"]
+            _expect(isinstance(label, str) and bool(label), "atom needs a label", at)
+            return BaseJudgment(label)
+        if one and "arrow" in body:
+            pair = body["arrow"]
+            _expect(
+                isinstance(pair, list)
+                and len(pair) == 2
+                and all(isinstance(v, str) and v for v in pair),
+                "arrow needs [source, target] labels",
+                at,
+            )
+            return ArrowJudgment(*pair)
+        raise DocumentError("judgment must be atom or arrow", at)
 
     rows = _get(body, "script", where, list)
     commands = []

@@ -11,9 +11,10 @@ class KernelError(Exception):
 
 
 class ShapeError(KernelError):
-    """A complex, ruptured complex or map built with a face row, coherence
-    mark or map level that does not fit. ``path`` is the position as document
-    keys, e.g. ``("faces", 1, 0)``; ``key_path`` writes it as ``faces.1[0]``."""
+    """A complex, ruptured complex or map built with a face row, label list,
+    coherence mark or map level that does not fit. ``path`` is the position
+    as document keys, e.g. ``("faces", 1, 0)``; ``key_path`` writes it as
+    ``faces.1[0]``."""
 
     def __init__(self, reason: str, *path):
         self.reason, self.path = reason, path

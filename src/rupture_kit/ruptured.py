@@ -355,7 +355,9 @@ def check_morphism(
     f: SimplicialMap, r: RupturedComplex, s: RupturedComplex
 ) -> list[Violation]:
     """Report for a rupture-preserving morphism: the map must commute with
-    faces, send Coh into Coh, and send gapped horns to gapped horns."""
+    faces, send Coh into Coh, and send gapped horns to gapped horns. A gap
+    horn of r that does not fit its complex gets its
+    :func:`horn_violations` rows in place of a gap-preservation check."""
     report = list(check_simplicial_map(f, r.underlying, s.underlying))
     if report:
         return report
@@ -369,7 +371,12 @@ def check_morphism(
                         f"coherent {n}/{i} maps to non-coherent {img}",
                     )
                 )
+    x = r.underlying
     for h in sorted(r.gap):
+        n, _, faces = h
+        if not 1 <= n <= x.dim_bound or min(faces) < 0 or max(faces) >= x.counts[n - 1]:
+            report.extend(horn_violations(x, h))
+            continue
         img = f.apply_horn(h)
         if img not in s.gap:
             report.append(

@@ -116,9 +116,11 @@ class TruncatedComplex(_ComplexFields):
         labels: tuple[Optional[tuple[str, ...]], ...] = (),
     ) -> "TruncatedComplex":
         """The shape rule of every construction, else :class:`ShapeError`:
-        ``dim_bound + 1`` counts and, for each n >= 1, one face row per
-        n-simplex, each n + 1 ints (not bools) naming (n-1)-simplices. A list
-        may stand for a tuple; the rows are stored as tuples."""
+        ``dim_bound + 1`` counts; for each n >= 1, one face row per
+        n-simplex, each n + 1 ints (not bools) naming (n-1)-simplices; and at
+        most ``dim_bound + 1`` label entries, each None or one string per
+        simplex of its dimension. A list may stand for a tuple; rows and
+        labels are stored as tuples."""
         d, counts, table = dim_bound, tuple(counts), face_table
         if type(d) is not int or d < 0:
             raise ShapeError("dim_bound must be a non-negative integer", "dim_bound")
@@ -149,6 +151,20 @@ class TruncatedComplex(_ComplexFields):
                 if bad:
                     raise ShapeError(bad[1], "faces", n, i)
         table = tuple(tuple(map(tuple, rows)) for rows in table)
+        if labels:
+            if len(labels) > d + 1:
+                raise ShapeError(f"dimension {d + 1} is outside 0..{d}", "simplices", d + 1)
+            for n, names in enumerate(labels):
+                if names is None:
+                    continue
+                if type(names) not in (list, tuple):
+                    raise ShapeError("expected a list of labels", "simplices", n)
+                if len(names) != counts[n]:
+                    reason = f"{counts[n]} simplices need {counts[n]} labels, got {len(names)}"
+                    raise ShapeError(reason, "simplices", n)
+                if not set(map(type, names)) <= {str}:
+                    raise ShapeError("labels must be strings", "simplices", n)
+            labels = tuple(names if names is None else tuple(names) for names in labels)
         return tuple.__new__(cls, (d, counts, table, labels))
 
     @classmethod

@@ -7,11 +7,11 @@ Each builder returns fully validated in-memory data; the JSON files under
 
 from __future__ import annotations
 
-from rupture_kit.covering import EdgePath, build_double_cover, monodromy_ruptured
-from rupture_kit.documents import CoveringTask, DeriveTask
+from rupture_kit.covering import CoveringTask, EdgePath, build_double_cover, monodromy_ruptured
 from rupture_kit.derivability import (
     Annotation,
     AtomType,
+    DeriveTask,
     Pair,
     ProdType,
     ResourceContext,

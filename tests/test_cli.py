@@ -483,12 +483,13 @@ class TestMonodromyOracle:
     @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_images_match_monodromy(self, tmp_path, m):
         from rupture_kit.covering import (
+            CoveringTask,
             EdgePath,
             build_double_cover,
             monodromy,
             trivial_double_cover,
         )
-        from rupture_kit.documents import CoveringTask, Document, serialize_document
+        from rupture_kit.documents import Document, serialize_document
         from rupture_kit.simplicial import SimplexId
 
         generator = EdgePath.forward(*range(m))
@@ -518,6 +519,7 @@ class TestDeriveOracle:
         from rupture_kit.derivability import (
             Annotation,
             AtomType,
+            DeriveTask,
             Pair,
             ProdType,
             ResourceContext,
@@ -527,7 +529,7 @@ class TestDeriveOracle:
             Var,
             detect_derivability_horn,
         )
-        from rupture_kit.documents import DeriveTask, Document, serialize_document
+        from rupture_kit.documents import Document, serialize_document
 
         a = AtomType("A")
         terms = [Var("x"), Pair(Var("x"), Var("x")), UnitTerm()]

@@ -133,10 +133,21 @@ class TestParseErrors:
             load_document("/nonexistent/nowhere.json")
 
 
+def parsed_mode(body):
+    """The mode of the one gap horn of a ruptured document with this mode body."""
+    text = json.dumps({
+        "format": "rupture-kit/1", "kind": "ruptured", "dim_bound": 1,
+        "simplices": {"0": 2, "1": 1}, "faces": {"1": [[1, 0]]},
+        "gap": [{"n": 1, "k": 0, "faces": {"1": 0}, "mode": body}],
+    })
+    (mode,) = parse_document(text).body.gap.values()
+    return mode
+
+
 class TestGapModePayloads:
     def test_monodromy_payload_round_trip(self):
         from rupture_kit.covering import FiberPermutation
-        from rupture_kit.documents import body_to_mode, mode_to_body
+        from rupture_kit.documents import mode_to_body
         from rupture_kit.ruptured import GapMode
 
         mode = GapMode("monodromy", FiberPermutation.of([0, 3], {0: 3, 3: 0}))
@@ -145,24 +156,24 @@ class TestGapModePayloads:
             "kind": "monodromy",
             "payload": {"fiber": [0, 3], "images": [[0, 3], [3, 0]]},
         }
-        assert body_to_mode(body, "test") == mode
+        assert parsed_mode(body) == mode
 
     def test_resource_payload_round_trip(self):
-        from rupture_kit.documents import body_to_mode, mode_to_body
+        from rupture_kit.documents import mode_to_body
         from rupture_kit.ruptured import GapMode
 
         mode = GapMode("resource", (("y", 2),))
         body = mode_to_body(mode)
         assert body == {"kind": "resource", "payload": [["y", 2]]}
-        assert body_to_mode(body, "test") == mode
+        assert parsed_mode(body) == mode
 
     def test_plain_and_custom_kinds(self):
-        from rupture_kit.documents import body_to_mode, mode_to_body
+        from rupture_kit.documents import mode_to_body
         from rupture_kit.ruptured import GapMode
 
-        assert body_to_mode(mode_to_body(GapMode("plain")), "t") == GapMode("plain")
+        assert parsed_mode(mode_to_body(GapMode("plain"))) == GapMode("plain")
         custom = GapMode("drift")
-        assert body_to_mode(mode_to_body(custom), "t") == custom
+        assert parsed_mode(mode_to_body(custom)) == custom
 
     def test_monodromy_mode_in_ruptured_document(self):
         from rupture_kit.covering import FiberPermutation, build_cycle
@@ -335,6 +346,13 @@ def test_bad_gap_lift(mutate, message, where):
     assert err.value.position == where
 
 
+def derive_task(**trees) -> str:
+    """A derive-task document with empty contexts and unit term and goal,
+    but for the trees given."""
+    body = {"gamma": [], "delta": [], "sigma": {}, "term": {"unit": {}}, "goal": {"unit": {}}}
+    return json.dumps({"format": "rupture-kit/1", "kind": "derive-task", **body, **trees})
+
+
 class TestTreeCodec:
     """Types and terms share one codec; each keeps its own words."""
 
@@ -349,11 +367,9 @@ class TestTreeCodec:
         ],
     )
     def test_type_errors(self, body, message, where):
-        from rupture_kit.documents import body_to_type
-
         with pytest.raises(DocumentError, match=message) as err:
-            body_to_type(body, "goal")
-        assert err.value.position == where
+            parse_document(derive_task(goal=body))
+        assert err.value.position == f"derive-task.{where}"
 
     @pytest.mark.parametrize(
         "body,message,where",
@@ -365,18 +381,22 @@ class TestTreeCodec:
         ],
     )
     def test_term_errors(self, body, message, where):
-        from rupture_kit.documents import body_to_term
-
         with pytest.raises(DocumentError, match=message) as err:
-            body_to_term(body, "term")
-        assert err.value.position == where
+            parse_document(derive_task(term=body))
+        assert err.value.position == f"derive-task.{where}"
 
     def test_round_trip(self):
-        from rupture_kit.derivability import AtomType, Pair, ProdType, UnitTerm, UnitType, Var
-        from rupture_kit.documents import body_to_term, body_to_type, term_to_body, type_to_body
+        from rupture_kit.derivability import (
+            AtomType, DeriveTask, Pair, ProdType, ResourceContext, Substitution, UnitTerm,
+            UnitType, Var,
+        )
 
         t = ProdType(AtomType("A"), ProdType(UnitType(), AtomType("B")))
-        assert type_to_body(t) == {"prod": [{"atom": "A"}, {"prod": [{"unit": {}}, {"atom": "B"}]}]}
-        assert body_to_type(type_to_body(t), "t") == t
         term = Pair(Var("x"), UnitTerm())
-        assert body_to_term(term_to_body(term), "t") == term
+        empty = ResourceContext(())
+        task = DeriveTask(empty, empty, Substitution.of({}), term, t)
+        text = serialize_document(Document("derive-task", task))
+        body = json.loads(text)
+        assert body["goal"] == {"prod": [{"atom": "A"}, {"prod": [{"unit": {}}, {"atom": "B"}]}]}
+        assert body["term"] == {"pair": [{"var": "x"}, {"unit": {}}]}
+        assert parse_document(text).body == task

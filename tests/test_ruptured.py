@@ -29,6 +29,7 @@ from rupture_kit.simplicial import (
     check_simplicial_map,
     enumerate_horns,
     find_fillers,
+    horn_violations,
     standard_simplex,
 )
 from rupture_kit.covering import build_cycle
@@ -344,6 +345,23 @@ class TestMorphisms:
         ident = SimplicialMap.identity(circle)
         report = check_morphism(ident, r, s)
         assert [v.kind for v in report] == ["gap-preservation"]
+
+    @pytest.mark.parametrize(
+        "horn,kind",
+        [(HornSpec(2, 1, (0, 9)), "horn-dangling-face"),
+         (HornSpec(3, 1, (0, 1, 2)), "horn-dimension")],
+    )
+    def test_gap_horn_that_does_not_fit_is_reported_not_mapped(self, horn, kind):
+        # The horn has no image to check, so it gets its validate rows and
+        # the other gap horns are still checked.
+        d2 = triangle()
+        fits = enumerate_horns(d2, 2, 0)[0]
+        r = RupturedComplex.create(d2, {}, [horn, fits])
+        s = RupturedComplex.create(d2, {}, [])
+        report = check_morphism(SimplicialMap.identity(d2), r, s)
+        assert [v.kind for v in report] == ["gap-preservation", kind]
+        assert report[1:] == horn_violations(d2, horn)
+        assert check_morphism(SimplicialMap.identity(d2), r, r) == horn_violations(d2, horn)
 
     def test_composition_of_passing_morphisms_passes(self):
         # rotation of the all-gapped circle is rupture-preserving, and so

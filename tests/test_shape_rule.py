@@ -10,7 +10,8 @@ calls it malformed, naming the oracle's reason and position, and
 level is checked three ways with one rule: by the fibration constructor,
 and as a bare map by ``check_simplicial_map`` and ``check_morphism``.
 Coherence marks get the same treatment through ``RupturedComplex.create``,
-``_replace`` and ``_make``. A few parse errors are also pinned verbatim.
+``_replace`` and ``_make``, and label lists through the four ways a
+complex is built. A few parse errors are also pinned verbatim.
 """
 
 import copy
@@ -20,11 +21,17 @@ import random
 
 import pytest
 
-from rupture_kit.documents import parse_document
+from rupture_kit.covering import build_cycle, build_double_cover, trivial_double_cover
+from rupture_kit.documents import Document, parse_document, serialize_document
 from rupture_kit.errors import DocumentError, ShapeError
 from rupture_kit.fibration import RupturedFibrationData
-from rupture_kit.ruptured import RupturedComplex, check_morphism
-from rupture_kit.simplicial import SimplicialMap, TruncatedComplex, check_simplicial_map
+from rupture_kit.ruptured import (
+    RupturedComplex, check_morphism, coherent_core, from_kan, fully_gapped, product,
+)
+from rupture_kit.simplicial import (
+    SimplicialMap, TruncatedComplex, check_simplicial_map, horn_complex, restrict,
+    standard_simplex,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SHAPED = ["bank.json", "bottle.json", "circle3_gapped.json", "circle3_open.json", "crane.json",
@@ -297,6 +304,51 @@ def test_coherence_marks_are_refused_exactly_when_the_oracle_calls_them_malforme
     assert seen["refused"] >= 15 and seen["built"] >= 3, seen
 
 
+# (dim_bound, counts, faces, labels) of complexes whose labels do not fit
+# their counts, with the reason and position of the refusal.
+BAD_LABELS = [
+    ((0, [1], {}, {0: ["a", "b", "c"]}), "1 simplices need 1 labels, got 3", ("simplices", 0)),
+    ((1, [2, 1], {1: [[1, 0]]}, {0: ["a"]}), "2 simplices need 2 labels, got 1", ("simplices", 0)),
+    ((1, [2, 1], {1: [[1, 0]]}, {1: [7]}), "labels must be strings", ("simplices", 1)),
+]
+
+
+@pytest.mark.parametrize("args,reason,where", BAD_LABELS, ids=[c[1] for c in BAD_LABELS])
+def test_labels_that_do_not_fit_their_counts_are_refused_on_every_path(args, reason, where):
+    d, counts, faces, labels = args
+    table = tuple(faces.get(n, ()) for n in range(1, d + 1))
+    names = tuple(tuple(labels[n]) if n in labels else None for n in range(d + 1))
+    plain = TruncatedComplex(d, counts, table)
+    builds = [
+        lambda: TruncatedComplex(d, counts, table, names),
+        lambda: TruncatedComplex.create(d, counts, faces, labels),
+        lambda: plain._replace(labels=names),
+        lambda: TruncatedComplex._make((d, counts, table, names)),
+    ]
+    assert [refusal(build) for build in builds] == [(reason, where)] * 4
+
+
+def test_label_lists_beyond_the_bound_or_not_lists_are_refused():
+    assert refusal(TruncatedComplex, 0, [1], (), (None, ("x",))) == (
+        "dimension 1 is outside 0..0", ("simplices", 1))
+    assert refusal(TruncatedComplex, 0, [1], (), ("x",)) == (
+        "expected a list of labels", ("simplices", 0))
+
+
+def test_every_builder_labels_each_simplex_once():
+    d3 = standard_simplex(3, 2)
+    built = [
+        d3, horn_complex(1, 0), horn_complex(3, 1), restrict(d3, [[0, 1], [0], []])[0],
+        coherent_core(RupturedComplex.create(d3, {2: [1]}))[0],
+        product(from_kan(d3), fully_gapped(build_cycle(3))).underlying, build_cycle(4),
+        build_double_cover(3).total.underlying, trivial_double_cover(3).total.underlying,
+    ]
+    for x in built:
+        assert x.labels and all(
+            names is None or len(names) == count for names, count in zip(x.labels, x.counts))
+        assert parse_document(serialize_document(Document("complex", x))).body == x
+
+
 # Parse errors of single edits, verbatim: the reason and key path are part
 # of the document format.
 PINNED = [
@@ -322,6 +374,14 @@ PINNED = [
      "dimension -1 is outside 0..2", "ruptured.coh.-1"),
     ("bank.json", ("total", "coh", "0"), lambda m: m + [False],
      "expected an integer", "fibration.total.coh.0"),
+    ("triangle.json", ("simplices",), lambda s: {**s, "3": 1},
+     "dimension '3' is outside 0..2", "complex.simplices.3"),
+    ("circle3_open.json", ("simplices",), lambda s: {**s, "x": 5},
+     "dimension 'x' is outside 0..2", "ruptured.simplices.x"),
+    ("crane.json", ("base", "faces"), lambda f: {**f, "0": []},
+     "dimension '0' is outside 1..1", "fibration.base.faces.0"),
+    ("triangle_kan.json", ("faces",), lambda f: {**f, "3": [[0, 0, 0, 0]]},
+     "dimension '3' is outside 1..2", "ruptured.faces.3"),
 ]
 
 
