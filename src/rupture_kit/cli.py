@@ -18,7 +18,6 @@ call, never kept in this module, so a wrapper put over a kernel function
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import documents as docs
@@ -26,7 +25,7 @@ from .errors import DocumentError, KernelError
 
 
 def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(docs.dump_json(payload))
 
 
 def _mode_text(mode) -> str:

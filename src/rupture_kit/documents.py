@@ -22,7 +22,8 @@ the row readers that two codecs share return plain values
 imported (the type and term trees). Besides the six codec pairs and the
 document functions, the public surface is the four row serializers the CLI
 prints rows with: ``complex_to_body``, ``horn_to_body``, ``mode_to_body``
-and ``judgment_to_body``.
+and ``judgment_to_body``; and ``dump_json``, the one JSON writer of the
+documents and of the CLI's ``--json`` reports.
 
 Document kinds:
 
@@ -41,7 +42,9 @@ Document kinds:
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Optional
+from functools import cache
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
 
 from .errors import DocumentError, ShapeError, record
 
@@ -63,6 +66,51 @@ class Document(NamedTuple):
 
 
 # -- helpers -------------------------------------------------------------------
+
+
+def dump_json(value) -> str:
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, or
+    :class:`TypeError`: dict, list and tuple are written, subclasses too (a
+    named tuple is a list), and every other value as ``json.dumps`` writes
+    it; a dict key that is not a str raises, and a value that contains
+    itself recurses without end. On CPython an indented ``json.dumps``
+    runs the stdlib's pure-Python encoder; this writer quotes with its C
+    ``encode_basestring_ascii``, writes a plain int item in place and joins
+    each container once.
+    """
+    return _dump(value, "\n")
+
+
+def _dump(value, newline: str) -> str:
+    """:func:`dump_json` of a value whose items follow the line break and
+    indent ``newline``."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # The quoting raises TypeError on a key that is not a str.
+        items = [encode_basestring_ascii(key) + ": "
+                 + (repr(item) if type(item) is int else _dump(item, inner))
+                 for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [repr(item) if type(item) is int else _dump(item, inner)
+                 for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    # A float or an unknown value: the stdlib's C encoder writes or refuses it.
+    return json.dumps(value)
 
 
 def _expect(cond: bool, message: str, where: str):
@@ -229,19 +277,53 @@ def _mode_fields(body, where: str) -> Optional[tuple[str, object]]:
 # -- ruptured complexes ----------------------------------------------------------
 
 
+@cache
+def _face_keys(n: int, k: int) -> tuple[str, ...]:
+    """The ``faces`` keys of an (n, k)-horn body, "0".."n" without k, in
+    the order of ``HornSpec.faces``. One entry per horn shape read or
+    written, so at most the sizes of the documents seen."""
+    return tuple([str(i) for i in range(n + 1) if i != k])
+
+
 def horn_to_body(h: HornSpec) -> dict:
-    return {
-        "n": h.n,
-        "k": h.k,
-        "faces": {str(i): f for i, f in h.face_map().items()},
-    }
+    n, k, faces = h
+    return {"n": n, "k": k, "faces": dict(zip(_face_keys(n, k), faces))}
 
 
 def _horn_fields(
-    body: Mapping, where: str, within: TruncatedComplex
+    body, within: TruncatedComplex, where: Callable[[], str]
 ) -> tuple[int, int, tuple[int, ...]]:
     """The (n, k, faces) of a horn body whose faces must be simplices of
-    ``within``. Key paths and messages are built only for an error."""
+    ``within``. A well-formed row (int n and k in range, exactly the n keys
+    of :func:`_face_keys`, int faces below the count) is read in one pass;
+    any other goes to :func:`_checked_horn_fields`, which decides it and
+    words the error at the key path ``where()``."""
+    if type(body) is dict:
+        n, k, faces_obj = body.get("n"), body.get("k"), body.get("faces")
+        if (
+            type(n) is int
+            and type(k) is int
+            and 1 <= n <= within.dim_bound
+            and 0 <= k <= n
+            and type(faces_obj) is dict
+            and len(faces_obj) == n
+        ):
+            values = [faces_obj.get(key) for key in _face_keys(n, k)]
+            if (
+                set(map(type, values)) == {int}
+                and min(values) >= 0
+                and max(values) < within.counts[n - 1]
+            ):
+                return n, k, tuple(values)
+    return _checked_horn_fields(body, where(), within)
+
+
+def _checked_horn_fields(
+    body: Mapping, where: str, within: TruncatedComplex
+) -> tuple[int, int, tuple[int, ...]]:
+    """:func:`_horn_fields` for a row that is not plainly well formed: it
+    accepts any key ``int()`` reads (``"01"``) and raises
+    :class:`DocumentError` with the key path of the first fault."""
     n = _get(body, "n", where)
     if type(n) is not int:
         _int(n, f"{where}.n")
@@ -313,12 +395,12 @@ def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
         coh[n] = members
     gap = {}
     for i, row in enumerate(_optional(body, "gap", where, list)):
-        here = f"{where}.gap[{i}]"
-        h = HornSpec(*_horn_fields(row, here, underlying))
+        here = lambda: f"{where}.gap[{i}]"  # the key path, built on error only
+        h = HornSpec(*_horn_fields(row, underlying, here))
         if h in gap:
-            raise DocumentError(f"{h} is listed twice", here)
+            raise DocumentError(f"{h} is listed twice", here())
         mode = row.get("mode")
-        gap[h] = None if mode is None else GapMode(*_mode_fields(mode, f"{here}.mode"))
+        gap[h] = None if mode is None else GapMode(*_mode_fields(mode, f"{here()}.mode"))
     return RupturedComplex.create(underlying, coh, gap)
 
 
@@ -378,7 +460,7 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
     for i, row in enumerate(_optional(body, "gap_lifts", where, list)):
         here = f"{where}.gap_lifts[{i}]"
         horn_body = _get(row, "horn", here, dict)
-        horn = HornSpec(*_horn_fields(horn_body, f"{here}.horn", total.underlying))
+        horn = HornSpec(*_horn_fields(horn_body, total.underlying, lambda: f"{here}.horn"))
         base_index = _get(row, "base_simplex", here)
         bad = bad_index([base_index], horn.n, base.underlying.count(horn.n))
         if bad:
@@ -671,7 +753,7 @@ def serialize_document(doc: Document) -> str:
     _, to_body = _codec(doc.kind)
     payload = {"format": FORMAT, "kind": doc.kind}
     payload.update(to_body(doc.body))
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return dump_json(payload) + "\n"
 
 
 def load_document(path) -> Document:

@@ -357,7 +357,9 @@ def check_morphism(
     """Report for a rupture-preserving morphism: the map must commute with
     faces, send Coh into Coh, and send gapped horns to gapped horns. A gap
     horn of r that does not fit its complex gets its
-    :func:`horn_violations` rows in place of a gap-preservation check."""
+    :func:`horn_violations` rows in place of a gap-preservation check, and
+    one whose faces lie above the map's top dimension has no image, which
+    is a gap-preservation violation."""
     report = list(check_simplicial_map(f, r.underlying, s.underlying))
     if report:
         return report
@@ -376,6 +378,14 @@ def check_morphism(
         n, _, faces = h
         if not 1 <= n <= x.dim_bound or min(faces) < 0 or max(faces) >= x.counts[n - 1]:
             report.extend(horn_violations(x, h))
+            continue
+        if n - 1 > f.top_dim:
+            report.append(
+                Violation(
+                    "gap-preservation",
+                    f"gapped {h} has no image: the map stops at dimension {f.top_dim}",
+                )
+            )
             continue
         img = f.apply_horn(h)
         if img not in s.gap:

@@ -178,12 +178,17 @@ class TruncatedComplex(_ComplexFields):
         """Build a complex from per-dimension counts and face lists.
 
         ``faces[n]`` lists, for each n-simplex in index order, its d_0..d_n
-        face indices. The constructor checks their shape; run
-        :func:`validate_complex` to check the simplicial identities.
+        face indices. The constructor checks their shape, and a ``faces``
+        key outside 1..dim_bound or a ``labels`` key outside 0..dim_bound
+        is a :class:`ShapeError`; run :func:`validate_complex` to check the
+        simplicial identities.
         """
-        faces = faces or {}
+        faces, labels = faces or {}, labels or {}
+        for keys, part, low in ((faces, "faces", 1), (labels, "simplices", 0)):
+            for n in keys:
+                if n not in range(low, dim_bound + 1):
+                    raise ShapeError(f"dimension {n!r} is outside {low}..{dim_bound}", part, n)
         table = tuple(faces.get(n, ()) for n in range(1, dim_bound + 1))
-        labels = labels or {}
         label_tuple = tuple(
             tuple(labels[n]) if n in labels else None for n in range(dim_bound + 1)
         )

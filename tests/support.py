@@ -7,6 +7,7 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 from pathlib import Path
@@ -22,6 +23,41 @@ from rupture_kit.simplicial import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+FIXTURES = SRC.parent / "fixtures"
+
+# Each command reading a document of the kind, with the document as "@";
+# every other argument is a bundled fixture or an option.
+COMMANDS = {
+    "complex": [("validate", "@", "--max-dim", "2")],
+    "ruptured": [
+        ("validate", "@", "--max-dim", "2"),
+        ("horns", "@", "--dim", "2", "--missing", "1"),
+        ("core", "@"),
+        ("product", "@", "circle3_gapped.json"),
+    ],
+    "fibration": [
+        ("validate", "@"),
+        ("transport", "@", "--term", "0", "--path", "0"),
+        ("monodromy", "@", "monodromy_task_3.json"),
+        ("compose", "@", "@"),
+    ],
+    "covering-task": [("validate", "@"), ("monodromy", "double_cover_3.json", "@")],
+    "derive-task": [("validate", "@"), ("derive", "@")],
+    "judgment-script": [("validate", "@"), ("judgments", "@")],
+}
+
+
+def fixture_commands() -> list[list[str]]:
+    """The argv of every command of :data:`COMMANDS` on every bundled
+    fixture of its kind, in text and with ``--json``."""
+    argvs = []
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        kind = json.loads(fixture.read_text(encoding="utf-8"))["kind"]
+        for command in COMMANDS[kind]:
+            argv = [str(fixture) if a == "@" else str(FIXTURES / a) if a.endswith(".json")
+                    else a for a in command]
+            argvs += [argv, argv + ["--json"]]
+    return argvs
 
 
 def cli_env() -> dict:

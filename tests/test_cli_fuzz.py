@@ -21,30 +21,11 @@ import pytest
 
 from rupture_kit.cli import main
 
+from support import COMMANDS
+
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
-# Each command reading a document of the kind, with the document as "@";
-# every other argument is a bundled fixture or an option. Every other
-# mutation runs them with --json.
-COMMANDS = {
-    "complex": [("validate", "@", "--max-dim", "2")],
-    "ruptured": [
-        ("validate", "@", "--max-dim", "2"),
-        ("horns", "@", "--dim", "2", "--missing", "1"),
-        ("core", "@"),
-        ("product", "@", "circle3_gapped.json"),
-    ],
-    "fibration": [
-        ("validate", "@"),
-        ("transport", "@", "--term", "0", "--path", "0"),
-        ("monodromy", "@", "monodromy_task_3.json"),
-        ("compose", "@", "@"),
-    ],
-    "covering-task": [("validate", "@"), ("monodromy", "double_cover_3.json", "@")],
-    "derive-task": [("validate", "@"), ("derive", "@")],
-    "judgment-script": [("validate", "@"), ("judgments", "@")],
-}
-
+# Every other mutation runs the commands of its kind with --json.
 MUTATIONS_PER_FIXTURE = 40
 
 OTHER_TYPES = ["x", 3, -1, 2.5, True, None, [], [0], {}, {"n": 1}]

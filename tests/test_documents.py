@@ -54,6 +54,19 @@ def test_fixture_files_are_canonical(path):
     assert path.read_text(encoding="utf-8") == serialize_document(doc)
 
 
+def test_script_payloads_with_floats_round_trip():
+    """An ``add`` payload is free JSON: floats in it, at its top or nested,
+    are written back as the stdlib writes them."""
+    text = json.dumps({"format": "rupture-kit/1", "kind": "judgment-script", "script": [
+        {"op": "add", "judgment": {"atom": "J"}, "polarity": "coherent", "payload": 0.5},
+        {"op": "add", "judgment": {"atom": "K"}, "polarity": "gapped",
+         "payload": {"score": 1e2, "scale": [-2.5e-7, {"deep": 3.0}], "n": 2}},
+    ]}, indent=2, sort_keys=True) + "\n"
+    doc = parse_document(text)
+    assert doc.body[0].payload == 0.5
+    assert serialize_document(doc) == text
+
+
 class TestParseErrors:
     def test_malformed_json_positions(self):
         with pytest.raises(DocumentError) as err:

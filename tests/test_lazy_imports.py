@@ -102,6 +102,7 @@ CODEC_CALLS = {
         "D.serialize_document(D.Document('derive-task', linear_horn_task()))"
     ),
     "load_document": "D.load_document(FIXTURES / 'bottle.json')",
+    "dump_json": "D.dump_json(load('crane.json'))",
 }
 
 # Names the serializers' arguments are built from, imported before the

@@ -363,6 +363,18 @@ class TestMorphisms:
         assert report[1:] == horn_violations(d2, horn)
         assert check_morphism(SimplicialMap.identity(d2), r, r) == horn_violations(d2, horn)
 
+    def test_gap_horn_above_the_map_has_no_image(self):
+        # The map to a point covers dimension 0 only, so a gapped 2-horn,
+        # whose faces are edges, has no image: reported, not raised.
+        source = fully_gapped(standard_simplex(2, 2))
+        point = RupturedComplex.create(standard_simplex(0, 0))
+        report = check_morphism(SimplicialMap(((0, 0, 0),)), source, point)
+        above = [h for h in sorted(source.gap) if h.n == 2]
+        assert above and {v.kind for v in report} == {"gap-preservation"}
+        assert [v.message for v in report[-len(above):]] == [
+            f"gapped {h} has no image: the map stops at dimension 0" for h in above]
+        assert len(report) == len(source.gap)
+
     def test_composition_of_passing_morphisms_passes(self):
         # rotation of the all-gapped circle is rupture-preserving, and so
         # is its composite with itself

@@ -335,6 +335,19 @@ def test_label_lists_beyond_the_bound_or_not_lists_are_refused():
         "expected a list of labels", ("simplices", 0))
 
 
+def test_create_refuses_a_key_outside_the_dimensions():
+    # Face rows of a triangle above dim_bound 1, and labels of edges in a
+    # complex of vertices only, were dropped without a word.
+    assert refusal(TruncatedComplex.create, 1, [2, 1], {1: [[1, 0]], 2: [[0, 0, 0]]}) == (
+        "dimension 2 is outside 1..1", ("faces", 2))
+    assert refusal(TruncatedComplex.create, 0, [1], None, {1: ["x"]}) == (
+        "dimension 1 is outside 0..0", ("simplices", 1))
+    assert refusal(TruncatedComplex.create, 1, [2, 1], {0: [[0]], 1: [[1, 0]]}) == (
+        "dimension 0 is outside 1..1", ("faces", 0))
+    assert refusal(TruncatedComplex.create, 1, [2, 1], None, {-1: []}) == (
+        "dimension -1 is outside 0..1", ("simplices", -1))
+
+
 def test_every_builder_labels_each_simplex_once():
     d3 = standard_simplex(3, 2)
     built = [
