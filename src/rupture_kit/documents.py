@@ -297,7 +297,8 @@ def _horn_fields(
     ``within``. A well-formed row (int n and k in range, exactly the n keys
     of :func:`_face_keys`, int faces below the count) is read in one pass;
     any other goes to :func:`_checked_horn_fields`, which decides it and
-    words the error at the key path ``where()``."""
+    words the error at the key path ``where()``. Either way the shape is
+    checked, so the caller builds the horn with ``fitted_horn``."""
     if type(body) is dict:
         n, k, faces_obj = body.get("n"), body.get("k"), body.get("faces")
         if (
@@ -375,7 +376,7 @@ def ruptured_to_body(r: RupturedComplex) -> dict:
 
 def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
     from .ruptured import GapMode, RupturedComplex
-    from .simplicial import HornSpec, bad_index
+    from .simplicial import bad_index, fitted_horn
 
     underlying = body_to_complex(body, where)
     coh_obj = _optional(body, "coh", where, dict)
@@ -396,7 +397,7 @@ def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
     gap = {}
     for i, row in enumerate(_optional(body, "gap", where, list)):
         here = lambda: f"{where}.gap[{i}]"  # the key path, built on error only
-        h = HornSpec(*_horn_fields(row, underlying, here))
+        h = fitted_horn(*_horn_fields(row, underlying, here))
         if h in gap:
             raise DocumentError(f"{h} is listed twice", here())
         mode = row.get("mode")
@@ -436,7 +437,7 @@ def fibration_to_body(f: RupturedFibrationData) -> dict:
 def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrationData:
     from .fibration import LiftingProblemKey, RupturedFibrationData
     from .ruptured import GapMode
-    from .simplicial import HornSpec, SimplexId, SimplicialMap, bad_index
+    from .simplicial import SimplexId, SimplicialMap, bad_index, fitted_horn
 
     total = body_to_ruptured(_get(body, "total", where, dict), f"{where}.total")
     base = body_to_ruptured(_get(body, "base", where, dict), f"{where}.base")
@@ -460,7 +461,7 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
     for i, row in enumerate(_optional(body, "gap_lifts", where, list)):
         here = f"{where}.gap_lifts[{i}]"
         horn_body = _get(row, "horn", here, dict)
-        horn = HornSpec(*_horn_fields(horn_body, total.underlying, lambda: f"{here}.horn"))
+        horn = fitted_horn(*_horn_fields(horn_body, total.underlying, lambda: f"{here}.horn"))
         base_index = _get(row, "base_simplex", here)
         bad = bad_index([base_index], horn.n, base.underlying.count(horn.n))
         if bad:

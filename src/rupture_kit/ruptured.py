@@ -25,6 +25,7 @@ from .simplicial import (
     check_simplicial_map,
     enumerate_horns,
     find_fillers,
+    fitted_horn,
     horn_of,
     horn_violations,
     restrict,
@@ -207,21 +208,24 @@ def decide(solutions, gap: Mapping, key) -> Trichotomy:
 
 def validate_exclusion(r: RupturedComplex) -> list[Violation]:
     """Report every (gapped horn, coherent filler) conflict; empty iff
-    Exclusion holds."""
-    return _exclusion_report(r, sorted(r.gap))
+    Exclusion holds. A gap horn that does not fit the complex raises as in
+    :func:`find_fillers`."""
+    x, horns = r.underlying, sorted(r.gap)
+    for h in horns:
+        n, _, faces = h
+        if not 1 <= n <= x.dim_bound or min(faces) < 0 or max(faces) >= x.counts[n - 1]:
+            find_fillers(x, h)
+    return _exclusion_report(r, horns)
 
 
 def _exclusion_report(r: RupturedComplex, horns) -> list[Violation]:
-    report = []
-    for h in horns:
-        for s in r.coherent_fillers(h):
-            report.append(
-                Violation(
-                    "exclusion",
-                    f"{h} is gap-witnessed but coherent {s} fills it",
-                )
-            )
-    return report
+    """The Exclusion conflicts of ``horns``, which must fit the complex."""
+    return [
+        Violation("exclusion", f"{h} is gap-witnessed but coherent {h.n}/{s} fills it")
+        for h in horns
+        for s in r.underlying.incidence.fillers[h.n - 1][h.k].get(h.faces, ())
+        if s in r.coh[h.n]
+    ]
 
 
 def validate_ruptured(r: RupturedComplex) -> list[Violation]:
@@ -340,9 +344,9 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
             for hx in enumerate_horns(x, n, k):
                 for hy in right if hx in r.gap else right_gapped:
                     flat = tuple(a * rc + b for a, b in zip(hx.faces, hy.faces))
-                    gap[HornSpec(n, k, flat)] = r.gap.get(hx) or s.gap.get(hy)
+                    gap[fitted_horn(n, k, flat)] = r.gap.get(hx) or s.gap.get(hy)
     result = RupturedComplex.create(underlying, coh, gap)
-    conflicts = validate_exclusion(result)
+    conflicts = _exclusion_report(result, sorted(gap))
     if conflicts:
         raise ExclusionError(
             "product gap structure conflicts with componentwise coherence",

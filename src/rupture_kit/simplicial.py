@@ -18,8 +18,9 @@ vertex {1}, matching the anchoring used by transport problems.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, combinations
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import KernelError, ShapeError, Violation, checked_make, record
@@ -86,6 +87,11 @@ class HornSpec(_HornFields):
     def __str__(self) -> str:
         inner = ", ".join(f"{i}:{f}" for i, f in zip(self.present_indices, self.faces))
         return f"horn(n={self.n}, k={self.k}, faces={{{inner}}})"
+
+
+# A horn whose shape its caller has already checked, built without a second
+# check: n >= 1, 0 <= k <= n and n face indices.
+fitted_horn = partial(_HornFields.__new__, HornSpec)
 
 
 class _ComplexFields(NamedTuple):
@@ -245,9 +251,10 @@ class Incidence:
     ``fillers[n - 1][k]`` maps a face row with entry k dropped to the
     ascending indices of the n-simplices filling that (n, k)-horn;
     ``by_face[n - 1][j]`` maps a face index f to the ascending indices of
-    the n-simplices whose d_j is f. Each table is built on first use, so a
-    complex that is only classified never holds ``by_face`` and one that
-    only gives fibers never holds ``fillers``.
+    the n-simplices whose d_j is f; fibers read it, horn enumeration builds
+    its own keyed tables. Each table is built on first use, so a complex
+    that is only classified or enumerated never holds ``by_face`` and one
+    that only gives fibers never holds ``fillers``.
     """
 
     def __init__(self, x: TruncatedComplex):
@@ -529,41 +536,37 @@ def horn_violations(x: TruncatedComplex, h: HornSpec) -> list[Violation]:
 
 def enumerate_horns(x: TruncatedComplex, n: int, k: int) -> list[HornSpec]:
     """All boundary-compatible (n, k)-horns of the complex, each once, in
-    lexicographic order on the assigned face indices."""
+    lexicographic order on the assigned face indices.
+
+    Faces are chosen one present index i at a time, ascending. The identity
+    with a chosen face g at an earlier index j fixes the new face's d_j to
+    d_{i-1}(g), so a table keyed by each face row's entries at the earlier
+    indices gives a partial horn all its extensions, ascending, in one probe.
+    """
     if not 1 <= n <= x.dim_bound:
         raise KernelError(f"horn dimension {n} not in 1..{x.dim_bound}")
     if not 0 <= k <= n:
         raise KernelError(f"horn index k={k} out of range for n={n}")
     present = (*range(k), *range(k + 1, n + 1))
     rows = x.face_table[n - 2] if n >= 2 else ()
-    meet = x.incidence.by_face[n - 2][present[0]] if n >= 2 else {}
-    result: list[HornSpec] = []
-    chosen: list[int] = []
-
-    def extend(pos: int):
+    prefixes = [(f,) for f in range(x.counts[n - 1])]
+    for pos in range(1, n):
         i = present[pos]
-        # Positions fill in ascending order. The face identity with a chosen
-        # face g at position j < i fixes this face's d_j to d_{i-1}(g). For
-        # the first chosen face the index lists exactly the candidates,
-        # ascending; the others filter them.
-        if chosen:
-            candidates = meet.get(rows[chosen[0]][i - 1], ())
-            fixed = [(j, rows[g][i - 1]) for j, g in zip(present[1:pos], chosen[1:])]
-            if fixed:
-                candidates = [f for f in candidates if all(rows[f][j] == d for j, d in fixed)]
+        key = itemgetter(*present[:pos])  # an int for one index, else a tuple
+        extensions: dict = {}
+        for f, row in enumerate(rows):
+            extensions.setdefault(key(row), []).append(f)
+        if pos == 1:
+            prefixes = [
+                (g, f) for (g,) in prefixes for f in extensions.get(rows[g][i - 1], ())
+            ]
         else:
-            candidates = range(x.count(n - 1))
-        if pos == n - 1:
-            for f in candidates:
-                result.append(HornSpec(n, k, (*chosen, f)))
-            return
-        for f in candidates:
-            chosen.append(f)
-            extend(pos + 1)
-            chosen.pop()
-
-    extend(0)
-    return result
+            prefixes = [
+                (*p, f)
+                for p in prefixes
+                for f in extensions.get(tuple([rows[g][i - 1] for g in p]), ())
+            ]
+    return [fitted_horn(n, k, faces) for faces in prefixes]
 
 
 def find_fillers(x: TruncatedComplex, h: HornSpec) -> list[SimplexId]:
@@ -591,7 +594,7 @@ def is_kan_up_to(
     for n in range(2, max_dim + 1):
         for k in range(1, n):
             for h in enumerate_horns(x, n, k):
-                if not find_fillers(x, h):
+                if h.faces not in x.incidence.fillers[n - 1][k]:
                     return False, h
     return True, None
 

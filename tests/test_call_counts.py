@@ -245,7 +245,15 @@ def test_kan_check_builds_one_index(monkeypatch):
     builds = incidence_builds(monkeypatch)
     x = standard_simplex(8, 3)
     assert is_kan_up_to(x, 3) == (True, None)
-    assert [(y is x, part) for y, part in builds] == [(True, "by_face"), (True, "fillers")]
+    assert [(y is x, part) for y, part in builds] == [(True, "fillers")]
+
+
+def test_enumerating_horns_builds_no_table(monkeypatch):
+    builds = incidence_builds(monkeypatch)
+    rng = random.Random(13)
+    for x in [standard_simplex(6, 3)] + [random_ruptured(rng).underlying for _ in range(30)]:
+        assert list(every_horn(x))
+    assert builds == []
 
 
 def test_classifying_builds_only_the_filler_table(monkeypatch):
@@ -316,9 +324,9 @@ def test_with_coherent_shares_its_complexs_index(monkeypatch):
                 for h in every_horn(r.underlying):
                     classify_horn(r, h)
     assert reached >= 100
-    for table in ("by_face", "fillers"):
-        built = [id(x) for x, part in builds if part == table]
-        assert built == [id(r.underlying) for r in structures]
+    built = [id(x) for x, part in builds if part == "fillers"]
+    assert built == [id(r.underlying) for r in structures]
+    assert "by_face" not in [part for _, part in builds]
 
 
 def test_lift_table_is_built_once_per_fibration(monkeypatch):

@@ -72,6 +72,17 @@ class TestExclusion:
         # independently: the coherent filler set intersects the gap mark
         assert find_fillers(d2, inner_horn(d2)) == [SimplexId(2, 0)]
 
+    def test_a_gap_horn_naming_no_simplex_raises(self):
+        # raised as find_fillers raises it, also after a horn that fits
+        d2 = triangle()
+        for bad in (HornSpec(2, 1, (0, 9)), HornSpec(3, 1, (0, 0, 0))):
+            r = RupturedComplex.create(d2, {2: [0]}, [inner_horn(d2), bad])
+            with pytest.raises(KernelError) as want:
+                find_fillers(d2, bad)
+            with pytest.raises(KernelError) as got:
+                validate_exclusion(r)
+            assert str(got.value) == str(want.value)
+
     def test_circle_gaps_clean(self):
         assert validate_exclusion(circle_with_inner_gaps()) == []
 

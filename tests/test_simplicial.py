@@ -165,6 +165,47 @@ class TestValidateComplex:
                         )
 
 
+def seeded_complex(rng):
+    """A 3-dimensional complex on at most three vertices with face rows drawn
+    at random, so horns are plentiful and most identities fail."""
+    counts, faces = [rng.randint(1, 3)], {}
+    for n in (1, 2, 3):
+        counts.append(rng.randint(0, 7) if counts[-1] else 0)
+        faces[n] = [
+            [rng.randrange(counts[n - 1]) for _ in range(n + 1)] for _ in range(counts[n])
+        ]
+    return TruncatedComplex.create(3, counts, faces)
+
+
+def cartesian_horns(x, n, k):
+    """The (n, k)-horns of x by brute force: every n-tuple of (n-1)-simplices,
+    kept when d_i(faces[j]) = d_{j-1}(faces[i]) for present i < j."""
+    present = [i for i in range(n + 1) if i != k]
+    rows = x.face_table[n - 2] if n >= 2 else ()
+    horns = []
+    for combo in cartesian(range(x.count(n - 1)), repeat=n):
+        fm = dict(zip(present, combo))
+        if all(rows[fm[j]][i] == rows[fm[i]][j - 1] for i in present for j in present if i < j):
+            horns.append(HornSpec(n, k, combo))
+    return horns
+
+
+def assert_enumerates_the_oracle(x) -> dict[int, int]:
+    """Every (n, k) with n <= 3 enumerates the brute-force horns, in order,
+    as plain HornSpecs; the number of horns of each n."""
+    sizes = {}
+    for n in range(1, min(x.dim_bound, 3) + 1):
+        sizes[n] = 0
+        for k in range(n + 1):
+            got = enumerate_horns(x, n, k)
+            assert got == cartesian_horns(x, n, k), (n, k)
+            for h in got:
+                assert type(h) is HornSpec and type(h.faces) is tuple
+                assert {type(h.n), type(h.k), *map(type, h.faces)} == {int}
+            sizes[n] += len(got)
+    return sizes
+
+
 class TestEnumerateHorns:
     def test_circle_inner_horns(self):
         circle = build_cycle(3)
@@ -184,27 +225,30 @@ class TestEnumerateHorns:
             assert enumerate_horns(x, 2, k) == []
 
     def test_oracle_full_cartesian_filter(self):
-        # against a brute-force cartesian product + compatibility filter
         rng = random.Random(23)
         for _ in range(20):
             x = random_complex(rng, max_vertices=5, max_edges=8, max_triangles=4)
-            for k in range(3):
-                got = enumerate_horns(x, 2, k)
-                present = [i for i in range(3) if i != k]
-                ref = []
-                for combo in cartesian(range(x.count(1)), repeat=2):
-                    fm = dict(zip(present, combo))
-                    ok = all(
-                        x.face(SimplexId(1, fm[j]), i)
-                        == x.face(SimplexId(1, fm[i]), j - 1)
-                        for i in present
-                        for j in present
-                        if i < j
-                    )
-                    if ok:
-                        ref.append(HornSpec.from_mapping(2, k, fm))
-                assert got == sorted(ref)
-                assert len(set(got)) == len(got)
+            assert_enumerates_the_oracle(x)
+
+    def test_oracle_up_to_three_on_seeded_complexes(self):
+        # face rows drawn at random break the simplicial identities, which
+        # enumeration does not assume
+        rng = random.Random(29)
+        sizes = [assert_enumerates_the_oracle(seeded_complex(rng)) for _ in range(40)]
+        assert sum(size[3] for size in sizes) >= 500
+        assert sum(size[2] for size in sizes) >= 500
+
+    def test_oracle_up_to_three_on_restricted_simplices(self):
+        rng = random.Random(31)
+        x = standard_simplex(5, 3)
+        sizes = []
+        for share in (0.1, 0.15, 0.2, 0.3, 0.5, 0.7):
+            keep = [{i for i in range(x.count(n)) if rng.random() < share} for n in range(4)]
+            for n in range(3, 0, -1):
+                for idx in keep[n]:
+                    keep[n - 1].update(x.face_row(n, idx))
+            sizes.append(assert_enumerates_the_oracle(restrict(x, keep)[0]))
+        assert sum(size[3] for size in sizes) >= 100
 
     def test_rejects_out_of_range(self):
         d2 = standard_simplex(2, 2)
@@ -319,6 +363,24 @@ class TestKan:
             assert ok == (not unfilled)
             if not ok:
                 assert witness == unfilled[0]
+
+    def test_first_unfilled_inner_horn_up_to_three(self):
+        # the first inner horn in (n, k, faces) order that no face row fills
+        # under a slice scan, on the seeded complexes of the enumeration oracle
+        rng = random.Random(29)
+        verdicts = set()
+        for _ in range(40):
+            x = seeded_complex(rng)
+            want = None
+            for n, k in ((2, 1), (3, 1), (3, 2)):
+                rows = x.face_table[n - 1]
+                filled = {row[:k] + row[k + 1 :] for row in rows}
+                want = next((h for h in cartesian_horns(x, n, k) if h.faces not in filled), None)
+                if want:
+                    break
+            assert is_kan_up_to(x, 3) == (want is None, want)
+            verdicts.add(want.n if want else None)
+        assert verdicts == {None, 2, 3}
 
     def test_rejects_excessive_dim(self):
         with pytest.raises(KernelError):
