@@ -12,12 +12,13 @@ A horn triple is two coherent arrow witnesses that chain, (J, K) then
 
 Stores are values: adding an entry returns a new store and leaves the old
 one as it was. The stores of one lineage share an append-only log, with
-the first position of each (judgment, polarity) and of each witness id;
-a store is a prefix of that log. Adding to the store at the log's tip
-appends in place, O(1); adding to any other store forks a new log from a
-copy of its entries, O(n). The Exclusion check, ``is_open`` and ``by_id``
-are one dict probe each (Driscoll, Sarnak, Sleator & Tarjan, *Making data
-structures persistent*, 1989).
+one table per polarity from each judgment to its first position, and one
+from each witness id to its first position; a store is a prefix of that
+log. Adding to the store at the log's tip appends in place, O(1); adding
+to any other store forks a new log from a copy of its entries, O(n). The
+Exclusion check and ``by_id`` are one dict probe each, ``is_open`` two
+(Driscoll, Sarnak, Sleator & Tarjan, *Making data structures persistent*,
+1989). An Exclusion rejection formats its text only when it is read.
 
 ``level_up`` starts a fresh store one level higher whose base-atom
 universe is the coherence witness ids of the current store, so the same
@@ -109,30 +110,32 @@ class ExclusionViolation(KernelError):
     """Adding the opposite polarity for an already-witnessed judgment."""
 
     def __init__(self, judgment: JudgmentAtom, conflicting: WitnessEntry):
-        super().__init__(
-            f"judgment '{judgment}' already witnessed {conflicting.polarity.value} "
-            f"by {conflicting.witness_id}"
-        )
+        super().__init__(judgment, conflicting)
         self.judgment = judgment
         self.conflicting = conflicting
+
+    def __str__(self) -> str:
+        # Formatted on demand: most rejections are counted, not printed.
+        return (
+            f"judgment '{self.judgment}' already witnessed "
+            f"{self.conflicting.polarity.value} by {self.conflicting.witness_id}"
+        )
 
 
 class _Log:
     """The append-only entry list shared by every store of one lineage,
-    with the first position of each (judgment, polarity) and of each
-    witness id."""
+    with one table per polarity from each judgment to its first position
+    (``coherent``, ``gapped``) and one from each witness id (``ids``)."""
 
     def __init__(self, entries=()):
-        self.entries: list[WitnessEntry] = []
-        self.first: dict[tuple[JudgmentAtom, Polarity], int] = {}
+        self.entries: list[WitnessEntry] = list(entries)
+        self.coherent: dict[JudgmentAtom, int] = {}
+        self.gapped: dict[JudgmentAtom, int] = {}
         self.ids: dict[str, int] = {}
-        for e in entries:
-            self.append(e)
-
-    def append(self, e: WitnessEntry) -> None:
-        self.first.setdefault((e.judgment, e.polarity), len(self.entries))
-        self.ids.setdefault(e.witness_id, len(self.entries))
-        self.entries.append(e)
+        for i, e in enumerate(self.entries):
+            table = self.coherent if e.polarity is Polarity.COHERENT else self.gapped
+            table.setdefault(e.judgment, i)
+            self.ids.setdefault(e.witness_id, i)
 
 
 class WitnessStore:
@@ -180,17 +183,10 @@ class WitnessStore:
             return None
         return self._log.entries[position]
 
-    def _first(self, judgment: JudgmentAtom, polarity: Polarity) -> Optional[WitnessEntry]:
-        """The earliest entry of this judgment with this polarity."""
-        return self._at(self._log.first.get((judgment, polarity)))
-
     def last(self) -> Optional[WitnessEntry]:
         """The newest entry, None when empty; O(1), unlike ``entries[-1]``,
         which copies the store's entries."""
         return self._at(self._size - 1) if self._size else None
-
-    def entries_for(self, judgment: JudgmentAtom) -> tuple[WitnessEntry, ...]:
-        return tuple(e for e in self.entries if e.judgment == judgment)
 
     def by_id(self, witness_id: str) -> Optional[WitnessEntry]:
         return self._at(self._log.ids.get(witness_id))
@@ -201,8 +197,6 @@ class WitnessStore:
         )
 
     def _check_universe(self, judgment: JudgmentAtom) -> None:
-        if self.universe is None:
-            return
         labels = (
             (judgment.label,)
             if isinstance(judgment, BaseJudgment)
@@ -229,21 +223,28 @@ def add_witness(
     fine. A store at the tip of its log appends in place; any other store
     first copies its own entries into a new log.
     """
-    store._check_universe(judgment)
-    other = Polarity.GAPPED if polarity is Polarity.COHERENT else Polarity.COHERENT
-    conflict = store._first(judgment, other)
-    if conflict is not None:
-        raise ExclusionViolation(judgment, conflict)
-    log = store._log
-    if len(log.entries) != store._size:
-        log = _Log(log.entries[: store._size])
-    log.append(WitnessEntry(judgment, polarity, f"w{store._size + 1}", payload))
+    if store.universe is not None:
+        store._check_universe(judgment)
+    log, size = store._log, store._size
+    coherent = polarity is Polarity.COHERENT
+    # A position at or past ``size`` belongs to a later store of the log.
+    position = (log.gapped if coherent else log.coherent).get(judgment, size)
+    if position < size:
+        raise ExclusionViolation(judgment, log.entries[position])
+    if len(log.entries) != size:
+        log = _Log(log.entries[:size])
+    witness_id = f"w{size + 1}"
+    (log.coherent if coherent else log.gapped).setdefault(judgment, size)
+    log.ids.setdefault(witness_id, size)
+    # WitnessEntry checks nothing, so its named-tuple __new__ is skipped.
+    log.entries.append(tuple.__new__(WitnessEntry, (judgment, polarity, witness_id, payload)))
     return WitnessStore((), store.level, store.universe, log)
 
 
 def is_open(store: WitnessStore, judgment: JudgmentAtom) -> bool:
     """True iff no entry of either polarity exists for the judgment."""
-    return all(store._first(judgment, p) is None for p in Polarity)
+    log, size = store._log, store._size
+    return log.coherent.get(judgment, size) >= size and log.gapped.get(judgment, size) >= size
 
 
 def make_horn(

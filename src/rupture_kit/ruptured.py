@@ -120,17 +120,6 @@ class RupturedComplex(_RupturedFields):
             and sid.index in self.coh[sid.dim]
         )
 
-    def coherent_fillers(self, h: HornSpec) -> list[SimplexId]:
-        """The fillers of ``h`` that lie in Coh, ascending; a horn that does
-        not fit the complex raises as in :func:`find_fillers`."""
-        n, k, faces = h
-        x = self.underlying
-        if not 1 <= n <= x.dim_bound or min(faces) < 0 or max(faces) >= x.counts[n - 1]:
-            find_fillers(x, h)
-        coh = self.coh[n]
-        fillers = x.incidence.fillers[n - 1][k].get(faces, ())
-        return [SimplexId(n, s) for s in fillers if s in coh]
-
     def with_coherent(self, sid: SimplexId) -> "RupturedComplex":
         """Return a copy with one more coherent simplex.
 

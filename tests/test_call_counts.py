@@ -394,3 +394,35 @@ def test_cli_judgments_copies_the_entries_once(monkeypatch, tmp_path, extra):
         copied.clear()
         assert run_cli("judgments", str(script_document(tmp_path, adds)), *extra) == 1
         assert len(copied) == 1
+
+
+def test_the_witness_store_hashes_no_polarity(monkeypatch):
+    """The store's tables are keyed by judgment or by witness id alone, so
+    no store operation, nor the ``judgments`` command, hashes a
+    ``Polarity``."""
+
+    def refuse(member):
+        raise AssertionError(f"{member!r} hashed")
+
+    monkeypatch.setattr(judgments.Polarity, "__hash__", refuse)
+    coherent, gapped = judgments.Polarity.COHERENT, judgments.Polarity.GAPPED
+    with pytest.raises(AssertionError):
+        hash(coherent)
+    j, k, l = (judgments.ArrowJudgment(*pair) for pair in ("JK", "KL", "JL"))
+    store = judgments.WitnessStore()
+    for judgment, polarity in ((j, coherent), (k, coherent), (l, gapped)):
+        store = judgments.add_witness(store, judgment, polarity)  # at the tip
+    tip = judgments.add_witness(store, j, coherent)
+    fork = judgments.add_witness(store, k, coherent)  # store is behind the tip
+    assert fork._log is not tip._log
+    for s in (store, tip, fork):
+        with pytest.raises(judgments.ExclusionViolation):
+            judgments.add_witness(s, l, coherent)
+        assert not judgments.is_open(s, j) and judgments.is_open(s, judgments.BaseJudgment("M"))
+        assert s.by_id("w3").polarity is gapped
+        assert judgments.make_horn(s, "w1", "w2", "w3") == ("w1", "w2", "w3")
+    up = judgments.level_up(fork)
+    assert up.universe == frozenset({"w1", "w2", "w4"})
+    judgments.add_witness(up, judgments.BaseJudgment("w4"), gapped)
+    for extra in ((), ("--json",)):
+        assert run_cli("judgments", "judgment_script.json", *extra) == 0

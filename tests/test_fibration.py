@@ -778,7 +778,7 @@ def first_horn_off_the_base(proj: SimplicialMap, f: RupturedFibrationData) -> st
     under a bare map is no horn of f's base; None when every image is one."""
     for h in enumerate_horns(f.total.underlying, 1, 0):
         try:
-            f.base.coherent_fillers(proj.apply_horn(h))
+            find_fillers(f.base.underlying, proj.apply_horn(h))
         except KernelError as err:
             return str(err)
     return None

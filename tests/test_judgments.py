@@ -79,6 +79,78 @@ class TestAddWitness:
             assert all(len(p) == 1 for p in polarities.values())
 
 
+class TestExclusionText:
+    """A rejection's text is formatted when it is read, and reads as
+    ``judgment '<judgment>' already witnessed <polarity> by <id>``,
+    wherever the store sits in its log."""
+
+    CASES = [
+        # level, judgment, its text, the polarity witnessed first, its text
+        (0, J, "J", Polarity.COHERENT, "coherent"),
+        (0, J, "J", Polarity.GAPPED, "gapped"),
+        (0, arrow("J", "K"), "J => K", Polarity.COHERENT, "coherent"),
+        (0, arrow("J", "K"), "J => K", Polarity.GAPPED, "gapped"),
+        (1, BaseJudgment("w1"), "w1", Polarity.COHERENT, "coherent"),
+        (1, BaseJudgment("w2"), "w2", Polarity.GAPPED, "gapped"),
+        (1, arrow("w2", "w1"), "w2 => w1", Polarity.COHERENT, "coherent"),
+        (1, arrow("w1", "w2"), "w1 => w2", Polarity.GAPPED, "gapped"),
+    ]
+
+    @staticmethod
+    def opposite(polarity):
+        return Polarity.GAPPED if polarity is Polarity.COHERENT else Polarity.COHERENT
+
+    @staticmethod
+    def empty(level):
+        store = WitnessStore()
+        if level:
+            store = add_witness(store, J, Polarity.COHERENT)
+            store = level_up(add_witness(store, K, Polarity.COHERENT))
+        return store
+
+    def stores(self, level, judgment, polarity):
+        """Stores whose entry w2 witnesses ``judgment`` with ``polarity``:
+        one at the tip of its log, one behind it, one on a forked log and
+        one built directly."""
+        unrelated = arrow("w1", "w1") if level else M
+        start = add_witness(self.empty(level), unrelated, polarity)
+        behind = add_witness(start, judgment, polarity)  # w2
+        tip = add_witness(behind, judgment, polarity)  # w3, in place
+        fork = add_witness(behind, unrelated, polarity)  # w3, on a new log
+        built = WitnessStore(behind.entries, behind.level, behind.universe)
+        assert built == behind and fork._log is not tip._log
+        return [tip, behind, fork, built]
+
+    @pytest.mark.parametrize("level,judgment,shown,polarity,word", CASES)
+    def test_text_and_fields(self, level, judgment, shown, polarity, word):
+        for store in self.stores(level, judgment, polarity):
+            before = store.entries
+            with pytest.raises(ExclusionViolation) as err:
+                add_witness(store, judgment, self.opposite(polarity))
+            assert str(err.value) == f"judgment '{shown}' already witnessed {word} by w2"
+            assert err.value.judgment is judgment
+            assert err.value.conflicting == WitnessEntry(judgment, polarity, "w2")
+            assert err.value.conflicting is store.by_id("w2")
+            assert err.value.args == (judgment, err.value.conflicting)
+            assert store.entries == before
+
+    def test_the_universe_is_checked_before_exclusion(self):
+        # a directly built level-1 store may hold judgments outside its
+        # universe; adding their opposite polarity fails on the universe
+        conflicting = (J, arrow("w1", "J"))
+        entries = tuple(WitnessEntry(j, Polarity.COHERENT, f"w{i + 1}")
+                        for i, j in enumerate(conflicting))
+        store = WitnessStore(entries, 1, frozenset({"w1"}))
+        unrestricted = WitnessStore(entries)
+        for judgment in conflicting:
+            with pytest.raises(KernelError) as err:
+                add_witness(store, judgment, Polarity.GAPPED)
+            assert type(err.value) is KernelError
+            assert str(err.value) == "label 'J' is outside this level-1 universe"
+            with pytest.raises(ExclusionViolation):
+                add_witness(unrestricted, judgment, Polarity.GAPPED)
+
+
 class TestIsOpen:
     def test_empty_store_all_open(self):
         assert is_open(WitnessStore(), J)
@@ -94,7 +166,7 @@ class TestIsOpen:
     def test_trichotomy_restated(self):
         s = chain_store()
         for judgment in (J, K, arrow("J", "K"), arrow("J", "L"), arrow("K", "J")):
-            assert is_open(s, judgment) != bool(s.entries_for(judgment))
+            assert is_open(s, judgment) != any(e.judgment == judgment for e in s.entries)
 
 
 class TestMakeHorn:
@@ -237,9 +309,7 @@ class TestSharedLog:
     def assert_scans(self, store, expected):
         assert store.entries == expected
         for judgment in self.ATOMS:
-            mine = tuple(e for e in expected if e.judgment == judgment)
-            assert store.entries_for(judgment) == mine
-            assert is_open(store, judgment) == (not mine)
+            assert is_open(store, judgment) == all(e.judgment != judgment for e in expected)
         for i in range(len(expected) + 2):
             wid = f"w{i + 1}"
             assert store.by_id(wid) == next((e for e in expected if e.witness_id == wid), None)

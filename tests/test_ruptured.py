@@ -517,10 +517,12 @@ class TestWithCoherentOracle:
 
 class TestCoherentFillersOracle:
     def test_matches_find_fillers_filtered_by_coh(self):
-        # the same fillers in the same order, or the same error text, for
-        # enumerated horns, horns drawn at random and horns that do not fit
+        # classify_horn's coherent fillers are find_fillers' fillers in Coh,
+        # in the same order, for enumerated horns and horns drawn at
+        # random; a horn that does not fit raises the same text from both
         rng = random.Random(63)
         seen = {"coherent": 0, "incoherent only": 0, "none": 0, "raised": 0}
+        incompatible = 0
         for _ in range(150):
             r = random_ruptured(rng, force_valid=False)
             x = r.underlying
@@ -539,13 +541,21 @@ class TestCoherentFillersOracle:
                     fillers = find_fillers(x, h)
                 except KernelError as err:
                     with pytest.raises(KernelError) as got:
-                        r.coherent_fillers(h)
+                        classify_horn(r, h)
                     assert str(got.value) == str(err)
                     seen["raised"] += 1
                     continue
                 want = [s for s in fillers if s.index in r.coh[h.n]]
-                got = r.coherent_fillers(h)
+                try:
+                    state = classify_horn(r, h)
+                except KernelError:
+                    # in range, but its faces disagree on a shared face:
+                    # nothing in a well-formed complex fills it
+                    assert horn_violations(x, h) and not fillers
+                    incompatible += 1
+                    continue
+                got = list(state.fillers) if isinstance(state, CoherentlyFilled) else []
                 assert got == want
                 assert all(type(s) is SimplexId for s in got)
                 seen["coherent" if want else "incoherent only" if fillers else "none"] += 1
-        assert min(seen.values()) >= 50, seen
+        assert min(seen.values()) >= 50 and incompatible >= 50, (seen, incompatible)
