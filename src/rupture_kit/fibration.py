@@ -22,9 +22,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .errors import KernelError, Violation, record
 from .ruptured import (
-    CoherentlyFilled,
     GapMode,
-    GapWitnessed,
     RupturedComplex,
     Trichotomy,
     decide,
@@ -36,6 +34,8 @@ from .simplicial import (
     SimplicialMap,
     check_simplicial_map,
     enumerate_horns,
+    fitted_horn,
+    horn_rows,
     restrict,
     shaped_map,
 )
@@ -328,20 +328,36 @@ def transport(
     f: RupturedFibrationData, e: SimplexId, path: SimplexId
 ) -> TransportOutcome:
     """Transport a coherent fiber point along a coherent base edge: the
-    lifting problem :func:`transport_key`, classified by :func:`classify_lift`.
+    lifting problem :func:`transport_key`, classified as :func:`classify_lift`
+    does.
 
     Coherent with the endpoint of the least coherent lift (an edge starting
     at ``e`` projecting onto ``path``) and the lift multiplicity; gapped
     when the problem is gap-marked; open otherwise.
+
+    A key is accepted on ints, without a report, when both spaces have
+    edges, ``path`` is a coherent edge, ``e`` a coherent point, and ``e``
+    projects onto the source d_1 of ``path``. These are the checks of
+    :func:`key_violations` on this key, so any other key is rejected with
+    that report, as :func:`classify_lift` rejects it.
     """
     if e.dim != 0:
         raise KernelError(f"transport needs a total-space vertex, got {e}")
-    outcome = classify_lift(f, transport_key(e, path))
-    if isinstance(outcome, CoherentlyFilled):
-        lifts = outcome.fillers
-        return Coherent(f.total.underlying.face(lifts[0], 0), len(lifts))
-    if isinstance(outcome, GapWitnessed):
-        return Gapped(outcome.mode)
+    w, b, levels = e.index, path.index, f.proj.levels
+    # A shaped map has an edge level iff both spaces have edges.
+    if not (
+        path.dim == 1 and len(levels) > 1 and w in f.total.coh[0] and b in f.base.coh[1]
+        and levels[0][w] == f.base.underlying.face_table[0][b][1]
+    ):
+        bad = key_violations(f, transport_key(e, path))
+        raise KernelError("; ".join(v.message for v in bad))
+    x, coh = f.total.underlying, f.total.coh[1]
+    lifts = [s for s in x.incidence.fillers[0][0].get((w,), ()) if s in coh and levels[1][s] == b]
+    if lifts:
+        return Coherent(SimplexId(0, x.face_table[0][lifts[0]][0]), len(lifts))
+    key = transport_key(e, path)
+    if key in f.gap_lifts:
+        return Gapped(f.gap_lifts[key])
     return OpenTransport()
 
 
@@ -415,20 +431,24 @@ def fiber(
 
 def enumerate_lifting_problems(f: RupturedFibrationData) -> list[LiftingProblemKey]:
     """Every well-formed lifting problem representable in the truncation,
-    in (horn, base) order."""
+    in (horn, base) order. The keys of one horn are adjacent and share one
+    :class:`HornSpec`, built only for a horn with a problem."""
     e, b = f.total.underlying, f.base.underlying
     out = []
     for n in range(1, min(e.dim_bound, b.dim_bound) + 1):
         coh, base_coh = f.total.coh[n - 1], f.base.coh[n]
-        level = f.proj.levels[n - 1]
+        if not base_coh:  # no base simplex to lift to
+            continue
+        image = f.proj.levels[n - 1].__getitem__
         for k in range(n + 1):
             fillers = b.incidence.fillers[n - 1][k]
-            for h in enumerate_horns(e, n, k):
-                faces = h.faces
+            for faces in horn_rows(e, n, k):
                 if not coh.issuperset(faces):
                     continue
-                for s in fillers.get(tuple([level[i] for i in faces]), ()):
+                h = None
+                for s in fillers.get(tuple(map(image, faces)), ()):
                     if s in base_coh:
+                        h = h or fitted_horn(n, k, faces)
                         out.append(LiftingProblemKey(h, SimplexId(n, s)))
     return out
 
@@ -447,37 +467,57 @@ def compose_fibrations(
     coherent total-level solution, and open otherwise. Loop registries and
     composite designations of the first stage do not survive composition.
 
-    Only the base-level step is checked with :func:`key_violations`. The
-    total-level step (horn, mid) over a coherent middle lift is then well
-    formed by construction: the horn's faces are coherent in the total
-    space (the composite problem is well formed), ``mid`` is a coherent
-    simplex of the middle space of the horn's dimension, and ``mid`` fills
-    the projected horn, so proj(face i) = d_i(mid) for every present i.
+    No step is checked with :func:`key_violations`. The composite's
+    projection stops at the middle's bound, so its constructor refuses a
+    middle space below both ends, and every composite problem (horn h,
+    base a) has n <= the middle bound. Its base-level step (p(h), a) is
+    then well formed exactly when the faces of p(h) are coherent in B, one
+    probe per horn: they name simplices of B because p is shaped, a is a
+    coherent n-simplex of A because the composite problem is well formed,
+    and q(d_i p(h)) = d_i(a) for every present i because q . p is the
+    composite's projection and a fills the composite-projected horn. The
+    total-level step (h, mid) over a coherent middle lift is well formed
+    too: the faces of h are coherent in E, ``mid`` is a coherent n-simplex
+    of B, and ``mid`` fills p(h), so p(face i) = d_i(mid) for every i.
+
+    The keys of one horn are adjacent, so the work on p(h) and on the
+    coherent lifts of h is done once per horn; a stage without gap marks
+    is not searched for one.
     """
     if f.base != g.total:
         raise KernelError("composition needs the first base to equal the second total")
     proj = SimplicialMap.compose(g.proj, f.proj)
     composite = RupturedFibrationData(f.total, g.base, proj)
-    mid_bound = f.base.underlying.dim_bound
+    mid, upper_gaps, lower_gaps = f.base, f.gap_lifts, g.gap_lifts
     gap_lifts: dict[LiftingProblemKey, Optional[GapMode]] = {}
+    prev = None
     for key in enumerate_lifting_problems(composite):
         h, base = key
-        if h.n > mid_bound:
+        n = h.n
+        if h is not prev:
+            prev, level, coh = h, f.proj.levels[n - 1], mid.coh[n]
+            pf = tuple([level[i] for i in h.faces])
+            # The coherent middle fillers of p(h); None when p(h) is not coherent.
+            fillers = [
+                s for s in mid.underlying.incidence.fillers[n - 1][h.k].get(pf, ()) if s in coh
+            ] if mid.coh[n - 1].issuperset(pf) else None
+            lifted = set(_coherent_lifts(f, h).values()) if upper_gaps and fillers else ()
+        if fillers is None:
             continue
-        step1 = LiftingProblemKey(f.proj.apply_horn(h), base)
-        if key_violations(g, step1):
-            continue
-        mids = _solutions(g, step1)
+        images = g.proj.levels[n]
+        mids = [s for s in fillers if images[s] == base.index]
         if not mids:
-            if step1 in g.gap_lifts:
-                gap_lifts[key] = g.gap_lifts[step1]
+            if lower_gaps:
+                step1 = LiftingProblemKey(fitted_horn(n, h.k, pf), base)
+                if step1 in lower_gaps:
+                    gap_lifts[key] = lower_gaps[step1]
             continue
-        if not set(_coherent_lifts(f, h).values()).isdisjoint(mids):
+        if not upper_gaps or not lifted.isdisjoint(mids):
             continue
-        for mid in mids:
-            step2 = LiftingProblemKey(h, SimplexId(h.n, mid))
-            if step2 in f.gap_lifts:
-                gap_lifts[key] = f.gap_lifts[step2]
+        for m in mids:
+            step2 = LiftingProblemKey(h, SimplexId(n, m))
+            if step2 in upper_gaps:
+                gap_lifts[key] = upper_gaps[step2]
                 break
     return RupturedFibrationData(f.total, g.base, proj, gap_lifts)
 

@@ -153,9 +153,8 @@ class WitnessStore:
         entries: tuple[WitnessEntry, ...] = (),
         level: int = 0,
         universe: Optional[frozenset[str]] = None,
-        _log: Optional[_Log] = None,
     ):
-        self._log = _Log(entries) if _log is None else _log
+        self._log = _Log(entries)
         self._size = len(self._log.entries)
         self.level = level
         self.universe = universe
@@ -238,7 +237,13 @@ def add_witness(
     log.ids.setdefault(witness_id, size)
     # WitnessEntry checks nothing, so its named-tuple __new__ is skipped.
     log.entries.append(tuple.__new__(WitnessEntry, (judgment, polarity, witness_id, payload)))
-    return WitnessStore((), store.level, store.universe, log)
+    # The new store is the log's first size + 1 entries: set, not recounted.
+    tip = object.__new__(WitnessStore)
+    tip._log = log
+    tip._size = size + 1
+    tip.level = store.level
+    tip.universe = store.universe
+    return tip
 
 
 def is_open(store: WitnessStore, judgment: JudgmentAtom) -> bool:

@@ -534,9 +534,10 @@ def horn_violations(x: TruncatedComplex, h: HornSpec) -> list[Violation]:
 # -- horn enumeration and filling -------------------------------------------
 
 
-def enumerate_horns(x: TruncatedComplex, n: int, k: int) -> list[HornSpec]:
-    """All boundary-compatible (n, k)-horns of the complex, each once, in
-    lexicographic order on the assigned face indices.
+def horn_rows(x: TruncatedComplex, n: int, k: int) -> list[tuple[int, ...]]:
+    """The face tuples of all boundary-compatible (n, k)-horns of the
+    complex, each once, in lexicographic order: the horns of
+    :func:`enumerate_horns` without a record per horn.
 
     Faces are chosen one present index i at a time, ascending. The identity
     with a chosen face g at an earlier index j fixes the new face's d_j to
@@ -566,7 +567,14 @@ def enumerate_horns(x: TruncatedComplex, n: int, k: int) -> list[HornSpec]:
                 for p in prefixes
                 for f in extensions.get(tuple([rows[g][i - 1] for g in p]), ())
             ]
-    return [fitted_horn(n, k, faces) for faces in prefixes]
+    return prefixes
+
+
+def enumerate_horns(x: TruncatedComplex, n: int, k: int) -> list[HornSpec]:
+    """All boundary-compatible (n, k)-horns of the complex, each once, in
+    lexicographic order on the assigned face indices: :func:`horn_rows`,
+    each row built into a :func:`fitted_horn`."""
+    return [fitted_horn(n, k, faces) for faces in horn_rows(x, n, k)]
 
 
 def find_fillers(x: TruncatedComplex, h: HornSpec) -> list[SimplexId]:

@@ -159,26 +159,34 @@ def covers():
 
 
 def test_transport_checks_its_key_once(calls):
-    checked = 0
+    """A well-formed key is accepted on ints without a report; a malformed
+    one, out of range or not over the edge's source, gets exactly one."""
+    checked = malformed = 0
     for f in covers():
         x, b = f.total.underlying, f.base.underlying
         for w in range(x.count(0) + 1):
             for e in range(b.count(1) + 1):
+                well_formed = (
+                    w in f.total.coh[0] and e in f.base.coh[1]
+                    and f.proj.levels[0][w] == b.face_row(1, e)[1]
+                )
                 calls.clear()
                 try:
                     transport(f, SimplexId(0, w), SimplexId(1, e))
                 except KernelError:
-                    pass
-                assert calls == ["key_violations"], (w, e)
+                    assert not well_formed, (w, e)
+                    malformed += 1
+                assert calls == ([] if well_formed else ["key_violations"]), (w, e)
                 checked += 1
-    assert checked >= 40
+    assert checked >= 40 and malformed >= 20
 
 
 def compose_steps(f, g) -> int:
-    """The base-level steps ``compose_fibrations(f, g)`` must check: one per
-    composite problem within the middle bound. The total-level step over
-    each coherent middle lift needs no check: it is well formed whenever
-    its base-level step is, which this asserts."""
+    """The base-level steps of ``compose_fibrations(f, g)``: one per
+    composite problem within the middle bound. Each is well formed exactly
+    when its faces are coherent in the middle space, and the total-level
+    step over each coherent middle lift is then well formed too, so
+    composition needs no report; this asserts both."""
     composite = RupturedFibrationData(
         f.total, g.base, SimplicialMap.compose(g.proj, f.proj)
     )
@@ -188,7 +196,9 @@ def compose_steps(f, g) -> int:
             continue
         steps += 1
         step1 = LiftingProblemKey(f.proj.apply_horn(key.horn), key.base)
-        if not key_violations(g, step1):
+        coherent = f.base.coh[key.horn.n - 1].issuperset(step1.horn.faces)
+        assert (key_violations(g, step1) == []) == coherent, key
+        if coherent:
             s1 = classify_lift(g, step1)
             if isinstance(s1, CoherentlyFilled):
                 for mid in s1.fillers:
@@ -211,7 +221,7 @@ def test_compose_checks_each_step_once(calls):
         steps = compose_steps(f, g)
         calls.clear()
         compose_fibrations(f, g)
-        assert calls == ["key_violations"] * steps
+        assert calls == []
         total += steps
     assert total >= 30
 

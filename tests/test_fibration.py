@@ -1,5 +1,7 @@
 """Lifting problems, transport, fibers, horn detectors, and composition."""
 
+import importlib.util
+import pathlib
 import random
 from itertools import product as cartesian
 
@@ -18,7 +20,9 @@ from rupture_kit.fibration import (
     detect_transport_horn,
     enumerate_lifting_problems,
     fiber,
+    key_violations,
     transport,
+    transport_key,
     validate_fibration,
     validate_fibration_deep,
 )
@@ -50,6 +54,13 @@ from fixture_builders import (
     source_anchored_problem,
 )
 from support import composition_fixture, random_complex
+
+# The benchmark's brute-force scans, which import nothing from rupture_kit.
+_spec = importlib.util.spec_from_file_location(
+    "bench_oracle", pathlib.Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+)
+bench_oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_oracle)
 
 
 class TestValidateFibration:
@@ -566,6 +577,61 @@ class TestTransportOracle:
         assert min(seen.values()) >= 20, seen
 
 
+    def test_agrees_with_classify_lift_and_the_bench_scan(self):
+        """Every (term, edge) pair, in range and out of range, on the covers
+        and on thinned, gap-marked covers: the outcome and the error text
+        that :func:`classify_lift` gives for the transport key, and on a
+        well-formed key the benchmark's scan over all total edges."""
+        rng = random.Random(53)
+        covers = [build_double_cover(3), build_double_cover(4), trivial_double_cover(3)]
+        seen = {"coherent": 0, "gapped": 0, "open": 0, "rejected": 0}
+        for f in covers + [small_gapped_cover(rng) for _ in range(30)]:
+            x, b = f.total.underlying, f.base.underlying
+            gap_keys = {(key.horn.faces[0], key.base.index) for key in f.gap_lifts}
+            for w in range(-1, x.count(0) + 1):
+                for e in range(-1, b.count(1) + 1):
+                    term, path = SimplexId(0, w), SimplexId(1, e)
+                    try:
+                        outcome = classify_lift(f, transport_key(term, path))
+                    except KernelError as err:
+                        with pytest.raises(KernelError) as got:
+                            transport(f, term, path)
+                        assert str(got.value) == str(err)
+                        seen["rejected"] += 1
+                        continue
+                    got = transport(f, term, path)
+                    scan = bench_oracle.transport(x, f.total.coh, f.proj.levels[1], gap_keys, w, e)
+                    if isinstance(outcome, CoherentlyFilled):
+                        lifts = outcome.fillers
+                        assert got == Coherent(x.face(lifts[0], 0), len(lifts))
+                        assert scan == ("coherent", got.target.index, got.multiplicity)
+                    elif isinstance(outcome, GapWitnessed):
+                        assert got == Gapped(outcome.mode) and scan == ("gapped",)
+                    else:
+                        assert got == OpenTransport() and scan == ("open",)
+                    seen[scan[0]] += 1
+        assert min(seen.values()) >= 20, seen
+
+
+def small_gapped_cover(rng: random.Random) -> RupturedFibrationData:
+    """A double cover, connected or two sheets, of a cycle of 3 to 8
+    vertices with about a fifth of the total edges not coherent and the
+    transport along half of those gap-marked."""
+    m = rng.randint(3, 8)
+    cover = build_double_cover(m) if rng.random() < 0.5 else trivial_double_cover(m)
+    x = cover.total.underlying
+    coh = {0: range(2 * m), 1: [t for t in range(2 * m) if rng.random() < 0.8]}
+    gap_lifts = {
+        LiftingProblemKey(HornSpec(1, 0, (x.face_row(1, t)[1],)),
+                          SimplexId(1, cover.proj.levels[1][t])): GapMode("plain")
+        for t in range(2 * m)
+        if t not in coh[1] and rng.random() < 0.5
+    }
+    return RupturedFibrationData(
+        RupturedComplex.create(x, coh), cover.base, cover.proj, gap_lifts
+    )
+
+
 class TestSeededLiftingProblems:
     def test_match_the_edge_scan(self):
         """On seeded 1-dimensional fibrations with incoherent points and
@@ -1019,3 +1085,42 @@ class TestComposeOracle:
             seen["plain"] += sum(mode is None for mode in want.values())
             seen["2-horn"] += sum(key.horn.n == 2 for key in want)
         assert seen["gapped"] >= 100 and min(seen.values()) >= 20, seen
+
+    def test_each_stage_alone_or_neither_gap_marked(self):
+        """Thinned towers with the gap marks of the upper stage only, the
+        lower stage only, or neither: composition skips searching a stage
+        without marks, and the gap table still matches the nested scans."""
+        rng = random.Random(31)
+        seen = {"upper": 0, "lower": 0, "neither": 0}
+        towers = [thinned_tower(f, g, rng) for f, g in compose_towers() for _ in range(2)]
+        for f, g in towers:
+            bare_f, bare_g = without_gap_lifts(f), without_gap_lifts(g)
+            for stage, pair in (("upper", (f, bare_g)), ("lower", (bare_f, g)),
+                                ("neither", (bare_f, bare_g))):
+                want = scanned_gap_lifts(*pair)
+                assert dict(compose_fibrations(*pair).gap_lifts) == want
+                seen[stage] += len(want)
+        assert seen["neither"] == 0 and min(seen["upper"], seen["lower"]) >= 20, seen
+
+    def test_base_step_is_well_formed_iff_its_faces_are_coherent_in_the_middle(self):
+        """The one probe per horn that composition makes in place of
+        :func:`key_violations` on the base-level step, on every composite
+        problem, each within the middle space's bound."""
+        rng = random.Random(43)
+        towers = list(compose_towers())
+        towers += [thinned_tower(f, g, rng) for f, g in towers]
+        seen = {True: 0, False: 0}
+        for f, g in towers:
+            proj = SimplicialMap.compose(g.proj, f.proj)
+            for key in enumerate_lifting_problems(RupturedFibrationData(f.total, g.base, proj)):
+                n = key.horn.n
+                assert n <= f.base.underlying.dim_bound
+                step1 = LiftingProblemKey(f.proj.apply_horn(key.horn), key.base)
+                coherent = f.base.coh[n - 1].issuperset(step1.horn.faces)
+                assert (key_violations(g, step1) == []) == coherent, key
+                seen[coherent] += 1
+        assert min(seen.values()) >= 20, seen
+
+
+def without_gap_lifts(f: RupturedFibrationData) -> RupturedFibrationData:
+    return RupturedFibrationData(f.total, f.base, f.proj)
