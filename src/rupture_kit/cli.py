@@ -78,7 +78,7 @@ def cmd_validate(args) -> int:
         filled, witness = is_kan_up_to(target, args.max_dim)
         kan = {"max_dim": args.max_dim, "filled": filled}
         if witness is not None:
-            kan["witness"] = docs.horn_to_body(witness)
+            kan["witness"] = witness
     if args.json:
         payload = {
             "kind": doc.kind,
@@ -98,7 +98,7 @@ def cmd_validate(args) -> int:
                 print(f"kan up to {args.max_dim}: yes")
             else:
                 print(f"kan up to {args.max_dim}: no, first unfilled "
-                      f"n={kan['witness']['n']} k={kan['witness']['k']}")
+                      f"n={witness.n} k={witness.k}")
     if report:
         return 1
     if kan is not None and not kan["filled"]:
@@ -125,7 +125,7 @@ def cmd_horns(args) -> int:
             state, text = {"state": "open"}, "open"
         rows.append((h, state, text))
     if args.json:
-        _emit_json([{"horn": docs.horn_to_body(h), **state} for h, state, _ in rows])
+        _emit_json([{"horn": h, **state} for h, state, _ in rows])
     else:
         for h, _, text in rows:
             faces = ",".join(f"{i}:{f}" for i, f in h.face_map().items())

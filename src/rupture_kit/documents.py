@@ -23,7 +23,8 @@ imported (the type and term trees). Besides the six codec pairs and the
 document functions, the public surface is the four row serializers the CLI
 prints rows with: ``complex_to_body``, ``horn_to_body``, ``mode_to_body``
 and ``judgment_to_body``; and ``dump_json``, the one JSON writer of the
-documents and of the CLI's ``--json`` reports.
+documents and of the CLI's ``--json`` reports, which writes a ``HornSpec``
+as its horn body: a body holds a gap row without a mode as the horn itself.
 
 Document kinds:
 
@@ -42,8 +43,10 @@ Document kinds:
 from __future__ import annotations
 
 import json
+import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
 
 from .errors import DocumentError, ShapeError, record
@@ -69,34 +72,40 @@ class Document(NamedTuple):
 
 
 def dump_json(value) -> str:
-    """The text of ``json.dumps(value, indent=2, sort_keys=True)``, or
-    :class:`TypeError`: dict, list and tuple are written, subclasses too (a
-    named tuple is a list), and every other value as ``json.dumps`` writes
-    it; a dict key that is not a str raises, and a value that contains
-    itself recurses without end. On CPython an indented ``json.dumps``
-    runs the stdlib's pure-Python encoder; this writer quotes with its C
-    ``encode_basestring_ascii``, writes a plain int item in place and joins
-    each container once.
-    """
-    return _dump(value, "\n")
+    """The text of ``json.dumps(value, indent=2, sort_keys=True)`` with each
+    ``HornSpec`` as its :func:`horn_to_body`, or :class:`TypeError`: dict,
+    list and tuple are written, subclasses too (another named tuple is a
+    list), and every other value as ``json.dumps`` writes it; a dict key that
+    is not a str raises, and a value that contains itself recurses without
+    end. On CPython an indented ``json.dumps`` runs the stdlib's pure-Python
+    encoder; this writer quotes with its C ``encode_basestring_ascii``,
+    writes a plain int item in place, joins each container once and fills a
+    horn's faces into its shape's text."""
+    # No horn exists before simplicial is loaded, so the writer does not load it.
+    simplicial = sys.modules.get(f"{__package__}.simplicial")
+    return _dump(value, "\n", getattr(simplicial, "HornSpec", None))
 
 
-def _dump(value, newline: str) -> str:
+def _dump(value, newline: str, horn: Optional[type]) -> str:
     """:func:`dump_json` of a value whose items follow the line break and
-    indent ``newline``."""
+    indent ``newline``; ``horn`` is the ``HornSpec`` class, or None."""
+    if type(value) is horn:
+        n, k, faces = value
+        template, order = _horn_template(n, k, newline)
+        return template % (order(faces) if order else faces)
     inner = newline + "  "
     if isinstance(value, dict):
         if not value:
             return "{}"
         # The quoting raises TypeError on a key that is not a str.
         items = [encode_basestring_ascii(key) + ": "
-                 + (repr(item) if type(item) is int else _dump(item, inner))
+                 + (repr(item) if type(item) is int else _dump(item, inner, horn))
                  for key, item in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [repr(item) if type(item) is int else _dump(item, inner)
+        items = [repr(item) if type(item) is int else _dump(item, inner, horn)
                  for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, str):
@@ -245,7 +254,9 @@ def _mode_fields(body, where: str) -> Optional[tuple[str, object]]:
                 "images must be [source, image] pairs",
                 here,
             )
-            mapping[_int(pair[0], here)] = _int(pair[1], here)
+            source = _int(pair[0], here)
+            _expect(source not in mapping, f"images name source {source} twice", here)
+            mapping[source] = _int(pair[1], here)
         try:
             return kind, FiberPermutation.of(fiber, mapping)
         except Exception as exc:
@@ -279,10 +290,29 @@ def _mode_fields(body, where: str) -> Optional[tuple[str, object]]:
 
 @cache
 def _face_keys(n: int, k: int) -> tuple[str, ...]:
-    """The ``faces`` keys of an (n, k)-horn body, "0".."n" without k, in
-    the order of ``HornSpec.faces``. One entry per horn shape read or
-    written, so at most the sizes of the documents seen."""
+    """The ``faces`` keys of an (n, k)-horn body, "0".."n" without k, in the
+    order of ``HornSpec.faces``: a horn row's one layout, read and written per
+    shape. One entry per shape seen, so at most the sizes of the documents."""
     return tuple([str(i) for i in range(n + 1) if i != k])
+
+
+@cache
+def _faces_getter(n: int, k: int) -> Callable[[dict], tuple]:
+    """The faces tuple of a horn body's ``faces``, or :class:`KeyError`."""
+    keys = _face_keys(n, k)  # an itemgetter of one key gives the bare value
+    return itemgetter(*keys) if n > 1 else lambda faces: (faces[keys[0]],)
+
+
+@cache
+def _horn_template(n: int, k: int, newline: str) -> tuple[str, Optional[itemgetter]]:
+    """The text of a horn body at the indent ``newline``, with a ``%d`` per
+    face in the sorted order of its key, and the itemgetter of the faces in
+    that order (None when it is theirs, as it is for n < 10)."""
+    keys, inner = _face_keys(n, k), newline + "  "
+    order = sorted(range(n), key=keys.__getitem__)
+    faces = ("," + inner + "  ").join([f'"{keys[i]}": %d' for i in order])
+    text = f'{{{inner}"faces": {{{inner}  {faces}{inner}}},{inner}"k": {k},{inner}"n": {n}'
+    return text + newline + "}", None if order == sorted(order) else itemgetter(*order)
 
 
 def horn_to_body(h: HornSpec) -> dict:
@@ -295,9 +325,9 @@ def _horn_fields(
 ) -> tuple[int, int, tuple[int, ...]]:
     """The (n, k, faces) of a horn body whose faces must be simplices of
     ``within``. A well-formed row (int n and k in range, exactly the n keys
-    of :func:`_face_keys`, int faces below the count) is read in one pass;
-    any other goes to :func:`_checked_horn_fields`, which decides it and
-    words the error at the key path ``where()``. Either way the shape is
+    of :func:`_face_keys`, int faces below the count) is read by its shape's
+    getter; any other goes to :func:`_checked_horn_fields`, which decides it
+    and words the error at the key path ``where()``. Either way the shape is
     checked, so the caller builds the horn with ``fitted_horn``."""
     if type(body) is dict:
         n, k, faces_obj = body.get("n"), body.get("k"), body.get("faces")
@@ -309,13 +339,16 @@ def _horn_fields(
             and type(faces_obj) is dict
             and len(faces_obj) == n
         ):
-            values = [faces_obj.get(key) for key in _face_keys(n, k)]
+            try:
+                values = _faces_getter(n, k)(faces_obj)
+            except KeyError:
+                return _checked_horn_fields(body, where(), within)
             if (
                 set(map(type, values)) == {int}
                 and min(values) >= 0
                 and max(values) < within.counts[n - 1]
             ):
-                return n, k, tuple(values)
+                return n, k, values
     return _checked_horn_fields(body, where(), within)
 
 
@@ -363,14 +396,11 @@ def ruptured_to_body(r: RupturedComplex) -> dict:
     body["coh"] = {
         str(n): sorted(r.coh[n]) for n in range(r.underlying.dim_bound + 1)
     }
-    gap_rows = []
-    for h in sorted(r.gap):
-        row = horn_to_body(h)
-        mode = r.gap[h]
-        if mode is not None:
-            row["mode"] = mode_to_body(mode)
-        gap_rows.append(row)
-    body["gap"] = gap_rows
+    # A row without a mode is the horn, which dump_json writes as its body.
+    body["gap"] = [
+        h if (mode := r.gap[h]) is None else {**horn_to_body(h), "mode": mode_to_body(mode)}
+        for h in sorted(r.gap)
+    ]
     return body
 
 
@@ -411,10 +441,7 @@ def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
 def fibration_to_body(f: RupturedFibrationData) -> dict:
     gap_rows = []
     for key in sorted(f.gap_lifts):
-        row = {
-            "horn": horn_to_body(key.horn),
-            "base_simplex": key.base.index,
-        }
+        row = {"horn": key.horn, "base_simplex": key.base.index}
         mode = f.gap_lifts[key]
         if mode is not None:
             row["mode"] = mode_to_body(mode)

@@ -595,8 +595,11 @@ def is_kan_up_to(
     specs have fillers only through degenerate simplices, which the
     face-map-only model omits. Returns (True, None) when every inner horn
     has a filler, else (False, first unfilled horn) in (n, k, faces) order.
-    The check says nothing about horns above the truncation bound.
+    The check says nothing about horns above the truncation bound, and a
+    ``max_dim`` below 0 or above it raises :class:`KernelError`.
     """
+    if max_dim < 0:
+        raise KernelError(f"max_dim {max_dim} is negative")
     if max_dim > x.dim_bound:
         raise KernelError(f"max_dim {max_dim} exceeds bound {x.dim_bound}")
     for n in range(2, max_dim + 1):

@@ -12,6 +12,7 @@ import os
 import random
 from pathlib import Path
 
+from rupture_kit.documents import horn_to_body
 from rupture_kit.fibration import LiftingProblemKey, RupturedFibrationData
 from rupture_kit.ruptured import GapMode, RupturedComplex
 from rupture_kit.simplicial import (
@@ -58,6 +59,19 @@ def fixture_commands() -> list[list[str]]:
                     else a for a in command]
             argvs += [argv, argv + ["--json"]]
     return argvs
+
+
+def plain(value):
+    """``value`` with every ``HornSpec`` in it replaced by its
+    ``horn_to_body``: the value the stdlib's ``json.dumps`` writes as
+    ``documents.dump_json`` writes ``value``."""
+    if type(value) is HornSpec:
+        return horn_to_body(value)
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
 
 
 def cli_env() -> dict:

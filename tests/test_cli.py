@@ -70,6 +70,14 @@ class TestValidate:
         assert code == 1 and "kan up to 2: no" in out
         assert "n=2 k=1" in out
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("max_dim,message", [(-1, "max_dim -1 is negative"),
+                                                 (99, "max_dim 99 exceeds bound 2")])
+    def test_max_dim_outside_the_bound_exits_one(self, json_flag, max_dim, message):
+        code, out = run_cli("validate", FIXTURES / "triangle.json", "--max-dim", max_dim,
+                            *json_flag)
+        assert (code, out) == (1, f"error: {message}\n")
+
 
 class TestHorns:
     def test_kan_triangle_single_coherent_line(self):

@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from rupture_kit.cli import main
 from rupture_kit.documents import (
     Document,
     load_document,
@@ -123,6 +124,23 @@ class TestParseErrors:
         )
         with pytest.raises(DocumentError, match="bijection"):
             parse_document(text)
+
+    def test_monodromy_images_name_each_source_once(self, tmp_path):
+        """A repeated pair would collapse into one and leave the
+        document's serialization a pair short."""
+        text = (
+            '{"format": "rupture-kit/1", "kind": "ruptured", "dim_bound": 1,'
+            ' "simplices": {"0": 2, "1": 1}, "faces": {"1": [[1, 0]]},'
+            ' "coh": {}, "gap": [{"n": 1, "k": 0, "faces": {"1": 0},'
+            ' "mode": {"kind": "monodromy",'
+            ' "payload": {"fiber": [0, 1], "images": [[0, 1], [0, 1], [1, 0]]}}}]}'
+        )
+        with pytest.raises(DocumentError, match="images name source 0 twice") as err:
+            parse_document(text)
+        assert err.value.position == "ruptured.gap[0].mode.payload"
+        path = tmp_path / "twice.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
 
     def test_covering_task_direction_checked(self):
         text = (

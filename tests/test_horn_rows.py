@@ -1,4 +1,4 @@
-"""Horn rows read in one pass, against the row loop they replaced.
+"""Horn rows written and read by shape, against the paths they replaced.
 
 ``documents._horn_fields`` reads a well-formed horn row directly and sends
 any other to the checked loop. ``oracle_horn_fields`` below is that loop as
@@ -8,6 +8,11 @@ rows and its ``gap_lifts[i].horn``) goes through ``parse_document`` twice,
 once as shipped and once with the oracle in place of ``_horn_fields``. Each
 edit must give the same document, or the same ``DocumentError`` message at
 the same key path.
+
+``dump_json`` writes a horn row from its shape's text. Seeded ruptured and
+fibration documents, with horns of every shape up to n = 3 and modes of
+every kind, must serialize to the text of the plain-dict body written by
+the stdlib, and parse back to an equal document.
 """
 
 import copy
@@ -17,12 +22,18 @@ import random
 import pytest
 
 from rupture_kit import documents
-from rupture_kit.covering import build_double_cover
-from rupture_kit.documents import Document, DocumentError, parse_document, serialize_document
-from rupture_kit.ruptured import fully_gapped
-from rupture_kit.simplicial import bad_index, standard_simplex
+from rupture_kit.covering import FiberPermutation, build_double_cover
+from rupture_kit.documents import (
+    FORMAT, Document, DocumentError, fibration_to_body, parse_document, ruptured_to_body,
+    serialize_document,
+)
+from rupture_kit.fibration import LiftingProblemKey, RupturedFibrationData
+from rupture_kit.ruptured import GapMode, RupturedComplex, fully_gapped
+from rupture_kit.simplicial import (
+    SimplexId, SimplicialMap, TruncatedComplex, bad_index, enumerate_horns, standard_simplex,
+)
 
-from support import FIXTURES
+from support import FIXTURES, plain
 
 
 def oracle_horn_fields(body, where: str, within):
@@ -217,3 +228,81 @@ def test_the_row_paths_are_pinned():
     with pytest.raises(DocumentError) as exc:
         parse_document(json.dumps(doc))
     assert str(exc.value) == "missing key 'horn' (at fibration.gap_lifts[2])"
+
+
+# -- writing -------------------------------------------------------------------
+
+
+def random_mode(rng: random.Random):
+    """No mode, or a mode of one of the four kinds with a seeded payload."""
+    kind = rng.choice([None, None, "plain", "monodromy", "semantic", "resource"])
+    if kind == "monodromy":
+        fiber = rng.sample(range(10), rng.randint(1, 4))
+        images = dict(zip(fiber, rng.sample(fiber, len(fiber))))
+        return GapMode(kind, FiberPermutation.of(fiber, images))
+    if kind == "semantic":
+        return GapMode(kind, tuple(rng.sample(["warm", "late", "x\"y", "\u00e9"], 2)))
+    if kind == "resource":
+        return GapMode(kind, tuple((v, rng.randint(0, 3)) for v in rng.sample("xyz", 2)))
+    return None if kind is None else GapMode(kind)
+
+
+def random_complex3(rng: random.Random) -> TruncatedComplex:
+    """A standard 3- or 4-simplex truncated at 3, with or without labels."""
+    x = standard_simplex(rng.choice([3, 4]), 3)
+    if rng.random() < 0.5:
+        return x
+    return TruncatedComplex.create(3, x.counts, {n: x.face_table[n - 1] for n in (1, 2, 3)})
+
+
+def random_ruptured3(rng: random.Random, x: TruncatedComplex) -> RupturedComplex:
+    coh = {n: [i for i in range(x.count(n)) if rng.random() < 0.3] for n in range(4)}
+    gap = {h: random_mode(rng) for n in (1, 2, 3) for k in range(n + 1)
+           for h in enumerate_horns(x, n, k) if rng.random() < 0.4}
+    return RupturedComplex.create(x, coh, gap)
+
+
+def random_fibration3(rng: random.Random) -> RupturedFibrationData:
+    """The identity of a seeded complex between two seeded markings, with
+    seeded gap lifts and composites."""
+    x = random_complex3(rng)
+    total, base = random_ruptured3(rng, x), random_ruptured3(rng, x)
+    horns = [h for n in (1, 2, 3) for k in range(n + 1) for h in enumerate_horns(x, n, k)]
+    lifts = {LiftingProblemKey(h, SimplexId(h.n, rng.randrange(x.count(h.n)))): random_mode(rng)
+             for h in rng.sample(horns, 40)}
+    edges = x.count(1)
+    composites = {(rng.randrange(edges), rng.randrange(edges)): rng.randrange(edges)
+                  for _ in range(rng.randint(0, 5))}
+    return RupturedFibrationData(total, base, SimplicialMap.identity(x), lifts, composites)
+
+
+def written_documents() -> list[Document]:
+    rng = random.Random(19)
+    return ([Document("ruptured", random_ruptured3(rng, random_complex3(rng)))
+             for _ in range(12)]
+            + [Document("fibration", random_fibration3(rng)) for _ in range(6)])
+
+
+def test_the_written_corpus_covers_every_shape_and_mode():
+    shapes, kinds, labelled = set(), set(), set()
+    for doc in written_documents():
+        spaces = [doc.body] if doc.kind == "ruptured" else [doc.body.total, doc.body.base]
+        rows = [(h, m) for r in spaces for h, m in r.gap.items()]
+        rows += [(key.horn, m) for key, m in getattr(doc.body, "gap_lifts", {}).items()]
+        shapes |= {(h.n, h.k) for h, _ in rows}
+        kinds |= {None if m is None else m.kind for _, m in rows}
+        labelled |= {bool(r.underlying.labels) for r in spaces}
+    assert shapes == {(n, k) for n in (1, 2, 3) for k in range(n + 1)}
+    assert kinds == {None, "plain", "monodromy", "semantic", "resource"}
+    assert labelled == {True, False}
+
+
+@pytest.mark.parametrize("doc", written_documents(),
+                         ids=[f"{d.kind}-{i}" for i, d in enumerate(written_documents())])
+def test_written_rows_match_the_plain_body(monkeypatch, doc):
+    to_body = {"ruptured": ruptured_to_body, "fibration": fibration_to_body}[doc.kind]
+    body = {"format": FORMAT, "kind": doc.kind, **plain(to_body(doc.body))}
+    text = serialize_document(doc)
+    assert text == json.dumps(body, indent=2, sort_keys=True) + "\n"
+    assert parse_document(text) == doc
+    assert oracle_outcome(monkeypatch, text) == ("parsed", doc.body, text)

@@ -31,10 +31,16 @@ FIBRATION = RUPTURED | {"fibration"}
 MODULE_SETS = [
     (("validate", "triangle.json"), COMPLEX),
     (("horns", "circle3_gapped.json", "--dim", "2", "--missing", "1"), RUPTURED),
+    # The writer's horn check loads nothing: with and without horns to write.
+    (("horns", "circle3_gapped.json", "--dim", "2", "--missing", "1", "--json"), RUPTURED),
     (("transport", "bank.json", "--term", "0", "--path", "0"), FIBRATION),
     (("monodromy", "double_cover_3.json", "monodromy_task_3.json"), FIBRATION | {"covering"}),
     (("derive", "derive_linear_horn.json"), {"cli", "derivability", "documents", "errors"}),
+    (("derive", "derive_linear_horn.json", "--json"),
+     {"cli", "derivability", "documents", "errors"}),
     (("judgments", "judgment_script.json"), {"cli", "documents", "errors", "judgments"}),
+    (("judgments", "judgment_script.json", "--json"),
+     {"cli", "documents", "errors", "judgments"}),
 ]
 
 RUN_MAIN = """
@@ -58,7 +64,9 @@ def fresh(code: str, *args: str) -> str:
     return run.stdout
 
 
-@pytest.mark.parametrize("argv,modules", MODULE_SETS, ids=[m[0][0] for m in MODULE_SETS])
+@pytest.mark.parametrize("argv,modules", MODULE_SETS,
+                         ids=[" ".join([m[0][0]] + [a for a in m[0] if a == "--json"])
+                              for m in MODULE_SETS])
 def test_command_loads_only_what_it_reads(argv, modules):
     args = [str(FIXTURES / a) if a.endswith(".json") else a for a in argv]
     got = json.loads(fresh(RUN_MAIN, *args))

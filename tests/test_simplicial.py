@@ -352,6 +352,12 @@ class TestKan:
     def test_point_kan(self):
         assert is_kan_up_to(standard_simplex(0, 0), 0) == (True, None)
 
+    @pytest.mark.parametrize("max_dim,message", [(-1, "max_dim -1 is negative"),
+                                                 (3, "max_dim 3 exceeds bound 2")])
+    def test_max_dim_outside_the_bound_raises(self, max_dim, message):
+        with pytest.raises(KernelError, match=message):
+            is_kan_up_to(standard_simplex(2, 2), max_dim)
+
     def test_matches_filler_scan(self):
         # false iff some inner horn has no filler
         rng = random.Random(31)
