@@ -69,9 +69,12 @@ def _load(path, *kinds) -> docs.Document:
 
 def cmd_validate(args) -> int:
     doc = docs.load_document(args.path)
+    if args.max_dim is not None and doc.kind not in ("complex", "ruptured"):
+        reason = f"--max-dim needs a complex or ruptured document, got '{doc.kind}'"
+        raise DocumentError(reason, str(args.path))
     report = _violations(doc)
     kan = None
-    if args.max_dim is not None and not report and doc.kind in ("complex", "ruptured"):
+    if args.max_dim is not None and not report:
         from .simplicial import is_kan_up_to
 
         target = doc.body.underlying if doc.kind == "ruptured" else doc.body

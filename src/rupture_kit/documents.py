@@ -12,7 +12,9 @@ complex and a fibration map that is not total on the total space: the
 constructors check face rows and map levels, and their :class:`ShapeError`
 becomes a key path. Simplicial
 identities, face commutation, horn compatibility and Exclusion are left to
-the validators.
+the validators. A ``gap`` list is read one run of a shape (n, k) at a time,
+in column passes, when each row is plainly well formed and has no mode;
+any other list is read again row by row, which words the first error.
 
 Each kind's codec imports its kernel module when it runs, so that a
 command loads only the modules of the documents it reads: this module
@@ -45,6 +47,7 @@ from __future__ import annotations
 import json
 import sys
 from functools import cache
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
@@ -391,6 +394,32 @@ def _checked_horn_fields(
     return n, k, tuple([mapping[i] for i in present])
 
 
+def _gap_runs(rows: list, within: TruncatedComplex) -> Optional[dict]:
+    """A ``gap`` list's table, read one run of a shape at a time in C-level
+    passes; None unless each row is one :func:`_horn_fields` reads directly,
+    with no mode, and no horn is listed twice: then read it row by row."""
+    from .simplicial import bad_index, fitted_horns
+
+    try:  # KeyError or TypeError: a row without a key or no dict; ValueError: no row
+        ns, ks, objs = zip(*map(itemgetter("n", "k", "faces"), rows))
+        if (set(map(len, rows)), set(map(type, ns + ks)), set(map(type, objs))) != (
+                {3}, {int}, {dict}):
+            return None
+        horns = []
+        for (n, k), run in groupby(zip(ns, ks, objs), itemgetter(0, 1)):
+            run = list(map(itemgetter(2), run))
+            if not (1 <= n <= within.dim_bound and 0 <= k <= n) or set(map(len, run)) != {n}:
+                return None
+            faces = list(map(_faces_getter(n, k), run))
+            if bad_index(list(chain.from_iterable(faces)), n - 1, within.counts[n - 1]):
+                return None
+            horns += fitted_horns(n, k, faces)
+    except (KeyError, TypeError, ValueError):
+        return None
+    gap = dict.fromkeys(horns)
+    return gap if len(gap) == len(horns) else None
+
+
 def ruptured_to_body(r: RupturedComplex) -> dict:
     body = complex_to_body(r.underlying)
     body["coh"] = {
@@ -424,14 +453,17 @@ def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
         if bad:
             raise DocumentError(bad[1], here)
         coh[n] = members
-    gap = {}
-    for i, row in enumerate(_optional(body, "gap", where, list)):
-        here = lambda: f"{where}.gap[{i}]"  # the key path, built on error only
-        h = fitted_horn(*_horn_fields(row, underlying, here))
-        if h in gap:
-            raise DocumentError(f"{h} is listed twice", here())
-        mode = row.get("mode")
-        gap[h] = None if mode is None else GapMode(*_mode_fields(mode, f"{here()}.mode"))
+    rows = _optional(body, "gap", where, list)
+    gap = _gap_runs(rows, underlying)
+    if gap is None:
+        gap = {}
+        for i, row in enumerate(rows):
+            here = lambda: f"{where}.gap[{i}]"  # the key path, built on error only
+            h = fitted_horn(*_horn_fields(row, underlying, here))
+            if h in gap:
+                raise DocumentError(f"{h} is listed twice", here())
+            mode = row.get("mode")
+            gap[h] = None if mode is None else GapMode(*_mode_fields(mode, f"{here()}.mode"))
     return RupturedComplex.create(underlying, coh, gap)
 
 

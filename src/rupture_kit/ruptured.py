@@ -13,6 +13,8 @@ by :func:`coherent_core`.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ExclusionError, KernelError, ShapeError, Violation, record
@@ -28,7 +30,9 @@ from .simplicial import (
     fitted_horn,
     horn_of,
     horn_violations,
+    misfit_runs,
     restrict,
+    shape_runs,
     validate_complex,
 )
 
@@ -200,30 +204,38 @@ def validate_exclusion(r: RupturedComplex) -> list[Violation]:
     Exclusion holds. A gap horn that does not fit the complex raises as in
     :func:`find_fillers`."""
     x, horns = r.underlying, sorted(r.gap)
-    for h in horns:
-        n, _, faces = h
-        if not 1 <= n <= x.dim_bound or min(faces) < 0 or max(faces) >= x.counts[n - 1]:
-            find_fillers(x, h)
+    for run in misfit_runs(x, horns, compatible=False):
+        for h in run:
+            if any(misfit_runs(x, (h,), compatible=False)):
+                find_fillers(x, h)
     return _exclusion_report(r, horns)
 
 
 def _exclusion_report(r: RupturedComplex, horns) -> list[Violation]:
-    """The Exclusion conflicts of ``horns``, which must fit the complex."""
-    return [
-        Violation("exclusion", f"{h} is gap-witnessed but coherent {h.n}/{s} fills it")
-        for h in horns
-        for s in r.underlying.incidence.fillers[h.n - 1][h.k].get(h.faces, ())
-        if s in r.coh[h.n]
-    ]
+    """The Exclusion conflicts of the sorted ``horns``, which must fit the
+    complex, one run of a shape at a time: a run whose dimension has nothing
+    coherent is skipped, so that it builds no filler table."""
+    report = []
+    for n, k, run in shape_runs(horns):
+        if coh := r.coh[n]:
+            table = r.underlying.incidence.fillers[n - 1][k]
+            report += [
+                Violation("exclusion", f"{h} is gap-witnessed but coherent {n}/{s} fills it")
+                for h in compress(run, map(table.__contains__, map(itemgetter(2), run)))
+                for s in table[h.faces] if s in coh
+            ]
+    return report
 
 
 def validate_ruptured(r: RupturedComplex) -> list[Violation]:
     """Full structural report: underlying complex validity, gap horns
-    well-formed, and Exclusion."""
+    well-formed, and Exclusion. Only a run of one shape that
+    :func:`misfit_runs` refuses is checked horn by horn."""
     report = list(validate_complex(r.underlying))
     horns = sorted(r.gap)
-    for h in horns:
-        report.extend(horn_violations(r.underlying, h))
+    for run in misfit_runs(r.underlying, horns):
+        for h in run:
+            report.extend(horn_violations(r.underlying, h))
     if not report:
         report.extend(_exclusion_report(r, horns))
     return report

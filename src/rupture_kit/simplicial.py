@@ -18,10 +18,11 @@ vertex {1}, matching the anchoring used by transport problems.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
-from itertools import chain, combinations
+from bisect import bisect_left
+from functools import cache, cached_property, partial
+from itertools import chain, combinations, repeat
 from operator import itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import KernelError, ShapeError, Violation, checked_make, record
 
@@ -92,6 +93,11 @@ class HornSpec(_HornFields):
 # A horn whose shape its caller has already checked, built without a second
 # check: n >= 1, 0 <= k <= n and n face indices.
 fitted_horn = partial(_HornFields.__new__, HornSpec)
+
+
+def fitted_horns(n: int, k: int, rows: Iterable[tuple[int, ...]]) -> Iterator[HornSpec]:
+    """A :func:`fitted_horn` per face tuple of ``rows``, in one C-level map."""
+    return map(tuple.__new__, repeat(HornSpec), zip(repeat(n), repeat(k), rows))
 
 
 class _ComplexFields(NamedTuple):
@@ -531,6 +537,43 @@ def horn_violations(x: TruncatedComplex, h: HornSpec) -> list[Violation]:
     return report
 
 
+def shape_runs(horns: Sequence[HornSpec]) -> Iterator[tuple[int, int, Sequence[HornSpec]]]:
+    """(n, k, run) for each run of one shape (n, k) of the sorted ``horns``."""
+    start, size = 0, len(horns)
+    while start < size:
+        n, k, _ = horns[start]
+        stop = bisect_left(horns, (n, k + 1), start)  # the first horn past the shape
+        yield n, k, horns[start:stop]
+        start = stop
+
+
+@cache
+def _identity_getters(n: int, k: int) -> tuple[itemgetter, itemgetter]:
+    """Getters of the sides d_i(faces[j]) and d_{j-1}(faces[i]) of an (n, k)-horn's
+    identities over the entries ``a * n + m``, entry m of the row of face a."""
+    present = (*range(k), *range(k + 1, n + 1))
+    left, right = zip(*[(b * n + i, a * n + j - 1)
+                        for b, j in enumerate(present) for a, i in enumerate(present[:b])])
+    return itemgetter(*left), itemgetter(*right)
+
+
+def misfit_runs(x: TruncatedComplex, horns: Sequence[HornSpec], compatible: bool = True
+                ) -> Iterator[Sequence[HornSpec]]:
+    """The runs of :func:`shape_runs` holding a horn that :func:`horn_violations`
+    reports (with ``compatible`` false, one that does not fit), each tested
+    in C-level passes over its face columns."""
+    for n, k, run in shape_runs(horns):
+        columns = list(zip(*map(itemgetter(2), run)))  # column a: every horn's face a
+        if (not 1 <= n <= x.dim_bound or min(map(min, columns)) < 0
+                or max(map(max, columns)) >= x.counts[n - 1]):
+            yield run
+        elif compatible and n >= 2:
+            rows, (left, right) = x.face_table[n - 2], _identity_getters(n, k)
+            entries = [m for column in columns for m in zip(*map(rows.__getitem__, column))]
+            if left(entries) != right(entries):
+                yield run
+
+
 # -- horn enumeration and filling -------------------------------------------
 
 
@@ -572,9 +615,9 @@ def horn_rows(x: TruncatedComplex, n: int, k: int) -> list[tuple[int, ...]]:
 
 def enumerate_horns(x: TruncatedComplex, n: int, k: int) -> list[HornSpec]:
     """All boundary-compatible (n, k)-horns of the complex, each once, in
-    lexicographic order on the assigned face indices: :func:`horn_rows`,
-    each row built into a :func:`fitted_horn`."""
-    return [fitted_horn(n, k, faces) for faces in horn_rows(x, n, k)]
+    lexicographic order on the assigned face indices: :func:`horn_rows`
+    built into :func:`fitted_horns`."""
+    return list(fitted_horns(n, k, horn_rows(x, n, k)))
 
 
 def find_fillers(x: TruncatedComplex, h: HornSpec) -> list[SimplexId]:

@@ -1,7 +1,9 @@
 """Each input check and each lift runs once per public call, each complex
 builds each table of its incidence index once and only when a call reads
 it, each fibration its lift table once, and a fiber reads the face rows
-around it only.
+around it only. A gap table of plain rows is read and checked one shape at
+a time: no row reader, no per-horn check, and no filler table where
+nothing is coherent.
 
 The checks (``horn_violations``, ``key_violations``), the path lift
 (``lift_edge_path``), the derivability decision (``check_derivable``), the
@@ -20,7 +22,7 @@ from functools import cached_property
 
 import pytest
 
-from rupture_kit import cli, covering, derivability, fibration, judgments, simplicial
+from rupture_kit import cli, covering, derivability, documents, fibration, judgments, simplicial
 from rupture_kit.errors import ExclusionError
 from rupture_kit.covering import EdgePath, build_double_cover, trivial_double_cover
 from rupture_kit.errors import KernelError
@@ -315,6 +317,35 @@ def test_product_enumerates_no_horn_of_the_product(monkeypatch):
         product(r, s)
         assert enumerated
         assert all(x is r.underlying or x is s.underlying for x in enumerated)
+
+
+def test_a_gap_table_is_read_and_checked_one_shape_at_a_time(monkeypatch, calls):
+    """The serialized ``fully_gapped(standard_simplex(7, 3))`` is read by the
+    run reader, without a row reader call, and its validation calls no
+    per-horn check and builds no filler table: nothing is coherent."""
+    rows = []
+    for name in ("_horn_fields", "_checked_horn_fields"):
+        original = getattr(documents, name)
+        monkeypatch.setattr(documents, name,
+                            lambda *args, name=name, original=original:
+                            rows.append(name) or original(*args))
+    r = fully_gapped(standard_simplex(7, 3))
+    text = documents.serialize_document(documents.Document("ruptured", r))
+    parsed = documents.parse_document(text).body
+    assert rows == [] and parsed == r and len(parsed.gap) == 632
+    builds = incidence_builds(monkeypatch)
+    assert validate_ruptured(parsed) == []
+    assert calls == [] and builds == []
+
+
+def test_product_of_a_gapped_cycle_builds_no_table_of_the_product(monkeypatch):
+    builds = incidence_builds(monkeypatch)
+    for m in (3, 8):
+        c = covering.build_cycle(m)
+        builds.clear()
+        result = product(fully_gapped(c), from_kan(c))
+        assert len(result.gap) == 5 * m * m
+        assert all(x is not result.underlying for x, _ in builds)
 
 
 def test_with_coherent_shares_its_complexs_index(monkeypatch):

@@ -78,6 +78,20 @@ class TestValidate:
                             *json_flag)
         assert (code, out) == (1, f"error: {message}\n")
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("name,kind,max_dim", [
+        ("bank.json", "fibration", 2), ("double_cover_3.json", "fibration", 1),
+        ("judgment_script.json", "judgment-script", -5),
+        ("monodromy_task_3.json", "covering-task", 0),
+        ("derive_linear_horn.json", "derive-task", 2),
+    ])
+    def test_max_dim_on_another_kind_exits_two(self, json_flag, name, kind, max_dim):
+        path = FIXTURES / name
+        code, out = run_cli("validate", path, "--max-dim", max_dim, *json_flag)
+        assert (code, out) == (2, f"parse error: --max-dim needs a complex or ruptured "
+                                  f"document, got '{kind}' (at {path})\n")
+        assert run_cli("validate", path, *json_flag)[0] == 0
+
 
 class TestHorns:
     def test_kan_triangle_single_coherent_line(self):

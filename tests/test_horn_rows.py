@@ -1,13 +1,16 @@
 """Horn rows written and read by shape, against the paths they replaced.
 
-``documents._horn_fields`` reads a well-formed horn row directly and sends
-any other to the checked loop. ``oracle_horn_fields`` below is that loop as
-it read every row before: it stays here as the reference. A seeded corpus
-of horn-row edits (ruptured ``gap`` rows, a fibration's total-space ``gap``
-rows and its ``gap_lifts[i].horn``) goes through ``parse_document`` twice,
-once as shipped and once with the oracle in place of ``_horn_fields``. Each
-edit must give the same document, or the same ``DocumentError`` message at
-the same key path.
+``documents._gap_runs`` reads a ``gap`` list of well-formed rows one run of
+a shape at a time, and ``documents._horn_fields`` reads a well-formed horn
+row directly; any other goes to the checked loop. ``oracle_horn_fields``
+below is that loop as it read every row before: it stays here as the
+reference. A seeded corpus of horn-row edits (ruptured ``gap`` rows, a
+fibration's total-space ``gap`` rows and its ``gap_lifts[i].horn``) and of
+gap-list edits (rows shuffled, a mode, an unknown key, a duplicate far from
+its twin, two faults) goes through ``parse_document`` twice, once as shipped
+and once with the run reader off and the oracle in place of
+``_horn_fields``. Each edit must give the same document, or the same
+``DocumentError`` message at the same key path.
 
 ``dump_json`` writes a horn row from its shape's text. Seeded ruptured and
 fibration documents, with horns of every shape up to n = 3 and modes of
@@ -183,7 +186,9 @@ def outcome(text: str):
 
 
 def oracle_outcome(monkeypatch, text: str):
+    """:func:`outcome` with every gap row read by the oracle."""
     with monkeypatch.context() as m:
+        m.setattr(documents, "_gap_runs", lambda rows, within: None)
         m.setattr(documents, "_horn_fields",
                   lambda body, within, where: oracle_horn_fields(body, where(), within))
         return outcome(text)
@@ -210,6 +215,76 @@ def test_every_horn_row_edit_reads_as_the_oracle_reads_it(monkeypatch, name, doc
                 # The key path names the edited row, or the gap lift holding it.
                 assert expected[2].startswith(where.removesuffix(".horn")), (op, expected)
     assert seen == {"parsed", "refused"}
+
+
+def gap_lists(doc: dict) -> list[tuple[tuple, str]]:
+    """(keys to a ``gap`` list, its key path) of each gap list of a corpus
+    document."""
+    if doc["kind"] == "ruptured":
+        return [(("gap",), "ruptured.gap")]
+    return [(("total", "gap"), "fibration.total.gap"), (("base", "gap"), "fibration.base.gap")]
+
+
+def edited_list(rng: random.Random, rows: list, op: str, counts: tuple) -> tuple[list, int]:
+    """A copy of a gap list with one list-level edit, and the index of the
+    first row the edit touched (None for a shuffle)."""
+    rows, at = copy.deepcopy(rows), rng.randrange(len(rows))
+    if op == "shuffle":
+        rng.shuffle(rows)
+        return rows, None
+    if op == "mode":
+        at = len(rows) // 2
+        rows[at] = {**rows[at], "mode": rng.choice(
+            [None, {"kind": "plain", "payload": None}, {"kind": "semantic", "payload": ["x"]},
+             {"kind": "plain", "payload": 1}])}
+    elif op == "unknown key":
+        rows[at]["note"] = "kept apart"
+    elif op == "far duplicate":
+        at = rng.randrange((len(rows) + 1) // 2)
+        rows.append(copy.deepcopy(rows[at]))
+    elif op == "two faults":
+        first, second = sorted(rng.sample(range(len(rows)), 2)) if len(rows) > 1 else (at, at)
+        for i in (second, first):
+            rows[i] = edited(rng, rows[i], rng.choice(["past", "bool", "string", "missing key"]),
+                             counts)
+        at = first
+    return rows, at
+
+
+LIST_EDITS = ["shuffle", "mode", "unknown key", "far duplicate", "two faults"]
+
+
+@pytest.mark.parametrize("name,doc,rows", corpus(), ids=[c[0] for c in corpus()])
+def test_every_gap_list_edit_reads_as_the_oracle_reads_it(monkeypatch, name, doc, rows):
+    rng = random.Random(f"list {name}")
+    seen = set()
+    for keys, where in gap_lists(doc):
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        if not parent[keys[-1]]:
+            continue
+        body = parse_document(json.dumps(doc)).body
+        counts = (body if len(keys) == 1 else getattr(body, keys[0])).underlying.counts
+        for op in LIST_EDITS:
+            for _ in range(4):
+                changed = copy.deepcopy(doc)
+                holder = changed
+                for key in keys[:-1]:
+                    holder = holder[key]
+                holder[keys[-1]], at = edited_list(rng, holder[keys[-1]], op, counts)
+                text = json.dumps(changed)
+                expected = oracle_outcome(monkeypatch, text)
+                assert outcome(text) == expected, (op, where)
+                seen.add((op, expected[0]))
+                if expected[0] == "refused" and at is not None:
+                    # The first fault in document order names the error.
+                    assert expected[2].startswith(f"{where}["), (op, expected)
+                    if op == "two faults":
+                        assert expected[2].startswith(f"{where}[{at}]"), (op, expected)
+    if name != "bank":
+        assert {("shuffle", "parsed"), ("far duplicate", "refused"),
+                ("unknown key", "parsed"), ("two faults", "refused")} <= seen, seen
 
 
 def test_the_row_paths_are_pinned():
