@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Replay a seeded corpus of CLI runs at a parent revision and at this
+checkout, and compare each run's exit code, stdout and stderr.
+
+    python3 scripts/replay.py --parent REV [--seeds N]
+
+The corpus is every bundled fixture and N seeded mutations of it
+(``tests/test_cli_fuzz.mutate``), each handed to every command of its kind
+in ``tests/support.COMMANDS``, in text and with ``--json``. The documents are
+written once, so both sides read the same files. The parent's ``src`` is
+extracted with ``git archive`` into a temporary directory, which leaves no
+worktree record behind, and each side replays the whole corpus in one
+subprocess, through ``cli.main`` in process.
+
+The report counts the runs per (parent exit, change exit) pair and lists
+every run whose results differ, in one of four classes. The exit status is
+1 when some run that the parent refuses is accepted by the change, and 0
+otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import random
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from itertools import zip_longest
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CLASSES = NEWLY_ACCEPTED, NEWLY_REJECTED, OTHER_EXIT, OTHER_BYTES = (
+    "rejected then accepted", "accepted then rejected", "other exit", "same exit, other bytes")
+
+
+def build_corpus(seeds: int, into: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv) of each run, with the fixtures and their mutations
+    written to ``into``; the label names the document the command reads."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from support import COMMANDS, FIXTURES
+    from test_cli_fuzz import mutate
+
+    fixtures = sorted(FIXTURES.glob("*.json"))
+    for fixture in fixtures:
+        (into / fixture.name).write_bytes(fixture.read_bytes())
+    runs = []
+    for fixture in fixtures:
+        text = fixture.read_text(encoding="utf-8")
+        rng = random.Random(fixture.name)
+        for i in range(seeds + 1):
+            path = into / (fixture.name if i == 0 else f"{fixture.stem}.{i}.json")
+            if i:
+                path.write_text(mutate(rng, text), encoding="utf-8")
+            for command in COMMANDS[json.loads(text)["kind"]]:
+                argv = [str(path) if a == "@" else str(into / a) if a.endswith(".json") else a
+                        for a in command]
+                runs += [(path.name, argv), (path.name, argv + ["--json"])]
+    return runs
+
+
+def replay(src: str, corpus: str, out: str) -> int:
+    """Run each argv of the ``corpus`` file through ``cli.main`` of the
+    package under ``src`` and write [exit, stdout, stderr] per run to ``out``;
+    an exception that escapes ``main`` is a result too."""
+    sys.path.insert(0, src)
+    from rupture_kit import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"rupture_kit was imported from {cli.__file__}, not {src}")
+    results = []
+    for argv in json.loads(Path(corpus).read_text(encoding="utf-8")):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refusing the arguments
+                code = exc.code or 0
+            except Exception as exc:
+                code = f"raised {type(exc).__name__}: {exc}"
+        results.append([code, stdout.getvalue(), stderr.getvalue()])
+    Path(out).write_text(json.dumps(results), encoding="utf-8")
+    return 0
+
+
+def compare(runs: list, parent: list, change: list) -> tuple[Counter, list]:
+    """The number of runs per (parent exit, change exit) pair, and (class,
+    label, argv, parent result, change result) for each run whose results
+    differ; a result is [exit, stdout, stderr], and only exit 0 accepts."""
+    pairs, differences = Counter(), []
+    for (label, argv), old, new in zip(runs, parent, change, strict=True):
+        pairs[old[0], new[0]] += 1
+        if old == new:
+            continue
+        if old[0] != 0 and new[0] == 0:
+            kind = NEWLY_ACCEPTED
+        elif old[0] == 0 and new[0] != 0:
+            kind = NEWLY_REJECTED
+        else:
+            kind = OTHER_EXIT if old[0] != new[0] else OTHER_BYTES
+        differences.append((kind, label, argv, old, new))
+    return pairs, differences
+
+
+def report(pairs: Counter, differences: list) -> tuple[str, int]:
+    """The text of the comparison and the exit status of the replay."""
+    lines = [f"parent exit {old}, change exit {new}: {count} runs"
+             for (old, new), count in sorted(pairs.items(), key=str)]
+    for kind, label, argv, old, new in differences:
+        shown = [Path(a).name if a.endswith(".json") else a for a in argv]
+        lines.append(f"{kind}: {label}: {' '.join(shown)} (exit {old[0]}, then {new[0]})")
+        for stream, before, after in zip(("stdout", "stderr"), old[1:], new[1:]):
+            if before != after:
+                first = next(((a, b) for a, b in zip_longest(
+                    before.splitlines(), after.splitlines(), fillvalue="") if a != b),
+                    (before[-60:], after[-60:]))
+                lines.append(f"  {stream}: {first[0]!r}, then {first[1]!r}")
+    counts = Counter(kind for kind, *_ in differences)
+    lines.append(f"{len(differences)} of {sum(pairs.values())} runs differ"
+                 + "".join(f"; {kind}: {counts[kind]}" for kind in CLASSES if counts[kind]))
+    return "\n".join(lines), int(counts[NEWLY_ACCEPTED] > 0)
+
+
+def run_side(src: Path, corpus: Path, out: Path) -> list:
+    subprocess.run([sys.executable, __file__, "--replay", str(src), str(corpus), str(out)],
+                   check=True)
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="the revision to compare with")
+    parser.add_argument("--seeds", type=int, default=40, help="mutations per fixture")
+    args = parser.parse_args(argv)
+    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet",
+                          f"{args.parent}^{{commit}}"], capture_output=True, text=True)
+    rev = rev.stdout.strip()
+    if not rev:
+        parser.error(f"no commit {args.parent!r} in {ROOT}")
+    with tempfile.TemporaryDirectory(prefix="replay-") as tmp:
+        tmp = Path(tmp)
+        for name in ("corpus", "parent"):
+            (tmp / name).mkdir()
+        runs = build_corpus(args.seeds, tmp / "corpus")
+        (tmp / "argvs.json").write_text(json.dumps([argv for _, argv in runs]), encoding="utf-8")
+        tar = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"], check=True,
+                             capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tmp / "parent")], input=tar, check=True)
+        parent = run_side(tmp / "parent" / "src", tmp / "argvs.json", tmp / "parent.json")
+        change = run_side(ROOT / "src", tmp / "argvs.json", tmp / "change.json")
+    text, status = report(*compare(runs, parent, change))
+    print(f"parent {rev[:12]} against this checkout, {len(runs)} runs\n{text}")
+    return status
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--replay"]:
+        sys.exit(replay(*sys.argv[2:]))
+    sys.exit(main())

@@ -105,17 +105,13 @@ class Binding(NamedTuple):
     annotation: Annotation
 
 
-class _ContextFields(NamedTuple):
-    bindings: tuple[Binding, ...]
-
-
 @record
-class ResourceContext(_ContextFields):
+class ResourceContext(NamedTuple):
     """An ordered list of annotated bindings with distinct variable names."""
 
-    __slots__ = ()
+    bindings: tuple[Binding, ...]
 
-    def __new__(cls, bindings: tuple[Binding, ...]) -> "ResourceContext":
+    def _new(cls, bindings: tuple[Binding, ...]) -> "ResourceContext":
         names = [b.var for b in bindings]
         if len(set(names)) != len(names):
             raise KernelError("context variable names must be distinct")

@@ -12,15 +12,14 @@ complex and a fibration map that is not total on the total space: the
 constructors check face rows and map levels, and their :class:`ShapeError`
 becomes a key path. Simplicial
 identities, face commutation, horn compatibility and Exclusion are left to
-the validators. A ``gap`` list is read one run of a shape (n, k) at a time,
-in column passes, when each row is plainly well formed and has no mode;
-any other list is read again row by row, which words the first error.
+the validators. A ``gap`` list, mode rows too, is read one run of a shape
+(n, k) at a time in column passes; only a refused run is read row by row.
 
 Each kind's codec imports its kernel module when it runs, so that a
 command loads only the modules of the documents it reads: this module
 itself imports none. A codec imports once per document, never per row:
 the row readers that two codecs share return plain values
-(``_horn_fields``, ``_mode_fields``) or take the classes the codec
+(``_gap_horns``, ``_mode_fields``) or take the classes the codec
 imported (the type and term trees). Besides the six codec pairs and the
 document functions, the public surface is the four row serializers the CLI
 prints rows with: ``complex_to_body``, ``horn_to_body``, ``mode_to_body``
@@ -47,9 +46,9 @@ from __future__ import annotations
 import json
 import sys
 from functools import cache
-from itertools import chain, groupby
+from itertools import accumulate, chain, compress, groupby, pairwise, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import is_not, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
 
 from .errors import DocumentError, ShapeError, record
@@ -323,43 +322,10 @@ def horn_to_body(h: HornSpec) -> dict:
     return {"n": n, "k": k, "faces": dict(zip(_face_keys(n, k), faces))}
 
 
-def _horn_fields(
-    body, within: TruncatedComplex, where: Callable[[], str]
-) -> tuple[int, int, tuple[int, ...]]:
-    """The (n, k, faces) of a horn body whose faces must be simplices of
-    ``within``. A well-formed row (int n and k in range, exactly the n keys
-    of :func:`_face_keys`, int faces below the count) is read by its shape's
-    getter; any other goes to :func:`_checked_horn_fields`, which decides it
-    and words the error at the key path ``where()``. Either way the shape is
-    checked, so the caller builds the horn with ``fitted_horn``."""
-    if type(body) is dict:
-        n, k, faces_obj = body.get("n"), body.get("k"), body.get("faces")
-        if (
-            type(n) is int
-            and type(k) is int
-            and 1 <= n <= within.dim_bound
-            and 0 <= k <= n
-            and type(faces_obj) is dict
-            and len(faces_obj) == n
-        ):
-            try:
-                values = _faces_getter(n, k)(faces_obj)
-            except KeyError:
-                return _checked_horn_fields(body, where(), within)
-            if (
-                set(map(type, values)) == {int}
-                and min(values) >= 0
-                and max(values) < within.counts[n - 1]
-            ):
-                return n, k, values
-    return _checked_horn_fields(body, where(), within)
-
-
-def _checked_horn_fields(
-    body: Mapping, where: str, within: TruncatedComplex
-) -> tuple[int, int, tuple[int, ...]]:
-    """:func:`_horn_fields` for a row that is not plainly well formed: it
-    accepts any key ``int()`` reads (``"01"``) and raises
+def _checked_horn_fields(body: Mapping, where: str, within: TruncatedComplex
+                         ) -> tuple[int, int, tuple[int, ...]]:
+    """The (n, k, faces) of a horn body that :func:`_gap_horns` refuses to
+    read in runs: it accepts any key ``int()`` reads (``"01"``) and raises
     :class:`DocumentError` with the key path of the first fault."""
     n = _get(body, "n", where)
     if type(n) is not int:
@@ -394,30 +360,69 @@ def _checked_horn_fields(
     return n, k, tuple([mapping[i] for i in present])
 
 
-def _gap_runs(rows: list, within: TruncatedComplex) -> Optional[dict]:
-    """A ``gap`` list's table, read one run of a shape at a time in C-level
-    passes; None unless each row is one :func:`_horn_fields` reads directly,
-    with no mode, and no horn is listed twice: then read it row by row."""
-    from .simplicial import bad_index, fitted_horns
+def _run_faces(ns: list, ks: list, objs: list, within: TruncatedComplex) -> Optional[list]:
+    """The faces of a run of horn bodies of one shape from their n, k and
+    ``faces`` columns; None unless each n and k is an int (True == 1 joins a
+    run of n = 1) and each object holds just the shape's keys, each naming a
+    simplex of ``within``."""
+    from .simplicial import bad_index
 
-    try:  # KeyError or TypeError: a row without a key or no dict; ValueError: no row
-        ns, ks, objs = zip(*map(itemgetter("n", "k", "faces"), rows))
-        if (set(map(len, rows)), set(map(type, ns + ks)), set(map(type, objs))) != (
-                {3}, {int}, {dict}):
-            return None
-        horns = []
-        for (n, k), run in groupby(zip(ns, ks, objs), itemgetter(0, 1)):
-            run = list(map(itemgetter(2), run))
-            if not (1 <= n <= within.dim_bound and 0 <= k <= n) or set(map(len, run)) != {n}:
-                return None
-            faces = list(map(_faces_getter(n, k), run))
-            if bad_index(list(chain.from_iterable(faces)), n - 1, within.counts[n - 1]):
-                return None
-            horns += fitted_horns(n, k, faces)
-    except (KeyError, TypeError, ValueError):
-        return None
-    gap = dict.fromkeys(horns)
-    return gap if len(gap) == len(horns) else None
+    n, k = (ns[0], ks[0]) if set(map(type, ns + ks)) == {int} else (0, 0)
+    try:  # TypeError: an object that is no dict; KeyError: one without a key
+        if 1 <= n <= within.dim_bound and 0 <= k <= n and set(map(len, objs)) == {n}:
+            faces = list(map(_faces_getter(n, k), objs))
+            if not bad_index(list(chain.from_iterable(faces)), n - 1, within.counts[n - 1]):
+                return faces
+    except (KeyError, TypeError):
+        pass
+    return None
+
+
+def _gap_horns(rows: list, within: TruncatedComplex, where: Callable[[int], str]
+               ) -> tuple[list[HornSpec], Optional[DocumentError]]:
+    """The horns of a list of horn bodies up to the first one at fault, and
+    that fault, or None; other keys of a row, as a mode, are the caller's.
+    Each run of a shape (n, k) is read by :func:`_run_faces`, and each row of
+    a run it refuses by :func:`_checked_horn_fields`, which words a fault at
+    ``where(i)``. A row that is no dict is a fault: the rest is its run."""
+    from .simplicial import fitted_horn, fitted_horns
+
+    size = [*map(isinstance, rows, repeat(dict)), False].index(False)
+    ns, ks, objs = [list(map(dict.get, rows[:size], repeat(key))) for key in ("n", "k", "faces")]
+    sizes = [len(list(run)) for _, run in groupby(zip(ns, ks))] + [len(rows) - size]
+    horns = []
+    try:
+        for start, stop in pairwise(accumulate(sizes, initial=0)):
+            if faces := _run_faces(ns[start:stop], ks[start:stop], objs[start:stop], within):
+                horns += fitted_horns(ns[start], ks[start], faces)
+            else:
+                for i in range(start, stop):
+                    horns.append(fitted_horn(*_checked_horn_fields(rows[i], where(i), within)))
+    except DocumentError as fault:
+        return horns, fault
+    return horns, None
+
+
+def _gap_table(rows: list, within: TruncatedComplex, where: str) -> dict:
+    """The gap table of a ruptured ``gap`` list: each row's horn by
+    :func:`_gap_horns`, and its mode, if any, by :func:`_mode_fields`. The
+    first fault in row order raises; within a row, the horn comes first, then
+    a horn listed twice, then the mode."""
+    from .ruptured import GapMode
+
+    here = lambda i: f"{where}.gap[{i}]"  # the key path, built on a fault only
+    horns, fault = _gap_horns(rows, within, here)
+    gap, end = dict.fromkeys(horns), len(horns)
+    if len(gap) < end:
+        seen = set()
+        end = next(i for i, h in enumerate(horns) if h in seen or seen.add(h))
+        fault = DocumentError(f"{horns[end]} is listed twice", here(end))
+    modes = map(dict.get, rows[:end], repeat("mode"))
+    for i in compress(range(end), map(is_not, modes, repeat(None))):
+        gap[horns[i]] = GapMode(*_mode_fields(rows[i]["mode"], f"{here(i)}.mode"))
+    if fault is not None:
+        raise fault
+    return gap
 
 
 def ruptured_to_body(r: RupturedComplex) -> dict:
@@ -434,8 +439,8 @@ def ruptured_to_body(r: RupturedComplex) -> dict:
 
 
 def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
-    from .ruptured import GapMode, RupturedComplex
-    from .simplicial import bad_index, fitted_horn
+    from .ruptured import RupturedComplex
+    from .simplicial import bad_index
 
     underlying = body_to_complex(body, where)
     coh_obj = _optional(body, "coh", where, dict)
@@ -453,17 +458,7 @@ def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
         if bad:
             raise DocumentError(bad[1], here)
         coh[n] = members
-    rows = _optional(body, "gap", where, list)
-    gap = _gap_runs(rows, underlying)
-    if gap is None:
-        gap = {}
-        for i, row in enumerate(rows):
-            here = lambda: f"{where}.gap[{i}]"  # the key path, built on error only
-            h = fitted_horn(*_horn_fields(row, underlying, here))
-            if h in gap:
-                raise DocumentError(f"{h} is listed twice", here())
-            mode = row.get("mode")
-            gap[h] = None if mode is None else GapMode(*_mode_fields(mode, f"{here()}.mode"))
+    gap = _gap_table(_optional(body, "gap", where, list), underlying, where)
     return RupturedComplex.create(underlying, coh, gap)
 
 
@@ -496,7 +491,7 @@ def fibration_to_body(f: RupturedFibrationData) -> dict:
 def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrationData:
     from .fibration import LiftingProblemKey, RupturedFibrationData
     from .ruptured import GapMode
-    from .simplicial import SimplexId, SimplicialMap, bad_index, fitted_horn
+    from .simplicial import SimplexId, SimplicialMap, bad_index
 
     total = body_to_ruptured(_get(body, "total", where, dict), f"{where}.total")
     base = body_to_ruptured(_get(body, "base", where, dict), f"{where}.base")
@@ -516,11 +511,12 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
         f = RupturedFibrationData(total, base, proj)
     except ShapeError as exc:
         raise DocumentError(exc.reason, f"{where}.{exc.key_path}") from None
+    rows = _optional(body, "gap_lifts", where, list)
+    bodies = [row.get("horn") if isinstance(row, dict) else None for row in rows]
+    horns, fault = _gap_horns(bodies, total.underlying, lambda i: f"{where}.gap_lifts[{i}].horn")
     gap_lifts = {}
-    for i, row in enumerate(_optional(body, "gap_lifts", where, list)):
+    for i, (row, horn) in enumerate(zip(rows, horns)):
         here = f"{where}.gap_lifts[{i}]"
-        horn_body = _get(row, "horn", here, dict)
-        horn = fitted_horn(*_horn_fields(horn_body, total.underlying, lambda: f"{here}.horn"))
         base_index = _get(row, "base_simplex", here)
         bad = bad_index([base_index], horn.n, base.underlying.count(horn.n))
         if bad:
@@ -530,6 +526,9 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
             raise DocumentError(f"{key} is listed twice", here)
         mode = row.get("mode")
         gap_lifts[key] = None if mode is None else GapMode(*_mode_fields(mode, f"{here}.mode"))
+    if fault is not None:  # a row without a horn object is a fault before its horn's
+        _get(rows[len(horns)], "horn", f"{where}.gap_lifts[{len(horns)}]", dict)
+        raise fault
     composites = {}
     edges = base.underlying.count(1)
     for i, row in enumerate(_optional(body, "composites", where, list)):

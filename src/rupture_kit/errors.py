@@ -47,10 +47,14 @@ class DocumentError(Exception):
         return base
 
 
-# A named tuple's ``_make``, which ``_replace`` calls, builds through
-# ``tuple.__new__``; this one builds through the class, so that the check
-# in a record's ``__new__`` runs on every path.
-checked_make = classmethod(lambda cls, fields: cls(*fields))
+def checked(cls):
+    """Build a named tuple class through its body's ``_new``, if any (as
+    ``typing.NamedTuple`` refuses a ``__new__`` there), on every path: its
+    ``_make``, which ``_replace`` calls, builds through the class too."""
+    if "_new" in vars(cls):
+        cls.__new__ = staticmethod(cls._new)
+    cls._make = classmethod(lambda cls, fields: cls(*fields))
+    return cls
 
 
 def _eq(self, other):
@@ -68,14 +72,13 @@ def _ne(self, other):
 def record(cls):
     """Finish a named tuple class as a kernel record: it equals the records
     of its own class and the plain tuple of its fields, nothing else (two
-    records of one arity stay apart), and hashes as that tuple; ``_make``
-    and ``_replace`` build through the class; and a record without fields
-    is true, as every value object is."""
+    records of one arity stay apart), and hashes as that tuple; it builds
+    as :func:`checked` says; and a record without fields is true, as every
+    value object is."""
     cls.__eq__, cls.__ne__, cls.__hash__ = _eq, _ne, tuple.__hash__
-    cls._make = checked_make
     if not cls._fields:
         cls.__bool__ = lambda self: True
-    return cls
+    return checked(cls)
 
 
 @record

@@ -39,15 +39,11 @@ class Polarity(Enum):
     GAPPED = "gapped"
 
 
-class _BaseFields(NamedTuple):
+@record
+class BaseJudgment(NamedTuple):
     label: str
 
-
-@record
-class BaseJudgment(_BaseFields):
-    __slots__ = ()
-
-    def __new__(cls, label: str) -> "BaseJudgment":
+    def _new(cls, label: str) -> "BaseJudgment":
         if not label:
             raise KernelError("judgment label must be non-empty")
         return tuple.__new__(cls, (label,))
@@ -56,16 +52,12 @@ class BaseJudgment(_BaseFields):
         return self.label
 
 
-class _ArrowFields(NamedTuple):
+@record
+class ArrowJudgment(NamedTuple):
     source: str
     target: str
 
-
-@record
-class ArrowJudgment(_ArrowFields):
-    __slots__ = ()
-
-    def __new__(cls, source: str, target: str) -> "ArrowJudgment":
+    def _new(cls, source: str, target: str) -> "ArrowJudgment":
         if not source or not target:
             raise KernelError("arrow labels must be non-empty")
         return tuple.__new__(cls, (source, target))

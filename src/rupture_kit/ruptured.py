@@ -37,13 +37,8 @@ from .simplicial import (
 )
 
 
-class _ModeFields(NamedTuple):
-    kind: str
-    payload: object = None
-
-
 @record
-class GapMode(_ModeFields):
+class GapMode(NamedTuple):
     """How a horn fails to fill: a kind label plus kind-specific payload.
 
     Payloads are canonical hashable values: a fiber permutation for
@@ -51,9 +46,10 @@ class GapMode(_ModeFields):
     of feature strings for "semantic", and None for "plain".
     """
 
-    __slots__ = ()
+    kind: str
+    payload: object = None
 
-    def __new__(cls, kind: str, payload: object = None) -> "GapMode":
+    def _new(cls, kind: str, payload: object = None) -> "GapMode":
         if not kind:
             raise KernelError("gap mode kind must be non-empty")
         return tuple.__new__(cls, (kind, payload))
@@ -65,14 +61,8 @@ class GapMode(_ModeFields):
 PLAIN = GapMode("plain")
 
 
-class _RupturedFields(NamedTuple):
-    underlying: TruncatedComplex
-    coh: tuple[frozenset[int], ...]
-    gap: Mapping[HornSpec, Optional[GapMode]]
-
-
 @record
-class RupturedComplex(_RupturedFields):
+class RupturedComplex(NamedTuple):
     """A truncated complex with coherence and gap annotations.
 
     ``coh[n]`` is the set of coherent simplex indices in dimension n.
@@ -80,9 +70,11 @@ class RupturedComplex(_RupturedFields):
     mark: the same table a fibration keeps for its gap-marked problems.
     """
 
-    __slots__ = ()
+    underlying: TruncatedComplex
+    coh: tuple[frozenset[int], ...]
+    gap: Mapping[HornSpec, Optional[GapMode]]
 
-    def __new__(
+    def _new(
         cls,
         underlying: TruncatedComplex,
         coh: Sequence[Iterable[int]],
@@ -157,17 +149,13 @@ class RupturedComplex(_RupturedFields):
 # -- trichotomy --------------------------------------------------------------
 
 
-class _FilledFields(NamedTuple):
-    fillers: tuple[SimplexId, ...]
-
-
 @record
-class CoherentlyFilled(_FilledFields):
+class CoherentlyFilled(NamedTuple):
     """The horn has at least one coherent filler; all of them are listed."""
 
-    __slots__ = ()
+    fillers: tuple[SimplexId, ...]
 
-    def __new__(cls, fillers: tuple[SimplexId, ...]) -> "CoherentlyFilled":
+    def _new(cls, fillers: tuple[SimplexId, ...]) -> "CoherentlyFilled":
         if not fillers:
             raise KernelError("coherent filling needs at least one filler")
         return tuple.__new__(cls, (fillers,))
@@ -201,13 +189,12 @@ def decide(solutions, gap: Mapping, key) -> Trichotomy:
 
 def validate_exclusion(r: RupturedComplex) -> list[Violation]:
     """Report every (gapped horn, coherent filler) conflict; empty iff
-    Exclusion holds. A gap horn that does not fit the complex raises as in
-    :func:`find_fillers`."""
+    Exclusion holds. The first gap horn that does not fit the complex, in a
+    run :func:`misfit_runs` refuses, raises through :func:`find_fillers`."""
     x, horns = r.underlying, sorted(r.gap)
     for run in misfit_runs(x, horns, compatible=False):
         for h in run:
-            if any(misfit_runs(x, (h,), compatible=False)):
-                find_fillers(x, h)
+            find_fillers(x, h)
     return _exclusion_report(r, horns)
 
 

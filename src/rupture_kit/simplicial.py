@@ -19,12 +19,12 @@ vertex {1}, matching the anchoring used by transport problems.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import chain, combinations, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import KernelError, ShapeError, Violation, checked_make, record
+from .errors import KernelError, ShapeError, Violation, checked, record
 
 
 class SimplexId(NamedTuple):
@@ -39,13 +39,8 @@ class SimplexId(NamedTuple):
         return f"{self.dim}/{self.index}"
 
 
-class _HornFields(NamedTuple):
-    n: int
-    k: int
-    faces: tuple[int, ...]
-
-
-class HornSpec(_HornFields):
+@checked
+class HornSpec(NamedTuple):
     """A (n, k)-horn: faces for every index i != k, the k-th face missing.
 
     ``faces`` lists the assigned face indices (into dimension n-1) for the
@@ -53,15 +48,16 @@ class HornSpec(_HornFields):
     (n, k, faces), so ordering is lexicographic on (n, k, faces).
     """
 
-    __slots__ = ()
-    _make = checked_make
+    n: int
+    k: int
+    faces: tuple[int, ...]
 
-    def __new__(cls, n: int, k: int, faces: tuple[int, ...]) -> "HornSpec":
+    def _new(cls, n: int, k: int, faces: tuple[int, ...]) -> "HornSpec":
         if not (n >= 1 and 0 <= k <= n):
             raise KernelError(f"horn index k={k} out of range for n={n}")
         if len(faces) != n:
             raise KernelError(f"(n={n}, k={k})-horn needs {n} faces, got {len(faces)}")
-        return _HornFields.__new__(cls, n, k, faces)
+        return tuple.__new__(cls, (n, k, faces))
 
     @property
     def present_indices(self) -> tuple[int, ...]:
@@ -90,9 +86,9 @@ class HornSpec(_HornFields):
         return f"horn(n={self.n}, k={self.k}, faces={{{inner}}})"
 
 
-# A horn whose shape its caller has already checked, built without a second
-# check: n >= 1, 0 <= k <= n and n face indices.
-fitted_horn = partial(_HornFields.__new__, HornSpec)
+def fitted_horn(n: int, k: int, faces: tuple[int, ...]) -> HornSpec:
+    """A horn whose caller has checked its shape: n >= 1, 0 <= k <= n, n faces."""
+    return tuple.__new__(HornSpec, (n, k, faces))
 
 
 def fitted_horns(n: int, k: int, rows: Iterable[tuple[int, ...]]) -> Iterator[HornSpec]:

@@ -1,9 +1,9 @@
 """Each input check and each lift runs once per public call, each complex
 builds each table of its incidence index once and only when a call reads
 it, each fibration its lift table once, and a fiber reads the face rows
-around it only. A gap table of plain rows is read and checked one shape at
-a time: no row reader, no per-horn check, and no filler table where
-nothing is coherent.
+around it only. A gap table is read and checked one shape at a time: no
+checked row read, a mode read per mode row only, no per-horn check, and no
+filler table where nothing is coherent.
 
 The checks (``horn_violations``, ``key_violations``), the path lift
 (``lift_edge_path``), the derivability decision (``check_derivable``), the
@@ -36,6 +36,7 @@ from rupture_kit.fibration import (
     transport,
 )
 from rupture_kit.ruptured import (
+    PLAIN,
     CoherentlyFilled,
     classify_horn,
     from_kan,
@@ -320,11 +321,13 @@ def test_product_enumerates_no_horn_of_the_product(monkeypatch):
 
 
 def test_a_gap_table_is_read_and_checked_one_shape_at_a_time(monkeypatch, calls):
-    """The serialized ``fully_gapped(standard_simplex(7, 3))`` is read by the
-    run reader, without a row reader call, and its validation calls no
-    per-horn check and builds no filler table: nothing is coherent."""
+    """The serialized ``fully_gapped(standard_simplex(7, 3))`` is read in runs,
+    without a checked row read, and its validation calls no per-horn check
+    and builds no filler table: nothing is coherent. With a mode on every
+    third row and on row 300, the rows are still read in runs, and each mode
+    alone is read row by row."""
     rows = []
-    for name in ("_horn_fields", "_checked_horn_fields"):
+    for name in ("_checked_horn_fields", "_mode_fields"):
         original = getattr(documents, name)
         monkeypatch.setattr(documents, name,
                             lambda *args, name=name, original=original:
@@ -336,6 +339,12 @@ def test_a_gap_table_is_read_and_checked_one_shape_at_a_time(monkeypatch, calls)
     builds = incidence_builds(monkeypatch)
     assert validate_ruptured(parsed) == []
     assert calls == [] and builds == []
+    doc, marked = json.loads(text), {*range(1, 632, 3), 300}
+    for i in marked:
+        doc["gap"][i]["mode"] = {"kind": "plain", "payload": None}
+    moded = documents.parse_document(json.dumps(doc)).body
+    assert rows == ["_mode_fields"] * len(marked)
+    assert moded.gap == {h: PLAIN if i in marked else None for i, h in enumerate(sorted(r.gap))}
 
 
 def test_product_of_a_gapped_cycle_builds_no_table_of_the_product(monkeypatch):

@@ -1,16 +1,18 @@
 """Horn rows written and read by shape, against the paths they replaced.
 
-``documents._gap_runs`` reads a ``gap`` list of well-formed rows one run of
-a shape at a time, and ``documents._horn_fields`` reads a well-formed horn
-row directly; any other goes to the checked loop. ``oracle_horn_fields``
-below is that loop as it read every row before: it stays here as the
-reference. A seeded corpus of horn-row edits (ruptured ``gap`` rows, a
-fibration's total-space ``gap`` rows and its ``gap_lifts[i].horn``) and of
-gap-list edits (rows shuffled, a mode, an unknown key, a duplicate far from
-its twin, two faults) goes through ``parse_document`` twice, once as shipped
-and once with the run reader off and the oracle in place of
-``_horn_fields``. Each edit must give the same document, or the same
-``DocumentError`` message at the same key path.
+``documents._gap_horns`` reads a list of horn bodies one run of a shape at
+a time, and only a row of a run it refuses goes to the checked reader.
+``oracle_horn_fields`` below is that reader as it read every row before: it
+stays here as the reference. ``oracle_gap_table`` reads a ``gap`` list row
+by row with it: the horn, then a horn listed twice, then the mode, and the
+first fault in row order raises. A seeded corpus of horn-row edits
+(ruptured ``gap`` rows, a fibration's total-space ``gap`` rows and its
+``gap_lifts[i].horn``) and of gap-list edits (rows shuffled, a mode, an
+unknown key, a duplicate far from its twin, two faults, a bad mode before a
+faulty horn row, a duplicate after a mode row, a mode on every row) goes
+through ``parse_document`` twice, once as shipped and once with the row-by-row
+readers in place of ``_gap_table`` and ``_gap_horns``. Each edit must give the
+same document, or the same ``DocumentError`` message at the same key path.
 
 ``dump_json`` writes a horn row from its shape's text. Seeded ruptured and
 fibration documents, with horns of every shape up to n = 3 and modes of
@@ -33,7 +35,8 @@ from rupture_kit.documents import (
 from rupture_kit.fibration import LiftingProblemKey, RupturedFibrationData
 from rupture_kit.ruptured import GapMode, RupturedComplex, fully_gapped
 from rupture_kit.simplicial import (
-    SimplexId, SimplicialMap, TruncatedComplex, bad_index, enumerate_horns, standard_simplex,
+    HornSpec, SimplexId, SimplicialMap, TruncatedComplex, bad_index, enumerate_horns,
+    standard_simplex,
 )
 
 from support import FIXTURES, plain
@@ -84,6 +87,32 @@ def oracle_horn_fields(body, where: str, within):
         j, reason = bad_index(values, n - 1, count)
         raise DocumentError(reason, f"{where}.faces.{list(mapping)[j]}")
     return n, k, tuple([mapping[i] for i in present])
+
+
+def oracle_gap_horns(rows: list, within, where):
+    """The horns of a list of horn bodies read row by row, up to the first
+    fault, and that fault or None."""
+    horns = []
+    for i, row in enumerate(rows):
+        try:
+            horns.append(HornSpec(*oracle_horn_fields(row, where(i), within)))
+        except DocumentError as fault:
+            return horns, fault
+    return horns, None
+
+
+def oracle_gap_table(rows: list, within, where: str) -> dict:
+    """The table of a ruptured ``gap`` list read row by row: the horn, then a
+    horn listed twice, then the mode; the first fault in row order raises."""
+    gap = {}
+    for i, row in enumerate(rows):
+        here = f"{where}.gap[{i}]"
+        h = HornSpec(*oracle_horn_fields(row, here, within))
+        if h in gap:
+            raise DocumentError(f"{h} is listed twice", here)
+        mode = row.get("mode")
+        gap[h] = None if mode is None else GapMode(*documents._mode_fields(mode, f"{here}.mode"))
+    return gap
 
 
 def fibration_with_gap_rows() -> dict:
@@ -186,11 +215,10 @@ def outcome(text: str):
 
 
 def oracle_outcome(monkeypatch, text: str):
-    """:func:`outcome` with every gap row read by the oracle."""
+    """:func:`outcome` with every gap row and gap-lift horn read row by row."""
     with monkeypatch.context() as m:
-        m.setattr(documents, "_gap_runs", lambda rows, within: None)
-        m.setattr(documents, "_horn_fields",
-                  lambda body, within, where: oracle_horn_fields(body, where(), within))
+        m.setattr(documents, "_gap_table", oracle_gap_table)
+        m.setattr(documents, "_gap_horns", oracle_gap_horns)
         return outcome(text)
 
 
@@ -225,13 +253,20 @@ def gap_lists(doc: dict) -> list[tuple[tuple, str]]:
     return [(("total", "gap"), "fibration.total.gap"), (("base", "gap"), "fibration.base.gap")]
 
 
+GOOD_MODES = [{"kind": "plain", "payload": None}, {"kind": "semantic", "payload": ["x"]},
+              {"kind": "resource", "payload": [["x", 1]]}, None]
+BAD_MODES = [{"kind": "plain", "payload": 1}, {"kind": ""}, {}, 0, {"kind": "semantic"}]
+
+
 def edited_list(rng: random.Random, rows: list, op: str, counts: tuple) -> tuple[list, int]:
     """A copy of a gap list with one list-level edit, and the index of the
-    first row the edit touched (None for a shuffle)."""
+    first row the edit touched (None for a shuffle or a mode on every row)."""
     rows, at = copy.deepcopy(rows), rng.randrange(len(rows))
     if op == "shuffle":
         rng.shuffle(rows)
         return rows, None
+    if op == "every mode":
+        return [{**row, "mode": rng.choice(GOOD_MODES)} for row in rows], None
     if op == "mode":
         at = len(rows) // 2
         rows[at] = {**rows[at], "mode": rng.choice(
@@ -248,10 +283,25 @@ def edited_list(rng: random.Random, rows: list, op: str, counts: tuple) -> tuple
             rows[i] = edited(rng, rows[i], rng.choice(["past", "bool", "string", "missing key"]),
                              counts)
         at = first
+    elif op == "bad mode first":
+        # The mode's row may be the faulty horn row itself: then the horn is the fault.
+        at, later = sorted(rng.sample(range(len(rows)), 2)) if len(rows) > 1 else (at, at)
+        rows[later] = edited(rng, rows[later], rng.choice(["past", "bool", "missing key"]), counts)
+        rows[at]["mode"] = rng.choice(BAD_MODES)
+    elif op == "duplicate after mode":
+        # A good mode, then a horn listed twice, then a bad mode when a row is left.
+        rows[at]["mode"] = rng.choice(GOOD_MODES[:3])
+        at += 1
+        rows.insert(at, copy.deepcopy(rows[rng.randrange(at)]))
+        if at + 1 < len(rows):
+            rows[rng.randrange(at + 1, len(rows))]["mode"] = rng.choice(BAD_MODES)
     return rows, at
 
 
-LIST_EDITS = ["shuffle", "mode", "unknown key", "far duplicate", "two faults"]
+LIST_EDITS = ["shuffle", "mode", "unknown key", "far duplicate", "two faults", "bad mode first",
+              "duplicate after mode", "every mode"]
+# The edits whose first fault is on the row they return.
+ON_ROW = {"two faults", "bad mode first", "duplicate after mode"}
 
 
 @pytest.mark.parametrize("name,doc,rows", corpus(), ids=[c[0] for c in corpus()])
@@ -280,11 +330,13 @@ def test_every_gap_list_edit_reads_as_the_oracle_reads_it(monkeypatch, name, doc
                 if expected[0] == "refused" and at is not None:
                     # The first fault in document order names the error.
                     assert expected[2].startswith(f"{where}["), (op, expected)
-                    if op == "two faults":
+                    if op in ON_ROW:
                         assert expected[2].startswith(f"{where}[{at}]"), (op, expected)
     if name != "bank":
         assert {("shuffle", "parsed"), ("far duplicate", "refused"),
-                ("unknown key", "parsed"), ("two faults", "refused")} <= seen, seen
+                ("unknown key", "parsed"), ("two faults", "refused"),
+                ("bad mode first", "refused"), ("duplicate after mode", "refused"),
+                ("every mode", "parsed")} <= seen, seen
 
 
 def test_the_row_paths_are_pinned():

@@ -1,0 +1,64 @@
+"""The comparison of ``scripts/replay.py`` on two in-memory result sets,
+without git or a subprocess: every run is counted under its (parent exit,
+change exit) pair, every run whose results differ is listed under its
+class, and only a run that the parent refuses and the change accepts makes
+the replay exit 1."""
+
+import importlib.util
+from collections import Counter
+
+from support import SRC
+
+spec = importlib.util.spec_from_file_location("replay", SRC.parent / "scripts" / "replay.py")
+replay = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(replay)
+
+
+def runs_of(pairs: list) -> tuple[list, list, list]:
+    """(runs, parent results, change results) of (parent, change) result pairs."""
+    runs = [(f"doc.{i}.json", ["validate", f"/corpus/doc.{i}.json", "--json"])
+            for i in range(len(pairs))]
+    return runs, [old for old, _ in pairs], [new for _, new in pairs]
+
+
+def test_each_difference_is_listed_under_its_class():
+    pairs = [
+        ([0, "valid\n", ""], [0, "valid\n", ""]),
+        ([2, "parse error: x (at gap[3])\n", ""], [0, "valid\n", ""]),
+        ([0, "valid\n", ""], [1, "error: no simplex\n", ""]),
+        ([1, "error: a\n", ""], [2, "parse error: a\n", ""]),
+        ([2, "parse error: a\nb\n", ""], [2, "parse error: a\nc\n", ""]),
+        ([2, "", "usage: x\n"], [2, "", "usage: y\n"]),
+        ([1, "error: a\n", ""], ["raised KeyError: 'n'", "", ""]),
+        ([1, "error: a\n", ""], [1, "error: a\n", ""]),
+    ]
+    counts, differences = replay.compare(*runs_of(pairs))
+    assert counts == Counter({(0, 0): 1, (2, 0): 1, (0, 1): 1, (1, 2): 1, (2, 2): 2,
+                              (1, "raised KeyError: 'n'"): 1, (1, 1): 1})
+    assert [(kind, label) for kind, label, *_ in differences] == [
+        ("rejected then accepted", "doc.1.json"),
+        ("accepted then rejected", "doc.2.json"),
+        ("other exit", "doc.3.json"),
+        ("same exit, other bytes", "doc.4.json"),
+        ("same exit, other bytes", "doc.5.json"),
+        ("other exit", "doc.6.json"),
+    ]
+    text, status = replay.report(counts, differences)
+    assert status == 1
+    lines = text.splitlines()
+    assert "parent exit 2, change exit 0: 1 runs" in lines
+    assert ("rejected then accepted: doc.1.json: validate doc.1.json --json (exit 2, then 0)"
+            in lines)
+    assert "  stdout: 'b', then 'c'" in lines and "  stderr: 'usage: x', then 'usage: y'" in lines
+    assert lines[-1] == ("6 of 8 runs differ; rejected then accepted: 1; accepted then "
+                         "rejected: 1; other exit: 2; same exit, other bytes: 2")
+
+
+def test_a_replay_without_a_newly_accepted_run_exits_0():
+    same = [([0, "valid\n", ""], [0, "valid\n", ""]), ([2, "parse error\n", ""],) * 2]
+    text, status = replay.report(*replay.compare(*runs_of(same)))
+    assert status == 0 and text.splitlines()[-1] == "0 of 2 runs differ"
+    stricter = same + [([0, "valid\n", ""], [1, "error: x\n", ""])]
+    text, status = replay.report(*replay.compare(*runs_of(stricter)))
+    assert status == 0 and text.splitlines()[-1] == (
+        "1 of 3 runs differ; accepted then rejected: 1")

@@ -1,9 +1,11 @@
 """Core simplicial machinery: construction, validation, horn enumeration,
 filler search, and the Kan check."""
 
+import pickle
 import random
 from dataclasses import field, make_dataclass
 from itertools import product as cartesian
+from typing import NamedTuple
 
 import pytest
 
@@ -25,7 +27,7 @@ from rupture_kit.derivability import (
     Var,
 )
 from rupture_kit.documents import Document
-from rupture_kit.errors import ExclusionError, KernelError, ShapeError, Violation
+from rupture_kit.errors import ExclusionError, KernelError, ShapeError, Violation, record
 from rupture_kit.fibration import (
     Coherent,
     FunctorialityHornInhabitant,
@@ -1071,6 +1073,39 @@ class TestValueTypes:
                 assert str(got.value) == str(built.value)
             assert type(value)._make(value) == value
             assert value._replace() == value
+
+
+BINDING = Binding("x", UnitType(), Annotation.LINEAR)
+# A record of each class whose check ``_new`` holds, and field values it refuses.
+FOLDED = [
+    (GapMode("semantic", ("warm",)), {"kind": ""}),
+    (RupturedComplex.create(standard_simplex(1, 1), {0: [1]}, [HornSpec(1, 0, (0,))]),
+     {"coh": ((5,), ())}),
+    (CoherentlyFilled((SimplexId(1, 0),)), {"fillers": ()}),
+    (ResourceContext((BINDING,)), {"bindings": (BINDING, BINDING)}),
+    (BaseJudgment("J"), {"label": ""}),
+    (ArrowJudgment("J", "K"), {"source": ""}),
+]
+
+
+@pytest.mark.parametrize("value,refused", FOLDED, ids=[type(v).__name__ for v, _ in FOLDED])
+def test_a_record_with_a_check_is_one_class(value, refused):
+    cls = type(value)
+    assert cls.__bases__ == (tuple,) and cls.__slots__ == () and not hasattr(value, "__dict__")
+    fields = value._asdict() | refused
+    with pytest.raises(KernelError) as built:
+        cls(**fields)
+    for make in (lambda: cls._make(fields.values()), lambda: value._replace(**refused)):
+        with pytest.raises(KernelError) as got:
+            make()
+        assert (type(got.value), str(got.value)) == (type(built.value), str(built.value))
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert value == tuple(value) and not value != tuple(value)
+    assert hash_of(value) == hash_of(tuple(value))
+    other = record(NamedTuple("Other", [(name, object) for name in cls._fields]))(*value)
+    assert value != other and other != value and not value == other
+    mode = GapMode("plain")
+    assert GapWitnessed(mode) != Gapped(mode) and GapWitnessed(mode) == (mode,)
 
 
 class TestNegativeIds:
