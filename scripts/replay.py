@@ -13,9 +13,12 @@ worktree record behind, and each side replays the whole corpus in one
 subprocess, through ``cli.main`` in process.
 
 The report counts the runs per (parent exit, change exit) pair and lists
-every run whose results differ, in one of four classes. The exit status is
-1 when some run that the parent refuses is accepted by the change, and 0
-otherwise.
+every run whose results differ, in one of four classes. Each run also
+rebuilds, from this checkout and into temporary files, every fixture of
+``scripts/gen_fixtures.FIXTURES`` and ``bench/cli_expected.json`` (through
+``bench/capture_cli.py``), and compares their bytes with the checked-in
+files. The exit status is 1 when some run that the parent refuses is
+accepted by the change, or when a rebuilt file differs, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -124,6 +127,34 @@ def report(pairs: Counter, differences: list) -> tuple[str, int]:
     return "\n".join(lines), int(counts[NEWLY_ACCEPTED] > 0)
 
 
+def rebuild(into: Path) -> list[tuple[Path, Path]]:
+    """(checked-in file, its copy rebuilt from this checkout into ``into``)
+    for each fixture and for the captured CLI output of the benchmark."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts"), str(ROOT)]
+    from bench import capture_cli, workloads
+    from gen_fixtures import FIXTURES
+    from rupture_kit.documents import serialize_document
+
+    pairs = []
+    for name, doc in sorted(FIXTURES.items()):
+        (into / name).write_text(serialize_document(doc), encoding="utf-8")
+        pairs.append((ROOT / "fixtures" / name, into / name))
+    checked_in, workloads.EXPECTED_CLI = workloads.EXPECTED_CLI, into / "cli_expected.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        capture_cli.main()
+    return pairs + [(checked_in, workloads.EXPECTED_CLI)]
+
+
+def compare_files(pairs: list[tuple[Path, Path]]) -> tuple[str, int]:
+    """The text of the byte comparison of each (checked-in, rebuilt) file
+    pair, and its exit status: 1 when some pair differs."""
+    differ = [old for old, new in pairs if old.read_bytes() != new.read_bytes()]
+    lines = [f"rebuilt {old.parent.name}/{old.name} differs from the checked-in file"
+             for old in differ]
+    lines.append(f"{len(pairs) - len(differ)} of {len(pairs)} rebuilt files are byte-identical")
+    return "\n".join(lines), int(bool(differ))
+
+
 def run_side(src: Path, corpus: Path, out: Path) -> list:
     subprocess.run([sys.executable, __file__, "--replay", str(src), str(corpus), str(out)],
                    check=True)
@@ -142,7 +173,7 @@ def main(argv=None) -> int:
         parser.error(f"no commit {args.parent!r} in {ROOT}")
     with tempfile.TemporaryDirectory(prefix="replay-") as tmp:
         tmp = Path(tmp)
-        for name in ("corpus", "parent"):
+        for name in ("corpus", "parent", "rebuilt"):
             (tmp / name).mkdir()
         runs = build_corpus(args.seeds, tmp / "corpus")
         (tmp / "argvs.json").write_text(json.dumps([argv for _, argv in runs]), encoding="utf-8")
@@ -151,9 +182,10 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(tmp / "parent")], input=tar, check=True)
         parent = run_side(tmp / "parent" / "src", tmp / "argvs.json", tmp / "parent.json")
         change = run_side(ROOT / "src", tmp / "argvs.json", tmp / "change.json")
+        files, rebuilt = compare_files(rebuild(tmp / "rebuilt"))
     text, status = report(*compare(runs, parent, change))
-    print(f"parent {rev[:12]} against this checkout, {len(runs)} runs\n{text}")
-    return status
+    print(f"parent {rev[:12]} against this checkout, {len(runs)} runs\n{text}\n{files}")
+    return status or rebuilt
 
 
 if __name__ == "__main__":

@@ -124,15 +124,6 @@ class FiberPermutation(NamedTuple):
                 return dst
         raise KernelError(f"vertex {vertex} is not in the fiber")
 
-    def is_identity(self) -> bool:
-        return all(src == dst for src, dst in self.mapping)
-
-    def compose_after(self, first: "FiberPermutation") -> "FiberPermutation":
-        """self after first (apply ``first``, then ``self``)."""
-        return FiberPermutation.of(
-            self.fiber, {src: self.apply(dst) for src, dst in first.mapping}
-        )
-
     def cycles(self) -> str:
         """Cycle notation over fiber positions, "()" for the identity."""
         pos = {v: i for i, v in enumerate(self.fiber)}

@@ -159,13 +159,10 @@ def _int(value, where: str) -> int:
 
 
 def complex_to_body(x: TruncatedComplex) -> dict:
-    simplices = {}
-    for n in range(x.dim_bound + 1):
-        per_dim = x.labels[n] if n < len(x.labels) else None
-        if per_dim is not None:
-            simplices[str(n)] = list(per_dim)
-        else:
-            simplices[str(n)] = x.count(n)
+    simplices = {
+        str(n): x.counts[n] if names is None else list(names)
+        for n, names in zip(range(x.dim_bound + 1), x.labels or repeat(None))
+    }
     faces = {}
     for n in range(1, x.dim_bound + 1):
         if x.count(n):

@@ -261,7 +261,7 @@ def _coherent_lifts(f: RupturedFibrationData, h: HornSpec) -> dict[int, int]:
     n = h.n
     level = f.proj.levels[n]
     coh = f.total.coh[n]
-    fillers = f.total.underlying.incidence.fillers[n - 1][h.k].get(h.faces, ())
+    fillers = f.total.underlying.fillers[n - 1][h.k].get(h.faces, ())
     return {s: level[s] for s in fillers if s in coh}
 
 
@@ -352,7 +352,7 @@ def transport(
         bad = key_violations(f, transport_key(e, path))
         raise KernelError("; ".join(v.message for v in bad))
     x, coh = f.total.underlying, f.total.coh[1]
-    lifts = [s for s in x.incidence.fillers[0][0].get((w,), ()) if s in coh and levels[1][s] == b]
+    lifts = [s for s in x.fillers[0][0].get((w,), ()) if s in coh and levels[1][s] == b]
     if lifts:
         return Coherent(SimplexId(0, x.face_table[0][lifts[0]][0]), len(lifts))
     key = transport_key(e, path)
@@ -401,7 +401,7 @@ def fiber(
     keep = [f.vertices_over.get(b.index, ())]
     for n in range(1, e.dim_bound + 1):
         below = set(keep[-1])
-        meet = e.incidence.by_face[n - 1][0]
+        meet = e.cofaces[n - 1]
         keep.append(
             [
                 idx
@@ -441,7 +441,7 @@ def enumerate_lifting_problems(f: RupturedFibrationData) -> list[LiftingProblemK
             continue
         image = f.proj.levels[n - 1].__getitem__
         for k in range(n + 1):
-            fillers = b.incidence.fillers[n - 1][k]
+            fillers = b.fillers[n - 1][k]
             for faces in horn_rows(e, n, k):
                 if not coh.issuperset(faces):
                     continue
@@ -499,7 +499,7 @@ def compose_fibrations(
             pf = tuple([level[i] for i in h.faces])
             # The coherent middle fillers of p(h); None when p(h) is not coherent.
             fillers = [
-                s for s in mid.underlying.incidence.fillers[n - 1][h.k].get(pf, ()) if s in coh
+                s for s in mid.underlying.fillers[n - 1][h.k].get(pf, ()) if s in coh
             ] if mid.coh[n - 1].issuperset(pf) else None
             lifted = set(_coherent_lifts(f, h).values()) if upper_gaps and fillers else ()
         if fillers is None:

@@ -13,8 +13,8 @@ by :func:`coherent_core`.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import add, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ExclusionError, KernelError, ShapeError, Violation, record
@@ -29,6 +29,7 @@ from .simplicial import (
     find_fillers,
     fitted_horn,
     horn_of,
+    horn_rows,
     horn_violations,
     misfit_runs,
     restrict,
@@ -205,7 +206,7 @@ def _exclusion_report(r: RupturedComplex, horns) -> list[Violation]:
     report = []
     for n, k, run in shape_runs(horns):
         if coh := r.coh[n]:
-            table = r.underlying.incidence.fillers[n - 1][k]
+            table = r.underlying.fillers[n - 1][k]
             report += [
                 Violation("exclusion", f"{h} is gap-witnessed but coherent {n}/{s} fills it")
                 for h in compress(run, map(table.__contains__, map(itemgetter(2), run)))
@@ -240,7 +241,7 @@ def classify_horn(r: RupturedComplex, h: HornSpec) -> Trichotomy:
         raise KernelError("; ".join(v.message for v in bad))
     # The horn fits, so its coherent fillers are read without a second check.
     n, k, faces = h
-    fillers = r.underlying.incidence.fillers[n - 1][k].get(faces, ())
+    fillers = r.underlying.fillers[n - 1][k].get(faces, ())
     return decide([SimplexId(n, s) for s in fillers if s in r.coh[n]], r.gap, h)
 
 
@@ -290,33 +291,21 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
     """
     x, y = r.underlying, s.underlying
     bound = min(x.dim_bound, y.dim_bound)
-    counts = [x.count(n) * y.count(n) for n in range(bound + 1)]
-    faces = {}
-    for n in range(1, bound + 1):
-        rows = []
-        for xi in range(x.count(n)):
-            xrow = x.face_row(n, xi)
-            for yi in range(y.count(n)):
-                yrow = y.face_row(n, yi)
-                rows.append(
-                    [xf * y.count(n - 1) + yf for xf, yf in zip(xrow, yrow)]
-                )
-        faces[n] = rows
-    labels = {}
-    for n in range(bound + 1):
-        has_labels = any(
-            x.label(SimplexId(n, i)) is not None for i in range(x.count(n))
-        ) or any(y.label(SimplexId(n, j)) is not None for j in range(y.count(n)))
-        if has_labels and counts[n]:
-            labels[n] = [
-                f"({x.name(SimplexId(n, xi))},{y.name(SimplexId(n, yi))})"
-                for xi in range(x.count(n))
-                for yi in range(y.count(n))
-            ]
-    underlying = TruncatedComplex.create(bound, counts, faces, labels)
+    counts = [x.counts[n] * y.counts[n] for n in range(bound + 1)]
+    table = [
+        [tuple(map(add, shifted, yrow))
+         for xrow in xrows for shifted in [[f * y.counts[n - 1] for f in xrow]] for yrow in yrows]
+        for n, xrows, yrows in zip(range(1, bound + 1), x.face_table, y.face_table)
+    ]
+    labels = [
+        [f"({a},{b})" for a in _names(xn, n, x.counts[n]) for b in _names(yn, n, y.counts[n])]
+        if counts[n] and (xn or yn) else None
+        for n, xn, yn in zip(range(bound + 1), x.labels or repeat(None), y.labels or repeat(None))
+    ]
+    underlying = TruncatedComplex(bound, counts, table, labels)
 
     coh = {
-        n: {xi * y.count(n) + yi for xi in r.coh[n] for yi in s.coh[n]}
+        n: {xi * y.counts[n] + yi for xi in r.coh[n] for yi in s.coh[n]}
         for n in range(bound + 1)
     }
 
@@ -325,14 +314,14 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
     # is gapped only through its right horn.
     gap = {}
     for n in range(1, bound + 1):
-        rc = y.count(n - 1)
+        rc = y.counts[n - 1]
         for k in range(n + 1):
-            right = enumerate_horns(y, n, k)
-            right_gapped = [hy for hy in right if hy in s.gap]
-            for hx in enumerate_horns(x, n, k):
-                for hy in right if hx in r.gap else right_gapped:
-                    flat = tuple(a * rc + b for a, b in zip(hx.faces, hy.faces))
-                    gap[fitted_horn(n, k, flat)] = r.gap.get(hx) or s.gap.get(hy)
+            right = [(b, s.gap.get((n, k, b))) for b in horn_rows(y, n, k)]
+            right_gapped = [(b, mode) for b, mode in right if (n, k, b) in s.gap]
+            for a in horn_rows(x, n, k):
+                shifted, left = [f * rc for f in a], r.gap.get((n, k, a))
+                for b, mode in right if (n, k, a) in r.gap else right_gapped:
+                    gap[fitted_horn(n, k, tuple(map(add, shifted, b)))] = left or mode
     result = RupturedComplex.create(underlying, coh, gap)
     conflicts = _exclusion_report(result, sorted(gap))
     if conflicts:
@@ -341,6 +330,12 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
             conflicts,
         )
     return result
+
+
+def _names(names: Optional[tuple[str, ...]], n: int, count: int) -> list[str]:
+    """The :meth:`TruncatedComplex.name` of each of ``count`` n-simplices
+    with the labels ``names``: the label unless it is absent or empty."""
+    return [name or f"{n}/{i}" for i, name in enumerate(names or repeat(None, count))]
 
 
 def check_morphism(

@@ -109,11 +109,12 @@ class TruncatedComplex(_ComplexFields):
 
     ``counts[n]`` is the number of n-simplices. ``face_table[n-1][i]`` holds
     the ordered face indices (d_0 .. d_n) of simplex (n, i), each an index
-    into dimension n-1. ``labels[n]`` is an optional tuple of human-readable
-    names; labels are metadata only and carry no semantics.
+    into dimension n-1. ``labels`` is ``()`` when no dimension is labelled,
+    else one entry per dimension: None, or a tuple of one human-readable
+    name per simplex. Labels are metadata only and carry no semantics.
 
     No ``__slots__``: each complex keeps a ``__dict__`` for its cached
-    incidence index.
+    filler and coface tables.
     """
 
     def __new__(
@@ -128,7 +129,7 @@ class TruncatedComplex(_ComplexFields):
         n-simplex, each n + 1 ints (not bools) naming (n-1)-simplices; and at
         most ``dim_bound + 1`` label entries, each None or one string per
         simplex of its dimension. A list may stand for a tuple; rows and
-        labels are stored as tuples."""
+        labels are stored as tuples, and the labels in the class's form."""
         d, counts, table = dim_bound, tuple(counts), face_table
         if type(d) is not int or d < 0:
             raise ShapeError("dim_bound must be a non-negative integer", "dim_bound")
@@ -159,20 +160,22 @@ class TruncatedComplex(_ComplexFields):
                 if bad:
                     raise ShapeError(bad[1], "faces", n, i)
         table = tuple(tuple(map(tuple, rows)) for rows in table)
-        if labels:
-            if len(labels) > d + 1:
-                raise ShapeError(f"dimension {d + 1} is outside 0..{d}", "simplices", d + 1)
-            for n, names in enumerate(labels):
-                if names is None:
-                    continue
-                if type(names) not in (list, tuple):
-                    raise ShapeError("expected a list of labels", "simplices", n)
-                if len(names) != counts[n]:
-                    reason = f"{counts[n]} simplices need {counts[n]} labels, got {len(names)}"
-                    raise ShapeError(reason, "simplices", n)
-                if not set(map(type, names)) <= {str}:
-                    raise ShapeError("labels must be strings", "simplices", n)
-            labels = tuple(names if names is None else tuple(names) for names in labels)
+        if len(labels) > d + 1:
+            raise ShapeError(f"dimension {d + 1} is outside 0..{d}", "simplices", d + 1)
+        for n, names in enumerate(labels):
+            if names is None:
+                continue
+            if type(names) not in (list, tuple):
+                raise ShapeError("expected a list of labels", "simplices", n)
+            if len(names) != counts[n]:
+                reason = f"{counts[n]} simplices need {counts[n]} labels, got {len(names)}"
+                raise ShapeError(reason, "simplices", n)
+            if not set(map(type, names)) <= {str}:
+                raise ShapeError("labels must be strings", "simplices", n)
+        if not any(names is not None for names in labels):
+            return tuple.__new__(cls, (d, counts, table, ()))
+        labels = (*(names if names is None else tuple(names) for names in labels),
+                  *(None,) * (d + 1 - len(labels)))
         return tuple.__new__(cls, (d, counts, table, labels))
 
     @classmethod
@@ -197,12 +200,8 @@ class TruncatedComplex(_ComplexFields):
                 if n not in range(low, dim_bound + 1):
                     raise ShapeError(f"dimension {n!r} is outside {low}..{dim_bound}", part, n)
         table = tuple(faces.get(n, ()) for n in range(1, dim_bound + 1))
-        label_tuple = tuple(
-            tuple(labels[n]) if n in labels else None for n in range(dim_bound + 1)
-        )
-        if all(l is None for l in label_tuple):
-            label_tuple = ()
-        return cls(dim_bound, counts, table, label_tuple)
+        names = tuple(tuple(labels[n]) if n in labels else None for n in range(dim_bound + 1))
+        return cls(dim_bound, counts, table, names)
 
     # -- basic queries -----------------------------------------------------
 
@@ -229,62 +228,37 @@ class TruncatedComplex(_ComplexFields):
         return SimplexId(sid.dim - 1, row[i])
 
     def label(self, sid: SimplexId) -> Optional[str]:
-        if not self.labels or not 0 <= sid.dim < len(self.labels):
-            return None
-        per_dim = self.labels[sid.dim]
-        if per_dim is None or not 0 <= sid.index < len(per_dim):
-            return None
-        return per_dim[sid.index]
+        """The label of a simplex of the complex; None in an unlabelled dimension."""
+        names = self.labels[sid.dim] if self.labels and self.has(sid) else None
+        return None if names is None else names[sid.index]
 
     def name(self, sid: SimplexId) -> str:
         """Label when present, else the dim/index form."""
         return self.label(sid) or str(sid)
 
     @cached_property
-    def incidence(self) -> "Incidence":
-        """The face-incidence index, kept with the complex in its
-        ``__dict__``; each of its two tables is built on first use."""
-        return Incidence(self)
-
-
-class Incidence:
-    """Which n-simplices have which faces, for each n >= 1.
-
-    ``fillers[n - 1][k]`` maps a face row with entry k dropped to the
-    ascending indices of the n-simplices filling that (n, k)-horn;
-    ``by_face[n - 1][j]`` maps a face index f to the ascending indices of
-    the n-simplices whose d_j is f; fibers read it, horn enumeration builds
-    its own keyed tables. Each table is built on first use, so a complex
-    that is only classified or enumerated never holds ``by_face`` and one
-    that only gives fibers never holds ``fillers``.
-    """
-
-    def __init__(self, x: TruncatedComplex):
-        self.complex = x
-
-    @cached_property
     def fillers(self) -> tuple[tuple[dict[tuple[int, ...], tuple[int, ...]], ...], ...]:
-        return build_incidence(self.complex, "fillers")
+        """``fillers[n - 1][k]`` maps a face row with entry k dropped to the
+        ascending indices of the n-simplices filling that (n, k)-horn; built
+        on first use and kept in the complex's ``__dict__``."""
+        return tuple(
+            tuple(_positions(row[:k] + row[k + 1 :] for row in rows) for k in range(n + 1))
+            for n, rows in enumerate(self.face_table, 1)
+        )
 
     @cached_property
-    def by_face(self) -> tuple[tuple[dict[int, tuple[int, ...]], ...], ...]:
-        return build_incidence(self.complex, "by_face")
+    def cofaces(self) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """``cofaces[n - 1]`` maps an (n-1)-simplex to the ascending indices of
+        the n-simplices whose d_0 it is; built on first use, for fibers."""
+        return tuple(_positions(map(itemgetter(0), rows)) for rows in self.face_table)
 
 
-def build_incidence(x: TruncatedComplex, part: str) -> tuple:
-    """One table of :class:`Incidence`, ``"fillers"`` or ``"by_face"``, in
-    one pass over the face rows of every dimension; the id lists end as
-    tuples, which take less memory and cannot be changed by a caller."""
-    drop = part == "fillers"
-    tables = []
-    for n, rows in enumerate(x.face_table, 1):
-        per_j = tuple({} for _ in range(n + 1))
-        for idx, row in enumerate(rows):
-            for j in range(n + 1):
-                key = row[:j] + row[j + 1 :] if drop else row[j]
-                per_j[j].setdefault(key, []).append(idx)
-        tables.append(tuple({key: tuple(ids) for key, ids in t.items()} for t in per_j))
-    return tuple(tables)
+def _positions(keys: Iterable) -> dict:
+    """Each key mapped to the tuple of its positions in ``keys``, ascending."""
+    table: dict = {}
+    for idx, key in enumerate(keys):
+        table.setdefault(key, []).append(idx)
+    return {key: tuple(ids) for key, ids in table.items()}
 
 
 def bad_index(values: Sequence, dim: int, count: int) -> Optional[tuple[int, str]]:
@@ -396,8 +370,8 @@ def restrict(
 
     ``keep[n]`` holds the kept n-simplex indices for every n up to the
     bound and must be closed under faces. Kept simplices are renumbered in
-    ascending order of their old index; labels carry over, a missing one
-    as "" when others in its dimension are present.
+    ascending order of their old index; the labels of a labelled dimension
+    carry over where some of its simplices are kept.
     """
     ordered = [sorted(members) for members in keep]
     new_index = [{old: new for new, old in enumerate(level)} for level in ordered]
@@ -405,11 +379,11 @@ def restrict(
         n: [[new_index[n - 1][f] for f in x.face_row(n, old)] for old in ordered[n]]
         for n in range(1, x.dim_bound + 1)
     }
-    labels = {}
-    for n, level in enumerate(ordered):
-        per_dim = [x.label(SimplexId(n, old)) for old in level]
-        if any(l is not None for l in per_dim):
-            labels[n] = [l if l is not None else "" for l in per_dim]
+    labels = {
+        n: [names[old] for old in level]
+        for n, (names, level) in enumerate(zip(x.labels, ordered))
+        if names is not None and level
+    }
     sub = TruncatedComplex.create(
         x.dim_bound, [len(level) for level in ordered], faces, labels
     )
@@ -622,7 +596,7 @@ def find_fillers(x: TruncatedComplex, h: HornSpec) -> list[SimplexId]:
     n, k, faces = h
     if not 1 <= n <= x.dim_bound or min(faces) < 0 or max(faces) >= x.counts[n - 1]:
         raise KernelError("; ".join(v.message for v in horn_violations(x, h)))
-    return [SimplexId(n, idx) for idx in x.incidence.fillers[n - 1][k].get(faces, ())]
+    return [SimplexId(n, idx) for idx in x.fillers[n - 1][k].get(faces, ())]
 
 
 def is_kan_up_to(
@@ -644,7 +618,7 @@ def is_kan_up_to(
     for n in range(2, max_dim + 1):
         for k in range(1, n):
             for h in enumerate_horns(x, n, k):
-                if h.faces not in x.incidence.fillers[n - 1][k]:
+                if h.faces not in x.fillers[n - 1][k]:
                     return False, h
     return True, None
 

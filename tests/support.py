@@ -12,6 +12,7 @@ import os
 import random
 from pathlib import Path
 
+from rupture_kit.covering import FiberPermutation
 from rupture_kit.documents import horn_to_body
 from rupture_kit.fibration import LiftingProblemKey, RupturedFibrationData
 from rupture_kit.ruptured import GapMode, RupturedComplex
@@ -79,6 +80,16 @@ def cli_env() -> dict:
     checkout's ``src`` first on PYTHONPATH, however pytest was started."""
     paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def is_identity(p: FiberPermutation) -> bool:
+    """Whether a fiber permutation fixes every vertex of its fiber."""
+    return all(src == dst for src, dst in p.mapping)
+
+
+def compose_after(second: FiberPermutation, first: FiberPermutation) -> FiberPermutation:
+    """``second`` after ``first``: apply ``first``, then ``second``."""
+    return FiberPermutation.of(second.fiber, {src: second.apply(dst) for src, dst in first.mapping})
 
 
 def random_complex(rng: random.Random, max_vertices=8, max_edges=14, max_triangles=8):

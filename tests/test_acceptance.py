@@ -79,6 +79,7 @@ from fixture_builders import bank_fibration, crane_fibration
 from support import (
     cli_env,
     composition_fixture,
+    is_identity,
     oracle_exclusion_conflicts,
     random_ruptured,
 )
@@ -105,7 +106,7 @@ def test_mobius_monodromy():
         assert generator.mapping == ((0, 3), (3, 0))
         assert generator.cycles() == "(0 1)"
         doubled = monodromy(cover, basepoint, GEN3.concat(GEN3))
-        assert doubled.is_identity()
+        assert is_identity(doubled)
 
 
 def test_monodromy_transport_horn():

@@ -1,15 +1,16 @@
 """Each input check and each lift runs once per public call, each complex
-builds each table of its incidence index once and only when a call reads
-it, each fibration its lift table once, and a fiber reads the face rows
-around it only. A gap table is read and checked one shape at a time: no
+builds its filler table and its coface table once each and only when a call
+reads it, each fibration its lift table once, and a fiber reads the face
+rows around it only. A gap table is read and checked one shape at a time: no
 checked row read, a mode read per mode row only, no per-horn check, and no
 filler table where nothing is coherent.
 
 The checks (``horn_violations``, ``key_violations``), the path lift
 (``lift_edge_path``), the derivability decision (``check_derivable``), the
-index and table builds (``build_incidence``, ``build_lift_table``) and horn
-enumeration are wrapped in every loaded ``rupture_kit`` module that
-references them, so calls from one module into another are counted.
+lift table build (``build_lift_table``) and horn enumeration are wrapped in
+every loaded ``rupture_kit`` module that references them, so calls from one
+module into another are counted; a complex's two tables are counted where
+its class builds them.
 """
 
 import contextlib
@@ -108,16 +109,20 @@ def first_args(monkeypatch, original) -> list:
     return log
 
 
-def incidence_builds(monkeypatch) -> list:
-    """(complex, table name) for each incidence table built, in order."""
+def table_builds(monkeypatch) -> list:
+    """(complex, table name) for each filler or coface table built, in order."""
     log = []
-    original = simplicial.build_incidence
+    cls = simplicial.TruncatedComplex
+    for part in ("fillers", "cofaces"):
+        build = vars(cls)[part].func
 
-    def recorded(x, part):
-        log.append((x, part))
-        return original(x, part)
+        def recorded(x, part=part, build=build):
+            log.append((x, part))
+            return build(x)
 
-    wrap_everywhere(monkeypatch, original, recorded)
+        counting = cached_property(recorded)
+        counting.__set_name__(cls, part)
+        monkeypatch.setattr(cls, part, counting)
     return log
 
 
@@ -255,14 +260,14 @@ def test_cli_derive_decides_each_judgment_once(calls, extra):
 
 
 def test_kan_check_builds_one_index(monkeypatch):
-    builds = incidence_builds(monkeypatch)
+    builds = table_builds(monkeypatch)
     x = standard_simplex(8, 3)
     assert is_kan_up_to(x, 3) == (True, None)
     assert [(y is x, part) for y, part in builds] == [(True, "fillers")]
 
 
 def test_enumerating_horns_builds_no_table(monkeypatch):
-    builds = incidence_builds(monkeypatch)
+    builds = table_builds(monkeypatch)
     rng = random.Random(13)
     for x in [standard_simplex(6, 3)] + [random_ruptured(rng).underlying for _ in range(30)]:
         assert list(every_horn(x))
@@ -270,7 +275,7 @@ def test_enumerating_horns_builds_no_table(monkeypatch):
 
 
 def test_classifying_builds_only_the_filler_table(monkeypatch):
-    builds = incidence_builds(monkeypatch)
+    builds = table_builds(monkeypatch)
     rng = random.Random(12)
     for _ in range(30):
         r = random_ruptured(rng)
@@ -282,14 +287,14 @@ def test_classifying_builds_only_the_filler_table(monkeypatch):
         assert [(y is r.underlying, part) for y, part in builds] == [(True, "fillers")]
 
 
-def test_fiber_builds_only_the_face_table(monkeypatch):
-    builds = incidence_builds(monkeypatch)
+def test_fiber_builds_only_the_coface_table(monkeypatch):
+    builds = table_builds(monkeypatch)
     for cover in covers():
         builds.clear()
         for v in range(cover.base.underlying.count(0)):
             fibration.fiber(cover, SimplexId(0, v))
         assert [(y is cover.total.underlying, part) for y, part in builds] == [
-            (True, "by_face")
+            (True, "cofaces")
         ]
 
 
@@ -310,7 +315,7 @@ def test_fiber_enumerates_no_horn_without_total_gap_horns(monkeypatch):
 
 
 def test_product_enumerates_no_horn_of_the_product(monkeypatch):
-    enumerated = first_args(monkeypatch, simplicial.enumerate_horns)
+    enumerated = first_args(monkeypatch, simplicial.horn_rows)
     rng = random.Random(8)
     for _ in range(30):
         r, s = random_ruptured(rng), random_ruptured(rng)
@@ -336,7 +341,7 @@ def test_a_gap_table_is_read_and_checked_one_shape_at_a_time(monkeypatch, calls)
     text = documents.serialize_document(documents.Document("ruptured", r))
     parsed = documents.parse_document(text).body
     assert rows == [] and parsed == r and len(parsed.gap) == 632
-    builds = incidence_builds(monkeypatch)
+    builds = table_builds(monkeypatch)
     assert validate_ruptured(parsed) == []
     assert calls == [] and builds == []
     doc, marked = json.loads(text), {*range(1, 632, 3), 300}
@@ -348,7 +353,7 @@ def test_a_gap_table_is_read_and_checked_one_shape_at_a_time(monkeypatch, calls)
 
 
 def test_product_of_a_gapped_cycle_builds_no_table_of_the_product(monkeypatch):
-    builds = incidence_builds(monkeypatch)
+    builds = table_builds(monkeypatch)
     for m in (3, 8):
         c = covering.build_cycle(m)
         builds.clear()
@@ -357,8 +362,8 @@ def test_product_of_a_gapped_cycle_builds_no_table_of_the_product(monkeypatch):
         assert all(x is not result.underlying for x, _ in builds)
 
 
-def test_with_coherent_shares_its_complexs_index(monkeypatch):
-    builds = incidence_builds(monkeypatch)
+def test_with_coherent_shares_its_complexs_tables(monkeypatch):
+    builds = table_builds(monkeypatch)
     rng = random.Random(9)
     structures = [random_ruptured(rng) for _ in range(30)]
     reached = 0
@@ -376,7 +381,7 @@ def test_with_coherent_shares_its_complexs_index(monkeypatch):
     assert reached >= 100
     built = [id(x) for x, part in builds if part == "fillers"]
     assert built == [id(r.underlying) for r in structures]
-    assert "by_face" not in [part for _, part in builds]
+    assert "cofaces" not in [part for _, part in builds]
 
 
 def test_lift_table_is_built_once_per_fibration(monkeypatch):

@@ -1124,3 +1124,17 @@ class TestComposeOracle:
 
 def without_gap_lifts(f: RupturedFibrationData) -> RupturedFibrationData:
     return RupturedFibrationData(f.total, f.base, f.proj)
+
+
+def test_composition_accepts_middle_spaces_built_either_way():
+    """A middle space built through the constructor with ``(None, None)``
+    labels is the one ``create`` builds, so the two stages compose."""
+    d, counts, faces = 1, [2, 1], {1: [[1, 0]]}
+    created = TruncatedComplex.create(d, counts, faces)
+    built = TruncatedComplex(d, counts, (faces[1],), (None, None))
+    upper = RupturedFibrationData(from_kan(created), from_kan(created),
+                                  SimplicialMap.identity(created))
+    lower = RupturedFibrationData(from_kan(built), from_kan(built), SimplicialMap.identity(built))
+    for f, g in ((upper, lower), (lower, upper)):
+        composite = compose_fibrations(f, g)
+        assert composite.total == f.total and composite.base == g.base

@@ -2,7 +2,8 @@
 without git or a subprocess: every run is counted under its (parent exit,
 change exit) pair, every run whose results differ is listed under its
 class, and only a run that the parent refuses and the change accepts makes
-the replay exit 1."""
+the replay exit 1. The byte comparison of rebuilt files is checked on files
+written here."""
 
 import importlib.util
 from collections import Counter
@@ -62,3 +63,21 @@ def test_a_replay_without_a_newly_accepted_run_exits_0():
     text, status = replay.report(*replay.compare(*runs_of(stricter)))
     assert status == 0 and text.splitlines()[-1] == (
         "1 of 3 runs differ; accepted then rejected: 1")
+
+
+def test_each_rebuilt_file_that_differs_is_named_and_fails_the_replay(tmp_path):
+    pairs = []
+    for name, before, after in (("a.json", b"{}\n", b"{}\n"), ("b.json", b"[1]\n", b"[2]\n"),
+                                ("c.json", b"x", b"x\n")):
+        old, new = tmp_path / "fixtures" / name, tmp_path / "rebuilt" / name
+        for path, data in ((old, before), (new, after)):
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(data)
+        pairs.append((old, new))
+    text, status = replay.compare_files(pairs)
+    assert status == 1 and text.splitlines() == [
+        "rebuilt fixtures/b.json differs from the checked-in file",
+        "rebuilt fixtures/c.json differs from the checked-in file",
+        "1 of 3 rebuilt files are byte-identical",
+    ]
+    assert replay.compare_files(pairs[:1]) == ("1 of 1 rebuilt files are byte-identical", 0)

@@ -26,7 +26,7 @@ from rupture_kit.derivability import (
     UsageCertificate,
     Var,
 )
-from rupture_kit.documents import Document
+from rupture_kit.documents import Document, body_to_complex, complex_to_body
 from rupture_kit.errors import ExclusionError, KernelError, ShapeError, Violation, record
 from rupture_kit.fibration import (
     Coherent,
@@ -679,6 +679,35 @@ class TestHornOf:
     def test_vertex_has_no_horn(self):
         with pytest.raises(KernelError):
             horn_of(standard_simplex(2, 2), SimplexId(0, 0), 0)
+
+
+class TestLabelsForm:
+    """A complex stores ``()`` when no dimension is labelled, else one entry
+    per dimension, so the constructor and ``create`` build equal complexes."""
+
+    EDGE = (1, [2, 1], [[[1, 0]]])
+
+    @pytest.mark.parametrize("labels,mapping,stored", [
+        ((None, None), {}, ()),
+        ((None,), {}, ()),
+        ((["a", "b"],), {0: ["a", "b"]}, (("a", "b"), None)),
+        ((None, ["e"]), {1: ["e"]}, (None, ("e",))),
+    ], ids=["all-none", "short-none", "short-labelled", "labelled"])
+    def test_the_constructor_stores_what_create_stores(self, labels, mapping, stored):
+        d, counts, table = self.EDGE
+        built = TruncatedComplex(d, counts, table, labels)
+        created = TruncatedComplex.create(d, counts, {1: table[0]}, mapping)
+        assert built.labels == created.labels == stored
+        assert built == created and hash(built) == hash(created)
+
+    def test_a_labelled_dimension_without_simplices_keeps_its_entry(self):
+        built = TruncatedComplex(1, [0, 0], [[]], ([],))
+        created = TruncatedComplex.create(1, [0, 0], {}, {0: []})
+        assert built.labels == created.labels == ((), None)
+        assert built == created and hash(built) == hash(created)
+        body = complex_to_body(built)
+        assert body["simplices"] == {"0": [], "1": 0}
+        assert body_to_complex(body) == built
 
 
 class TestRestrict:
