@@ -5,8 +5,11 @@ checkout, and compare each run's exit code, stdout and stderr.
     python3 scripts/replay.py --parent REV [--seeds N]
 
 The corpus is every bundled fixture and N seeded mutations of it
-(``tests/test_cli_fuzz.mutate``), each handed to every command of its kind
-in ``tests/support.COMMANDS``, in text and with ``--json``. The documents are
+(``tests/test_cli_fuzz.mutate``), and every document of the gap-list corpus
+of ``tests/test_horn_rows.py`` with the gap-list edits that its test makes
+(``edited_list`` over ``LIST_EDITS``, from one seeded rng per document),
+each handed to every command of its kind in ``tests/support.COMMANDS``, in
+text and with ``--json``. The documents are
 written once, so both sides read the same files. The parent's ``src`` is
 extracted with ``git archive`` into a temporary directory, which leaves no
 worktree record behind, and each side replays the whole corpus in one
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 import random
@@ -32,7 +36,9 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from functools import reduce
 from itertools import zip_longest
+from operator import getitem
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,28 +47,58 @@ CLASSES = NEWLY_ACCEPTED, NEWLY_REJECTED, OTHER_EXIT, OTHER_BYTES = (
 
 
 def build_corpus(seeds: int, into: Path) -> list[tuple[str, list[str]]]:
-    """(label, argv) of each run, with the fixtures and their mutations
-    written to ``into``; the label names the document the command reads."""
+    """(label, argv) of each run, with the fixtures, their mutations and the
+    gap-list edits written to ``into``; the label names the document the
+    command reads."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from support import COMMANDS, FIXTURES
     from test_cli_fuzz import mutate
 
-    fixtures = sorted(FIXTURES.glob("*.json"))
-    for fixture in fixtures:
-        (into / fixture.name).write_bytes(fixture.read_bytes())
-    runs = []
-    for fixture in fixtures:
+    docs = []  # (path, text, kind): a mutation's text may not parse
+    for fixture in sorted(FIXTURES.glob("*.json")):
         text = fixture.read_text(encoding="utf-8")
-        rng = random.Random(fixture.name)
-        for i in range(seeds + 1):
-            path = into / (fixture.name if i == 0 else f"{fixture.stem}.{i}.json")
-            if i:
-                path.write_text(mutate(rng, text), encoding="utf-8")
-            for command in COMMANDS[json.loads(text)["kind"]]:
-                argv = [str(path) if a == "@" else str(into / a) if a.endswith(".json") else a
-                        for a in command]
-                runs += [(path.name, argv), (path.name, argv + ["--json"])]
+        rng, kind = random.Random(fixture.name), json.loads(text)["kind"]
+        docs.append((into / fixture.name, text, kind))
+        docs += [(into / f"{fixture.stem}.{i}.json", mutate(rng, text), kind)
+                 for i in range(1, seeds + 1)]
+    docs += [(into / f"{name}.json", text, json.loads(text)["kind"])
+             for name, text in list_edits()]
+    runs = []
+    for path, text, kind in docs:
+        path.write_text(text, encoding="utf-8")
+        for command in COMMANDS[kind]:
+            argv = [str(path) if a == "@" else str(into / a) if a.endswith(".json") else a
+                    for a in command]
+            runs += [(path.name, argv), (path.name, argv + ["--json"])]
     return runs
+
+
+def list_edits() -> list[tuple[str, str]]:
+    """(name, JSON text) of each document of the gap-list corpus of
+    ``tests/test_horn_rows.py`` and of each gap-list edit its test makes,
+    with the same rng per document."""
+    from test_horn_rows import LIST_EDITS, corpus, edited_list, gap_lists
+
+    from rupture_kit.documents import parse_document
+
+    edits = []
+    for name, doc, _ in corpus():
+        text = json.dumps(doc)
+        edits.append((f"list-{name}", text))
+        rng, body = random.Random(f"list {name}"), parse_document(text).body
+        for keys, where in gap_lists(doc):
+            rows = reduce(getitem, keys, doc)
+            if not rows:
+                continue
+            counts = reduce(getattr, keys[:-1], body).underlying.counts
+            for op in LIST_EDITS:
+                for i in range(4):
+                    changed = copy.deepcopy(doc)
+                    reduce(getitem, keys[:-1], changed)[keys[-1]], _ = edited_list(
+                        rng, rows, op, counts)
+                    edits.append((f"list-{name}.{where}.{op.replace(' ', '-')}.{i}",
+                                  json.dumps(changed)))
+    return edits
 
 
 def replay(src: str, corpus: str, out: str) -> int:

@@ -230,10 +230,8 @@ def mode_to_body(mode: Optional[GapMode]) -> Optional[dict]:
     return {"kind": mode.kind, "payload": payload}
 
 
-def _mode_fields(body, where: str) -> Optional[tuple[str, object]]:
-    """The (kind, payload) of a gap mode body; None for no mode."""
-    if body is None:
-        return None
+def _mode_fields(body, where: str) -> tuple[str, object]:
+    """The (kind, payload) of a gap mode body."""
     kind = _get(body, "kind", where, str)
     _expect(bool(kind), "mode kind must be non-empty", f"{where}.kind")
     payload = body.get("payload")

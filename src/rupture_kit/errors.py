@@ -23,7 +23,9 @@ class ShapeError(KernelError):
 
 
 class ExclusionError(KernelError):
-    """A construction would put a coherent filler and a gap witness on the same horn."""
+    """A breach of Exclusion: coherence and a gap witness on one horn or
+    judgment. ``conflicts`` pairs each gap-witnessed item with the witness
+    it conflicts with."""
 
     def __init__(self, message: str, conflicts=()):
         super().__init__(message)

@@ -31,7 +31,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
-from .errors import KernelError, record
+from .errors import ExclusionError, KernelError, record
 
 
 class Polarity(Enum):
@@ -98,13 +98,18 @@ class ScriptCommand(NamedTuple):
     gap: Optional[str] = None
 
 
-class ExclusionViolation(KernelError):
+class ExclusionViolation(ExclusionError):
     """Adding the opposite polarity for an already-witnessed judgment."""
 
     def __init__(self, judgment: JudgmentAtom, conflicting: WitnessEntry):
-        super().__init__(judgment, conflicting)
+        # args is (judgment, conflicting); conflicts is built when read.
+        KernelError.__init__(self, judgment, conflicting)
         self.judgment = judgment
         self.conflicting = conflicting
+
+    @property
+    def conflicts(self) -> tuple[tuple[JudgmentAtom, WitnessEntry]]:
+        return ((self.judgment, self.conflicting),)
 
     def __str__(self) -> str:
         # Formatted on demand: most rejections are counted, not printed.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import add, itemgetter
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ExclusionError, KernelError, ShapeError, Violation, record
 from .simplicial import (
@@ -26,7 +26,6 @@ from .simplicial import (
     bad_index,
     check_simplicial_map,
     enumerate_horns,
-    find_fillers,
     fitted_horn,
     horn_of,
     horn_rows,
@@ -190,29 +189,27 @@ def decide(solutions, gap: Mapping, key) -> Trichotomy:
 
 def validate_exclusion(r: RupturedComplex) -> list[Violation]:
     """Report every (gapped horn, coherent filler) conflict; empty iff
-    Exclusion holds. The first gap horn that does not fit the complex, in a
-    run :func:`misfit_runs` refuses, raises through :func:`find_fillers`."""
-    x, horns = r.underlying, sorted(r.gap)
-    for run in misfit_runs(x, horns, compatible=False):
-        for h in run:
-            find_fillers(x, h)
-    return _exclusion_report(r, horns)
+    Exclusion holds. A gap horn that names no simplex of the complex has no
+    filler, so no conflict: :func:`validate_ruptured` reports it."""
+    return _exclusion_rows(r, sorted(r.gap))
 
 
-def _exclusion_report(r: RupturedComplex, horns) -> list[Violation]:
-    """The Exclusion conflicts of the sorted ``horns``, which must fit the
-    complex, one run of a shape at a time: a run whose dimension has nothing
-    coherent is skipped, so that it builds no filler table."""
-    report = []
+def _conflicts(r: RupturedComplex, horns) -> Iterator[tuple[HornSpec, SimplexId]]:
+    """The (gap horn, coherent filler) pairs of the sorted ``horns``, one run
+    of a shape at a time: a run above the bound, or whose dimension has
+    nothing coherent, is skipped, so that it builds no filler table."""
+    bound = r.underlying.dim_bound
     for n, k, run in shape_runs(horns):
-        if coh := r.coh[n]:
+        if n <= bound and (coh := r.coh[n]):
             table = r.underlying.fillers[n - 1][k]
-            report += [
-                Violation("exclusion", f"{h} is gap-witnessed but coherent {n}/{s} fills it")
-                for h in compress(run, map(table.__contains__, map(itemgetter(2), run)))
-                for s in table[h.faces] if s in coh
-            ]
-    return report
+            for h in compress(run, map(table.__contains__, map(itemgetter(2), run))):
+                yield from ((h, SimplexId(n, s)) for s in table[h.faces] if s in coh)
+
+
+def _exclusion_rows(r: RupturedComplex, horns) -> list[Violation]:
+    """The report rows of :func:`_conflicts`."""
+    return [Violation("exclusion", f"{h} is gap-witnessed but coherent {s} fills it")
+            for h, s in _conflicts(r, horns)]
 
 
 def validate_ruptured(r: RupturedComplex) -> list[Violation]:
@@ -225,7 +222,7 @@ def validate_ruptured(r: RupturedComplex) -> list[Violation]:
         for h in run:
             report.extend(horn_violations(r.underlying, h))
     if not report:
-        report.extend(_exclusion_report(r, horns))
+        report.extend(_exclusion_rows(r, horns))
     return report
 
 
@@ -286,8 +283,8 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
     in each dimension. A horn of the product is gap-witnessed iff its
     projection to either factor is gap-witnessed there; the mode is
     inherited from the left factor first. Exclusion is re-validated on the
-    result and a conflict raises :class:`ExclusionError` rather than being
-    silently repaired.
+    result and a conflict raises :class:`ExclusionError`, with its (gap
+    horn, coherent filler) pairs, rather than being silently repaired.
     """
     x, y = r.underlying, s.underlying
     bound = min(x.dim_bound, y.dim_bound)
@@ -323,7 +320,7 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
                 for b, mode in right if (n, k, a) in r.gap else right_gapped:
                     gap[fitted_horn(n, k, tuple(map(add, shifted, b)))] = left or mode
     result = RupturedComplex.create(underlying, coh, gap)
-    conflicts = _exclusion_report(result, sorted(gap))
+    conflicts = tuple(_conflicts(result, sorted(gap)))
     if conflicts:
         raise ExclusionError(
             "product gap structure conflicts with componentwise coherence",

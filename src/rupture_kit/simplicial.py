@@ -273,7 +273,6 @@ def bad_index(values: Sequence, dim: int, count: int) -> Optional[tuple[int, str
             return j, "expected an integer"
         if not 0 <= v < count:
             return j, f"no simplex {dim}/{v}"
-    return None
 
 
 @record
@@ -527,17 +526,15 @@ def _identity_getters(n: int, k: int) -> tuple[itemgetter, itemgetter]:
     return itemgetter(*left), itemgetter(*right)
 
 
-def misfit_runs(x: TruncatedComplex, horns: Sequence[HornSpec], compatible: bool = True
-                ) -> Iterator[Sequence[HornSpec]]:
+def misfit_runs(x: TruncatedComplex, horns: Sequence[HornSpec]) -> Iterator[Sequence[HornSpec]]:
     """The runs of :func:`shape_runs` holding a horn that :func:`horn_violations`
-    reports (with ``compatible`` false, one that does not fit), each tested
-    in C-level passes over its face columns."""
+    reports, each tested in C-level passes over its face columns."""
     for n, k, run in shape_runs(horns):
         columns = list(zip(*map(itemgetter(2), run)))  # column a: every horn's face a
         if (not 1 <= n <= x.dim_bound or min(map(min, columns)) < 0
                 or max(map(max, columns)) >= x.counts[n - 1]):
             yield run
-        elif compatible and n >= 2:
+        elif n >= 2:
             rows, (left, right) = x.face_table[n - 2], _identity_getters(n, k)
             entries = [m for column in columns for m in zip(*map(rows.__getitem__, column))]
             if left(entries) != right(entries):

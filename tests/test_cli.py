@@ -51,6 +51,25 @@ class TestValidate:
         assert code == 1
         assert out.count("exclusion") == 1
 
+    @pytest.mark.parametrize("broken", [("total", "base"), ("total",), ("base",)],
+                             ids="+".join)
+    def test_a_fibration_report_names_the_space_of_each_row(self, tmp_path, broken):
+        # a broken space is a triangle whose 2-simplex breaks two identities
+        def triangle(last):
+            return {"dim_bound": 2, "simplices": {"0": 3, "1": 3, "2": 1},
+                    "faces": {"1": [[1, 0], [2, 0], [2, 1]], "2": [[2, 1, last]]}}
+        spaces = {side: triangle(2 if side in broken else 0) for side in ("total", "base")}
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({
+            "format": "rupture-kit/1", "kind": "fibration", **spaces,
+            "map": {"0": [0, 1, 2], "1": [0, 1, 2], "2": [0]}}))
+        rows = ["d_0 d_2 != d_1 d_0 on simplex 2/0", "d_1 d_2 != d_1 d_1 on simplex 2/0"]
+        # with one space broken, the map no longer commutes with d_2
+        commutes = len(broken) == 2
+        assert run_cli("validate", path) == (1, "".join(
+            f"simplicial-identity: {side}: {row}\n" for side in broken for row in rows)
+            + ("" if commutes else "face-commutation: f(d_2(2/0)) != d_2(f(2/0))\n"))
+
     def test_malformed_file_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{]")
@@ -225,19 +244,26 @@ class TestJudgments:
         assert "horn (w1, w2, w3)" in out
         assert "level 1 universe [w1,w2,w4]" in out
 
-    def test_violating_script_exits_one(self, tmp_path):
+    @pytest.mark.parametrize(
+        "row,line",
+        [
+            ({"op": "add", "judgment": {"atom": "J"}, "polarity": "gapped"},
+             "add J gapped: rejected (judgment 'J' already witnessed coherent by w1)"),
+            ({"op": "horn", "first": "w1", "second": "w9", "gap": "w1"},
+             "horn error: missing witness id 'w9' for second"),
+        ],
+        ids=["exclusion", "missing-id"],
+    )
+    def test_violating_script_exits_one(self, tmp_path, row, line):
         script = {
             "format": "rupture-kit/1",
             "kind": "judgment-script",
-            "script": [
-                {"op": "add", "judgment": {"atom": "J"}, "polarity": "coherent"},
-                {"op": "add", "judgment": {"atom": "J"}, "polarity": "gapped"},
-            ],
+            "script": [{"op": "add", "judgment": {"atom": "J"}, "polarity": "coherent"}, row],
         }
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(script))
         code, out = run_cli("judgments", path)
-        assert code == 1 and "rejected" in out
+        assert (code, out.splitlines()[1]) == (1, line)
 
 
 class TestDeterminism:

@@ -3,11 +3,12 @@
 Every fixture is mutated many times (a key dropped, an integer bumped, a
 list shortened or lengthened, a value swapped for one of another type, or
 the JSON text cut short) and handed to each command that reads it, in
-process through ``cli.main``. Whatever the input, the command must answer
-with exit 0, 1 or 2; an exception escaping ``main`` fails the test. And no
-command may answer with exit 0 about a document that ``validate`` rejects;
-one whose fibration map ``validate`` refuses to parse, every command refuses
-with the same parse error.
+process through ``cli.main``, after ``validate`` has judged it once.
+Whatever the input, the command must answer with exit 0, 1 or 2; an
+exception escaping ``main`` fails the test. And no command may answer with
+exit 0 about a document that ``validate`` rejects; one whose fibration map
+``validate`` refuses to parse, every command refuses with the same parse
+error.
 """
 
 import contextlib
@@ -108,47 +109,26 @@ FIXTURE_SEEDS = list(enumerate(sorted(p.name for p in FIXTURES.glob("*.json"))))
 
 
 @pytest.mark.parametrize("seed,fixture", FIXTURE_SEEDS)
-def test_mutated_documents_exit_0_1_or_2(tmp_path, seed, fixture):
-    for doc, _, argvs in mutated_runs(tmp_path, seed, fixture):
+def test_every_command_answers_a_mutated_document_as_validate_does(tmp_path, seed, fixture):
+    """``validate`` runs once per mutation, then each command once: each
+    exits 0, 1 or 2 without raising; none exits 0 on a document that
+    ``validate`` rejects; and each gives ``validate``'s line and exit 2 on a
+    fibration map that ``validate`` refuses to parse. Every fixture yields a
+    rejected mutation, and every fibration a refused map."""
+    rejected = refused = 0
+    for doc, path, argvs in mutated_runs(tmp_path, seed, fixture):
+        verdict, report = run(["validate", str(path)])
+        line = report if verdict == 2 and "(at fibration.map" in report else ""
+        rejected += verdict != 0
+        refused += bool(line)
         for argv in argvs:
             try:
-                code, _ = run(argv)
+                code, out = run(argv)
             except Exception as exc:
                 pytest.fail(f"{argv} raised {exc!r} on {doc}")
             assert code in (0, 1, 2), (argv, doc)
-
-
-def map_parse_error(path) -> str:
-    """The line ``validate`` prints when it refuses to parse the document at
-    a ``fibration.map`` key path, else ""."""
-    code, out = run(["validate", str(path)])
-    return out if code == 2 and "(at fibration.map" in out else ""
-
-
-@pytest.mark.parametrize(
-    "seed,fixture",
-    [(seed, name) for seed, name in FIXTURE_SEEDS
-     if json.loads((FIXTURES / name).read_text(encoding="utf-8"))["kind"] == "fibration"],
-)
-def test_no_command_answers_on_a_map_that_validate_rejects(tmp_path, seed, fixture):
-    refused = 0
-    for doc, path, argvs in mutated_runs(tmp_path, seed, fixture):
-        line = map_parse_error(path)
-        if line:
-            refused += 1
-            for argv in argvs:
-                assert run(argv) == (2, line), (argv, doc)
-    assert refused
-
-
-@pytest.mark.parametrize("seed,fixture", FIXTURE_SEEDS)
-def test_no_command_answers_on_a_document_that_validate_rejects(tmp_path, seed, fixture):
-    rejected = 0
-    for doc, path, argvs in mutated_runs(tmp_path, seed, fixture):
-        verdict, report = run(["validate", str(path)])
-        if verdict == 0:
-            continue
-        rejected += 1
-        for argv in argvs:
-            assert run(argv)[0] != 0, (argv, report, doc)
+            assert code != 0 or verdict == 0, (argv, report, doc)
+            assert not line or (code, out) == (2, line), (argv, doc)
     assert rejected
+    kind = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))["kind"]
+    assert refused or kind != "fibration"

@@ -9,10 +9,10 @@ Exclusion rows of a brute-force scan when nothing else was reported. Seeded
 structures get gap horns that fail in each way across several shapes: a
 dimension above the bound, a dangling face, faces that do not fit together
 and an Exclusion conflict. Each report must equal the reference, row for
-row and in order; ``validate_exclusion`` must raise the text
-``find_fillers`` raises on the first sorted horn that does not fit; and
+row and in order; ``validate_exclusion`` must equal the brute-force rows,
+without raising, on every structure, a horn that does not fit included; and
 ``product``'s conflicts on factors that break Exclusion must be the
-brute-force rows of the product.
+brute-force pairs of the product.
 """
 
 import random
@@ -20,22 +20,20 @@ import random
 import pytest
 
 from rupture_kit import ruptured
-from rupture_kit.errors import ExclusionError, KernelError, Violation
+from rupture_kit.errors import ExclusionError, Violation
 from rupture_kit.ruptured import (
     RupturedComplex, product, validate_exclusion, validate_ruptured,
 )
 from rupture_kit.simplicial import (
-    HornSpec, SimplexId, find_fillers, horn_of, horn_violations, misfit_runs, shape_runs,
-    validate_complex,
+    HornSpec, SimplexId, horn_of, horn_violations, misfit_runs, shape_runs, validate_complex,
 )
 
 from support import oracle_exclusion_conflicts, random_ruptured
 
 FAULTS = ["dimension", "dangling", "incompatible", "exclusion"]
 
-# The row kinds misfit_runs tests for, by its ``compatible`` flag.
-KINDS = {False: {"horn-dimension", "horn-dangling-face"},
-         True: {"horn-dimension", "horn-dangling-face", "horn-compatibility"}}
+# The row kinds misfit_runs tests for.
+KINDS = {"horn-dimension", "horn-dangling-face", "horn-compatibility"}
 
 
 def exclusion_rows(r: RupturedComplex) -> list[Violation]:
@@ -97,8 +95,11 @@ def structures():
 
 
 def test_the_structures_cover_every_fault_on_several_shapes():
-    shapes = {}
+    shapes, misfits_beside_conflicts = {}, 0
     for _, r in structures():
+        misfits_beside_conflicts += bool(exclusion_rows(r)) and any(
+            v.kind in ("horn-dimension", "horn-dangling-face")
+            for h in r.gap for v in horn_violations(r.underlying, h))
         for v in reference_report(r):
             # "horn(n=2, k=1" for a horn's rows, the whole text for a dimension row
             shapes.setdefault(v.kind, set()).add(v.message.split(", faces")[0])
@@ -107,6 +108,7 @@ def test_the_structures_cover_every_fault_on_several_shapes():
         "exclusion": True}
     assert min(len(shapes[kind]) for kind in ("horn-dangling-face", "horn-compatibility",
                                               "exclusion")) >= 3, shapes
+    assert misfits_beside_conflicts >= 10
 
 
 @pytest.mark.parametrize("name,r", structures(), ids=[name for name, _ in structures()])
@@ -117,52 +119,40 @@ def test_validate_ruptured_matches_the_check_per_horn(name, r):
 @pytest.mark.parametrize("name,r", structures(), ids=[name for name, _ in structures()])
 def test_a_run_is_refused_iff_one_of_its_horns_is_reported(name, r):
     """Each run, and each of its horns as a run of one, is refused exactly
-    when :func:`horn_violations` reports one of its horns; and with
-    ``compatible`` false exactly when one does not fit."""
+    when :func:`horn_violations` reports one of its horns."""
     x = r.underlying
 
-    def reported(horns, compatible):
-        return any(v.kind in KINDS[compatible] for h in horns for v in horn_violations(x, h))
+    def reported(horns):
+        return any(v.kind in KINDS for h in horns for v in horn_violations(x, h))
 
     for n, k, run in shape_runs(sorted(r.gap)):
         assert {(h.n, h.k) for h in run} == {(n, k)}
-        for compatible in (True, False):
-            for horns in [run] + [[h] for h in run]:
-                refused = list(misfit_runs(x, horns, compatible))
-                assert refused == ([horns] if reported(horns, compatible) else []), horns
+        for horns in [run] + [[h] for h in run]:
+            refused = list(misfit_runs(x, horns))
+            assert refused == ([horns] if reported(horns) else []), horns
 
 
 @pytest.mark.parametrize("name,r", structures(), ids=[name for name, _ in structures()])
-def test_validate_exclusion_raises_on_the_first_horn_that_does_not_fit(name, r):
-    x = r.underlying
-    misfits = [h for h in sorted(r.gap)
-               if any(v.kind in ("horn-dimension", "horn-dangling-face")
-                      for v in horn_violations(x, h))]
-    if not misfits:
-        assert validate_exclusion(r) == exclusion_rows(r)
-        return
-    with pytest.raises(KernelError) as expected:
-        find_fillers(x, misfits[0])
-    with pytest.raises(KernelError) as got:
-        validate_exclusion(r)
-    assert str(got.value) == str(expected.value)
+def test_validate_exclusion_is_the_brute_force_report(name, r):
+    # a horn that does not fit has no filler, so it is no conflict
+    assert validate_exclusion(r) == exclusion_rows(r)
 
 
-def test_product_conflicts_match_the_brute_force_rows(monkeypatch):
+def test_product_conflicts_are_the_brute_force_pairs(monkeypatch):
     rng = random.Random(21)
     conflicting = 0
     for _ in range(60):
         a = random_ruptured(rng, force_valid=False, gap_p=0.5)
         b = random_ruptured(rng, force_valid=False, gap_p=0.5)
         with monkeypatch.context() as m:
-            m.setattr(ruptured, "_exclusion_report", lambda r, horns: [])
+            m.setattr(ruptured, "_conflicts", lambda r, horns: iter(()))
             unchecked = product(a, b)
-        expected = exclusion_rows(unchecked)
+        expected = tuple(oracle_exclusion_conflicts(unchecked))
         if not expected:
             assert product(a, b) == unchecked
             continue
         conflicting += 1
         with pytest.raises(ExclusionError) as exc:
             product(a, b)
-        assert exc.value.conflicts == tuple(expected)
+        assert exc.value.conflicts == expected
     assert conflicting >= 15

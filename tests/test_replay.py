@@ -3,10 +3,12 @@ without git or a subprocess: every run is counted under its (parent exit,
 change exit) pair, every run whose results differ is listed under its
 class, and only a run that the parent refuses and the change accepts makes
 the replay exit 1. The byte comparison of rebuilt files is checked on files
-written here."""
+written here, and the corpus is checked to hold each gap-list edit of
+``tests/test_horn_rows.py``."""
 
 import importlib.util
 from collections import Counter
+from functools import reduce
 
 from support import SRC
 
@@ -81,3 +83,17 @@ def test_each_rebuilt_file_that_differs_is_named_and_fails_the_replay(tmp_path):
         "1 of 3 rebuilt files are byte-identical",
     ]
     assert replay.compare_files(pairs[:1]) == ("1 of 1 rebuilt files are byte-identical", 0)
+
+
+def test_the_corpus_holds_each_gap_list_edit_of_the_horn_row_test():
+    from test_horn_rows import LIST_EDITS, corpus, gap_lists
+
+    edits = replay.list_edits()
+    names = [name for name, _ in edits]
+    assert len(set(names)) == len(names)
+    lists = [(name, where) for name, doc, _ in corpus() for keys, where in gap_lists(doc)
+             if reduce(dict.get, keys, doc)]
+    assert len(lists) >= 3
+    for name, where in lists:
+        ops = [n.split(".")[-2] for n in names if n.startswith(f"list-{name}.{where}.")]
+        assert ops == [op.replace(" ", "-") for op in LIST_EDITS for _ in range(4)], name

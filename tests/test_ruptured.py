@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rupture_kit.errors import ExclusionError, KernelError, ShapeError
+from rupture_kit.errors import ExclusionError, KernelError, ShapeError, Violation
 from rupture_kit.ruptured import (
     CoherentlyFilled,
     GapMode,
@@ -29,10 +29,12 @@ from rupture_kit.simplicial import (
     check_simplicial_map,
     enumerate_horns,
     find_fillers,
+    horn_of,
     horn_violations,
     standard_simplex,
 )
 from rupture_kit.covering import build_cycle
+from rupture_kit.judgments import BaseJudgment, Polarity, WitnessStore, add_witness
 
 from support import oracle_exclusion_conflicts, random_ruptured
 
@@ -72,16 +74,16 @@ class TestExclusion:
         # independently: the coherent filler set intersects the gap mark
         assert find_fillers(d2, inner_horn(d2)) == [SimplexId(2, 0)]
 
-    def test_a_gap_horn_naming_no_simplex_raises(self):
-        # raised as find_fillers raises it, also after a horn that fits
+    def test_a_gap_horn_naming_no_simplex_is_no_conflict(self):
+        # it has no filler, so validate_exclusion passes it over, also in the
+        # run of a horn that fits, and validate_ruptured reports it
         d2 = triangle()
+        h = inner_horn(d2)
         for bad in (HornSpec(2, 1, (0, 9)), HornSpec(3, 1, (0, 0, 0))):
-            r = RupturedComplex.create(d2, {2: [0]}, [inner_horn(d2), bad])
-            with pytest.raises(KernelError) as want:
-                find_fillers(d2, bad)
-            with pytest.raises(KernelError) as got:
-                validate_exclusion(r)
-            assert str(got.value) == str(want.value)
+            r = RupturedComplex.create(d2, {2: [0]}, [h, bad])
+            assert validate_exclusion(r) == [
+                Violation("exclusion", f"{h} is gap-witnessed but coherent 2/0 fills it")]
+            assert validate_ruptured(r) == horn_violations(d2, bad) != []
 
     def test_circle_gaps_clean(self):
         assert validate_exclusion(circle_with_inner_gaps()) == []
@@ -94,6 +96,30 @@ class TestExclusion:
         # unrelated insertions fine
         r2 = r.with_coherent(SimplexId(0, 0))
         assert r2.is_coherent(SimplexId(0, 0))
+
+    @pytest.mark.parametrize("breach", ["with_coherent", "product", "add_witness"])
+    def test_one_except_catches_every_breach_of_exclusion(self, breach):
+        d2, j = triangle(), BaseJudgment("J")
+        h, filler = inner_horn(d2), SimplexId(2, 0)
+        gapped = RupturedComplex.create(d2, {0: range(3), 1: range(3)}, [h])
+        breaking = RupturedComplex.create(d2, {2: [0]}, [h])
+        store = add_witness(WitnessStore(), j, Polarity.COHERENT)
+        # the product's one 2-simplex fills its one gapped horn, the pair (h, h)
+        square = product(gapped, from_kan(d2)).underlying
+        act, conflicts = {
+            "with_coherent": (lambda: gapped.with_coherent(filler), ((h, filler),)),
+            "product": (lambda: product(breaking, from_kan(d2)),
+                        ((horn_of(square, filler, 1), filler),)),
+            "add_witness": (lambda: add_witness(store, j, Polarity.GAPPED),
+                            ((j, store.last()),)),
+        }[breach]
+        try:
+            act()
+        except ExclusionError as err:
+            assert err.conflicts == conflicts
+            assert type(err.conflicts) is tuple and {len(c) for c in err.conflicts} == {2}
+        else:
+            pytest.fail("no ExclusionError")
 
     def test_agrees_with_oracle_on_random_structures(self):
         rng = random.Random(47)

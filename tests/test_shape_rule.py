@@ -395,6 +395,12 @@ PINNED = [
      "dimension '0' is outside 1..1", "fibration.base.faces.0"),
     ("triangle_kan.json", ("faces",), lambda f: {**f, "3": [[0, 0, 0, 0]]},
      "dimension '3' is outside 1..2", "ruptured.faces.3"),
+    ("triangle_kan.json", ("coh",), lambda c: {**c, "x": [0]},
+     "dimension 'x' is not an integer", "ruptured.coh.x"),
+    ("judgment_script.json", ("script", 0, "op"), lambda op: "drop",
+     "unknown op 'drop'", "judgment-script.script[0]"),
+    ("judgment_script.json", ("script", 1, "polarity"), lambda polarity: "neutral",
+     "unknown polarity 'neutral'", "judgment-script.script[1].polarity"),
 ]
 
 

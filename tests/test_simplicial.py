@@ -61,6 +61,7 @@ from rupture_kit.simplicial import (
     SimplexId,
     SimplicialMap,
     TruncatedComplex,
+    bad_index,
     check_simplicial_map,
     enumerate_horns,
     find_fillers,
@@ -1157,8 +1158,31 @@ class TestNegativeIds:
 
     @pytest.mark.parametrize("sid", [SimplexId(1, -1), SimplexId(1, 5), SimplexId(5, 0)],
                              ids=str)
-    def test_face_of_an_id_that_names_no_simplex_raises(self, sid):
+    def test_face_or_coherence_of_an_id_that_names_no_simplex_raises(self, sid):
         d1 = standard_simplex(1, 1)
         with pytest.raises(KernelError, match=f"^no simplex {sid} in the complex$"):
             d1.face(sid, 0)
+        with pytest.raises(KernelError, match=f"^no simplex {sid} in the complex$"):
+            from_kan(d1).with_coherent(sid)
         assert d1.face(SimplexId(1, 0), 0) == SimplexId(0, 1)
+
+
+@pytest.mark.parametrize(
+    "values,expected",
+    [
+        ([], None),
+        ([0, 2, 1, 2], None),
+        ([0, True], (1, "expected an integer")),
+        ([1, 1.0], (1, "expected an integer")),
+        (["0"], (0, "expected an integer")),
+        ([0, -1], (1, "no simplex 1/-1")),
+        ([2, 3], (1, "no simplex 1/3")),
+        ([0, 7, "x"], (1, "no simplex 1/7")),
+    ],
+    ids=["empty", "in-range", "bool", "float", "str", "negative", "count", "first-fault"],
+)
+def test_bad_index_names_the_first_entry_that_is_no_simplex(values, expected):
+    """None exactly when every entry indexes one of the 3 simplices of
+    dimension 1, else the first entry that does not and why."""
+    assert bad_index(values, 1, 3) == expected
+    assert bad_index(tuple(values), 1, 3) == expected
