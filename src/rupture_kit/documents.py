@@ -5,15 +5,18 @@ and a ``kind`` discriminator. Simplices are referenced by (dimension,
 index); face lists are ordered d_0..d_n. The parsers raise
 :class:`DocumentError` with a key path on any schema mismatch, and the
 serializers emit values the parsers map back to equal in-memory objects.
-A reference to a simplex that does not exist (a face row entry, a coherence
-mark, a gap-horn face, a composite edge) is a schema mismatch too, and so are
-a ``simplices``, ``faces`` or ``map`` key that names no dimension of its
-complex and a fibration map that is not total on the total space: the
-constructors check face rows and map levels, and their :class:`ShapeError`
-becomes a key path. Simplicial
-identities, face commutation, horn compatibility and Exclusion are left to
-the validators. A ``gap`` list, mode rows too, is read one run of a shape
-(n, k) at a time in column passes; only a refused run is read row by row.
+The parsers accept exactly the keys the serializers write: a
+``simplices``, ``faces``, ``coh`` or ``map`` key is ``str(n)`` for a
+dimension n the object may hold, and a horn's ``faces`` keys are those of
+its shape, so "02" is a fault, never a second name for "2". A reference to a
+simplex that does not exist (a face row entry, a coherence mark, a gap-horn
+face, a composite edge) is a schema mismatch too, and so is a fibration map
+that is not total on the total space: the constructors check face rows,
+labels and map levels, and their :class:`ShapeError` becomes a key path.
+Simplicial identities, face commutation, horn compatibility and Exclusion
+are left to the validators. A ``gap`` list, mode rows too, is read one run
+of a shape (n, k) at a time in column passes; only a refused run is read
+row by row.
 
 Each kind's codec imports its kernel module when it runs, so that a
 command loads only the modules of the documents it reads: this module
@@ -51,7 +54,7 @@ from json.encoder import encode_basestring_ascii
 from operator import is_not, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
 
-from .errors import DocumentError, ShapeError, record
+from .errors import DocumentError, KernelError, ShapeError, record
 
 if TYPE_CHECKING:
     from .covering import CoveringTask
@@ -155,6 +158,16 @@ def _int(value, where: str) -> int:
     return value
 
 
+def _by_dimension(obj: dict, low: int, high: int, where: str) -> dict[int, Any]:
+    """The values of an object keyed by dimension, keyed by int. A key must be
+    one of ``str(low)``..``str(high)``, as the writer writes it: ``"02"`` is
+    no second spelling of ``"2"`` but a fault at its key path."""
+    dims = {str(n): n for n in range(low, high + 1)}
+    for key in obj:
+        _expect(key in dims, f"dimension '{key}' is outside {low}..{high}", f"{where}.{key}")
+    return {dims[key]: value for key, value in obj.items()}
+
+
 # -- complexes -----------------------------------------------------------------
 
 
@@ -175,32 +188,15 @@ def body_to_complex(body: Mapping, where: str = "complex") -> TruncatedComplex:
 
     dim_bound = _int(_get(body, "dim_bound", where), f"{where}.dim_bound")
     _expect(dim_bound >= 0, "dim_bound must be non-negative", f"{where}.dim_bound")
-    simplices = _get(body, "simplices", where, dict)
-    dims = [str(n) for n in range(dim_bound + 1)]
-    for key in simplices:
-        _expect(key in dims, f"dimension '{key}' is outside 0..{dim_bound}",
-                f"{where}.simplices.{key}")
-    counts = []
-    labels = {}
-    for n in range(dim_bound + 1):
-        entry = simplices.get(str(n), 0)
-        here = f"{where}.simplices.{n}"
-        if isinstance(entry, int) and not isinstance(entry, bool):
-            _expect(entry >= 0, "count must be non-negative", here)
-            counts.append(entry)
-        elif isinstance(entry, list):
-            _expect(
-                all(isinstance(l, str) for l in entry), "labels must be strings", here
-            )
-            counts.append(len(entry))
-            labels[n] = entry
-        else:
-            raise DocumentError("expected a count or a label array", here)
-    faces_obj = _optional(body, "faces", where, dict)
-    for key in faces_obj:
-        _expect(key in dims[1:], f"dimension '{key}' is outside 1..{dim_bound}",
-                f"{where}.faces.{key}")
-    faces = {n: faces_obj.get(str(n), []) for n in range(1, dim_bound + 1)}
+    simplices = _by_dimension(_get(body, "simplices", where, dict), 0, dim_bound,
+                              f"{where}.simplices")
+    # A label list counts its simplices; the constructor checks the labels.
+    labels = {n: entry for n, entry in simplices.items() if isinstance(entry, list)}
+    counts = [len(labels[n]) if n in labels else simplices.get(n, 0) for n in range(dim_bound + 1)]
+    for n, count in enumerate(counts):
+        _expect(type(count) is int, "expected a count or a label array", f"{where}.simplices.{n}")
+        _expect(count >= 0, "count must be non-negative", f"{where}.simplices.{n}")
+    faces = _by_dimension(_optional(body, "faces", where, dict), 1, dim_bound, f"{where}.faces")
     try:
         return TruncatedComplex.create(dim_bound, counts, faces, labels)
     except ShapeError as exc:
@@ -256,7 +252,7 @@ def _mode_fields(body, where: str) -> tuple[str, object]:
             mapping[source] = _int(pair[1], here)
         try:
             return kind, FiberPermutation.of(fiber, mapping)
-        except Exception as exc:
+        except KernelError as exc:
             raise DocumentError(str(exc), here)
     if kind == "semantic":
         _expect(
@@ -320,8 +316,9 @@ def horn_to_body(h: HornSpec) -> dict:
 def _checked_horn_fields(body: Mapping, where: str, within: TruncatedComplex
                          ) -> tuple[int, int, tuple[int, ...]]:
     """The (n, k, faces) of a horn body that :func:`_gap_horns` refuses to
-    read in runs: it accepts any key ``int()`` reads (``"01"``) and raises
-    :class:`DocumentError` with the key path of the first fault."""
+    read in runs, or :class:`DocumentError` at its first fault. Its ``faces``
+    holds exactly its shape's keys, so a row read here reads in a run too;
+    they are built here, not cached by :func:`_face_keys`, as n may not fit."""
     n = _get(body, "n", where)
     if type(n) is not int:
         _int(n, f"{where}.n")
@@ -331,28 +328,26 @@ def _checked_horn_fields(body: Mapping, where: str, within: TruncatedComplex
     if not (n >= 1 and 0 <= k <= n):
         raise DocumentError(f"bad horn shape (n={n}, k={k})", where)
     faces_obj = _get(body, "faces", where, dict)
-    mapping = {}
+    present = [i for i in range(n + 1) if i != k]
+    names = set(map(str, present))
     for key, value in faces_obj.items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise DocumentError(f"face index '{key}' is not an integer", f"{where}.faces")
+        if key not in names:
+            raise DocumentError(f"face index '{key}' is not one of {present}",
+                                f"{where}.faces.{key}")
         if type(value) is not int:
             _int(value, f"{where}.faces.{key}")
-        mapping[i] = value
-    present = [i for i in range(n + 1) if i != k]
-    if len(mapping) != n or not all(i in mapping for i in present):
+    if len(faces_obj) != n:
         raise DocumentError(f"horn faces must cover indices {present}", f"{where}.faces")
     bound = within.dim_bound
     if n > bound:
         raise DocumentError(f"horn dimension {n} exceeds bound {bound}", f"{where}.n")
-    count, values = within.count(n - 1), list(mapping.values())
+    count, values = within.count(n - 1), list(faces_obj.values())
     if not 0 <= min(values) <= max(values) < count:
         from .simplicial import bad_index
 
         j, reason = bad_index(values, n - 1, count)
-        raise DocumentError(reason, f"{where}.faces.{list(mapping)[j]}")
-    return n, k, tuple([mapping[i] for i in present])
+        raise DocumentError(reason, f"{where}.faces.{list(faces_obj)[j]}")
+    return n, k, _faces_getter(n, k)(faces_obj)
 
 
 def _run_faces(ns: list, ks: list, objs: list, within: TruncatedComplex) -> Optional[list]:
@@ -438,21 +433,14 @@ def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
     from .simplicial import bad_index
 
     underlying = body_to_complex(body, where)
-    coh_obj = _optional(body, "coh", where, dict)
-    coh = {}
-    for key, members in coh_obj.items():
-        here = f"{where}.coh.{key}"
-        try:
-            n = int(key)
-        except ValueError:
-            raise DocumentError(f"dimension '{key}' is not an integer", here)
-        bound = underlying.dim_bound
-        _expect(0 <= n <= bound, f"dimension {n} is outside 0..{bound}", here)
+    coh = _by_dimension(_optional(body, "coh", where, dict), 0, underlying.dim_bound,
+                        f"{where}.coh")
+    for n, members in coh.items():
+        here = f"{where}.coh.{n}"
         _expect(isinstance(members, list), "expected a list of indices", here)
         bad = bad_index(members, n, underlying.count(n))
         if bad:
             raise DocumentError(bad[1], here)
-        coh[n] = members
     gap = _gap_table(_optional(body, "gap", where, list), underlying, where)
     return RupturedComplex.create(underlying, coh, gap)
 
@@ -490,16 +478,9 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
 
     total = body_to_ruptured(_get(body, "total", where, dict), f"{where}.total")
     base = body_to_ruptured(_get(body, "base", where, dict), f"{where}.base")
-    map_obj = _get(body, "map", where, dict)
     top = min(total.underlying.dim_bound, base.underlying.dim_bound)
-    dims = [str(n) for n in range(top + 1)]
-    for key in map_obj:
-        _expect(
-            key in dims,
-            f"map level '{key}' is not a dimension in 0..{top}",
-            f"{where}.map.{key}",
-        )
-    proj = SimplicialMap(tuple(map_obj.get(str(n), []) for n in range(top + 1)))
+    levels = _by_dimension(_get(body, "map", where, dict), 0, top, f"{where}.map")
+    proj = SimplicialMap(tuple(levels.get(n, []) for n in range(top + 1)))
     # Built before the gap lifts are read, so that a bad map level is the
     # first error, as the document lists it.
     try:
@@ -653,7 +634,7 @@ def _body_to_context(rows, where: str) -> ResourceContext:
         bindings.append(Binding(var, t, ann))
     try:
         return ResourceContext(tuple(bindings))
-    except Exception as exc:
+    except KernelError as exc:
         raise DocumentError(str(exc), where)
 
 

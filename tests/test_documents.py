@@ -99,10 +99,15 @@ class TestParseErrors:
         text = (
             '{"format": "rupture-kit/1", "kind": "ruptured", "dim_bound": 1,'
             ' "simplices": {"0": 2, "1": 1}, "faces": {"1": [[1, 0]]},'
-            ' "coh": {}, "gap": [{"n": 1, "k": 0, "faces": {"0": 0}}]}'
+            ' "coh": {}, "gap": [{"n": 1, "k": 0, "faces": %s}]}'
         )
-        with pytest.raises(DocumentError, match="cover indices"):
-            parse_document(text)
+        # The missing face's index is no key of the horn's faces.
+        with pytest.raises(DocumentError) as err:
+            parse_document(text % '{"0": 0}')
+        assert str(err.value) == "face index '0' is not one of [1] (at ruptured.gap[0].faces.0)"
+        with pytest.raises(DocumentError) as err:
+            parse_document(text % "{}")
+        assert str(err.value) == "horn faces must cover indices [1] (at ruptured.gap[0].faces)"
 
     def test_semantic_mode_payload_schema(self):
         text = (
@@ -158,6 +163,30 @@ class TestParseErrors:
         )
         with pytest.raises(DocumentError, match="unknown annotation"):
             parse_document(text)
+
+    @pytest.mark.parametrize("module,name,attr,document", [
+        ("covering", "FiberPermutation", "of",
+         '{"format": "rupture-kit/1", "kind": "ruptured", "dim_bound": 1,'
+         ' "simplices": {"0": 2, "1": 1}, "faces": {"1": [[1, 0]]},'
+         ' "gap": [{"n": 1, "k": 0, "faces": {"1": 0}, "mode": {"kind": "monodromy",'
+         ' "payload": {"fiber": [0, 1], "images": [[0, 1], [1, 0]]}}}]}'),
+        ("derivability", "ResourceContext", None,
+         (FIXTURES[0].parent / "derive_linear_horn.json").read_text(encoding="utf-8")),
+    ], ids=["fiber-permutation", "resource-context"])
+    def test_only_a_kernel_error_is_a_parse_error(self, monkeypatch, module, name, attr,
+                                                  document):
+        """A constructor's KernelError words bad input; any other exception
+        is a bug in the kernel, and it is raised as it is."""
+        def broken(*args):
+            raise ZeroDivisionError("a bug")
+
+        target = importlib.import_module(f"rupture_kit.{module}")
+        if attr is None:
+            monkeypatch.setattr(target, name, broken)
+        else:
+            monkeypatch.setattr(getattr(target, name), attr, broken)
+        with pytest.raises(ZeroDivisionError):
+            parse_document(document)
 
     def test_missing_file(self):
         with pytest.raises(DocumentError):
@@ -278,7 +307,7 @@ class TestMissingReferences:
         [
             ('"faces": {"1": [[1, 2]]}', "no simplex 0/2", "ruptured.faces.1[0]"),
             ('"faces": {"1": [[1, 0]]}, "coh": {"1": [1]}', "no simplex 1/1", "ruptured.coh.1"),
-            ('"faces": {"1": [[1, 0]]}, "coh": {"-1": []}', "dimension -1 is outside 0..1",
+            ('"faces": {"1": [[1, 0]]}, "coh": {"-1": []}', "dimension '-1' is outside 0..1",
              "ruptured.coh.-1"),
             ('"faces": {"1": [[1, 0]]}, "gap": [{"n": 1, "k": 0, "faces": {"1": 4}}]',
              "no simplex 0/4", "ruptured.gap[0].faces.1"),
@@ -287,9 +316,14 @@ class TestMissingReferences:
             ('"faces": {"1": [[1, 0]]}, "gap": [{"n": 1, "k": 0, "faces": {"1": 0}},'
              ' {"n": 1, "k": 0, "faces": {"1": 0}, "mode": {"kind": "drift"}}]',
              "is listed twice", "ruptured.gap[1]"),
+            # "01" is no second spelling of face 1, in either order of the keys.
+            ('"faces": {"1": [[1, 0]]}, "gap": [{"n": 1, "k": 0, "faces": {"01": 0, "1": 1}}]',
+             "face index '01' is not one of", "ruptured.gap[0].faces.01"),
+            ('"faces": {"1": [[1, 0]]}, "gap": [{"n": 1, "k": 0, "faces": {"1": 1, "01": 0}}]',
+             "face index '01' is not one of", "ruptured.gap[0].faces.01"),
         ],
         ids=["face-row", "coh-index", "coh-dimension", "gap-horn-face", "gap-horn-dimension",
-             "gap-horn-twice"],
+             "gap-horn-twice", "gap-horn-respelled-face", "gap-horn-respelled-face-last"],
     )
     def test_names_the_key_path(self, rest, message, where):
         with pytest.raises(DocumentError, match=message) as err:
@@ -328,10 +362,10 @@ class TestMissingReferences:
             ("crane.json", "1", [0], "map covers 1 of 2 simplices of the total space"),
             ("crane.json", "0", [], "map covers 0 of 3 simplices of the total space"),
             ("double_cover_3.json", "1", [0, 1, 2], "map covers 3 of 6 simplices"),
-            ("crane.json", "7", [0], "map level '7' is not a dimension in 0..1"),
-            ("crane.json", "x", 5, "map level 'x' is not a dimension in 0..1"),
-            ("crane.json", "01", [0, 1], "map level '01' is not a dimension in 0..1"),
-            ("double_cover_3.json", "-1", [], "map level '-1' is not a dimension in 0..2"),
+            ("crane.json", "7", [0], "dimension '7' is outside 0..1"),
+            ("crane.json", "x", 5, "dimension 'x' is outside 0..1"),
+            ("crane.json", "01", [0, 1], "dimension '01' is outside 0..1"),
+            ("double_cover_3.json", "-1", [], "dimension '-1' is outside 0..2"),
         ],
         ids=["short", "empty", "cover-short", "above-bound", "not-int", "padded", "negative"],
     )

@@ -2,14 +2,16 @@
 
 ``documents._gap_horns`` reads a list of horn bodies one run of a shape at
 a time, and only a row of a run it refuses goes to the checked reader.
-``oracle_horn_fields`` below is that reader as it read every row before: it
-stays here as the reference. ``oracle_gap_table`` reads a ``gap`` list row
+``oracle_horn_fields`` below reads every row key by key, and takes as face
+keys just the strings the writer writes: it stays here as the reference.
+``oracle_gap_table`` reads a ``gap`` list row
 by row with it: the horn, then a horn listed twice, then the mode, and the
 first fault in row order raises. A seeded corpus of horn-row edits
 (ruptured ``gap`` rows, a fibration's total-space ``gap`` rows and its
 ``gap_lifts[i].horn``) and of gap-list edits (rows shuffled, a mode, an
 unknown key, a duplicate far from its twin, two faults, a bad mode before a
-faulty horn row, a duplicate after a mode row, a mode on every row) goes
+faulty horn row, a duplicate after a mode row, a mode on every row, a
+respelled face key) goes
 through ``parse_document`` twice, once as shipped and once with the row-by-row
 readers in place of ``_gap_table`` and ``_gap_horns``. Each edit must give the
 same document, or the same ``DocumentError`` message at the same key path.
@@ -44,7 +46,8 @@ from support import FIXTURES, plain
 
 def oracle_horn_fields(body, where: str, within):
     """The (n, k, faces) of a horn body whose faces must be simplices of
-    ``within``, read key by key."""
+    ``within``, read key by key; its face keys are exactly the strings the
+    writer writes."""
 
     def get(obj, key, where, expected=None):
         if not isinstance(obj, dict) or key not in obj:
@@ -67,17 +70,17 @@ def oracle_horn_fields(body, where: str, within):
     if not (n >= 1 and 0 <= k <= n):
         raise DocumentError(f"bad horn shape (n={n}, k={k})", where)
     faces_obj = get(body, "faces", where, dict)
+    present = [i for i in range(n + 1) if i != k]
     mapping = {}
     for key, value in faces_obj.items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise DocumentError(f"face index '{key}' is not an integer", f"{where}.faces")
+        # A face key is written "i" for each face i: "01" and "+1" are no face keys.
+        if key not in [str(i) for i in present]:
+            raise DocumentError(f"face index '{key}' is not one of {present}",
+                                f"{where}.faces.{key}")
         if type(value) is not int:
             integer(value, f"{where}.faces.{key}")
-        mapping[i] = value
-    present = [i for i in range(n + 1) if i != k]
-    if len(mapping) != n or not all(i in mapping for i in present):
+        mapping[int(key)] = value
+    if len(mapping) != n:
         raise DocumentError(f"horn faces must cover indices {present}", f"{where}.faces")
     bound = within.dim_bound
     if n > bound:
@@ -274,6 +277,9 @@ def edited_list(rng: random.Random, rows: list, op: str, counts: tuple) -> tuple
              {"kind": "plain", "payload": 1}])}
     elif op == "unknown key":
         rows[at]["note"] = "kept apart"
+    elif op == "respelled key":
+        # A face key that int() reads as the face it respells.
+        rows[at] = edited(rng, rows[at], rng.choice(["01", " 1", "+1", "duplicate key"]), counts)
     elif op == "far duplicate":
         at = rng.randrange((len(rows) + 1) // 2)
         rows.append(copy.deepcopy(rows[at]))
@@ -299,9 +305,9 @@ def edited_list(rng: random.Random, rows: list, op: str, counts: tuple) -> tuple
 
 
 LIST_EDITS = ["shuffle", "mode", "unknown key", "far duplicate", "two faults", "bad mode first",
-              "duplicate after mode", "every mode"]
+              "duplicate after mode", "every mode", "respelled key"]
 # The edits whose first fault is on the row they return.
-ON_ROW = {"two faults", "bad mode first", "duplicate after mode"}
+ON_ROW = {"two faults", "bad mode first", "duplicate after mode", "respelled key"}
 
 
 @pytest.mark.parametrize("name,doc,rows", corpus(), ids=[c[0] for c in corpus()])
@@ -336,17 +342,22 @@ def test_every_gap_list_edit_reads_as_the_oracle_reads_it(monkeypatch, name, doc
         assert {("shuffle", "parsed"), ("far duplicate", "refused"),
                 ("unknown key", "parsed"), ("two faults", "refused"),
                 ("bad mode first", "refused"), ("duplicate after mode", "refused"),
-                ("every mode", "parsed")} <= seen, seen
+                ("every mode", "parsed"), ("respelled key", "refused")} <= seen, seen
 
 
 def test_the_row_paths_are_pinned():
     doc = fibration_with_gap_rows()
+    # Both the total space and a gap lift hold a fault: the total space is read first.
     doc["gap_lifts"][2]["horn"]["faces"] = {"01": 0}
     doc["total"]["gap"][3]["k"] = True
     with pytest.raises(DocumentError) as exc:
         parse_document(json.dumps(doc))
     assert str(exc.value) == "expected an integer (at fibration.total.gap[3].k)"
     doc["total"]["gap"][3]["k"] = 0
+    with pytest.raises(DocumentError) as exc:
+        parse_document(json.dumps(doc))
+    assert str(exc.value) == (
+        "face index '01' is not one of [1] (at fibration.gap_lifts[2].horn.faces.01)")
     doc["gap_lifts"][2]["horn"]["faces"] = {"1": 99}
     with pytest.raises(DocumentError) as exc:
         parse_document(json.dumps(doc))

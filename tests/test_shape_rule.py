@@ -11,7 +11,9 @@ level is checked three ways with one rule: by the fibration constructor,
 and as a bare map by ``check_simplicial_map`` and ``check_morphism``.
 Coherence marks get the same treatment through ``RupturedComplex.create``,
 ``_replace`` and ``_make``, and label lists through the four ways a
-complex is built. A few parse errors are also pinned verbatim.
+complex is built. A ``coh`` key must be one the writer writes: a second
+spelling of a dimension ("01", "+1") is refused by the document reader,
+which alone sees it. A few parse errors are also pinned verbatim.
 """
 
 import copy
@@ -224,21 +226,23 @@ COH_SPACES = {"bank.json": [("total",), ("base",)], "bottle.json": [("total",), 
               "circle3_gapped.json": [()], "circle3_open.json": [()],
               "crane.json": [("total",), ("base",)],
               "double_cover_3.json": [("total",), ("base",)], "triangle_kan.json": [()]}
-COH_OPS = ["past", "negative", "bool", "key above", "key below", "swap", "drop"]
+COH_OPS = ["past", "negative", "bool", "key above", "key below", "swap", "drop", "key respelled"]
 
 
 def coh_problem(body: dict):
-    """The first coherence mark or key of a ruptured body that breaks the
-    rule, in document order, as (reason, position)."""
+    """The first coherence key of a ruptured body that is not one of "0"..
+    "dim_bound", as the writer writes it, or else its first coherence mark
+    that names no simplex, in document order, as (reason, position)."""
     counts, bound = counts_of(body), body["dim_bound"]
+    dims = [str(n) for n in range(bound + 1)]
+    for key in body["coh"]:
+        if key not in dims:
+            return f"dimension '{key}' is outside 0..{bound}", ("coh", key)
     for key, marks in body["coh"].items():
-        n = int(key)
-        if not 0 <= n <= bound:
-            return f"dimension {n} is outside 0..{bound}", ("coh", n)
         for v in marks:
-            reason = entry_problem(v, n, counts[n])
+            reason = entry_problem(v, int(key), counts[int(key)])
             if reason:
-                return reason, ("coh", n)
+                return reason, ("coh", int(key))
     return None
 
 
@@ -250,6 +254,10 @@ def mutate_coh(rng: random.Random, body: dict, op: str) -> None:
         return
     n = rng.choice(sorted(coh))
     marks = coh[n]
+    if op == "key respelled":
+        # A second spelling of a dimension that int() reads as the first.
+        coh[rng.choice(["0", "+", " "]) + n] = rng.choice([[], list(marks)])
+        return
     if op == "drop":
         if marks:
             marks.pop(rng.randrange(len(marks)))
@@ -269,18 +277,33 @@ def test_coherence_marks_are_refused_exactly_when_the_oracle_calls_them_malforme
     original = json.loads((FIXTURES / fixture).read_text(encoding="utf-8"))
     parsed = parse_document(json.dumps(original)).body
     rng = random.Random(f"coh {fixture}")
-    seen = {"refused": 0, "built": 0}
+    seen = {"refused": 0, "built": 0, "respelled": 0}
     for _ in range(40):
         doc = copy.deepcopy(original)
         space, op = rng.choice(COH_SPACES[fixture]), rng.choice(COH_OPS)
         body = at(doc, space)
         mutate_coh(rng, body, op)
         want = coh_problem(body)
+        key = want[1][1] if want is not None and want[0].startswith("dimension") else None
+        if key is not None:
+            with pytest.raises(DocumentError) as err:
+                parse_document(json.dumps(doc))
+            assert str(err.value) == f"{want[0]} (at {key_path(doc['kind'], space, want[1])})"
+            seen["refused"] += 1
+            if str(int(key)) != key:
+                # A respelled key reads as a dimension once int() has read it:
+                # only the document sees the spelling.
+                seen["respelled"] += 1
+                continue
         r = getattr(parsed, space[0]) if space else parsed
+        bound = r.underlying.dim_bound
         coh = {int(n): marks for n, marks in body["coh"].items()}
-        levels = [coh.get(n, []) for n in range(r.underlying.dim_bound + 1)]
-        if want is not None and want[0].startswith("dimension"):
-            levels.append([0])  # a key out of range: one level too many
+        levels = [coh.get(n, []) for n in range(bound + 1)]
+        if key is not None:
+            # An int key off the dimensions: one level too many, and the
+            # constructor's reason words the int.
+            want = (f"dimension {key} is outside 0..{bound}", ("coh", int(key)))
+            levels.append([0])
         builds = [
             lambda: RupturedComplex.create(r.underlying, coh, r.gap),
             lambda: r._replace(coh=levels),
@@ -295,13 +318,14 @@ def test_coherence_marks_are_refused_exactly_when_the_oracle_calls_them_malforme
             seen["built"] += 1
             continue
         assert None not in got, (fixture, space, op, got)
-        if not want[0].startswith("dimension"):
-            assert got[1] == got[2] == want, (fixture, space, op, got)
+        if key is not None:
+            continue
+        assert got[1] == got[2] == want, (fixture, space, op, got)
         with pytest.raises(DocumentError) as err:
             parse_document(json.dumps(doc))
         assert str(err.value) == f"{want[0]} (at {key_path(doc['kind'], space, want[1])})"
         seen["refused"] += 1
-    assert seen["refused"] >= 15 and seen["built"] >= 3, seen
+    assert seen["refused"] >= 15 and seen["built"] >= 3 and seen["respelled"] >= 1, seen
 
 
 # (dim_bound, counts, faces, labels) of complexes whose labels do not fit
@@ -382,9 +406,13 @@ PINNED = [
     ("bank.json", ("map", "0"), lambda r: r[:1],
      "map covers 1 of 2 simplices of the total space", "fibration.map.0"),
     ("crane.json", ("map", "1"), lambda r: [r[0], 7], "no simplex 1/7", "fibration.map.1[1]"),
-    ("triangle_kan.json", ("coh",), lambda c: {**c, "01": [7]}, "no simplex 1/7", "ruptured.coh.01"),
+    ("triangle_kan.json", ("coh",), lambda c: {**c, "01": [7]},
+     "dimension '01' is outside 0..2", "ruptured.coh.01"),
+    # "02" would otherwise empty "2" and leave the fixture's filled horn open.
+    ("triangle_kan.json", ("coh",), lambda c: {**c, "02": []},
+     "dimension '02' is outside 0..2", "ruptured.coh.02"),
     ("circle3_open.json", ("coh",), lambda c: {**c, "-1": [0]},
-     "dimension -1 is outside 0..2", "ruptured.coh.-1"),
+     "dimension '-1' is outside 0..2", "ruptured.coh.-1"),
     ("bank.json", ("total", "coh", "0"), lambda m: m + [False],
      "expected an integer", "fibration.total.coh.0"),
     ("triangle.json", ("simplices",), lambda s: {**s, "3": 1},
@@ -396,7 +424,7 @@ PINNED = [
     ("triangle_kan.json", ("faces",), lambda f: {**f, "3": [[0, 0, 0, 0]]},
      "dimension '3' is outside 1..2", "ruptured.faces.3"),
     ("triangle_kan.json", ("coh",), lambda c: {**c, "x": [0]},
-     "dimension 'x' is not an integer", "ruptured.coh.x"),
+     "dimension 'x' is outside 0..2", "ruptured.coh.x"),
     ("judgment_script.json", ("script", 0, "op"), lambda op: "drop",
      "unknown op 'drop'", "judgment-script.script[0]"),
     ("judgment_script.json", ("script", 1, "polarity"), lambda polarity: "neutral",
