@@ -317,8 +317,8 @@ def _checked_horn_fields(body: Mapping, where: str, within: TruncatedComplex
                          ) -> tuple[int, int, tuple[int, ...]]:
     """The (n, k, faces) of a horn body that :func:`_gap_horns` refuses to
     read in runs, or :class:`DocumentError` at its first fault. Its ``faces``
-    holds exactly its shape's keys, so a row read here reads in a run too;
-    they are built here, not cached by :func:`_face_keys`, as n may not fit."""
+    holds exactly its shape's keys, so a row read here reads in a run too.
+    n is checked against the bound first, so no work or message outgrows it."""
     n = _get(body, "n", where)
     if type(n) is not int:
         _int(n, f"{where}.n")
@@ -327,6 +327,8 @@ def _checked_horn_fields(body: Mapping, where: str, within: TruncatedComplex
         _int(k, f"{where}.k")
     if not (n >= 1 and 0 <= k <= n):
         raise DocumentError(f"bad horn shape (n={n}, k={k})", where)
+    if n > within.dim_bound:
+        raise DocumentError(f"horn dimension {n} exceeds bound {within.dim_bound}", f"{where}.n")
     faces_obj = _get(body, "faces", where, dict)
     present = [i for i in range(n + 1) if i != k]
     names = set(map(str, present))
@@ -338,9 +340,6 @@ def _checked_horn_fields(body: Mapping, where: str, within: TruncatedComplex
             _int(value, f"{where}.faces.{key}")
     if len(faces_obj) != n:
         raise DocumentError(f"horn faces must cover indices {present}", f"{where}.faces")
-    bound = within.dim_bound
-    if n > bound:
-        raise DocumentError(f"horn dimension {n} exceeds bound {bound}", f"{where}.n")
     count, values = within.count(n - 1), list(faces_obj.values())
     if not 0 <= min(values) <= max(values) < count:
         from .simplicial import bad_index

@@ -414,10 +414,10 @@ def fiber(
     # Coherence marks follow the simplices to their new indices; the gap
     # horns are the fiber's own horns whose image is gapped, so there are
     # none to look for when the total space has no gap horns.
-    coh = {
-        n: [new for new, old in enumerate(level) if old in f.total.coh[n]]
-        for n, level in enumerate(inclusion.levels)
-    }
+    coh = tuple(
+        frozenset([new for new, old in enumerate(level) if old in marks])
+        for level, marks in zip(inclusion.levels, f.total.coh)
+    )
     gap = {}
     if f.total.gap:
         for n in range(1, sub.dim_bound + 1):
@@ -426,7 +426,8 @@ def fiber(
                     image = inclusion.apply_horn(h)
                     if image in f.total.gap:
                         gap[h] = f.total.gap[image]
-    return RupturedComplex.create(sub, coh, gap), inclusion
+    # The marks name kept simplices, so the shape rule is skipped.
+    return tuple.__new__(RupturedComplex, (sub, coh, gap)), inclusion
 
 
 def enumerate_lifting_problems(f: RupturedFibrationData) -> list[LiftingProblemKey]:

@@ -236,10 +236,11 @@ def classify_horn(r: RupturedComplex, h: HornSpec) -> Trichotomy:
     bad = horn_violations(r.underlying, h)
     if bad:
         raise KernelError("; ".join(v.message for v in bad))
-    # The horn fits, so its coherent fillers are read without a second check.
+    # The horn fits, so its fillers are read without a second check; most
+    # horns have none, and then no list is built.
     n, k, faces = h
-    fillers = r.underlying.fillers[n - 1][k].get(faces, ())
-    return decide([SimplexId(n, s) for s in fillers if s in r.coh[n]], r.gap, h)
+    fillers = r.underlying.fillers[n - 1][k].get(faces)
+    return decide(fillers and [SimplexId(n, s) for s in fillers if s in r.coh[n]], r.gap, h)
 
 
 def from_kan(x: TruncatedComplex) -> RupturedComplex:

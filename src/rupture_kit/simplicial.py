@@ -372,21 +372,22 @@ def restrict(
     ascending order of their old index; the labels of a labelled dimension
     carry over where some of its simplices are kept.
     """
+    if len(keep) != x.dim_bound + 1:
+        raise KernelError(f"need {x.dim_bound + 1} kept levels, got {len(keep)}")
     ordered = [sorted(members) for members in keep]
     new_index = [{old: new for new, old in enumerate(level)} for level in ordered]
-    faces = {
-        n: [[new_index[n - 1][f] for f in x.face_row(n, old)] for old in ordered[n]]
-        for n in range(1, x.dim_bound + 1)
-    }
-    labels = {
-        n: [names[old] for old in level]
-        for n, (names, level) in enumerate(zip(x.labels, ordered))
-        if names is not None and level
-    }
-    sub = TruncatedComplex.create(
-        x.dim_bound, [len(level) for level in ordered], faces, labels
+    table = tuple(
+        tuple([tuple(map(renumber.__getitem__, rows[old])) for old in level])
+        for rows, level, renumber in zip(x.face_table, ordered[1:], new_index)
     )
-    return sub, SimplicialMap(tuple(tuple(level) for level in ordered))
+    labels = tuple(
+        tuple([names[old] for old in level]) if names is not None and level else None
+        for names, level in zip(x.labels, ordered)
+    )
+    # Kept rows fit the kept counts, so the shape rule is skipped.
+    fields = (x.dim_bound, tuple(map(len, ordered)), table, labels if any(labels) else ())
+    sub = tuple.__new__(TruncatedComplex, fields)
+    return sub, SimplicialMap(tuple(map(tuple, ordered)))
 
 
 # -- construction of standard shapes ---------------------------------------
@@ -450,24 +451,40 @@ def horn_complex(n: int, k: int) -> TruncatedComplex:
 # -- validation -------------------------------------------------------------
 
 
+class _IdentityTables(dict):
+    """The identities d_i d_j = d_{j-1} d_i among the present faces of an
+    (n, k)-horn, or of an n-simplex for k = n + 1, keyed by (n, k): (b, a,
+    i, j - 1) for present indices i < j at positions a < b, by b and then
+    a, so d_i(faces[j]) = d_{j-1}(faces[i]) is entry i of face b's row
+    against entry j - 1 of face a's. A table has n(n+1)/2 rows, so it is
+    kept only up to dimension 8: a higher one would outlive its input."""
+
+    def __missing__(self, shape: tuple[int, int]) -> tuple[tuple[int, int, int, int], ...]:
+        n, k = shape
+        present = (*range(k), *range(k + 1, n + 1))
+        table = tuple((b, a, i, j - 1)
+                      for b, j in enumerate(present) for a, i in enumerate(present[:b]))
+        return self.setdefault(shape, table) if n <= 8 else table
+
+
+_IDENTITIES = _IdentityTables()
+
+
 def validate_complex(x: TruncatedComplex) -> list[Violation]:
     """Check the simplicial identities: empty iff d_i d_j = d_{j-1} d_i
     holds for all i < j on every simplex of dimension >= 2. Face rows that
     do not fit their counts cannot be built, so they need no report."""
     report: list[Violation] = []
-    for n in range(2, x.dim_bound + 1):
-        rows = x.face_table[n - 2]
-        for idx in range(x.count(n)):
-            row = x.face_row(n, idx)
-            for j in range(n + 1):
-                for i in range(j):
-                    if rows[row[j]][i] != rows[row[i]][j - 1]:
-                        report.append(
-                            Violation(
-                                "simplicial-identity",
-                                f"d_{i} d_{j} != d_{j - 1} d_{i} on simplex {n}/{idx}",
-                            )
-                        )
+    for n, simplices in enumerate(x.face_table[1:], 2):
+        if not simplices:
+            continue  # no table for an empty dimension: dim_bound may far exceed the input
+        rows, identities = x.face_table[n - 2], _IDENTITIES[n, n + 1]
+        for idx, row in enumerate(simplices):
+            for b, a, i, m in identities:
+                if rows[row[b]][i] != rows[row[a]][m]:
+                    report.append(Violation(
+                        "simplicial-identity", f"d_{i} d_{m + 1} != d_{m} d_{i} on simplex {n}/{idx}"
+                    ))
     return report
 
 
@@ -489,20 +506,12 @@ def horn_violations(x: TruncatedComplex, h: HornSpec) -> list[Violation]:
             if not 0 <= f < count
         ]
     report: list[Violation] = []
-    if n >= 2:
-        rows = x.face_table[n - 2]
-        for b in range(1, n):
-            j = b if b < k else b + 1
-            row_j = rows[faces[b]]
-            for a in range(b):
-                i = a if a < k else a + 1
-                if row_j[i] != rows[faces[a]][j - 1]:
-                    report.append(
-                        Violation(
-                            "horn-compatibility",
-                            f"{h}: d_{i}(faces[{j}]) != d_{j - 1}(faces[{i}])",
-                        )
-                    )
+    rows = x.face_table[n - 2]  # unread for n = 1, which has no identity
+    for b, a, i, m in _IDENTITIES[n, k]:
+        if rows[faces[b]][i] != rows[faces[a]][m]:
+            report.append(Violation(
+                "horn-compatibility", f"{h}: d_{i}(faces[{m + 1}]) != d_{m}(faces[{i}])"
+            ))
     return report
 
 
@@ -518,12 +527,11 @@ def shape_runs(horns: Sequence[HornSpec]) -> Iterator[tuple[int, int, Sequence[H
 
 @cache
 def _identity_getters(n: int, k: int) -> tuple[itemgetter, itemgetter]:
-    """Getters of the sides d_i(faces[j]) and d_{j-1}(faces[i]) of an (n, k)-horn's
-    identities over the entries ``a * n + m``, entry m of the row of face a."""
-    present = (*range(k), *range(k + 1, n + 1))
-    left, right = zip(*[(b * n + i, a * n + j - 1)
-                        for b, j in enumerate(present) for a, i in enumerate(present[:b])])
-    return itemgetter(*left), itemgetter(*right)
+    """Getters of the two sides of each of the ``_IDENTITIES`` of the shape
+    over the entries ``a * n + m``, entry m of the row of face a."""
+    identities = _IDENTITIES[n, k]
+    return (itemgetter(*[b * n + i for b, _, i, _ in identities]),
+            itemgetter(*[a * n + m for _, a, _, m in identities]))
 
 
 def misfit_runs(x: TruncatedComplex, horns: Sequence[HornSpec]) -> Iterator[Sequence[HornSpec]]:

@@ -3,7 +3,8 @@ builds its filler table and its coface table once each and only when a call
 reads it, each fibration its lift table once, and a fiber reads the face
 rows around it only. A gap table is read and checked one shape at a time: no
 checked row read, a mode read per mode row only, no per-horn check, and no
-filler table where nothing is coherent.
+filler table where nothing is coherent. Fibers and coherent cores are built
+without a checked constructor.
 
 The checks (``horn_violations``, ``key_violations``), the path lift
 (``lift_edge_path``), the derivability decision (``check_derivable``), the
@@ -23,7 +24,9 @@ from functools import cached_property
 
 import pytest
 
-from rupture_kit import cli, covering, derivability, documents, fibration, judgments, simplicial
+from rupture_kit import (
+    cli, covering, derivability, documents, fibration, judgments, ruptured, simplicial,
+)
 from rupture_kit.errors import ExclusionError
 from rupture_kit.covering import EdgePath, build_double_cover, trivial_double_cover
 from rupture_kit.errors import KernelError
@@ -40,6 +43,7 @@ from rupture_kit.ruptured import (
     PLAIN,
     CoherentlyFilled,
     classify_horn,
+    coherent_core,
     from_kan,
     fully_gapped,
     product,
@@ -296,6 +300,40 @@ def test_fiber_builds_only_the_coface_table(monkeypatch):
         assert [(y is cover.total.underlying, part) for y, part in builds] == [
             (True, "cofaces")
         ]
+
+
+def constructions(monkeypatch) -> list:
+    """The class of each complex or ruptured complex built through its
+    checked constructor, in order."""
+    log = []
+    for cls in (simplicial.TruncatedComplex, ruptured.RupturedComplex):
+
+        def counted(kind, *args, new=cls.__new__, **kwargs):
+            log.append(kind)
+            return new(kind, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted))
+    return log
+
+
+def test_fiber_and_coherent_core_skip_the_shape_rule(monkeypatch):
+    """Their rows and marks fit by construction, so neither builds through
+    a checked constructor."""
+    rng = random.Random(15)
+    structures = [random_ruptured(rng) for _ in range(30)]
+    x = standard_simplex(3, 3)
+    fibrations = covers() + [
+        RupturedFibrationData(fully_gapped(x), from_kan(x), SimplicialMap.identity(x))]
+    built = constructions(monkeypatch)
+    for r in structures:
+        coherent_core(r)
+    for f in fibrations:
+        coherent_core(f.total)
+        for v in range(f.base.underlying.count(0)):
+            fibration.fiber(f, SimplexId(0, v))
+    assert built == []
+    from_kan(x)  # the log sees a checked construction
+    assert built == [ruptured.RupturedComplex]
 
 
 def test_fiber_enumerates_no_horn_without_total_gap_horns(monkeypatch):

@@ -109,6 +109,20 @@ class TestParseErrors:
             parse_document(text % "{}")
         assert str(err.value) == "horn faces must cover indices [1] (at ruptured.gap[0].faces)"
 
+    def test_a_horn_above_the_bound_fails_at_its_dimension(self):
+        """A huge n is refused at ``.n`` before its faces are read, so the
+        message does not grow with n."""
+        text = (
+            '{"format": "rupture-kit/1", "kind": "ruptured", "dim_bound": 1,'
+            ' "simplices": {"0": 2, "1": 1}, "faces": {"1": [[1, 0]]},'
+            ' "coh": {}, "gap": [{"n": 1000000, "k": 0, "faces": {}}]}'
+        )
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        message = str(err.value)
+        assert message == "horn dimension 1000000 exceeds bound 1 (at ruptured.gap[0].n)"
+        assert len(message) < 200
+
     def test_semantic_mode_payload_schema(self):
         text = (
             '{"format": "rupture-kit/1", "kind": "ruptured", "dim_bound": 1,'

@@ -69,6 +69,8 @@ def oracle_horn_fields(body, where: str, within):
         integer(k, f"{where}.k")
     if not (n >= 1 and 0 <= k <= n):
         raise DocumentError(f"bad horn shape (n={n}, k={k})", where)
+    if n > within.dim_bound:
+        raise DocumentError(f"horn dimension {n} exceeds bound {within.dim_bound}", f"{where}.n")
     faces_obj = get(body, "faces", where, dict)
     present = [i for i in range(n + 1) if i != k]
     mapping = {}
@@ -82,9 +84,6 @@ def oracle_horn_fields(body, where: str, within):
         mapping[int(key)] = value
     if len(mapping) != n:
         raise DocumentError(f"horn faces must cover indices {present}", f"{where}.faces")
-    bound = within.dim_bound
-    if n > bound:
-        raise DocumentError(f"horn dimension {n} exceeds bound {bound}", f"{where}.n")
     count, values = within.count(n - 1), list(mapping.values())
     if not 0 <= min(values) <= max(values) < count:
         j, reason = bad_index(values, n - 1, count)

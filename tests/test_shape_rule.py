@@ -13,7 +13,9 @@ Coherence marks get the same treatment through ``RupturedComplex.create``,
 ``_replace`` and ``_make``, and label lists through the four ways a
 complex is built. A ``coh`` key must be one the writer writes: a second
 spelling of a dimension ("01", "+1") is refused by the document reader,
-which alone sees it. A few parse errors are also pinned verbatim.
+which alone sees it. A few parse errors are also pinned verbatim. The
+builders that skip the rule (restrictions, coherent cores, fibers, horn
+complexes) must build only what it accepts, in the form it stores.
 """
 
 import copy
@@ -26,14 +28,16 @@ import pytest
 from rupture_kit.covering import build_cycle, build_double_cover, trivial_double_cover
 from rupture_kit.documents import Document, parse_document, serialize_document
 from rupture_kit.errors import DocumentError, ShapeError
-from rupture_kit.fibration import RupturedFibrationData
+from rupture_kit.fibration import RupturedFibrationData, fiber
 from rupture_kit.ruptured import (
     RupturedComplex, check_morphism, coherent_core, from_kan, fully_gapped, product,
 )
 from rupture_kit.simplicial import (
-    SimplicialMap, TruncatedComplex, check_simplicial_map, horn_complex, restrict,
+    SimplexId, SimplicialMap, TruncatedComplex, check_simplicial_map, horn_complex, restrict,
     standard_simplex,
 )
+
+from support import random_ruptured
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 SHAPED = ["bank.json", "bottle.json", "circle3_gapped.json", "circle3_open.json", "crane.json",
@@ -384,6 +388,68 @@ def test_every_builder_labels_each_simplex_once():
         assert x.labels and all(
             names is None or len(names) == count for names, count in zip(x.labels, x.counts))
         assert parse_document(serialize_document(Document("complex", x))).body == x
+
+
+def assert_fits(value) -> None:
+    """``value``, built without the shape rule, equals itself built again
+    through it: the same rows, marks and labels, in the same form."""
+    if isinstance(value, RupturedComplex):
+        assert_fits(value.underlying)
+        assert RupturedComplex(*value) == value
+        assert type(value.coh) is tuple and {type(marks) for marks in value.coh} == {frozenset}
+    else:
+        assert TruncatedComplex(*value) == value
+
+
+def face_closed(rng: random.Random, x: TruncatedComplex) -> list[set[int]]:
+    """A random set of simplices of ``x`` per dimension, closed under faces."""
+    keep = [set(rng.sample(range(count), rng.randrange(count + 1))) for count in x.counts]
+    for n in range(x.dim_bound, 0, -1):
+        for idx in keep[n]:
+            keep[n - 1].update(x.face_row(n, idx))
+    return keep
+
+
+def labelled(rng: random.Random, r: RupturedComplex) -> RupturedComplex:
+    """``r`` with a random choice of its dimensions labelled."""
+    x = r.underlying
+    labels = [rng.choice([None, tuple(f"s{n}.{i}" for i in range(count))])
+              for n, count in enumerate(x.counts)]
+    return RupturedComplex(TruncatedComplex(*x[:3], labels), r.coh, r.gap)
+
+
+def derived(rng: random.Random, value) -> list:
+    """What the builders that skip the shape rule return on a fixture body or
+    a seeded structure: its restrictions, coherent cores and fibers."""
+    if isinstance(value, TruncatedComplex):
+        return [restrict(value, face_closed(rng, value))[0],
+                restrict(value, [range(count) for count in value.counts])[0]]
+    if isinstance(value, RupturedComplex):
+        return [coherent_core(value)[0], *derived(rng, value.underlying)]
+    if isinstance(value, RupturedFibrationData):
+        fibers = [fiber(value, SimplexId(0, b))[0] for b in sorted(value.base.coh[0])]
+        return fibers + derived(rng, value.total) + derived(rng, value.base)
+    return []
+
+
+def test_builders_that_skip_the_shape_rule_build_what_it_accepts():
+    rng = random.Random(23)
+    bodies = [parse_document(path.read_text()).body for path in sorted(FIXTURES.glob("*.json"))]
+    for _ in range(200):
+        r = random_ruptured(rng)
+        bodies.append(labelled(rng, r) if rng.random() < 0.5 else r)
+    bodies += [cover(m) for m in range(3, 9) for cover in (build_double_cover, trivial_double_cover)]
+    for x in (standard_simplex(2, 2), standard_simplex(3, 3)):
+        bodies.append(RupturedFibrationData(fully_gapped(x), from_kan(x), SimplicialMap.identity(x)))
+    built = [horn_complex(n, k) for n in range(1, 6) for k in range(n + 1)]
+    for body in bodies:
+        built += derived(rng, body)
+    for value in built:
+        assert_fits(value)
+    # Both label forms, and fibers with gap horns, are among them.
+    assert {bool(x.labels) for x in built if isinstance(x, TruncatedComplex)} == {False, True}
+    assert sum(bool(r.gap) for r in built if isinstance(r, RupturedComplex)) >= 4
+    assert len(built) >= 600
 
 
 # Parse errors of single edits, verbatim: the reason and key path are part

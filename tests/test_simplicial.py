@@ -26,7 +26,7 @@ from rupture_kit.derivability import (
     UsageCertificate,
     Var,
 )
-from rupture_kit.documents import Document, body_to_complex, complex_to_body
+from rupture_kit.documents import Document, body_to_complex, complex_to_body, parse_document
 from rupture_kit.errors import ExclusionError, KernelError, ShapeError, Violation, record
 from rupture_kit.fibration import (
     Coherent,
@@ -73,6 +73,7 @@ from rupture_kit.simplicial import (
     standard_simplex,
     validate_complex,
 )
+from rupture_kit import simplicial
 from rupture_kit.covering import build_cycle, build_double_cover
 
 from support import random_complex, random_ruptured
@@ -568,6 +569,86 @@ class TestHornViolationsOracle:
         assert min(seen.values()) >= 10, seen
 
 
+class TestValidateComplexOracle:
+    def test_matches_the_reference_check(self):
+        """Seeded complexes of dimension 2 and 3 with some face rows redrawn,
+        against the identities checked pair by pair through ``face``: the
+        same report in the same order."""
+        rng = random.Random(73)
+        seen = {"clean": 0, "several": 0, 2: 0, 3: 0}
+        for trial in range(300):
+            x = random_complex(rng) if trial % 2 else standard_simplex(rng.choice((3, 4)), 3)
+            x = redrawn_rows(rng, x)
+            want = [(v.kind, v.message) for v in validate_complex_reference(x)]
+            assert [(v.kind, v.message) for v in validate_complex(x)] == want
+            seen["clean"] += not want
+            seen["several"] += len(want) > 1
+            for n in {int(message.split()[-1].split("/")[0]) for _, message in want}:
+                seen[n] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_an_empty_dimension_builds_no_table(self, monkeypatch):
+        # A 77-byte document may name any bound; only a dimension that
+        # holds simplices may cost an identity table.
+        text = '{"format": "rupture-kit/1", "kind": "complex", "dim_bound": 2000, "simplices": {}}'
+        d2 = standard_simplex(2, 2)
+        tri = TruncatedComplex(40, d2.counts + (0,) * 38, d2.face_table + ((),) * 38)
+        shapes, tables = [], simplicial._IDENTITIES
+
+        class Spy:
+            def __getitem__(self, shape):
+                assert shape[0] == 2, f"a table for the empty dimension {shape[0]}"
+                shapes.append(shape)
+                return tables[shape]
+
+        monkeypatch.setattr(simplicial, "_IDENTITIES", Spy())
+        assert validate_complex(parse_document(text).body) == []
+        assert validate_complex(tri) == []
+        assert shapes == [(2, 3)]
+
+    def test_no_table_above_dimension_eight_is_kept(self):
+        # One simplex per dimension up to 12, every face the one below, and
+        # its horns.
+        x = TruncatedComplex(12, [1] * 13, [[[0] * (n + 1)] for n in range(1, 13)])
+        simplicial._IDENTITIES.clear()
+        assert validate_complex(x) == []
+        assert all(horn_violations(x, HornSpec(n, k, (0,) * n)) == []
+                   for n in range(1, 13) for k in range(n + 1))
+        assert max(n for n, _ in simplicial._IDENTITIES) == 8
+        # A table built and not kept is still the whole rule.
+        pairs = [(i, m + 1) for _, _, i, m in simplicial._IDENTITIES[12, 5]]
+        assert sorted(pairs) == [(i, j) for i in range(13) for j in range(i + 1, 13) if 5 not in (i, j)]
+        assert (12, 5) not in simplicial._IDENTITIES
+
+
+def redrawn_rows(rng: random.Random, x: TruncatedComplex) -> TruncatedComplex:
+    """``x`` with up to two face rows per dimension >= 2 given one entry
+    drawn at random from the dimension below; each row still fits."""
+    table = [list(rows) for rows in x.face_table]
+    for n in range(2, x.dim_bound + 1):
+        rows = table[n - 1]
+        for idx in rng.sample(range(len(rows)), min(len(rows), rng.randrange(3))):
+            row = list(rows[idx])
+            row[rng.randrange(n + 1)] = rng.randrange(x.count(n - 1))
+            rows[idx] = row
+    return TruncatedComplex(x.dim_bound, x.counts, table, x.labels)
+
+
+def validate_complex_reference(x):
+    """d_i d_j = d_{j-1} d_i for each i < j on each simplex of dimension
+    >= 2, read through ``face``."""
+    report = []
+    for n in range(2, x.dim_bound + 1):
+        for idx in range(x.count(n)):
+            s = SimplexId(n, idx)
+            for j in range(n + 1):
+                for i in range(j):
+                    if x.face(x.face(s, j), i) != x.face(x.face(s, i), j - 1):
+                        report.append(Violation(
+                            "simplicial-identity", f"d_{i} d_{j} != d_{j - 1} d_{i} on simplex {s}"))
+    return report
+
+
 def seeded_tetrahedra(rng: random.Random) -> TruncatedComplex:
     """The 3-skeleton of the 4-simplex with a few 3-simplices whose
     faces are redrawn at random, so their horns fail in several places."""
@@ -728,6 +809,14 @@ class TestRestrict:
         assert inclusion.levels == ((1, 2), (2,), ())
         assert validate_complex(sub) == []
         assert check_simplicial_map(inclusion, sub, d2) == []
+
+    def test_a_level_per_dimension_is_required(self):
+        # The kept rows are trusted, so a level too few or too many is refused
+        # before any is read.
+        d2 = standard_simplex(2, 2)
+        for keep in ([[0, 1, 2], [0]], [[0, 1, 2], [0], [], []]):
+            with pytest.raises(KernelError, match=f"need 3 kept levels, got {len(keep)}"):
+                restrict(d2, keep)
 
     def test_missing_labels_become_empty(self):
         x = TruncatedComplex.create(1, [3, 2], {1: [[1, 0], [2, 1]]}, {1: ["a", "b"]})
