@@ -179,6 +179,7 @@ class OpenTransport(NamedTuple):
 
 
 TransportOutcome = Coherent | Gapped | OpenTransport
+OPEN_TRANSPORT = OpenTransport()
 
 
 @record
@@ -320,8 +321,8 @@ def classify_lift(f: RupturedFibrationData, key: LiftingProblemKey) -> Trichotom
 def transport_key(e: SimplexId, path: SimplexId) -> LiftingProblemKey:
     """The lifting problem of transporting fiber point ``e`` along base
     edge ``path``: the source-anchored 1-horn (present face index 1, the
-    target face missing) over the edge."""
-    return LiftingProblemKey(HornSpec(1, 0, (e.index,)), path)
+    target face missing) over the edge, built unchecked: its shape holds."""
+    return tuple.__new__(LiftingProblemKey, (fitted_horn(1, 0, (e.index,)), path))
 
 
 def transport(
@@ -353,12 +354,12 @@ def transport(
         raise KernelError("; ".join(v.message for v in bad))
     x, coh = f.total.underlying, f.total.coh[1]
     lifts = [s for s in x.fillers[0][0].get((w,), ()) if s in coh and levels[1][s] == b]
-    if lifts:
-        return Coherent(SimplexId(0, x.face_table[0][lifts[0]][0]), len(lifts))
+    if lifts:  # the outcome records check nothing, so no constructor is called
+        return tuple.__new__(Coherent, (SimplexId(0, x.face_table[0][lifts[0]][0]), len(lifts)))
     key = transport_key(e, path)
     if key in f.gap_lifts:
-        return Gapped(f.gap_lifts[key])
-    return OpenTransport()
+        return tuple.__new__(Gapped, (f.gap_lifts[key],))
+    return OPEN_TRANSPORT
 
 
 def detect_transport_horn(

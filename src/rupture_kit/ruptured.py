@@ -27,6 +27,7 @@ from .simplicial import (
     check_simplicial_map,
     enumerate_horns,
     fitted_horn,
+    horn_fits,
     horn_of,
     horn_rows,
     horn_violations,
@@ -172,16 +173,17 @@ class Open(NamedTuple):
 
 
 Trichotomy = CoherentlyFilled | GapWitnessed | Open
+OPEN = Open()
 
 
 def decide(solutions, gap: Mapping, key) -> Trichotomy:
     """The one rule behind every trichotomy: coherent solutions first, else
-    the gap entry of ``key`` with its mode, else open."""
-    if solutions:
-        return CoherentlyFilled(tuple(solutions))
+    the gap entry of ``key`` with its mode, else the shared :data:`OPEN`."""
+    if solutions:  # CoherentlyFilled's one check; no answer calls a record's __new__
+        return tuple.__new__(CoherentlyFilled, (tuple(solutions),))
     if key in gap:
-        return GapWitnessed(gap[key])
-    return Open()
+        return tuple.__new__(GapWitnessed, (gap[key],))
+    return OPEN
 
 
 # -- operations --------------------------------------------------------------
@@ -233,9 +235,8 @@ def classify_horn(r: RupturedComplex, h: HornSpec) -> Trichotomy:
     Coh; else gap-witnessed when the horn is in Gap; else open. Fillers
     outside Coh never count as coherent filling.
     """
-    bad = horn_violations(r.underlying, h)
-    if bad:
-        raise KernelError("; ".join(v.message for v in bad))
+    if not horn_fits(r.underlying, h):
+        raise KernelError("; ".join(v.message for v in horn_violations(r.underlying, h)))
     # The horn fits, so its fillers are read without a second check; most
     # horns have none, and then no list is built.
     n, k, faces = h

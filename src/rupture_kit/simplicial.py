@@ -19,7 +19,7 @@ vertex {1}, matching the anchoring used by transport problems.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain, combinations, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -376,16 +376,19 @@ def restrict(
         raise KernelError(f"need {x.dim_bound + 1} kept levels, got {len(keep)}")
     ordered = [sorted(members) for members in keep]
     new_index = [{old: new for new, old in enumerate(level)} for level in ordered]
-    table = tuple(
-        tuple([tuple(map(renumber.__getitem__, rows[old])) for old in level])
-        for rows, level, renumber in zip(x.face_table, ordered[1:], new_index)
-    )
+    table = []
+    for n, (rows, level, renumber) in enumerate(zip(x.face_table, ordered[1:], new_index), 1):
+        try:
+            table.append(tuple([tuple(map(renumber.__getitem__, rows[old])) for old in level]))
+        except KeyError as exc:
+            raise KernelError(f"keep is not closed under faces: a kept {n}-simplex has "
+                              f"the face {n - 1}/{exc.args[0]}, which is not kept") from None
     labels = tuple(
         tuple([names[old] for old in level]) if names is not None and level else None
         for names, level in zip(x.labels, ordered)
     )
     # Kept rows fit the kept counts, so the shape rule is skipped.
-    fields = (x.dim_bound, tuple(map(len, ordered)), table, labels if any(labels) else ())
+    fields = (x.dim_bound, tuple(map(len, ordered)), tuple(table), labels if any(labels) else ())
     sub = tuple.__new__(TruncatedComplex, fields)
     return sub, SimplicialMap(tuple(map(tuple, ordered)))
 
@@ -451,23 +454,33 @@ def horn_complex(n: int, k: int) -> TruncatedComplex:
 # -- validation -------------------------------------------------------------
 
 
-class _IdentityTables(dict):
+class _ShapeTables(dict):
+    """Data of a horn shape by (n, k), built by ``build(n, k)`` on first use.
+    An n-shape's has O(n^2) entries, so it is kept only up to dimension 8."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, shape: tuple[int, int]):
+        data = self.build(*shape)
+        return self.setdefault(shape, data) if shape[0] <= 8 else data
+
+
+def _identity_table(n: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
     """The identities d_i d_j = d_{j-1} d_i among the present faces of an
-    (n, k)-horn, or of an n-simplex for k = n + 1, keyed by (n, k): (b, a,
-    i, j - 1) for present indices i < j at positions a < b, by b and then
-    a, so d_i(faces[j]) = d_{j-1}(faces[i]) is entry i of face b's row
-    against entry j - 1 of face a's. A table has n(n+1)/2 rows, so it is
-    kept only up to dimension 8: a higher one would outlive its input."""
-
-    def __missing__(self, shape: tuple[int, int]) -> tuple[tuple[int, int, int, int], ...]:
-        n, k = shape
-        present = (*range(k), *range(k + 1, n + 1))
-        table = tuple((b, a, i, j - 1)
-                      for b, j in enumerate(present) for a, i in enumerate(present[:b]))
-        return self.setdefault(shape, table) if n <= 8 else table
+    (n, k)-horn, or of an n-simplex for k = n + 1: (b, a, i, j - 1) for
+    present indices i < j at positions a < b, by b and then a, so
+    d_i(faces[j]) = d_{j-1}(faces[i]) is entry i of face b's row against
+    entry j - 1 of face a's."""
+    present = (*range(k), *range(k + 1, n + 1))
+    return tuple((b, a, i, j - 1) for b, j in enumerate(present) for a, i in enumerate(present[:b]))
 
 
-_IDENTITIES = _IdentityTables()
+_IDENTITIES = _ShapeTables(_identity_table)
+# The two sides of each identity of a shape, as getters over the entries
+# a * n + m, entry m of the row of face a.
+_GETTERS = _ShapeTables(lambda n, k: tuple(itemgetter(*side) for side in zip(*[
+    (b * n + i, a * n + m) for b, a, i, m in _IDENTITIES[n, k]])))
 
 
 def validate_complex(x: TruncatedComplex) -> list[Violation]:
@@ -486,6 +499,18 @@ def validate_complex(x: TruncatedComplex) -> list[Violation]:
                         "simplicial-identity", f"d_{i} d_{m + 1} != d_{m} d_{i} on simplex {n}/{idx}"
                     ))
     return report
+
+
+def horn_fits(x: TruncatedComplex, h: HornSpec) -> bool:
+    """True iff :func:`horn_violations` reports nothing: its rule, without a report."""
+    n, k, faces = h
+    if not 1 <= n <= x.dim_bound or min(faces) < 0 or max(faces) >= x.counts[n - 1]:
+        return False
+    rows = x.face_table[n - 2]  # unread for n = 1, which has no identity
+    for b, a, i, m in _IDENTITIES[n, k]:
+        if rows[faces[b]][i] != rows[faces[a]][m]:
+            return False
+    return True
 
 
 def horn_violations(x: TruncatedComplex, h: HornSpec) -> list[Violation]:
@@ -525,15 +550,6 @@ def shape_runs(horns: Sequence[HornSpec]) -> Iterator[tuple[int, int, Sequence[H
         start = stop
 
 
-@cache
-def _identity_getters(n: int, k: int) -> tuple[itemgetter, itemgetter]:
-    """Getters of the two sides of each of the ``_IDENTITIES`` of the shape
-    over the entries ``a * n + m``, entry m of the row of face a."""
-    identities = _IDENTITIES[n, k]
-    return (itemgetter(*[b * n + i for b, _, i, _ in identities]),
-            itemgetter(*[a * n + m for _, a, _, m in identities]))
-
-
 def misfit_runs(x: TruncatedComplex, horns: Sequence[HornSpec]) -> Iterator[Sequence[HornSpec]]:
     """The runs of :func:`shape_runs` holding a horn that :func:`horn_violations`
     reports, each tested in C-level passes over its face columns."""
@@ -543,7 +559,7 @@ def misfit_runs(x: TruncatedComplex, horns: Sequence[HornSpec]) -> Iterator[Sequ
                 or max(map(max, columns)) >= x.counts[n - 1]):
             yield run
         elif n >= 2:
-            rows, (left, right) = x.face_table[n - 2], _identity_getters(n, k)
+            rows, (left, right) = x.face_table[n - 2], _GETTERS[n, k]
             entries = [m for column in columns for m in zip(*map(rows.__getitem__, column))]
             if left(entries) != right(entries):
                 yield run

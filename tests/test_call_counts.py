@@ -55,6 +55,7 @@ from rupture_kit.simplicial import (
     SimplicialMap,
     enumerate_horns,
     find_fillers,
+    horn_fits,
     is_kan_up_to,
     standard_simplex,
 )
@@ -137,16 +138,30 @@ def every_horn(x):
 
 
 def test_classify_horn_checks_its_horn_once(calls):
+    """A fitting horn is accepted without a report; one that does not fit
+    gets exactly one, which words the error."""
     rng = random.Random(5)
-    checked = 0
+    checked = rejected = 0
     for _ in range(60):
         r = random_ruptured(rng)
-        for h in every_horn(r.underlying):
+        x = r.underlying
+        for h in every_horn(x):
             calls.clear()
             classify_horn(r, h)
-            assert calls == ["horn_violations"], h
+            assert calls == [], h
             checked += 1
-    assert checked >= 200
+            for f in range(x.count(h.n - 1)):  # every face in the first position
+                bent = HornSpec(h.n, h.k, (f, *h.faces[1:]))
+                calls.clear()
+                if horn_fits(x, bent):
+                    classify_horn(r, bent)
+                    assert calls == [], bent
+                else:
+                    with pytest.raises(KernelError, match="!="):
+                        classify_horn(r, bent)
+                    assert calls == ["horn_violations"], bent
+                    rejected += 1
+    assert checked >= 200 and rejected >= 200
 
 
 def test_classify_horn_rejects_a_dangling_horn_after_one_check(calls):

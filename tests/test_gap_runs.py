@@ -16,6 +16,7 @@ brute-force pairs of the product.
 """
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -25,7 +26,8 @@ from rupture_kit.ruptured import (
     RupturedComplex, product, validate_exclusion, validate_ruptured,
 )
 from rupture_kit.simplicial import (
-    HornSpec, SimplexId, horn_of, horn_violations, misfit_runs, shape_runs, validate_complex,
+    HornSpec, SimplexId, TruncatedComplex, horn_of, horn_violations, misfit_runs, shape_runs,
+    validate_complex,
 )
 
 from support import oracle_exclusion_conflicts, random_ruptured
@@ -130,6 +132,22 @@ def test_a_run_is_refused_iff_one_of_its_horns_is_reported(name, r):
         for horns in [run] + [[h] for h in run]:
             refused = list(misfit_runs(x, horns))
             assert refused == ([horns] if reported(horns) else []), horns
+
+
+def test_high_shapes_keep_no_tables():
+    """A shape's identity getters have O(n^2) entries, so none above
+    dimension 8 outlives its call: over the 101 shapes of 100-dimensional
+    horns on a chain of one simplex per dimension, under 1 MB stays held."""
+    x = TruncatedComplex(100, [1] * 101, [[[0] * (n + 1)] for n in range(1, 101)])
+    horns = [HornSpec(100, k, (0,) * 100) for k in range(101)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert list(misfit_runs(x, horns)) == []
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000, held
 
 
 @pytest.mark.parametrize("name,r", structures(), ids=[name for name, _ in structures()])

@@ -818,6 +818,13 @@ class TestRestrict:
             with pytest.raises(KernelError, match=f"need 3 kept levels, got {len(keep)}"):
                 restrict(d2, keep)
 
+    def test_a_keep_not_closed_under_faces_is_refused(self):
+        d2 = standard_simplex(2, 2)
+        with pytest.raises(KernelError, match="closed under faces: a kept 1-simplex has the face 0/1,"):
+            restrict(d2, [[0], [0], []])
+        with pytest.raises(KernelError, match="closed under faces: a kept 2-simplex has the face 1/0,"):
+            restrict(d2, [[0, 1, 2], [1, 2], [0]])
+
     def test_missing_labels_become_empty(self):
         x = TruncatedComplex.create(1, [3, 2], {1: [[1, 0], [2, 1]]}, {1: ["a", "b"]})
         sub, _ = restrict(x, [[1, 2], [1]])
