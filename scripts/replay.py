@@ -8,12 +8,13 @@ The corpus is every bundled fixture and N seeded mutations of it
 (``tests/test_cli_fuzz.mutate``), and every document of the gap-list corpus
 of ``tests/test_horn_rows.py`` with the gap-list edits that its test makes
 (``edited_list`` over ``LIST_EDITS``, from one seeded rng per document),
-each handed to every command of its kind in ``tests/support.COMMANDS``, in
-text and with ``--json``. The documents are
-written once, so both sides read the same files. The parent's ``src`` is
-extracted with ``git archive`` into a temporary directory, which leaves no
-worktree record behind, and each side replays the whole corpus in one
-subprocess, through ``cli.main`` in process.
+and the documents that the JSON reader itself refuses
+(``tests/support.hostile_documents``), each handed to every command of its
+kind in ``tests/support.COMMANDS``, in text and with ``--json``. The
+documents are written once, so both sides read the same files. The
+parent's ``src`` is extracted with ``git archive`` into a temporary
+directory, which leaves no worktree record behind, and each side replays
+the whole corpus in one subprocess, through ``cli.main`` in process.
 
 The report counts the runs per (parent exit, change exit) pair and lists
 every run whose results differ, in one of four classes. Each run also
@@ -51,10 +52,10 @@ def build_corpus(seeds: int, into: Path) -> list[tuple[str, list[str]]]:
     gap-list edits written to ``into``; the label names the document the
     command reads."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from support import COMMANDS, FIXTURES
+    from support import COMMANDS, FIXTURES, hostile_documents
     from test_cli_fuzz import mutate
 
-    docs = []  # (path, text, kind): a mutation's text may not parse
+    docs = []  # (path, text or bytes, kind): a mutation's text may not parse
     for fixture in sorted(FIXTURES.glob("*.json")):
         text = fixture.read_text(encoding="utf-8")
         rng, kind = random.Random(fixture.name), json.loads(text)["kind"]
@@ -63,9 +64,10 @@ def build_corpus(seeds: int, into: Path) -> list[tuple[str, list[str]]]:
                  for i in range(1, seeds + 1)]
     docs += [(into / f"{name}.json", text, json.loads(text)["kind"])
              for name, text in list_edits()]
+    docs += [(into / f"{name}.json", data, kind) for name, data, kind in hostile_documents()]
     runs = []
     for path, text, kind in docs:
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
         for command in COMMANDS[kind]:
             argv = [str(path) if a == "@" else str(into / a) if a.endswith(".json") else a
                     for a in command]

@@ -8,6 +8,13 @@ on each document it reads, and exits 1 on the first violation instead of
 answering. Human-readable output is the default; ``--json`` switches every
 command to a machine-readable report with sorted keys.
 
+Each command is a compute step and a text renderer. ``cmd_<name>`` loads
+the documents, runs the kernel and returns ``(exit code, payload, loaded)``:
+the payload is the whole ``--json`` report, and ``loaded`` is the document
+body whose names or counts the text needs, or None. ``text_<name>`` yields
+the text lines from those two alone and calls no kernel function. ``main``
+prints one of the two renderings, once.
+
 Each command imports the kernel modules it calls when it runs, and the
 document layer imports those of the documents it reads, so a command loads
 only what it uses. The names are imported in the function body on each
@@ -21,20 +28,22 @@ import argparse
 import sys
 
 from . import documents as docs
-from .errors import DocumentError, KernelError
-
-
-def _emit_json(payload) -> None:
-    print(docs.dump_json(payload))
+from .errors import DocumentError, KernelError, Violation
 
 
 def _mode_text(mode) -> str:
-    return f"gapped ({mode.kind})" if mode is not None else "gapped"
+    """The text of a gap mode body, or of None for a plain mark."""
+    return f"gapped ({mode['kind']})" if mode is not None else "gapped"
 
 
 def _gapped(mode) -> dict:
     """The JSON state of a gap-witnessed horn or a gapped transport."""
     return {"state": "gapped", "mode": docs.mode_to_body(mode)}
+
+
+def _not_coherent_text(state: dict) -> str:
+    """The text of a gapped or an open state."""
+    return _mode_text(state["mode"]) if state["state"] == "gapped" else "open"
 
 
 def _violations(doc: docs.Document) -> list:
@@ -64,106 +73,105 @@ def _load(path, *kinds) -> docs.Document:
     return doc
 
 
-# -- commands -------------------------------------------------------------------
+# -- commands: compute, then text ---------------------------------------------------
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     doc = docs.load_document(args.path)
     if args.max_dim is not None and doc.kind not in ("complex", "ruptured"):
         reason = f"--max-dim needs a complex or ruptured document, got '{doc.kind}'"
         raise DocumentError(reason, str(args.path))
     report = _violations(doc)
-    kan = None
+    payload = {
+        "kind": doc.kind,
+        "valid": not report,
+        "violations": [{"kind": v.kind, "message": v.message} for v in report],
+    }
+    code = 1 if report else 0
     if args.max_dim is not None and not report:
         from .simplicial import is_kan_up_to
 
         target = doc.body.underlying if doc.kind == "ruptured" else doc.body
         filled, witness = is_kan_up_to(target, args.max_dim)
-        kan = {"max_dim": args.max_dim, "filled": filled}
+        payload["kan"] = kan = {"max_dim": args.max_dim, "filled": filled}
         if witness is not None:
             kan["witness"] = witness
-    if args.json:
-        payload = {
-            "kind": doc.kind,
-            "valid": not report,
-            "violations": [{"kind": v.kind, "message": v.message} for v in report],
-        }
-        if kan is not None:
-            payload["kan"] = kan
-        _emit_json(payload)
-    else:
-        if not report:
-            print(f"valid {doc.kind}")
-        for v in report:
-            print(str(v))
-        if kan is not None:
-            if kan["filled"]:
-                print(f"kan up to {args.max_dim}: yes")
-            else:
-                print(f"kan up to {args.max_dim}: no, first unfilled "
-                      f"n={witness.n} k={witness.k}")
-    if report:
-        return 1
-    if kan is not None and not kan["filled"]:
-        return 1
-    return 0
+        code = 0 if filled else 1
+    return code, payload, None
 
 
-def cmd_horns(args) -> int:
+def text_validate(payload, _):
+    if payload["valid"]:
+        yield f"valid {payload['kind']}"
+    for row in payload["violations"]:
+        yield str(Violation(row["kind"], row["message"]))
+    kan = payload.get("kan")
+    if kan is not None:
+        if kan["filled"]:
+            yield f"kan up to {kan['max_dim']}: yes"
+        else:
+            witness = kan["witness"]
+            yield (f"kan up to {kan['max_dim']}: no, first unfilled "
+                   f"n={witness.n} k={witness.k}")
+
+
+def cmd_horns(args):
     from .ruptured import CoherentlyFilled, GapWitnessed, classify_horn
     from .simplicial import enumerate_horns
 
     r = _load(args.path, "ruptured").body
-    horns = enumerate_horns(r.underlying, args.dim, args.missing)
     rows = []
-    for h in horns:
+    for h in enumerate_horns(r.underlying, args.dim, args.missing):
         outcome = classify_horn(r, h)
         if isinstance(outcome, CoherentlyFilled):
-            ids = [s.index for s in outcome.fillers]
-            state = {"state": "coherent", "fillers": ids}
-            text = "coherent fillers " + ",".join(map(str, ids))
+            state = {"state": "coherent", "fillers": [s.index for s in outcome.fillers]}
         elif isinstance(outcome, GapWitnessed):
-            state, text = _gapped(outcome.mode), _mode_text(outcome.mode)
+            state = _gapped(outcome.mode)
         else:
-            state, text = {"state": "open"}, "open"
-        rows.append((h, state, text))
-    if args.json:
-        _emit_json([{"horn": h, **state} for h, state, _ in rows])
-    else:
-        for h, _, text in rows:
-            faces = ",".join(f"{i}:{f}" for i, f in h.face_map().items())
-            print(f"n={h.n} k={h.k} faces {faces} -> {text}")
-    return 0
+            state = {"state": "open"}
+        rows.append({"horn": h, **state})
+    return 0, rows, None
 
 
-def cmd_transport(args) -> int:
+def text_horns(rows, _):
+    for row in rows:
+        h = row["horn"]
+        if row["state"] == "coherent":
+            text = "coherent fillers " + ",".join(map(str, row["fillers"]))
+        else:
+            text = _not_coherent_text(row)
+        faces = ",".join(f"{i}:{f}" for i, f in h.face_map().items())
+        yield f"n={h.n} k={h.k} faces {faces} -> {text}"
+
+
+def cmd_transport(args):
     from .fibration import Coherent, Gapped, transport
     from .simplicial import SimplexId
 
     f = _load(args.path, "fibration").body
     outcome = transport(f, SimplexId(0, args.term), SimplexId(1, args.path_edge))
     if isinstance(outcome, Coherent):
-        state = {
-            "state": "coherent",
-            "target": outcome.target.index,
-            "multiplicity": outcome.multiplicity,
-        }
-        name = f.total.underlying.name(outcome.target)
-        text = f"coherent -> {name} (multiplicity {outcome.multiplicity})"
+        state = {"state": "coherent", "target": outcome.target.index,
+                 "multiplicity": outcome.multiplicity}
     elif isinstance(outcome, Gapped):
-        state, text = _gapped(outcome.mode), _mode_text(outcome.mode)
+        state = _gapped(outcome.mode)
     else:
-        state, text = {"state": "open"}, "open"
-    if args.json:
-        _emit_json(state)
-    else:
-        print(text)
-    return 0
+        state = {"state": "open"}
+    return 0, state, f
 
 
-def cmd_monodromy(args) -> int:
-    from .covering import FiberPermutation, monodromy_ruptured
+def text_transport(state, f):
     from .simplicial import SimplexId
+
+    if state["state"] == "coherent":
+        name = f.total.underlying.name(SimplexId(0, state["target"]))
+        yield f"coherent -> {name} (multiplicity {state['multiplicity']})"
+    else:
+        yield _not_coherent_text(state)
+
+
+def cmd_monodromy(args):
+    from .covering import FiberPermutation, monodromy_ruptured
 
     f = _load(args.path, "fibration").body
     task = _load(args.task, "covering-task").body
@@ -179,97 +187,89 @@ def cmd_monodromy(args) -> int:
                 return entry.mode.payload
         return FiberPermutation.of(list(closures), {v: v for v in closures})
 
-    perms = [permutation(loop) for loop in task.loops]
-    gapped = [
-        (key, entry) for key, entry in sorted(ruptured.loop_gaps.items()) if entry.gapped
-    ]
-    if args.json:
-        payload = {
-            "basepoint": task.basepoint.index,
-            "loops": [
-                {
-                    "loop": i,
-                    "permutation": perm.cycles(),
-                    "images": [list(p) for p in perm.mapping],
-                }
-                for i, perm in enumerate(perms)
-            ],
-            "gapped_closures": [
-                {
-                    "loop": list(list(s) for s in loop_key),
-                    "start": start,
-                    "mode": docs.mode_to_body(entry.mode),
-                }
-                for (loop_key, start), entry in gapped
-            ],
-        }
-        _emit_json(payload)
-    else:
-        for i, perm in enumerate(perms):
-            print(f"loop {i}: permutation: {perm.cycles()}")
-        print(f"gapped closures: {len(gapped)}")
-        for (_, start), entry in gapped:
-            name = f.total.underlying.name(SimplexId(0, start))
-            print(f"  at {name}: {_mode_text(entry.mode)}")
-    return 0
+    payload = {
+        "basepoint": task.basepoint.index,
+        "loops": [
+            {"loop": i, "permutation": perm.cycles(), "images": [list(p) for p in perm.mapping]}
+            for i, perm in enumerate(map(permutation, task.loops))
+        ],
+        "gapped_closures": [
+            {"loop": [list(s) for s in loop_key], "start": start,
+             "mode": docs.mode_to_body(entry.mode)}
+            for (loop_key, start), entry in sorted(ruptured.loop_gaps.items()) if entry.gapped
+        ],
+    }
+    return 0, payload, f
 
 
-def cmd_core(args) -> int:
+def text_monodromy(payload, f):
+    from .simplicial import SimplexId
+
+    for loop in payload["loops"]:
+        yield f"loop {loop['loop']}: permutation: {loop['permutation']}"
+    closures = payload["gapped_closures"]
+    yield f"gapped closures: {len(closures)}"
+    for closure in closures:
+        name = f.total.underlying.name(SimplexId(0, closure["start"]))
+        yield f"  at {name}: {_mode_text(closure['mode'])}"
+
+
+def cmd_core(args):
     from .ruptured import coherent_core
 
     r = _load(args.path, "ruptured").body
     core, inclusion = coherent_core(r)
-    if args.json:
-        _emit_json(
-            {
-                "core": docs.complex_to_body(core),
-                "inclusion": {
-                    str(n): list(level) for n, level in enumerate(inclusion.levels)
-                },
-            }
-        )
-    else:
-        for n in range(core.dim_bound + 1):
-            kept = ",".join(str(i) for i in inclusion.levels[n])
-            print(
-                f"dim {n}: {core.count(n)} of {r.underlying.count(n)} kept"
-                + (f" ({kept})" if kept else "")
-            )
-    return 0
+    payload = {
+        "core": docs.complex_to_body(core),
+        "inclusion": {str(n): list(level) for n, level in enumerate(inclusion.levels)},
+    }
+    return 0, payload, r
 
 
-def cmd_product(args) -> int:
+def text_core(payload, r):
+    for n, level in enumerate(payload["inclusion"].values()):
+        kept = ",".join(map(str, level))
+        yield (f"dim {n}: {len(level)} of {r.underlying.count(n)} kept"
+               + (f" ({kept})" if kept else ""))
+
+
+def cmd_product(args):
     from .ruptured import product
 
     left = _load(args.left, "ruptured")
     right = _load(args.right, "ruptured")
     result = product(left.body, right.body)
-    if args.json:
-        print(docs.serialize_document(docs.Document("ruptured", result)), end="")
-    else:
-        x = result.underlying
-        counts = ", ".join(str(x.count(n)) for n in range(x.dim_bound + 1))
-        print(f"product dim_bound {x.dim_bound}; counts {counts}")
-        print(f"gapped horns: {len(result.gap)}")
-    return 0
+    return 0, docs.Document("ruptured", result).to_body(), None
 
 
-def cmd_compose(args) -> int:
+def text_product(body, _):
+    counts = ", ".join(str(c if type(c) is int else len(c)) for c in body["simplices"].values())
+    yield f"product dim_bound {body['dim_bound']}; counts {counts}"
+    yield f"gapped horns: {len(body['gap'])}"
+
+
+def cmd_compose(args):
     from .fibration import compose_fibrations
 
     first = _load(args.first, "fibration")
     second = _load(args.second, "fibration")
     result = compose_fibrations(first.body, second.body)
-    if args.json:
-        print(docs.serialize_document(docs.Document("fibration", result)), end="")
-    else:
-        print(f"composite gap-marked problems: {len(result.gap_lifts)}")
-        for key in sorted(result.gap_lifts):
-            print(f"  {key} -> {_mode_text(result.gap_lifts[key])}")
-    return 0
+    return 0, docs.Document("fibration", result).to_body(), None
 
 
-def cmd_derive(args) -> int:
+def text_compose(body, _):
+    from .fibration import LiftingProblemKey
+    from .simplicial import SimplexId
+
+    rows = body["gap_lifts"]
+    yield f"composite gap-marked problems: {len(rows)}"
+    for row in rows:
+        h = row["horn"]
+        key = LiftingProblemKey(h, SimplexId(h.n, row["base_simplex"]))
+        yield f"  {key} -> {_mode_text(row.get('mode'))}"
+
+
+def cmd_derive(args):
     from .derivability import apply_substitution, check_derivable, check_substitution
 
     task = _load(args.task, "derive-task").body
@@ -278,50 +278,45 @@ def cmd_derive(args) -> int:
         task.delta, apply_substitution(task.term, task.sigma), task.goal
     )
     check_substitution(task.gamma, task.delta, task.sigma)
-    # the derivability horn: derivable in gamma, its image underivable in delta
-    horn = gamma_result.derivable and not delta_result.derivable
-    if args.json:
-        def cert_body(cert):
-            return {
+
+    def result_body(result):
+        cert = result.certificate
+        return {
+            "derivable": result.derivable,
+            "certificate": {
                 "counts": {var: n for var, n in cert.counts},
                 "verdicts": {var: ok for var, ok in cert.verdicts},
                 "type_error": cert.type_error,
-            }
+            },
+        }
 
-        _emit_json(
-            {
-                "gamma": {
-                    "derivable": gamma_result.derivable,
-                    "certificate": cert_body(gamma_result.certificate),
-                },
-                "delta": {
-                    "derivable": delta_result.derivable,
-                    "certificate": cert_body(delta_result.certificate),
-                },
-                "horn": horn,
-            }
-        )
-    else:
-        for name, result in (("gamma", gamma_result), ("delta", delta_result)):
-            verdict = "derivable" if result.derivable else "underivable"
-            counts = ", ".join(f"{var}={n}" for var, n in result.certificate.counts)
-            print(f"{name}: {verdict} (counts: {counts})")
-            for line in result.certificate.violations():
-                print(f"  {name} violation: {line}")
-        print(f"horn: {'inhabited' if horn else 'none'}")
-    return 0
+    payload = {
+        "gamma": result_body(gamma_result),
+        "delta": result_body(delta_result),
+        # the derivability horn: derivable in gamma, its image underivable in delta
+        "horn": gamma_result.derivable and not delta_result.derivable,
+    }
+    return 0, payload, None
 
 
-def cmd_judgments(args) -> int:
-    from .judgments import (
-        ExclusionViolation,
-        WitnessStore,
-        add_witness,
-        is_coherent_fragment,
-        is_open,
-        level_up,
-        make_horn,
-    )
+def text_derive(payload, _):
+    for name in ("gamma", "delta"):
+        result = payload[name]
+        cert = result["certificate"]
+        verdict = "derivable" if result["derivable"] else "underivable"
+        counts = ", ".join(f"{var}={n}" for var, n in cert["counts"].items())
+        yield f"{name}: {verdict} (counts: {counts})"
+        for var, ok in cert["verdicts"].items():
+            if not ok:
+                yield f"  {name} violation: {var}: usage violates annotation"
+        if cert["type_error"]:
+            yield f"  {name} violation: {cert['type_error']}"
+    yield f"horn: {'inhabited' if payload['horn'] else 'none'}"
+
+
+def cmd_judgments(args):
+    from .judgments import (ExclusionViolation, WitnessStore, add_witness,
+                            is_coherent_fragment, is_open, level_up, make_horn)
 
     script = _load(args.script, "judgment-script").body
     store = WitnessStore()
@@ -331,10 +326,8 @@ def cmd_judgments(args) -> int:
         if cmd.op == "add":
             try:
                 store = add_witness(store, cmd.judgment, cmd.polarity, cmd.payload)
-                lines.append(
-                    f"add {cmd.judgment} {cmd.polarity.value}: "
-                    f"{store.last().witness_id}"
-                )
+                lines.append(f"add {cmd.judgment} {cmd.polarity.value}: "
+                             f"{store.last().witness_id}")
             except ExclusionViolation as exc:
                 failures += 1
                 lines.append(f"add {cmd.judgment} {cmd.polarity.value}: rejected ({exc})")
@@ -351,29 +344,21 @@ def cmd_judgments(args) -> int:
             store = level_up(store)
             universe = ",".join(sorted(store.universe or ()))
             lines.append(f"level {store.level} universe [{universe}]")
-    if args.json:
-        _emit_json(
-            {
-                "log": lines,
-                "entries": [
-                    {
-                        "id": e.witness_id,
-                        "judgment": docs.judgment_to_body(e.judgment),
-                        "polarity": e.polarity.value,
-                    }
-                    for e in store.entries
-                ],
-                "level": store.level,
-                "coherent_fragment": is_coherent_fragment(store),
-                "failures": failures,
-            }
-        )
-    else:
-        for line in lines:
-            print(line)
-        print(f"final level {store.level}, {len(store.entries)} entries, "
-              f"coherent fragment: {is_coherent_fragment(store)}")
-    return 1 if failures else 0
+    payload = {
+        "log": lines,
+        "entries": [{"id": e.witness_id, "judgment": docs.judgment_to_body(e.judgment),
+                     "polarity": e.polarity.value} for e in store.entries],
+        "level": store.level,
+        "coherent_fragment": is_coherent_fragment(store),
+        "failures": failures,
+    }
+    return (1 if failures else 0), payload, None
+
+
+def text_judgments(payload, _):
+    yield from payload["log"]
+    yield (f"final level {payload['level']}, {len(payload['entries'])} entries, "
+           f"coherent fragment: {payload['coherent_fragment']}")
 
 
 # -- entry point ------------------------------------------------------------------
@@ -387,74 +372,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, configure):
+    def add(name, compute, render, configure):
         p = sub.add_parser(name)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         configure(p)
-        p.set_defaults(handler=handler)
-        return p
+        p.set_defaults(compute=compute, render=render)
+
+    def positional(*names):
+        return lambda p: [p.add_argument(name) for name in names]
 
     def validate_args(p):
         p.add_argument("path")
-        p.add_argument(
-            "--max-dim",
-            type=int,
-            default=None,
-            help="also check inner-horn filling up to this dimension",
-        )
+        p.add_argument("--max-dim", type=int, default=None,
+                       help="also check inner-horn filling up to this dimension")
 
-    add("validate", cmd_validate, validate_args)
+    add("validate", cmd_validate, text_validate, validate_args)
 
     def horns_args(p):
         p.add_argument("path")
         p.add_argument("--dim", type=int, required=True)
         p.add_argument("--missing", type=int, required=True)
 
-    add("horns", cmd_horns, horns_args)
+    add("horns", cmd_horns, text_horns, horns_args)
 
     def transport_args(p):
         p.add_argument("path")
         p.add_argument("--term", type=int, required=True, help="total-space vertex index")
-        p.add_argument(
-            "--path", dest="path_edge", type=int, required=True, help="base edge index"
-        )
+        p.add_argument("--path", dest="path_edge", type=int, required=True,
+                       help="base edge index")
 
-    add("transport", cmd_transport, transport_args)
+    add("transport", cmd_transport, text_transport, transport_args)
 
-    def monodromy_args(p):
-        p.add_argument("path")
-        p.add_argument("task")
-
-    add("monodromy", cmd_monodromy, monodromy_args)
-    add("core", cmd_core, lambda p: p.add_argument("path"))
-
-    def product_args(p):
-        p.add_argument("left")
-        p.add_argument("right")
-
-    add("product", cmd_product, product_args)
-
-    def compose_args(p):
-        p.add_argument("first")
-        p.add_argument("second")
-
-    add("compose", cmd_compose, compose_args)
-    add("derive", cmd_derive, lambda p: p.add_argument("task"))
-    add("judgments", cmd_judgments, lambda p: p.add_argument("script"))
+    add("monodromy", cmd_monodromy, text_monodromy, positional("path", "task"))
+    add("core", cmd_core, text_core, positional("path"))
+    add("product", cmd_product, text_product, positional("left", "right"))
+    add("compose", cmd_compose, text_compose, positional("first", "second"))
+    add("derive", cmd_derive, text_derive, positional("task"))
+    add("judgments", cmd_judgments, text_judgments, positional("script"))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, payload, loaded = args.compute(args)
     except DocumentError as exc:
         print(f"parse error: {exc}")
         return 2
     except KernelError as exc:
         print(f"error: {exc}")
         return 1
+    lines = [docs.dump_json(payload)] if args.json else list(args.render(payload, loaded))
+    if lines:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -152,12 +152,6 @@ class UsageCertificate(NamedTuple):
     def all_satisfied(self) -> bool:
         return all(ok for _, ok in self.verdicts) and self.type_error is None
 
-    def violations(self) -> list[str]:
-        out = [f"{var}: usage violates annotation" for var, ok in self.verdicts if not ok]
-        if self.type_error:
-            out.append(self.type_error)
-        return out
-
 
 @record
 class DerivabilityResult(NamedTuple):

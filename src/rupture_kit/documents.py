@@ -16,19 +16,23 @@ labels and map levels, and their :class:`ShapeError` becomes a key path.
 Simplicial identities, face commutation, horn compatibility and Exclusion
 are left to the validators. A ``gap`` list, mode rows too, is read one run
 of a shape (n, k) at a time in column passes; only a refused run is read
-row by row.
+row by row. Text that is not UTF-8, that nests deeper than ``json.loads``
+recurses, or that holds an int literal over Python's digit limit is a
+:class:`DocumentError` too, placed at the file or at the top level.
 
 Each kind's codec imports its kernel module when it runs, so that a
 command loads only the modules of the documents it reads: this module
 itself imports none. A codec imports once per document, never per row:
 the row readers that two codecs share return plain values
 (``_gap_horns``, ``_mode_fields``) or take the classes the codec
-imported (the type and term trees). Besides the six codec pairs and the
-document functions, the public surface is the four row serializers the CLI
-prints rows with: ``complex_to_body``, ``horn_to_body``, ``mode_to_body``
-and ``judgment_to_body``; and ``dump_json``, the one JSON writer of the
-documents and of the CLI's ``--json`` reports, which writes a ``HornSpec``
-as its horn body: a body holds a gap row without a mode as the horn itself.
+imported (the type and term trees). Besides the six codec pairs, the
+document functions and ``Document.to_body`` (the JSON object that
+``serialize_document`` writes), the public surface is the four row
+serializers the CLI prints rows with: ``complex_to_body``,
+``horn_to_body``, ``mode_to_body`` and ``judgment_to_body``; and
+``dump_json``, the one JSON writer of the documents and of the CLI's
+``--json`` reports, which writes a ``HornSpec`` as its horn body: a body
+holds a gap row without a mode as the horn itself.
 
 Document kinds:
 
@@ -71,6 +75,12 @@ FORMAT = "rupture-kit/1"
 class Document(NamedTuple):
     kind: str
     body: object
+
+    def to_body(self) -> dict:
+        """The JSON object of the document: its format, its kind and the
+        keys its kind's codec writes for ``body``."""
+        _, to_body = _codec(self.kind)
+        return {"format": FORMAT, "kind": self.kind, **to_body(self.body)}
 
 
 # -- helpers -------------------------------------------------------------------
@@ -773,6 +783,11 @@ def parse_document(text: str) -> Document:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(exc.msg, f"line {exc.lineno}, column {exc.colno}")
+    except RecursionError:
+        raise DocumentError("JSON nests too deeply to read", "top level") from None
+    except ValueError:  # the one other refusal: an int literal over the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise DocumentError(f"integer literal longer than {limit} digits", "top level") from None
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object", "top level")
     fmt = _get(raw, "format", "top level", str)
@@ -784,10 +799,7 @@ def parse_document(text: str) -> Document:
 
 def serialize_document(doc: Document) -> str:
     """Deterministic JSON text for a document (sorted keys, 2-space indent)."""
-    _, to_body = _codec(doc.kind)
-    payload = {"format": FORMAT, "kind": doc.kind}
-    payload.update(to_body(doc.body))
-    return dump_json(payload) + "\n"
+    return dump_json(doc.to_body()) + "\n"
 
 
 def load_document(path) -> Document:
@@ -796,4 +808,6 @@ def load_document(path) -> Document:
             text = handle.read()
     except OSError as exc:
         raise DocumentError(str(exc), str(path))
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not UTF-8: byte {exc.start} cannot be decoded", str(path)) from None
     return parse_document(text)

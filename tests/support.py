@@ -62,6 +62,21 @@ def fixture_commands() -> list[list[str]]:
     return argvs
 
 
+def hostile_documents() -> list[tuple[str, bytes, str]]:
+    """(name, bytes, kind) of three documents that the JSON reader itself
+    refuses, each handed to the commands of its kind: bytes that are not
+    UTF-8, 1,200 nested lists (deeper than ``json.loads`` recurses), and a
+    ``dim_bound`` of 5,000 digits (over Python's int digit limit)."""
+    head = '{"format": "rupture-kit/1", "kind": "complex", '
+    nested = head + '"dim_bound": 0, "simplices": {"0": 1}, "extra": '
+    return [
+        ("hostile-not-utf8", b'\xff{"format":1}', "ruptured"),
+        ("hostile-nested", (nested + "[" * 1200 + "]" * 1200 + "}").encode(), "complex"),
+        ("hostile-long-int",
+         (head + '"dim_bound": ' + "9" * 5000 + ', "simplices": {}}').encode(), "complex"),
+    ]
+
+
 def plain(value):
     """``value`` with every ``HornSpec`` in it replaced by its
     ``horn_to_body``: the value the stdlib's ``json.dumps`` writes as

@@ -5,12 +5,14 @@ import json
 import pathlib
 import subprocess
 import sys
+import types
 
 import pytest
 
+from rupture_kit import covering, derivability, fibration, judgments, ruptured, simplicial
 from rupture_kit.cli import main
 
-from support import cli_env
+from support import cli_env, fixture_commands, hostile_documents
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -75,6 +77,17 @@ class TestValidate:
         path.write_text("{]")
         code, out = run_cli("validate", path)
         assert code == 2 and out.startswith("parse error")
+
+    @pytest.mark.parametrize("name,data", [doc[:2] for doc in hostile_documents()],
+                             ids=[doc[0] for doc in hostile_documents()])
+    def test_text_the_json_reader_refuses_exits_two_without_a_traceback(self, tmp_path,
+                                                                         name, data):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        run = subprocess.run([sys.executable, "-m", "rupture_kit", "validate", str(path)],
+                             capture_output=True, text=True, env=cli_env())
+        assert (run.returncode, run.stderr) == (2, "")
+        assert run.stdout.startswith("parse error: ") and run.stdout.count("\n") == 1
 
     def test_missing_file_exits_two(self):
         code, out = run_cli("validate", "/no/such/file.json")
@@ -286,6 +299,50 @@ class TestDeterminism:
         assert first.returncode == second.returncode
         assert first.stdout == second.stdout
         assert first.stdout  # nonempty report
+
+
+class TestRenderersCallNoKernel:
+    """Text is rendered from the ``--json`` payload: on every fixture
+    command, the text run and the ``--json`` run call the same public kernel
+    functions in the same order, and exit with the same code. Each public
+    function of the kernel modules is wrapped in every loaded ``rupture_kit``
+    module that references it, as ``bench/tracing.py`` wraps them."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        log = []
+
+        def recording(name, original):
+            def recorded(*args, **kwargs):
+                log.append(name)
+                return original(*args, **kwargs)
+
+            return recorded
+
+        wrappers = {
+            id(value): recording(f"{module.__name__}.{name}", value)
+            for module in (simplicial, ruptured, fibration, covering, derivability, judgments)
+            for name, value in vars(module).items()
+            if not name.startswith("_") and isinstance(value, types.FunctionType)
+            and value.__module__ == module.__name__
+        }
+        for key, holder in list(sys.modules.items()):
+            if key == "rupture_kit" or key.startswith("rupture_kit."):
+                for attr, value in list(vars(holder).items()):
+                    if id(value) in wrappers:
+                        monkeypatch.setattr(holder, attr, wrappers[id(value)])
+        return log
+
+    @pytest.mark.parametrize("argv", fixture_commands()[::2],
+                             ids=lambda argv: " ".join(pathlib.Path(a).name for a in argv))
+    def test_text_and_json_make_the_same_kernel_calls(self, kernel_calls, argv):
+        runs = []
+        for extra in ([], ["--json"]):
+            code, _ = run_cli(*argv, *extra)
+            runs.append((code, list(kernel_calls)))
+            kernel_calls.clear()
+        assert runs[0][1] or argv[0] == "validate"
+        assert runs[0] == runs[1]
 
 
 class TestRejectedDocuments:

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -14,6 +15,8 @@ from rupture_kit.documents import (
     serialize_document,
 )
 from rupture_kit.errors import DocumentError
+
+from support import hostile_documents
 
 FIXTURES = sorted(
     (pathlib.Path(__file__).resolve().parents[1] / "fixtures").glob("*.json")
@@ -160,6 +163,39 @@ class TestParseErrors:
         path = tmp_path / "twice.json"
         path.write_text(text, encoding="utf-8")
         assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("pair", ["[0]", "[0, 1, 1]", "0"],
+                             ids=["one-element", "three-element", "not-a-list"])
+    def test_monodromy_images_must_be_pairs(self, pair):
+        text = (
+            '{"format": "rupture-kit/1", "kind": "ruptured", "dim_bound": 1,'
+            ' "simplices": {"0": 2, "1": 1}, "faces": {"1": [[1, 0]]},'
+            ' "coh": {}, "gap": [{"n": 1, "k": 0, "faces": {"1": 0},'
+            ' "mode": {"kind": "monodromy",'
+            ' "payload": {"fiber": [0, 1], "images": [%s, [1, 0]]}}}]}' % pair
+        )
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        assert str(err.value) == (
+            "images must be [source, image] pairs (at ruptured.gap[0].mode.payload)")
+
+    @pytest.mark.parametrize("name,data", [doc[:2] for doc in hostile_documents()],
+                             ids=[doc[0] for doc in hostile_documents()])
+    def test_text_the_json_reader_refuses_is_a_document_error(self, tmp_path, name, data):
+        """Bytes that are not UTF-8 are placed at the file; nesting deeper
+        than the reader recurses, and an integer literal over the digit
+        limit, at the top level."""
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        messages = {
+            "hostile-not-utf8": f"not UTF-8: byte 0 cannot be decoded (at {path})",
+            "hostile-nested": "JSON nests too deeply to read (at top level)",
+            "hostile-long-int": f"integer literal longer than {sys.get_int_max_str_digits()} "
+                                "digits (at top level)",
+        }
+        with pytest.raises(DocumentError) as err:
+            load_document(path)
+        assert str(err.value) == messages[name]
 
     def test_covering_task_direction_checked(self):
         text = (

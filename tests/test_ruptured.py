@@ -272,6 +272,18 @@ class TestProduct:
         assert p.underlying.count(0) == 3
         assert p.coh[0] == frozenset({0, 1, 2})
 
+    def test_labels_when_exactly_one_factor_is_labelled(self):
+        """A dimension in which one factor is labelled is labelled in the
+        product, the other factor's simplices by their dim/index names, and
+        every dimension up to the bound gets its entry."""
+        left = TruncatedComplex.create(1, [2, 1], {1: [[1, 0]]}, {1: ["0-1"]})
+        right = TruncatedComplex.create(1, [2, 1], {1: [[1, 0]]}, {0: ["p", "q"]})
+        x = product(from_kan(left), from_kan(right)).underlying
+        assert [[x.name(SimplexId(n, i)) for i in range(x.count(n))] for n in (0, 1)] == [
+            ["(0/0,p)", "(0/0,q)", "(0/1,p)", "(0/1,q)"],
+            ["(0-1,1/0)"],
+        ]
+
     def test_two_kan_factors_no_gaps(self):
         p = product(from_kan(triangle()), from_kan(triangle()))
         assert not p.gap

@@ -1095,6 +1095,13 @@ class TestValueTypes:
                     assert (value == other) == (ref == other_ref)
                     assert (value < other) == (ref < other_ref)
 
+    @pytest.mark.parametrize("i", [1, -1, 3])
+    def test_a_horn_has_no_face_at_its_missing_index_or_out_of_range(self, i):
+        h = HornSpec(2, 1, (4, 5))
+        assert (h.face(0), h.face(2)) == (4, 5)
+        with pytest.raises(KernelError, match=f"^horn has no face at index {i}$"):
+            h.face(i)
+
     def test_are_tuples(self):
         sid = SimplexId(1, 2)
         dim, index = sid
