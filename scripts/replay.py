@@ -10,7 +10,8 @@ of ``tests/test_horn_rows.py`` with the gap-list edits that its test makes
 (``edited_list`` over ``LIST_EDITS``, from one seeded rng per document),
 and the documents that the JSON reader itself refuses
 (``tests/support.hostile_documents``), each handed to every command of its
-kind in ``tests/support.COMMANDS``, in text and with ``--json``. The
+kind in ``tests/support.COMMANDS``, in text and with ``--json``; and argv
+spellings that go through argparse: refusals, help and odd spellings. The
 documents are written once, so both sides read the same files. The
 parent's ``src`` is extracted with ``git archive`` into a temporary
 directory, which leaves no worktree record behind, and each side replays
@@ -33,6 +34,7 @@ import copy
 import io
 import json
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -43,6 +45,7 @@ from operator import getitem
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+MEMORY_CAP = 1 << 30
 CLASSES = NEWLY_ACCEPTED, NEWLY_REJECTED, OTHER_EXIT, OTHER_BYTES = (
     "rejected then accepted", "accepted then rejected", "other exit", "same exit, other bytes")
 
@@ -72,7 +75,32 @@ def build_corpus(seeds: int, into: Path) -> list[tuple[str, list[str]]]:
             argv = [str(path) if a == "@" else str(into / a) if a.endswith(".json") else a
                     for a in command]
             runs += [(path.name, argv), (path.name, argv + ["--json"])]
-    return runs
+    return runs + [(f"argv {name}", argv) for name, argv in argv_variants(into)]
+
+
+def argv_variants(into: Path) -> list[tuple[str, list[str]]]:
+    """(name, argv) of spellings besides the plain ones of the corpus, over
+    fixtures already written to ``into``: argvs that argparse refuses or
+    answers with help, and odd spellings that it reads."""
+    horns = ["horns", str(into / "circle3_gapped.json")]
+    dims = ["--dim", "2", "--missing", "1"]
+    validate = ["validate", str(into / "triangle.json")]
+    transport = ["transport", str(into / "bank.json"), "--term", "0", "--path", "0"]
+    return [
+        ("no command", []),
+        ("an unknown command", ["check", *validate[1:]]),
+        ("a missing --dim", horns + dims[2:]),
+        ("--dim x", horns + ["--dim", "x"] + dims[2:]),
+        ("an extra positional", validate + [str(into / "bank.json")]),
+        ("-h", ["-h"]),
+        ("validate --help", ["validate", "--help"]),
+        ("--dim=2", horns + ["--dim=2"] + dims[2:]),
+        ("--js", validate + ["--js"]),
+        ("a repeated --json", transport + ["--json", "--json"]),
+        ("--dim 2 --dim 1", horns + dims + ["--dim", "1"]),
+        ("options before positionals", [horns[0], "--json", *dims, horns[1]]),
+        ("options before positionals, validate", ["validate", "--max-dim", "2", *validate[1:]]),
+    ]
 
 
 def list_edits() -> list[tuple[str, str]]:
@@ -106,7 +134,11 @@ def list_edits() -> list[tuple[str, str]]:
 def replay(src: str, corpus: str, out: str) -> int:
     """Run each argv of the ``corpus`` file through ``cli.main`` of the
     package under ``src`` and write [exit, stdout, stderr] per run to ``out``;
-    an exception that escapes ``main`` is a result too."""
+    an exception that escapes ``main`` is a result too. The process may map
+    at most ``MEMORY_CAP`` bytes, so that a document on which one side
+    builds without limit (as an unchecked ``dim_bound`` makes it) ends in a
+    ``MemoryError``, not in the machine running out of memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
     sys.path.insert(0, src)
     from rupture_kit import cli
 

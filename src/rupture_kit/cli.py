@@ -15,6 +15,11 @@ body whose names or counts the text needs, or None. ``text_<name>`` yields
 the text lines from those two alone and calls no kernel function. ``main``
 prints one of the two renderings, once.
 
+The grammar is one table, :data:`COMMANDS`. ``main`` reads a plainly spelt
+argv from it (:func:`read_argv`), sparing a run the import of argparse and
+the building of its parsers. Every other argv, help and usage errors
+included, goes to the argparse parser built from the same table.
+
 Each command imports the kernel modules it calls when it runs, and the
 document layer imports those of the documents it reads, so a command loads
 only what it uses. The names are imported in the function body on each
@@ -24,8 +29,8 @@ call, never kept in this module, so a wrapper put over a kernel function
 
 from __future__ import annotations
 
-import argparse
 import sys
+import types
 
 from . import documents as docs
 from .errors import DocumentError, KernelError, Violation
@@ -363,57 +368,82 @@ def text_judgments(payload, _):
 
 # -- entry point ------------------------------------------------------------------
 
+# Each command: its positionals, its int options as (flag, dest, required,
+# help), its compute step and its text renderer. Every command also takes
+# ``--json``.
+COMMANDS = {
+    "validate": (("path",), (("--max-dim", "max_dim", False,
+                              "also check inner-horn filling up to this dimension"),),
+                 cmd_validate, text_validate),
+    "horns": (("path",), (("--dim", "dim", True, None), ("--missing", "missing", True, None)),
+              cmd_horns, text_horns),
+    "transport": (("path",), (("--term", "term", True, "total-space vertex index"),
+                              ("--path", "path_edge", True, "base edge index")),
+                  cmd_transport, text_transport),
+    "monodromy": (("path", "task"), (), cmd_monodromy, text_monodromy),
+    "core": (("path",), (), cmd_core, text_core),
+    "product": (("left", "right"), (), cmd_product, text_product),
+    "compose": (("first", "second"), (), cmd_compose, text_compose),
+    "derive": (("task",), (), cmd_derive, text_derive),
+    "judgments": (("script",), (), cmd_judgments, text_judgments),
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+def read_argv(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, for an argv
+    spelt plainly: the command, its positionals in order, ``--json`` at most
+    once and each int option at most once as ``--opt N`` with N plain ASCII
+    digits (under 100 of them: int() has a digit limit), in any order. None
+    for every other argv, which argparse reads."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    positionals, options, compute, render = COMMANDS[argv[0]]
+    dests = {flag: dest for flag, dest, _, _ in options}
+    values = dict.fromkeys(dests.values())
+    values.update(command=argv[0], json=False, compute=compute, render=render)
+    args, names = iter(argv[1:]), iter(positionals)
+    for arg in args:
+        if arg == "--json" and not values["json"]:
+            values["json"] = True
+        elif arg in dests and values[dests[arg]] is None:
+            value = next(args, "")
+            if not (value.isascii() and value.isdigit() and len(value) < 100):
+                return None
+            values[dests[arg]] = int(value)
+        elif not arg.startswith("-") and (name := next(names, None)):
+            values[name] = arg
+        else:
+            return None
+    if next(names, None) or any(req and values[dest] is None for _, dest, req, _ in options):
+        return None
+    return types.SimpleNamespace(**values)
+
+
+def build_parser():
+    """The argparse grammar of :data:`COMMANDS`, which gives help and usage
+    errors, and reads every argv :func:`read_argv` leaves."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rupture-kit",
         description="Finite ruptured simplicial structures: validation, horn "
         "classification, transport, monodromy, derivability, and witness stores.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, compute, render, configure):
+    for name, (positionals, options, compute, render) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        configure(p)
+        for positional in positionals:
+            p.add_argument(positional)
+        for flag, dest, required, help in options:
+            p.add_argument(flag, dest=dest, type=int, required=required, help=help)
         p.set_defaults(compute=compute, render=render)
-
-    def positional(*names):
-        return lambda p: [p.add_argument(name) for name in names]
-
-    def validate_args(p):
-        p.add_argument("path")
-        p.add_argument("--max-dim", type=int, default=None,
-                       help="also check inner-horn filling up to this dimension")
-
-    add("validate", cmd_validate, text_validate, validate_args)
-
-    def horns_args(p):
-        p.add_argument("path")
-        p.add_argument("--dim", type=int, required=True)
-        p.add_argument("--missing", type=int, required=True)
-
-    add("horns", cmd_horns, text_horns, horns_args)
-
-    def transport_args(p):
-        p.add_argument("path")
-        p.add_argument("--term", type=int, required=True, help="total-space vertex index")
-        p.add_argument("--path", dest="path_edge", type=int, required=True,
-                       help="base edge index")
-
-    add("transport", cmd_transport, text_transport, transport_args)
-
-    add("monodromy", cmd_monodromy, text_monodromy, positional("path", "task"))
-    add("core", cmd_core, text_core, positional("path"))
-    add("product", cmd_product, text_product, positional("left", "right"))
-    add("compose", cmd_compose, text_compose, positional("first", "second"))
-    add("derive", cmd_derive, text_derive, positional("task"))
-    add("judgments", cmd_judgments, text_judgments, positional("script"))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = read_argv(argv) or build_parser().parse_args(argv)
     try:
         code, payload, loaded = args.compute(args)
     except DocumentError as exc:

@@ -18,7 +18,9 @@ are left to the validators. A ``gap`` list, mode rows too, is read one run
 of a shape (n, k) at a time in column passes; only a refused run is read
 row by row. Text that is not UTF-8, that nests deeper than ``json.loads``
 recurses, or that holds an int literal over Python's digit limit is a
-:class:`DocumentError` too, placed at the file or at the top level.
+:class:`DocumentError` too, placed at the file or at the top level. A
+complex's ``dim_bound`` is at most :data:`MAX_DIM_BOUND`, checked before
+anything is built from it.
 
 Each kind's codec imports its kernel module when it runs, so that a
 command loads only the modules of the documents it reads: this module
@@ -69,6 +71,10 @@ if TYPE_CHECKING:
     from .simplicial import HornSpec, TruncatedComplex
 
 FORMAT = "rupture-kit/1"
+# The largest ``dim_bound`` a complex may name. Reading and validating cost
+# time for every dimension up to the bound, held or empty, so a short
+# document with a huge bound would cost without limit.
+MAX_DIM_BOUND = 2000
 
 
 @record
@@ -198,6 +204,8 @@ def body_to_complex(body: Mapping, where: str = "complex") -> TruncatedComplex:
 
     dim_bound = _int(_get(body, "dim_bound", where), f"{where}.dim_bound")
     _expect(dim_bound >= 0, "dim_bound must be non-negative", f"{where}.dim_bound")
+    _expect(dim_bound <= MAX_DIM_BOUND, f"dim_bound must be at most {MAX_DIM_BOUND}",
+            f"{where}.dim_bound")
     simplices = _by_dimension(_get(body, "simplices", where, dict), 0, dim_bound,
                               f"{where}.simplices")
     # A label list counts its simplices; the constructor checks the labels.

@@ -63,10 +63,13 @@ def fixture_commands() -> list[list[str]]:
 
 
 def hostile_documents() -> list[tuple[str, bytes, str]]:
-    """(name, bytes, kind) of three documents that the JSON reader itself
-    refuses, each handed to the commands of its kind: bytes that are not
-    UTF-8, 1,200 nested lists (deeper than ``json.loads`` recurses), and a
-    ``dim_bound`` of 5,000 digits (over Python's int digit limit)."""
+    """(name, bytes, kind) of five short documents that the reader refuses,
+    each handed to the commands of its kind. The JSON reader itself refuses
+    bytes that are not UTF-8, 1,200 nested lists (deeper than ``json.loads``
+    recurses), and a ``dim_bound`` of 5,000 digits (over Python's int digit
+    limit); the complex reader refuses a ``dim_bound`` of 1,000,000 and one
+    of 4,000 digits, over ``documents.MAX_DIM_BOUND``, before it builds
+    anything."""
     head = '{"format": "rupture-kit/1", "kind": "complex", '
     nested = head + '"dim_bound": 0, "simplices": {"0": 1}, "extra": '
     return [
@@ -74,6 +77,10 @@ def hostile_documents() -> list[tuple[str, bytes, str]]:
         ("hostile-nested", (nested + "[" * 1200 + "]" * 1200 + "}").encode(), "complex"),
         ("hostile-long-int",
          (head + '"dim_bound": ' + "9" * 5000 + ', "simplices": {}}').encode(), "complex"),
+        ("hostile-dim-bound", (head + '"dim_bound": 1000000, "simplices": {}}').encode(),
+         "complex"),
+        ("hostile-dim-bound-digits",
+         (head + '"dim_bound": ' + "9" * 4000 + ', "simplices": {}}').encode(), "complex"),
     ]
 
 

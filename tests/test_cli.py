@@ -5,12 +5,14 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 import types
 
 import pytest
 
 from rupture_kit import covering, derivability, fibration, judgments, ruptured, simplicial
 from rupture_kit.cli import main
+from rupture_kit.documents import MAX_DIM_BOUND
 
 from support import cli_env, fixture_commands, hostile_documents
 
@@ -88,6 +90,19 @@ class TestValidate:
                              capture_output=True, text=True, env=cli_env())
         assert (run.returncode, run.stderr) == (2, "")
         assert run.stdout.startswith("parse error: ") and run.stdout.count("\n") == 1
+
+    @pytest.mark.parametrize("name,data", [doc[:2] for doc in hostile_documents()
+                                           if doc[0].startswith("hostile-dim-bound")],
+                             ids=["1000000", "4000-digits"])
+    def test_a_bound_over_the_limit_exits_two_quickly(self, tmp_path, name, data):
+        # Without the limit, reading and validating cost time for every
+        # dimension up to the bound: 2.7 s for 1,000,000.
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        start = time.perf_counter()
+        assert run_cli("validate", path, "--max-dim", 2) == (
+            2, f"parse error: dim_bound must be at most {MAX_DIM_BOUND} (at complex.dim_bound)\n")
+        assert time.perf_counter() - start < 0.5
 
     def test_missing_file_exits_two(self):
         code, out = run_cli("validate", "/no/such/file.json")

@@ -9,6 +9,7 @@ import pytest
 
 from rupture_kit.cli import main
 from rupture_kit.documents import (
+    MAX_DIM_BOUND,
     Document,
     load_document,
     parse_document,
@@ -184,7 +185,7 @@ class TestParseErrors:
     def test_text_the_json_reader_refuses_is_a_document_error(self, tmp_path, name, data):
         """Bytes that are not UTF-8 are placed at the file; nesting deeper
         than the reader recurses, and an integer literal over the digit
-        limit, at the top level."""
+        limit, at the top level; a bound over the limit at the bound."""
         path = tmp_path / f"{name}.json"
         path.write_bytes(data)
         messages = {
@@ -192,7 +193,10 @@ class TestParseErrors:
             "hostile-nested": "JSON nests too deeply to read (at top level)",
             "hostile-long-int": f"integer literal longer than {sys.get_int_max_str_digits()} "
                                 "digits (at top level)",
+            "hostile-dim-bound": f"dim_bound must be at most {MAX_DIM_BOUND} "
+                                 "(at complex.dim_bound)",
         }
+        messages["hostile-dim-bound-digits"] = messages["hostile-dim-bound"]
         with pytest.raises(DocumentError) as err:
             load_document(path)
         assert str(err.value) == messages[name]

@@ -1,6 +1,7 @@
 """Each command loads only the kernel modules its documents and its kernel
-calls need, and neither ``dataclasses`` nor ``inspect``; every public codec
-of the document layer imports what it builds.
+calls need, and none of ``dataclasses``, ``inspect``, ``argparse`` and
+``gettext``; every public codec of the document layer imports what it
+builds.
 
 In-process tests cannot see a missing import: by the time they run, the
 test session has loaded every module. So these run in fresh interpreters.
@@ -19,6 +20,8 @@ import sys
 import pytest
 
 from rupture_kit import documents
+
+from support import cli_env
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -49,7 +52,7 @@ from rupture_kit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
 loaded = sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("rupture_kit."))
-slow = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+slow = [m for m in ("dataclasses", "inspect", "argparse", "gettext") if m in sys.modules]
 print(json.dumps({"exit": code, "modules": loaded, "slow": slow}))
 """
 
@@ -73,8 +76,18 @@ def test_command_loads_only_what_it_reads(argv, modules):
     assert got["exit"] == 0
     assert set(got["modules"]) == modules
     # The records are named tuples: building a dataclass costs about 1 ms,
-    # and importing dataclasses, which imports inspect, about 11 ms.
+    # and importing dataclasses, which imports inspect, about 11 ms. A plain
+    # argv is read without argparse, whose import and parser cost 5 to 7 ms.
     assert got["slow"] == []
+
+
+def test_a_refused_argv_still_gets_argparse_usage():
+    run = subprocess.run([sys.executable, "-m", "rupture_kit", "horns", "x.json", "--dim", "2"],
+                         capture_output=True, text=True, cwd=ROOT, env=cli_env())
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("usage: rupture-kit horns [-h] [--json] --dim DIM")
+    assert run.stderr.endswith(
+        "rupture-kit horns: error: the following arguments are required: --missing\n")
 
 
 # Every public codec of ``documents``, called as the first documents call

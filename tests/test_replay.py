@@ -97,3 +97,10 @@ def test_the_corpus_holds_each_gap_list_edit_of_the_horn_row_test():
     for name, where in lists:
         ops = [n.split(".")[-2] for n in names if n.startswith(f"list-{name}.{where}.")]
         assert ops == [op.replace(" ", "-") for op in LIST_EDITS for _ in range(4)], name
+
+
+def test_the_argv_variants_but_the_reordered_ones_go_to_argparse(tmp_path):
+    from rupture_kit.cli import read_argv
+
+    for name, argv in replay.argv_variants(tmp_path):
+        assert (read_argv(argv) is None) != name.startswith("options before positionals"), name
