@@ -16,7 +16,7 @@ is mu(beta) composed after mu(alpha).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import KernelError, record
 from .fibration import (
@@ -28,7 +28,7 @@ from .simplicial import SimplexId, SimplicialMap, TruncatedComplex
 
 
 @record
-class EdgePath(NamedTuple):
+class EdgePath:
     """An ordered walk along edges, each traversed forward or backward.
 
     Forward traversal runs source (d_1) to target (d_0); backward runs the
@@ -57,7 +57,7 @@ class EdgePath(NamedTuple):
 
 
 @record
-class CoveringTask(NamedTuple):
+class CoveringTask:
     """The loops at a base vertex whose monodromy ``rupture-kit monodromy``
     reports: the body of a covering-task document."""
 
@@ -101,7 +101,7 @@ def check_path(x: TruncatedComplex, path: EdgePath) -> None:
 
 
 @record
-class FiberPermutation(NamedTuple):
+class FiberPermutation:
     """A bijection on the fiber vertices over a basepoint.
 
     ``mapping`` pairs (source vertex index, image vertex index), sorted on

@@ -22,7 +22,7 @@ annotations that makes the horn inhabitable).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .errors import KernelError, record
 
@@ -47,7 +47,7 @@ class Annotation(Enum):
 
 
 @record
-class AtomType(NamedTuple):
+class AtomType:
     name: str
 
     def __str__(self) -> str:
@@ -55,13 +55,13 @@ class AtomType(NamedTuple):
 
 
 @record
-class UnitType(NamedTuple):
+class UnitType:
     def __str__(self) -> str:
         return "Unit"
 
 
 @record
-class ProdType(NamedTuple):
+class ProdType:
     left: "TypeExpr"
     right: "TypeExpr"
 
@@ -73,7 +73,7 @@ TypeExpr = Union[AtomType, UnitType, ProdType]
 
 
 @record
-class Var(NamedTuple):
+class Var:
     name: str
 
     def __str__(self) -> str:
@@ -81,13 +81,13 @@ class Var(NamedTuple):
 
 
 @record
-class UnitTerm(NamedTuple):
+class UnitTerm:
     def __str__(self) -> str:
         return "()"
 
 
 @record
-class Pair(NamedTuple):
+class Pair:
     left: "TupleTerm"
     right: "TupleTerm"
 
@@ -99,19 +99,19 @@ TupleTerm = Union[Var, UnitTerm, Pair]
 
 
 @record
-class Binding(NamedTuple):
+class Binding:
     var: str
     type: TypeExpr
     annotation: Annotation
 
 
 @record
-class ResourceContext(NamedTuple):
+class ResourceContext:
     """An ordered list of annotated bindings with distinct variable names."""
 
     bindings: tuple[Binding, ...]
 
-    def _new(cls, bindings: tuple[Binding, ...]) -> "ResourceContext":
+    def __new__(cls, bindings: tuple[Binding, ...]) -> "ResourceContext":
         names = [b.var for b in bindings]
         if len(set(names)) != len(names):
             raise KernelError("context variable names must be distinct")
@@ -129,7 +129,7 @@ class ResourceContext(NamedTuple):
 
 
 @record
-class UsageCertificate(NamedTuple):
+class UsageCertificate:
     """Occurrence counts per context variable with per-annotation verdicts.
 
     ``counts`` and ``verdicts`` pair every context variable with its exact
@@ -154,13 +154,13 @@ class UsageCertificate(NamedTuple):
 
 
 @record
-class DerivabilityResult(NamedTuple):
+class DerivabilityResult:
     derivable: bool
     certificate: UsageCertificate
 
 
 @record
-class Substitution(NamedTuple):
+class Substitution:
     """A type-matching rename of one context's variables into another's.
 
     ``mapping`` sends each variable of the judgment's home context to a
@@ -182,7 +182,7 @@ class Substitution(NamedTuple):
 
 
 @record
-class DerivabilityHorn(NamedTuple):
+class DerivabilityHorn:
     """Derivable here, witnessed underivable after substitution."""
 
     source_certificate: UsageCertificate
@@ -191,7 +191,7 @@ class DerivabilityHorn(NamedTuple):
 
 
 @record
-class DeriveTask(NamedTuple):
+class DeriveTask:
     """A term and goal judged in ``gamma`` and, renamed by ``sigma``, in
     ``delta``: the body of a derive-task document."""
 

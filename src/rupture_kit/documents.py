@@ -58,7 +58,7 @@ from functools import cache
 from itertools import accumulate, chain, compress, groupby, pairwise, repeat
 from json.encoder import encode_basestring_ascii
 from operator import is_not, itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 from .errors import DocumentError, KernelError, ShapeError, record
 
@@ -78,7 +78,7 @@ MAX_DIM_BOUND = 2000
 
 
 @record
-class Document(NamedTuple):
+class Document:
     kind: str
     body: object
 

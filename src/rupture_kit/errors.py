@@ -1,9 +1,11 @@
-"""Shared error types, the validation-report row, and the finishing touch
-every kernel record gets."""
+"""Shared error types, the validation-report row, and the builder that
+makes each kernel record class, a named tuple, in one ``type()`` call."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from _collections import _tuplegetter
+from functools import cached_property
+from types import FunctionType
 
 
 class KernelError(Exception):
@@ -49,14 +51,59 @@ class DocumentError(Exception):
         return base
 
 
-def checked(cls):
-    """Build a named tuple class through its body's ``_new``, if any (as
-    ``typing.NamedTuple`` refuses a ``__new__`` there), on every path: its
-    ``_make``, which ``_replace`` calls, builds through the class too."""
-    if "_new" in vars(cls):
-        cls.__new__ = staticmethod(cls._new)
-    cls._make = classmethod(lambda cls, fields: cls(*fields))
-    return cls
+_tuple_new = tuple.__new__
+# namedtuple's ``__new__`` for each arity up to 7, without its eval: a
+# record's copy of one names its parameters after the fields.
+_NEW = (
+    lambda _cls: _tuple_new(_cls, ()),
+    lambda _cls, a: _tuple_new(_cls, (a,)),
+    lambda _cls, a, b: _tuple_new(_cls, (a, b)),
+    lambda _cls, a, b, c: _tuple_new(_cls, (a, b, c)),
+    lambda _cls, a, b, c, d: _tuple_new(_cls, (a, b, c, d)),
+    lambda _cls, a, b, c, d, e: _tuple_new(_cls, (a, b, c, d, e)),
+    lambda _cls, a, b, c, d, e, f: _tuple_new(_cls, (a, b, c, d, e, f)),
+    lambda _cls, a, b, c, d, e, f, g: _tuple_new(_cls, (a, b, c, d, e, f, g)),
+)
+
+
+def _replace(self, **changes):
+    made = self._make(map(changes.pop, self._fields, self))
+    if changes:
+        raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+    return made
+
+
+# namedtuple's methods, but ``_make``, and so ``_replace``, builds through the class.
+_METHODS = {
+    "__repr__": lambda self: type(self).__name__ + "(" + ", ".join(
+        map("{}={!r}".format, self._fields, self)) + ")",
+    "__getnewargs__": lambda self: tuple(self),
+    "_make": classmethod(lambda cls, fields: cls(*fields)),
+    "_replace": _replace,
+    "_asdict": lambda self: dict(zip(self._fields, self)),
+}
+
+
+def named_tuple(body, **methods):
+    """The plain class ``body`` as a tuple class, built by one ``type()``
+    call: its annotated names, never evaluated, are the fields, its values
+    for them their defaults. Its attributes override ``methods``, and those
+    :data:`_METHODS`; without a ``__new__`` of its own it binds arguments
+    as namedtuple's does. It has a ``__dict__`` only if a ``cached_property``
+    needs one; a method may not use bare ``super()``, which names ``body``."""
+    ns = {**_METHODS, **methods, **vars(body)}
+    del ns["__dict__"], ns["__weakref__"]
+    fields = tuple(ns.get("__annotations__", ()))
+    defaults = {f: ns[f] for f in fields if f in ns}
+    if "__new__" not in ns:
+        code = _NEW[len(fields)].__code__.replace(co_varnames=("_cls", *fields))
+        new = ns["__new__"] = FunctionType(code, globals(), "__new__", (*defaults.values(),))
+        new.__qualname__ = f"{body.__qualname__}.__new__"
+    ns.update({f: _tuplegetter(i, None) for i, f in enumerate(fields)})
+    ns.update(_fields=fields, _field_defaults=defaults)
+    if not any(type(value) is cached_property for value in ns.values()):
+        ns["__slots__"] = ()
+    return type(body.__name__, (tuple,), ns)
 
 
 def _eq(self, other):
@@ -66,25 +113,17 @@ def _eq(self, other):
     return False if isinstance(other, tuple) else NotImplemented
 
 
-def _ne(self, other):
-    eq = _eq(self, other)
-    return eq if eq is NotImplemented else not eq
-
-
-def record(cls):
-    """Finish a named tuple class as a kernel record: it equals the records
-    of its own class and the plain tuple of its fields, nothing else (two
-    records of one arity stay apart), and hashes as that tuple; it builds
-    as :func:`checked` says; and a record without fields is true, as every
-    value object is."""
-    cls.__eq__, cls.__ne__, cls.__hash__ = _eq, _ne, tuple.__hash__
-    if not cls._fields:
-        cls.__bool__ = lambda self: True
-    return checked(cls)
+def record(body):
+    """:func:`named_tuple` as a kernel record: it equals the records of its
+    own class and the plain tuple of its fields, nothing else (two records
+    of one arity stay apart; object's ``__ne__`` inverts that), hashes as
+    that tuple, and is true without fields, as every value object is."""
+    empty = {} if vars(body).get("__annotations__") else {"__bool__": lambda self: True}
+    return named_tuple(body, __eq__=_eq, __ne__=object.__ne__, __hash__=tuple.__hash__, **empty)
 
 
 @record
-class Violation(NamedTuple):
+class Violation:
     """One row of a validation report.
 
     ``kind`` is a stable machine-checkable code; ``message`` is the

@@ -18,9 +18,9 @@ covering machinery.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
-from .errors import KernelError, Violation, record
+from .errors import KernelError, Violation, named_tuple, record
 from .ruptured import (
     GapMode,
     RupturedComplex,
@@ -35,13 +35,15 @@ from .simplicial import (
     check_simplicial_map,
     enumerate_horns,
     fitted_horn,
+    horn_dims,
     horn_rows,
     restrict,
     shaped_map,
 )
 
 
-class LiftingProblemKey(NamedTuple):
+@named_tuple
+class LiftingProblemKey:
     """A horn in the total space together with the coherent base simplex it
     should lift. The base simplex's dimension equals the horn's. A key is
     the tuple (horn, base) and orders as one."""
@@ -54,7 +56,7 @@ class LiftingProblemKey(NamedTuple):
 
 
 @record
-class LoopProblem(NamedTuple):
+class LoopProblem:
     """One based-loop closure problem: lift a loop to a loop at ``start``.
 
     Coherent entries carry the closing lift; gapped entries carry a
@@ -68,24 +70,18 @@ class LoopProblem(NamedTuple):
     closing_lift: Optional[object] = None  # EdgePath when coherent
 
 
-class _FibrationFields(NamedTuple):
+@record
+class RupturedFibrationData:
+    """A projection between ruptured complexes plus its gap-marked lifting
+    problems, composite-edge designations, and based-loop registry; each of
+    the last three starts as a new empty dict when left out."""
+
     total: RupturedComplex
     base: RupturedComplex
     proj: SimplicialMap
     gap_lifts: Mapping[LiftingProblemKey, Optional[GapMode]]
     composites: Mapping[tuple[int, int], int]
     loop_gaps: Mapping[tuple[tuple[tuple[int, bool], ...], int], LoopProblem]
-
-
-@record
-class RupturedFibrationData(_FibrationFields):
-    """A projection between ruptured complexes plus its gap-marked lifting
-    problems, composite-edge designations, and based-loop registry; each of
-    the last three starts as a new empty dict when left out.
-
-    No ``__slots__``: each fibration keeps a ``__dict__`` for its cached
-    lift table and vertex preimages.
-    """
 
     def __new__(
         cls,
@@ -160,7 +156,7 @@ def build_lift_table(
 
 
 @record
-class Coherent(NamedTuple):
+class Coherent:
     """Transport succeeded; ``multiplicity`` counts the coherent lifts and
     ``target`` is the endpoint of the least one."""
 
@@ -169,12 +165,12 @@ class Coherent(NamedTuple):
 
 
 @record
-class Gapped(NamedTuple):
+class Gapped:
     mode: Optional[GapMode] = None
 
 
 @record
-class OpenTransport(NamedTuple):
+class OpenTransport:
     pass
 
 
@@ -183,7 +179,7 @@ OPEN_TRANSPORT = OpenTransport()
 
 
 @record
-class TransportHornInhabitant(NamedTuple):
+class TransportHornInhabitant:
     """A coherent term, a coherent path, and the gap witness of their
     lifting problem. ``path`` is a base edge, or an edge path for
     based-loop closure problems."""
@@ -194,7 +190,7 @@ class TransportHornInhabitant(NamedTuple):
 
 
 @record
-class FunctorialityHornInhabitant(NamedTuple):
+class FunctorialityHornInhabitant:
     """Stepwise transport succeeded but the designated composite is gapped."""
 
     term: SimplexId
@@ -421,7 +417,7 @@ def fiber(
     )
     gap = {}
     if f.total.gap:
-        for n in range(1, sub.dim_bound + 1):
+        for n in horn_dims(sub, sub.dim_bound):
             for k in range(n + 1):
                 for h in enumerate_horns(sub, n, k):
                     image = inclusion.apply_horn(h)
@@ -437,7 +433,7 @@ def enumerate_lifting_problems(f: RupturedFibrationData) -> list[LiftingProblemK
     :class:`HornSpec`, built only for a horn with a problem."""
     e, b = f.total.underlying, f.base.underlying
     out = []
-    for n in range(1, min(e.dim_bound, b.dim_bound) + 1):
+    for n in horn_dims(e, min(e.dim_bound, b.dim_bound)):
         coh, base_coh = f.total.coh[n - 1], f.base.coh[n]
         if not base_coh:  # no base simplex to lift to
             continue
@@ -484,16 +480,19 @@ def compose_fibrations(
 
     The keys of one horn are adjacent, so the work on p(h) and on the
     coherent lifts of h is done once per horn; a stage without gap marks
-    is not searched for one.
+    is not searched for one, and with none in either stage no key is.
     """
     if f.base != g.total:
         raise KernelError("composition needs the first base to equal the second total")
     proj = SimplicialMap.compose(g.proj, f.proj)
     composite = RupturedFibrationData(f.total, g.base, proj)
+    problems = enumerate_lifting_problems(composite)  # bench/tracing.py counts them, read or not
     mid, upper_gaps, lower_gaps = f.base, f.gap_lifts, g.gap_lifts
+    if not upper_gaps and not lower_gaps:
+        return composite  # no step is gapped, so no composite problem is
     gap_lifts: dict[LiftingProblemKey, Optional[GapMode]] = {}
     prev = None
-    for key in enumerate_lifting_problems(composite):
+    for key in problems:
         h, base = key
         n = h.n
         if h is not prev:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .errors import ExclusionError, KernelError, record
 
@@ -40,10 +40,10 @@ class Polarity(Enum):
 
 
 @record
-class BaseJudgment(NamedTuple):
+class BaseJudgment:
     label: str
 
-    def _new(cls, label: str) -> "BaseJudgment":
+    def __new__(cls, label: str) -> "BaseJudgment":
         if not label:
             raise KernelError("judgment label must be non-empty")
         return tuple.__new__(cls, (label,))
@@ -53,11 +53,11 @@ class BaseJudgment(NamedTuple):
 
 
 @record
-class ArrowJudgment(NamedTuple):
+class ArrowJudgment:
     source: str
     target: str
 
-    def _new(cls, source: str, target: str) -> "ArrowJudgment":
+    def __new__(cls, source: str, target: str) -> "ArrowJudgment":
         if not source or not target:
             raise KernelError("arrow labels must be non-empty")
         return tuple.__new__(cls, (source, target))
@@ -70,7 +70,7 @@ JudgmentAtom = Union[BaseJudgment, ArrowJudgment]
 
 
 @record
-class WitnessEntry(NamedTuple):
+class WitnessEntry:
     judgment: JudgmentAtom
     polarity: Polarity
     witness_id: str
@@ -78,14 +78,14 @@ class WitnessEntry(NamedTuple):
 
 
 @record
-class HornTriple(NamedTuple):
+class HornTriple:
     first: str
     second: str
     gap: str
 
 
 @record
-class ScriptCommand(NamedTuple):
+class ScriptCommand:
     """One row of a judgment-script document: ``add``, ``is_open``,
     ``horn`` or ``level_up``, with the fields that op reads."""
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import add, itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ExclusionError, KernelError, ShapeError, Violation, record
 from .simplicial import (
@@ -27,6 +27,7 @@ from .simplicial import (
     check_simplicial_map,
     enumerate_horns,
     fitted_horn,
+    horn_dims,
     horn_fits,
     horn_of,
     horn_rows,
@@ -39,7 +40,7 @@ from .simplicial import (
 
 
 @record
-class GapMode(NamedTuple):
+class GapMode:
     """How a horn fails to fill: a kind label plus kind-specific payload.
 
     Payloads are canonical hashable values: a fiber permutation for
@@ -50,7 +51,7 @@ class GapMode(NamedTuple):
     kind: str
     payload: object = None
 
-    def _new(cls, kind: str, payload: object = None) -> "GapMode":
+    def __new__(cls, kind: str, payload: object = None) -> "GapMode":
         if not kind:
             raise KernelError("gap mode kind must be non-empty")
         return tuple.__new__(cls, (kind, payload))
@@ -63,7 +64,7 @@ PLAIN = GapMode("plain")
 
 
 @record
-class RupturedComplex(NamedTuple):
+class RupturedComplex:
     """A truncated complex with coherence and gap annotations.
 
     ``coh[n]`` is the set of coherent simplex indices in dimension n.
@@ -75,7 +76,7 @@ class RupturedComplex(NamedTuple):
     coh: tuple[frozenset[int], ...]
     gap: Mapping[HornSpec, Optional[GapMode]]
 
-    def _new(
+    def __new__(
         cls,
         underlying: TruncatedComplex,
         coh: Sequence[Iterable[int]],
@@ -151,24 +152,24 @@ class RupturedComplex(NamedTuple):
 
 
 @record
-class CoherentlyFilled(NamedTuple):
+class CoherentlyFilled:
     """The horn has at least one coherent filler; all of them are listed."""
 
     fillers: tuple[SimplexId, ...]
 
-    def _new(cls, fillers: tuple[SimplexId, ...]) -> "CoherentlyFilled":
+    def __new__(cls, fillers: tuple[SimplexId, ...]) -> "CoherentlyFilled":
         if not fillers:
             raise KernelError("coherent filling needs at least one filler")
         return tuple.__new__(cls, (fillers,))
 
 
 @record
-class GapWitnessed(NamedTuple):
+class GapWitnessed:
     mode: Optional[GapMode] = None
 
 
 @record
-class Open(NamedTuple):
+class Open:
     pass
 
 
@@ -257,10 +258,8 @@ def fully_gapped(x: TruncatedComplex) -> RupturedComplex:
 
     Coh must be empty for Exclusion to hold against an all-horn gap set.
     """
-    gap = []
-    for n in range(1, x.dim_bound + 1):
-        for k in range(n + 1):
-            gap.extend(enumerate_horns(x, n, k))
+    gap = [h for n in horn_dims(x, x.dim_bound) for k in range(n + 1)
+           for h in enumerate_horns(x, n, k)]
     return RupturedComplex.create(x, {}, gap)
 
 
@@ -312,7 +311,7 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
     # the pairs of factor (n, k)-horns; a pair whose left horn is not gapped
     # is gapped only through its right horn.
     gap = {}
-    for n in range(1, bound + 1):
+    for n in horn_dims(underlying, bound):
         rc = y.counts[n - 1]
         for k in range(n + 1):
             right = [(b, s.gap.get((n, k, b))) for b in horn_rows(y, n, k)]

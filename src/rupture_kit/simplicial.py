@@ -22,12 +22,13 @@ from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, combinations, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import KernelError, ShapeError, Violation, checked, record
+from .errors import KernelError, ShapeError, Violation, named_tuple, record
 
 
-class SimplexId(NamedTuple):
+@named_tuple
+class SimplexId:
     """Identity of a simplex inside one complex: (dimension, index).
 
     A tuple: it equals, hashes and orders as the plain pair."""
@@ -39,8 +40,8 @@ class SimplexId(NamedTuple):
         return f"{self.dim}/{self.index}"
 
 
-@checked
-class HornSpec(NamedTuple):
+@named_tuple
+class HornSpec:
     """A (n, k)-horn: faces for every index i != k, the k-th face missing.
 
     ``faces`` lists the assigned face indices (into dimension n-1) for the
@@ -52,7 +53,7 @@ class HornSpec(NamedTuple):
     k: int
     faces: tuple[int, ...]
 
-    def _new(cls, n: int, k: int, faces: tuple[int, ...]) -> "HornSpec":
+    def __new__(cls, n: int, k: int, faces: tuple[int, ...]) -> "HornSpec":
         if not (n >= 1 and 0 <= k <= n):
             raise KernelError(f"horn index k={k} out of range for n={n}")
         if len(faces) != n:
@@ -96,26 +97,20 @@ def fitted_horns(n: int, k: int, rows: Iterable[tuple[int, ...]]) -> Iterator[Ho
     return map(tuple.__new__, repeat(HornSpec), zip(repeat(n), repeat(k), rows))
 
 
-class _ComplexFields(NamedTuple):
-    dim_bound: int
-    counts: tuple[int, ...]
-    face_table: tuple[tuple[tuple[int, ...], ...], ...]
-    labels: tuple[Optional[tuple[str, ...]], ...] = ()
-
-
 @record
-class TruncatedComplex(_ComplexFields):
+class TruncatedComplex:
     """A finite simplicial structure truncated at ``dim_bound``.
 
     ``counts[n]`` is the number of n-simplices. ``face_table[n-1][i]`` holds
     the ordered face indices (d_0 .. d_n) of simplex (n, i), each an index
     into dimension n-1. ``labels`` is ``()`` when no dimension is labelled,
     else one entry per dimension: None, or a tuple of one human-readable
-    name per simplex. Labels are metadata only and carry no semantics.
+    name per simplex. Labels are metadata only and carry no semantics."""
 
-    No ``__slots__``: each complex keeps a ``__dict__`` for its cached
-    filler and coface tables.
-    """
+    dim_bound: int
+    counts: tuple[int, ...]
+    face_table: tuple[tuple[tuple[int, ...], ...], ...]
+    labels: tuple[Optional[tuple[str, ...]], ...] = ()
 
     def __new__(
         cls,
@@ -238,12 +233,12 @@ class TruncatedComplex(_ComplexFields):
 
     @cached_property
     def fillers(self) -> tuple[tuple[dict[tuple[int, ...], tuple[int, ...]], ...], ...]:
-        """``fillers[n - 1][k]`` maps a face row with entry k dropped to the
-        ascending indices of the n-simplices filling that (n, k)-horn; built
-        on first use and kept in the complex's ``__dict__``."""
+        """``fillers[n - 1][k]``, for n in :func:`horn_dims`, maps a face row
+        with entry k dropped to the ascending indices of the n-simplices
+        filling that (n, k)-horn; built on first use, kept in ``__dict__``."""
         return tuple(
             tuple(_positions(row[:k] + row[k + 1 :] for row in rows) for k in range(n + 1))
-            for n, rows in enumerate(self.face_table, 1)
+            for n, rows in zip(horn_dims(self, self.dim_bound), self.face_table)
         )
 
     @cached_property
@@ -276,7 +271,7 @@ def bad_index(values: Sequence, dim: int, count: int) -> Optional[tuple[int, str
 
 
 @record
-class SimplicialMap(NamedTuple):
+class SimplicialMap:
     """A per-dimension total map of simplex indices between two complexes.
 
     ``levels[n][i]`` is the target index of source simplex (n, i). The map
@@ -568,6 +563,12 @@ def misfit_runs(x: TruncatedComplex, horns: Sequence[HornSpec]) -> Iterator[Sequ
 # -- horn enumeration and filling -------------------------------------------
 
 
+def horn_dims(x: TruncatedComplex, top: int) -> range:
+    """The n in 1..top where x has (n-1)-simplices, so may have n-horns: as a
+    face row names simplices a dimension down, all n up to the first empty."""
+    return range(1, min(top, (*x.counts, 0).index(0)) + 1)
+
+
 def horn_rows(x: TruncatedComplex, n: int, k: int) -> list[tuple[int, ...]]:
     """The face tuples of all boundary-compatible (n, k)-horns of the
     complex, each once, in lexicographic order: the horns of
@@ -636,7 +637,7 @@ def is_kan_up_to(
         raise KernelError(f"max_dim {max_dim} is negative")
     if max_dim > x.dim_bound:
         raise KernelError(f"max_dim {max_dim} exceeds bound {x.dim_bound}")
-    for n in range(2, max_dim + 1):
+    for n in horn_dims(x, max_dim):
         for k in range(1, n):
             for h in enumerate_horns(x, n, k):
                 if h.faces not in x.fillers[n - 1][k]:

@@ -20,6 +20,7 @@ import json
 import pathlib
 import random
 import sys
+import time
 from functools import cached_property
 
 import pytest
@@ -253,6 +254,20 @@ def test_compose_checks_each_step_once(calls):
     assert total >= 30
 
 
+def test_compose_without_gap_marks_reads_nothing_of_the_middle_space(monkeypatch):
+    """With neither stage gapped no composite problem is, so composition
+    enumerates the problems and looks at no middle filler table."""
+    x = standard_simplex(3, 3)
+    total, middle, base = from_kan(x), from_kan(standard_simplex(3, 3)), from_kan(x)
+    identity = SimplicialMap.identity(x)
+    f = RupturedFibrationData(total, middle, identity)
+    g = RupturedFibrationData(middle, base, identity)
+    builds = table_builds(monkeypatch)
+    composite = compose_fibrations(f, g)
+    assert composite == RupturedFibrationData(total, base, identity) and not composite.gap_lifts
+    assert builds and all(y is not middle.underlying for y, _ in builds)
+
+
 def test_monodromy_ruptured_lifts_each_fiber_point_once(calls):
     generator = EdgePath.forward(*range(5))
     covering.monodromy_ruptured(
@@ -376,6 +391,37 @@ def test_product_enumerates_no_horn_of_the_product(monkeypatch):
         product(r, s)
         assert enumerated
         assert all(x is r.underlying or x is s.underlying for x in enumerated)
+
+
+
+def test_a_bound_far_above_the_input_scans_only_the_dimensions_with_horns(monkeypatch):
+    """At any bound, up to the largest a document may name, the 2-simplex
+    has n-horns for n <= 3 only, and each horn scan reads those shapes
+    alone: one ``horn_rows`` call per shape (two in a product, one per
+    factor), none for the empty dimensions, and none for a lifting problem
+    without a coherent base simplex (n = 3). The small bound comes first,
+    so that a scan of every dimension fails the count before it takes hours
+    at the largest."""
+    scanned = first_args(monkeypatch, simplicial.horn_rows)
+    for bound in (40, documents.MAX_DIM_BOUND):
+        x = standard_simplex(2, bound)
+        r = fully_gapped(x)
+        f = RupturedFibrationData(from_kan(x), from_kan(x), SimplicialMap.identity(x))
+        g = RupturedFibrationData(r, from_kan(x), SimplicialMap.identity(x))
+        calls = [
+            (lambda: fully_gapped(x), 2 + 3 + 4),
+            (lambda: is_kan_up_to(x, x.dim_bound), 1 + 2),  # inner horns only
+            (lambda: product(r, r), 2 * (2 + 3 + 4)),
+            (lambda: enumerate_lifting_problems(f), 2 + 3),
+            (lambda: compose_fibrations(f, f), 2 + 3),
+            (lambda: fibration.fiber(g, SimplexId(0, 0)), 2),  # the fiber is one vertex
+        ]
+        start = time.perf_counter()
+        for call, count in calls:
+            scanned.clear()
+            call()
+            assert len(scanned) == count
+        assert time.perf_counter() - start < 5  # about 0.05 s at the largest bound
 
 
 def test_a_gap_table_is_read_and_checked_one_shape_at_a_time(monkeypatch, calls):

@@ -81,6 +81,38 @@ def test_command_loads_only_what_it_reads(argv, modules):
     assert got["slow"] == []
 
 
+
+IMPORT_ALL = """
+import builtins, importlib, json, pathlib, typing
+import rupture_kit
+names = sorted(p.stem for p in pathlib.Path(rupture_kit.__file__).parent.glob("[!_]*.py"))
+counts = {"eval": 0, "compile": 0, "NamedTupleMeta": 0}
+
+def counted(name, original):
+    def call(*args, **kwargs):
+        # Source text only: an import compiles bytes and executes code objects.
+        counts[name] += isinstance(args[0], str)
+        return original(*args, **kwargs)
+    return call
+
+builtins.eval = counted("eval", builtins.eval)
+builtins.compile = counted("compile", builtins.compile)
+typing.NamedTupleMeta.__new__ = counted("NamedTupleMeta", typing.NamedTupleMeta.__new__)
+for name in names:
+    importlib.import_module("rupture_kit." + name)
+print(json.dumps({"modules": names, "counts": counts}))
+"""
+
+
+def test_importing_every_module_evaluates_no_source_text():
+    """Every record class is built by ``type()``: importing the package
+    compiles no annotation and evaluates no generated ``__new__``, as a
+    ``typing.NamedTuple`` class did (one compile per field, and an eval)."""
+    got = json.loads(fresh(IMPORT_ALL))
+    assert len(got["modules"]) == 9
+    assert got["counts"] == {"eval": 0, "compile": 0, "NamedTupleMeta": 0}
+
+
 def test_a_refused_argv_still_gets_argparse_usage():
     run = subprocess.run([sys.executable, "-m", "rupture_kit", "horns", "x.json", "--dim", "2"],
                          capture_output=True, text=True, cwd=ROOT, env=cli_env())

@@ -3,9 +3,9 @@ filler search, and the Kan check."""
 
 import pickle
 import random
+from collections import namedtuple
 from dataclasses import field, make_dataclass
 from itertools import product as cartesian
-from typing import NamedTuple
 
 import pytest
 
@@ -1209,7 +1209,7 @@ class TestValueTypes:
 
 
 BINDING = Binding("x", UnitType(), Annotation.LINEAR)
-# A record of each class whose check ``_new`` holds, and field values it refuses.
+# A record of each class whose check, its ``__new__``, holds, and field values it refuses.
 FOLDED = [
     (GapMode("semantic", ("warm",)), {"kind": ""}),
     (RupturedComplex.create(standard_simplex(1, 1), {0: [1]}, [HornSpec(1, 0, (0,))]),
@@ -1235,10 +1235,134 @@ def test_a_record_with_a_check_is_one_class(value, refused):
     assert pickle.loads(pickle.dumps(value)) == value
     assert value == tuple(value) and not value != tuple(value)
     assert hash_of(value) == hash_of(tuple(value))
-    other = record(NamedTuple("Other", [(name, object) for name in cls._fields]))(*value)
+    body = type("Other", (), {"__annotations__": dict.fromkeys(cls._fields, "object")})
+    other = record(body)(*value)
     assert value != other and other != value and not value == other
     mode = GapMode("plain")
     assert GapWitnessed(mode) != Gapped(mode) and GapWitnessed(mode) == (mode,)
+
+
+# Each record class's fields, as they were when the records were
+# typing.NamedTuple classes; those after "|" have a default, None unless
+# DEFAULTS names another.
+FIELDS = {
+    Violation: "kind message",
+    TruncatedComplex: "dim_bound counts face_table | labels",
+    SimplicialMap: "levels",
+    GapMode: "kind | payload",
+    RupturedComplex: "underlying coh gap",
+    CoherentlyFilled: "fillers",
+    GapWitnessed: "| mode",
+    Open: "",
+    LoopProblem: "loop_key start gapped | mode closing_lift",
+    RupturedFibrationData: "total base proj gap_lifts composites loop_gaps",
+    Coherent: "target | multiplicity",
+    Gapped: "| mode",
+    OpenTransport: "",
+    TransportHornInhabitant: "term path gap",
+    FunctorialityHornInhabitant: "term first second composite midpoint endpoint gap",
+    EdgePath: "steps",
+    CoveringTask: "basepoint loops",
+    FiberPermutation: "fiber mapping",
+    AtomType: "name",
+    UnitType: "",
+    ProdType: "left right",
+    Var: "name",
+    UnitTerm: "",
+    Pair: "left right",
+    Binding: "var type annotation",
+    ResourceContext: "bindings",
+    UsageCertificate: "counts verdicts | type_error",
+    DerivabilityResult: "derivable certificate",
+    Substitution: "mapping",
+    DerivabilityHorn: "source_certificate substitution target_certificate",
+    DeriveTask: "gamma delta sigma term goal",
+    BaseJudgment: "label",
+    ArrowJudgment: "source target",
+    WitnessEntry: "judgment polarity witness_id | payload",
+    HornTriple: "first second gap",
+    ScriptCommand: "op | judgment polarity payload first second gap",
+    Document: "kind body",
+    # the classes with plain tuple equality
+    SimplexId: "dim index",
+    HornSpec: "n k faces",
+    LiftingProblemKey: "horn base",
+}
+DEFAULTS = {(TruncatedComplex, "labels"): (), (Coherent, "multiplicity"): 1}
+CACHED = {TruncatedComplex, RupturedFibrationData}  # the classes with a __dict__
+PLAIN = {
+    SimplexId: SimplexId(1, 2),
+    HornSpec: HornSpec(2, 1, (4, 5)),
+    LiftingProblemKey: LiftingProblemKey(HornSpec(1, 0, (2,)), SimplexId(1, 0)),
+}
+
+
+def contract_value(cls):
+    """A value of ``cls``: the first of its seeded records its check accepts."""
+    if cls in PLAIN:
+        return PLAIN[cls]
+    for i in range(8):
+        got, value = outcome_of(seeded_record(cls, random.Random(f"{cls.__name__}-{i}")), False)
+        if got == "built":
+            return value
+
+
+def test_the_contract_covers_every_record():
+    assert set(FIELDS) == set(RECORDS) | set(PLAIN)
+
+
+@pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
+def test_record_contract(cls):
+    """What a record class kept from ``typing.NamedTuple``: its fields and
+    defaults, namedtuple's repr, C-level field getters, keyword calls,
+    arity errors, ``_make`` and ``_replace`` through the class, pickling,
+    and no ``__dict__`` but on the two classes that cache tables."""
+    value = contract_value(cls)
+    required, _, defaulted = (part.split() for part in FIELDS[cls].partition("|"))
+    assert cls.__bases__ == (tuple,)
+    assert cls._fields == (*required, *defaulted)
+    assert cls._field_defaults == {name: DEFAULTS.get((cls, name)) for name in defaulted}
+    assert {type(vars(cls)[name]).__name__ for name in cls._fields} <= {"_tuplegetter"}
+    assert repr(value) == repr(namedtuple(cls.__name__, cls._fields)(*value))
+    assert value == tuple(value) and hash_of(value) == hash_of(tuple(value))
+
+    assert cls(**value._asdict()) == value
+    assert cls(*value[:len(required)])[len(required):] == tuple(cls._field_defaults.values())
+    for wrong in (lambda: cls(*value, None), lambda: cls(**value._asdict(), extra=None),
+                  lambda: cls._make((*value, None))):
+        with pytest.raises(TypeError):
+            wrong()
+    if required:
+        with pytest.raises(TypeError):
+            cls()
+
+    assert type(cls._make(value)) is cls and cls._make(value) == value
+    assert value._replace() == value and type(value._replace()) is cls
+    with pytest.raises(ValueError, match="^Got unexpected field names: \\['extra'\\]$"):
+        value._replace(extra=None)
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is cls and copy == value
+    assert hasattr(value, "__dict__") == (cls in CACHED)
+
+
+@pytest.mark.parametrize("cls,args,kwargs", [
+    (SimplexId, (1,), {}),
+    (SimplexId, (1, 2, 3), {}),
+    (SimplexId, (1,), {"dim": 2}),
+    (SimplexId, (1, 2), {"label": 2}),
+    (Coherent, (), {"multiplicity": 2}),
+    (Open, (1,), {}),
+    (FunctorialityHornInhabitant, (1,) * 8, {}),
+])
+def test_a_record_without_a_new_binds_its_arguments_as_namedtuple_does(cls, args, kwargs):
+    reference = namedtuple(cls.__name__, cls._fields, defaults=cls._field_defaults.values())
+    with pytest.raises(TypeError) as refused:
+        cls(*args, **kwargs)
+    with pytest.raises(TypeError) as expected:
+        reference(*args, **kwargs)
+    assert str(refused.value) == str(expected.value)
+    assert SimplexId(index=2, dim=1) == SimplexId(1, index=2) == (1, 2)
+    assert Coherent(SimplexId(0, 1)) == Coherent(target=SimplexId(0, 1), multiplicity=1)
 
 
 class TestNegativeIds:
