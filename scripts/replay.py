@@ -8,10 +8,13 @@ The corpus is every bundled fixture and N seeded mutations of it
 (``tests/test_cli_fuzz.mutate``), and every document of the gap-list corpus
 of ``tests/test_horn_rows.py`` with the gap-list edits that its test makes
 (``edited_list`` over ``LIST_EDITS``, from one seeded rng per document),
-and the documents that the JSON reader itself refuses
-(``tests/support.hostile_documents``), each handed to every command of its
-kind in ``tests/support.COMMANDS``, in text and with ``--json``; and argv
-spellings that go through argparse: refusals, help and odd spellings. The
+the documents that the JSON reader itself refuses
+(``tests/support.hostile_documents``) and the ones that only ``validate``
+refuses (``tests/support.misfit_documents``), each handed to every command
+of its kind in ``tests/support.COMMANDS``, in text and with ``--json``; the
+plain argvs that the kernel refuses (``tests/support.KERNEL_REFUSALS``), in
+text and with ``--json``; and argv spellings that go through argparse:
+refusals, help and odd spellings. The
 documents are written once, so both sides read the same files. The
 parent's ``src`` is extracted with ``git archive`` into a temporary
 directory, which leaves no worktree record behind, and each side replays
@@ -55,7 +58,7 @@ def build_corpus(seeds: int, into: Path) -> list[tuple[str, list[str]]]:
     gap-list edits written to ``into``; the label names the document the
     command reads."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from support import COMMANDS, FIXTURES, hostile_documents
+    from support import COMMANDS, FIXTURES, KERNEL_REFUSALS, hostile_documents, misfit_documents
     from test_cli_fuzz import mutate
 
     docs = []  # (path, text or bytes, kind): a mutation's text may not parse
@@ -67,7 +70,8 @@ def build_corpus(seeds: int, into: Path) -> list[tuple[str, list[str]]]:
                  for i in range(1, seeds + 1)]
     docs += [(into / f"{name}.json", text, json.loads(text)["kind"])
              for name, text in list_edits()]
-    docs += [(into / f"{name}.json", data, kind) for name, data, kind in hostile_documents()]
+    docs += [(into / f"{name}.json", data, kind)
+             for name, data, kind in hostile_documents() + misfit_documents()]
     runs = []
     for path, text, kind in docs:
         path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
@@ -75,6 +79,10 @@ def build_corpus(seeds: int, into: Path) -> list[tuple[str, list[str]]]:
             argv = [str(path) if a == "@" else str(into / a) if a.endswith(".json") else a
                     for a in command]
             runs += [(path.name, argv), (path.name, argv + ["--json"])]
+    for command in KERNEL_REFUSALS:
+        argv = [str(into / a) if a.endswith(".json") else a for a in command]
+        label = f"argv {' '.join(command)}"
+        runs += [(label, argv), (label, argv + ["--json"])]
     return runs + [(f"argv {name}", argv) for name, argv in argv_variants(into)]
 
 

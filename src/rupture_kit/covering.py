@@ -291,4 +291,4 @@ def monodromy_ruptured(
             else:
                 entry = LoopProblem(loop.key(), start, False, None, lifted)
             registry[(loop.key(), v)] = entry
-    return f.with_loop_gaps(registry)
+    return f._replace(loop_gaps=registry)

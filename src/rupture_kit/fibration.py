@@ -2,10 +2,11 @@
 projection, transport with coherent/gapped/open outcomes, fibers, and
 composition.
 
-A lifting problem pairs a horn in the total space (all faces coherent) with
-a coherent base simplex whose faces are the projected horn faces. Exactly
-one of three things holds for it: a coherent solution exists, the problem
-is gap-marked, or it is open. Transport is the 1-dimensional case anchored
+A lifting problem pairs a horn in the total space, which fits it
+(:func:`simplicial.horn_fits`) with all faces coherent, with a coherent
+base simplex whose faces are the projected horn faces. Exactly one of
+three things holds for it: a coherent solution exists, the problem is
+gap-marked, or it is open. Transport is the 1-dimensional case anchored
 at the source vertex: the lift of an edge from a fiber point, whose target
 endpoint is the transported point.
 
@@ -36,7 +37,9 @@ from .simplicial import (
     enumerate_horns,
     fitted_horn,
     horn_dims,
+    horn_fits,
     horn_rows,
+    horn_violations,
     restrict,
     shaped_map,
 )
@@ -97,9 +100,6 @@ class RupturedFibrationData:
         proj = shaped_map(proj, total.underlying, base.underlying)
         tables = [{} if t is None else t for t in (gap_lifts, composites, loop_gaps)]
         return tuple.__new__(cls, (total, base, proj, *tables))
-
-    def with_loop_gaps(self, registry) -> "RupturedFibrationData":
-        return self._replace(loop_gaps=dict(registry))
 
     @cached_property
     def lift_table(self) -> tuple[dict[tuple[int, int, int], list[int]], Optional[str]]:
@@ -206,29 +206,22 @@ class FunctorialityHornInhabitant:
 
 
 def key_violations(f: RupturedFibrationData, key: LiftingProblemKey) -> list[Violation]:
-    """Well-formedness of a lifting problem: horn faces exist and are
-    coherent in the total space, the base simplex is coherent with matching
-    dimension, and proj(face_i) = d_i(base) for every present i."""
+    """Well-formedness of a lifting problem: the horn fits the total space
+    (:func:`horn_fits`) and its faces are coherent there, the base simplex
+    is coherent with matching dimension, and proj(face_i) = d_i(base) for
+    every present i. A horn that does not fit gets its
+    :func:`horn_violations` rows, each naming the key, and nothing else."""
     e, b = f.total.underlying, f.base.underlying
     h, base = key
-    n, k = h.n, h.k
-    if not 1 <= n <= e.dim_bound:
-        return [Violation("lift-horn-dim", f"{key}: horn dimension out of range")]
-    report: list[Violation] = []
-    count, coh = e.count(n - 1), f.total.coh[n - 1]
-    # The j-th assigned face sits at index i = j + (j >= k).
-    for j, fc in enumerate(h.faces):
-        if not 0 <= fc < count:
-            report.append(
-                Violation("lift-horn-face", f"{key}: face {j + (j >= k)} missing in total space")
-            )
-        elif fc not in coh:
-            report.append(
-                Violation(
-                    "lift-horn-coherence",
-                    f"{key}: face {j + (j >= k)} = {n - 1}/{fc} is not coherent",
-                )
-            )
+    if not horn_fits(e, h):
+        return [Violation(v.kind, f"{key}: {v.message}") for v in horn_violations(e, h)]
+    n, present = h.n, h.present_indices
+    coh = f.total.coh[n - 1]
+    report = [
+        Violation("lift-horn-coherence", f"{key}: face {i} = {n - 1}/{fc} is not coherent")
+        for i, fc in zip(present, h.faces)
+        if fc not in coh
+    ]
     if base.dim != n:
         report.append(Violation("lift-base-dim", f"{key}: base dimension {base.dim} != {n}"))
     elif not b.has(base):
@@ -237,18 +230,12 @@ def key_violations(f: RupturedFibrationData, key: LiftingProblemKey) -> list[Vio
         report.append(Violation("lift-base-coherence", f"{key}: base simplex not coherent"))
     if report:
         return report
-    base_row = b.face_row(n, base.index)
-    level = f.proj.levels[n - 1]
-    for j, fc in enumerate(h.faces):
-        i = j + (j >= k)
-        if level[fc] != base_row[i]:
-            report.append(
-                Violation(
-                    "lift-compatibility",
-                    f"{key}: proj(face {i}) != d_{i}(base)",
-                )
-            )
-    return report
+    base_row, level = b.face_row(n, base.index), f.proj.levels[n - 1]
+    return [
+        Violation("lift-compatibility", f"{key}: proj(face {i}) != d_{i}(base)")
+        for i, fc in zip(present, h.faces)
+        if level[fc] != base_row[i]
+    ]
 
 
 def _coherent_lifts(f: RupturedFibrationData, h: HornSpec) -> dict[int, int]:
@@ -335,8 +322,10 @@ def transport(
     A key is accepted on ints, without a report, when both spaces have
     edges, ``path`` is a coherent edge, ``e`` a coherent point, and ``e``
     projects onto the source d_1 of ``path``. These are the checks of
-    :func:`key_violations` on this key, so any other key is rejected with
-    that report, as :func:`classify_lift` rejects it.
+    :func:`key_violations` on this key: a 1-horn has no boundary identity,
+    so it fits exactly when its one face is in range, which ``e`` being
+    coherent implies. Any other key is rejected with that report, as
+    :func:`classify_lift` rejects it.
     """
     if e.dim != 0:
         raise KernelError(f"transport needs a total-space vertex, got {e}")
@@ -468,7 +457,9 @@ def compose_fibrations(
     No step is checked with :func:`key_violations`. The composite's
     projection stops at the middle's bound, so its constructor refuses a
     middle space below both ends, and every composite problem (horn h,
-    base a) has n <= the middle bound. Its base-level step (p(h), a) is
+    base a) has n <= the middle bound. Its horn h fits E, as every
+    enumerated horn does, and p(h) fits B as the image of a fitting horn
+    under a map that commutes with faces. Its base-level step (p(h), a) is
     then well formed exactly when the faces of p(h) are coherent in B, one
     probe per horn: they name simplices of B because p is shaped, a is a
     coherent n-simplex of A because the composite problem is well formed,

@@ -341,7 +341,7 @@ def check_morphism(
 ) -> list[Violation]:
     """Report for a rupture-preserving morphism: the map must commute with
     faces, send Coh into Coh, and send gapped horns to gapped horns. A gap
-    horn of r that does not fit its complex gets its
+    horn of r that does not fit its complex (:func:`horn_fits`) gets its
     :func:`horn_violations` rows in place of a gap-preservation check, and
     one whose faces lie above the map's top dimension has no image, which
     is a gap-preservation violation."""
@@ -360,11 +360,10 @@ def check_morphism(
                 )
     x = r.underlying
     for h in sorted(r.gap):
-        n, _, faces = h
-        if not 1 <= n <= x.dim_bound or min(faces) < 0 or max(faces) >= x.counts[n - 1]:
+        if not horn_fits(x, h):
             report.extend(horn_violations(x, h))
             continue
-        if n - 1 > f.top_dim:
+        if h.n - 1 > f.top_dim:
             report.append(
                 Violation(
                     "gap-preservation",

@@ -19,8 +19,10 @@ from rupture_kit.derivability import (
     Var,
 )
 from rupture_kit.fibration import LiftingProblemKey, RupturedFibrationData, transport_key
-from rupture_kit.ruptured import GapMode, from_kan
-from rupture_kit.simplicial import SimplexId, SimplicialMap, TruncatedComplex
+from rupture_kit.ruptured import GapMode, from_kan, product
+from rupture_kit.simplicial import (
+    HornSpec, SimplexId, SimplicialMap, TruncatedComplex, standard_simplex,
+)
 
 
 def _edge_complex(vertices, edges, dim_bound=1):
@@ -129,6 +131,24 @@ def bottle_fibration() -> RupturedFibrationData:
         proj,
         {source_anchored_problem(1, 0): mode},
     )
+
+
+def misfit_lift_fibration() -> RupturedFibrationData:
+    """A fibration whose one gap lift has a horn that does not fit the total
+    space: the product of the 2-simplex with two looped vertices (a loop
+    edge on each and one 2-simplex on each loop), projected onto the
+    2-simplex. The horn's faces 0 and 2 project onto the faces of the base
+    2-simplex but lie over different looped vertices, so they disagree on
+    their shared vertex."""
+    loops = TruncatedComplex.create(
+        2, [2, 2, 2], {1: [[0, 0], [1, 1]], 2: [[0, 0, 0], [1, 1, 1]]})
+    simplex = from_kan(standard_simplex(2, 2))
+    total = product(simplex, from_kan(loops))
+    # Each factor has two simplices in each dimension, so (i, j) sits at 2i + j.
+    levels = tuple(tuple(i // 2 for i in range(total.underlying.count(n))) for n in range(3))
+    horn = HornSpec(2, 1, (4, 1))
+    return RupturedFibrationData(
+        total, simplex, SimplicialMap(levels), {LiftingProblemKey(horn, SimplexId(2, 0)): None})
 
 
 def double_cover_task(m: int = 3) -> CoveringTask:

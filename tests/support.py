@@ -13,7 +13,7 @@ import random
 from pathlib import Path
 
 from rupture_kit.covering import FiberPermutation
-from rupture_kit.documents import horn_to_body
+from rupture_kit.documents import Document, horn_to_body, serialize_document
 from rupture_kit.fibration import LiftingProblemKey, RupturedFibrationData
 from rupture_kit.ruptured import GapMode, RupturedComplex
 from rupture_kit.simplicial import (
@@ -23,6 +23,8 @@ from rupture_kit.simplicial import (
     TruncatedComplex,
     enumerate_horns,
 )
+
+from fixture_builders import misfit_lift_fibration
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIXTURES = SRC.parent / "fixtures"
@@ -82,6 +84,20 @@ def hostile_documents() -> list[tuple[str, bytes, str]]:
         ("hostile-dim-bound-digits",
          (head + '"dim_bound": ' + "9" * 4000 + ', "simplices": {}}').encode(), "complex"),
     ]
+
+
+def misfit_documents() -> list[tuple[str, bytes, str]]:
+    """(name, bytes, kind) of a document that parses but that ``validate``
+    refuses, as every command that loads it does: the fibration of
+    :func:`fixture_builders.misfit_lift_fibration`, whose one gap lift has
+    a horn with faces that disagree."""
+    text = serialize_document(Document("fibration", misfit_lift_fibration()))
+    return [("misfit-lift", text.encode(), "fibration")]
+
+
+# Plain argvs that the kernel refuses, each with bundled fixtures as its
+# documents: a transport from a vertex past the total space's vertex count.
+KERNEL_REFUSALS = [("transport", "bank.json", "--term", "9", "--path", "0")]
 
 
 def plain(value):

@@ -188,8 +188,9 @@ def covers():
 
 def test_transport_checks_its_key_once(calls):
     """A well-formed key is accepted on ints without a report; a malformed
-    one, out of range or not over the edge's source, gets exactly one."""
-    checked = malformed = 0
+    one, out of range or not over the edge's source, gets exactly one, and
+    its horn gets one more, to word it, exactly when the horn does not fit."""
+    checked = malformed = misfits = 0
     for f in covers():
         x, b = f.total.underlying, f.base.underlying
         for w in range(x.count(0) + 1):
@@ -198,15 +199,18 @@ def test_transport_checks_its_key_once(calls):
                     w in f.total.coh[0] and e in f.base.coh[1]
                     and f.proj.levels[0][w] == b.face_row(1, e)[1]
                 )
+                fits = horn_fits(x, HornSpec(1, 0, (w,)))
                 calls.clear()
                 try:
                     transport(f, SimplexId(0, w), SimplexId(1, e))
                 except KernelError:
                     assert not well_formed, (w, e)
                     malformed += 1
-                assert calls == ([] if well_formed else ["key_violations"]), (w, e)
+                    misfits += not fits
+                want = [] if well_formed else ["key_violations"] + ["horn_violations"] * (not fits)
+                assert calls == want, (w, e)
                 checked += 1
-    assert checked >= 40 and malformed >= 20
+    assert checked >= 40 and malformed >= 20 and misfits >= 3
 
 
 def compose_steps(f, g) -> int:

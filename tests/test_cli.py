@@ -14,7 +14,7 @@ from rupture_kit import covering, derivability, fibration, judgments, ruptured, 
 from rupture_kit.cli import main
 from rupture_kit.documents import MAX_DIM_BOUND
 
-from support import cli_env, fixture_commands, hostile_documents
+from support import cli_env, fixture_commands, hostile_documents, misfit_documents
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -73,6 +73,18 @@ class TestValidate:
         assert run_cli("validate", path) == (1, "".join(
             f"simplicial-identity: {side}: {row}\n" for side in broken for row in rows)
             + ("" if commutes else "face-commutation: f(d_2(2/0)) != d_2(f(2/0))\n"))
+
+    def test_a_gap_lift_whose_horn_faces_disagree_is_refused(self, tmp_path):
+        # Its horn fits the ranges and its faces project onto the base
+        # simplex's faces, but they disagree on their shared vertex.
+        [(name, data, _)] = misfit_documents()
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        horn = "horn(n=2, k=1, faces={0:4, 2:1})"
+        row = f"horn-compatibility: lift({horn} over 2/0): {horn}: d_0(faces[2]) != d_1(faces[0])"
+        assert run_cli("validate", path) == (1, row + "\n")
+        assert run_cli("transport", path, "--term", 0, "--path", 0) == (
+            1, f"error: {path} is not valid: {row}\n")
 
     def test_malformed_file_exits_two(self, tmp_path):
         path = tmp_path / "broken.json"

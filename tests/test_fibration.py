@@ -7,6 +7,7 @@ from itertools import product as cartesian
 
 import pytest
 
+from rupture_kit.documents import load_document
 from rupture_kit.errors import KernelError, ShapeError
 from rupture_kit.fibration import (
     Coherent,
@@ -43,6 +44,7 @@ from rupture_kit.simplicial import (
     TruncatedComplex,
     enumerate_horns,
     find_fillers,
+    horn_fits,
     standard_simplex,
 )
 from rupture_kit.covering import EdgePath, build_cycle, build_double_cover, trivial_double_cover
@@ -50,10 +52,11 @@ from fixture_builders import (
     bank_fibration,
     bottle_fibration,
     crane_fibration,
+    misfit_lift_fibration,
     mobius_rupture,
     source_anchored_problem,
 )
-from support import composition_fixture, random_complex
+from support import FIXTURES, composition_fixture, random_complex
 
 # The benchmark's brute-force scans, which import nothing from rupture_kit.
 _spec = importlib.util.spec_from_file_location(
@@ -802,6 +805,42 @@ class TestLiftingProblemOracle:
             assert enumerate_lifting_problems(f) == want
 
 
+def law_fibrations() -> list[RupturedFibrationData]:
+    """The four fibration fixtures as read from their documents, the double
+    covers, the projections of Delta^n x Delta^2 onto Delta^n (n = 2, 3), and
+    the fibration whose gap lift's horn faces disagree."""
+    fixtures = [load_document(FIXTURES / f"{name}.json").body
+                for name in ("bank", "bottle", "crane", "double_cover_3")]
+    tri = from_kan(standard_simplex(2, 2))
+    return fixtures + [build_double_cover(3), build_double_cover(4), trivial_double_cover(3)] + [
+        left_projection(from_kan(standard_simplex(n, 2)), tri) for n in (2, 3)
+    ] + [misfit_lift_fibration()]
+
+
+def test_a_key_is_well_formed_exactly_when_it_is_enumerated():
+    """Every in-range key, a horn whose faces name simplices of the total
+    space over a simplex of the base, has an empty :func:`key_violations`
+    report exactly when :func:`enumerate_lifting_problems` lists it: both
+    ask the one horn rule, so a horn whose faces disagree is neither."""
+    keys = misfits = 0
+    for f in law_fibrations():
+        x, b = f.total.underlying, f.base.underlying
+        listed = set(enumerate_lifting_problems(f))
+        for n in range(1, min(x.dim_bound, b.dim_bound) + 1):
+            for k in range(n + 1):
+                for faces in cartesian(range(x.count(n - 1)), repeat=n):
+                    h = HornSpec(n, k, faces)
+                    misfits += not horn_fits(x, h)
+                    for s in range(b.count(n)):
+                        key = LiftingProblemKey(h, SimplexId(n, s))
+                        assert (key_violations(f, key) == []) == (key in listed), key
+                        keys += 1
+    assert keys >= 4600 and misfits >= 100
+    gap_lift = next(iter(misfit_lift_fibration().gap_lifts))
+    assert [v.kind for v in key_violations(misfit_lift_fibration(), gap_lift)] == [
+        "horn-compatibility"]
+
+
 class TestTransportErrors:
     """Transport checks its inputs as the lifting problem it is: the
     messages are those of the key's well-formedness report."""
@@ -810,7 +849,8 @@ class TestTransportErrors:
         "term,path,message",
         [
             ((0, 1), (1, 0), r"over 1/0\): proj\(face 1\) != d_1\(base\)"),
-            ((0, 5), (1, 0), r"face 1 missing in total space"),
+            ((0, 5), (1, 0),
+             r"over 1/0\): horn\(n=1, k=0, faces=\{1:5\}\) face 1 references missing 0/5"),
             ((0, 0), (0, 0), r"base dimension 0 != 1"),
             ((0, 0), (1, 3), r"base simplex missing"),
             ((1, 0), (1, 0), r"transport needs a total-space vertex, got 1/0"),

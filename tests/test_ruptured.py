@@ -398,7 +398,8 @@ class TestMorphisms:
     @pytest.mark.parametrize(
         "horn,kind",
         [(HornSpec(2, 1, (0, 9)), "horn-dangling-face"),
-         (HornSpec(3, 1, (0, 1, 2)), "horn-dimension")],
+         (HornSpec(3, 1, (0, 1, 2)), "horn-dimension"),
+         (HornSpec(2, 1, (0, 0)), "horn-compatibility")],
     )
     def test_gap_horn_that_does_not_fit_is_reported_not_mapped(self, horn, kind):
         # The horn has no image to check, so it gets its validate rows and
