@@ -9,9 +9,11 @@ The corpus is every bundled fixture and N seeded mutations of it
 of ``tests/test_horn_rows.py`` with the gap-list edits that its test makes
 (``edited_list`` over ``LIST_EDITS``, from one seeded rng per document),
 the documents that the JSON reader itself refuses
-(``tests/support.hostile_documents``) and the ones that only ``validate``
-refuses (``tests/support.misfit_documents``), each handed to every command
-of its kind in ``tests/support.COMMANDS``, in text and with ``--json``; the
+(``tests/support.hostile_documents``), the ones that only ``validate``
+refuses (``tests/support.misfit_documents``) and the count-stretched ones
+at their smaller size (``tests/support.count_documents``), each handed to
+every command of its kind in ``tests/support.COMMANDS``, in text and with
+``--json``; the
 plain argvs that the kernel refuses (``tests/support.KERNEL_REFUSALS``), in
 text and with ``--json``; and argv spellings that go through argparse:
 refusals, help and odd spellings. The
@@ -58,7 +60,9 @@ def build_corpus(seeds: int, into: Path) -> list[tuple[str, list[str]]]:
     gap-list edits written to ``into``; the label names the document the
     command reads."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-    from support import COMMANDS, FIXTURES, KERNEL_REFUSALS, hostile_documents, misfit_documents
+    from support import (
+        COMMANDS, FIXTURES, KERNEL_REFUSALS, count_documents, hostile_documents, misfit_documents,
+    )
     from test_cli_fuzz import mutate
 
     docs = []  # (path, text or bytes, kind): a mutation's text may not parse
@@ -71,7 +75,7 @@ def build_corpus(seeds: int, into: Path) -> list[tuple[str, list[str]]]:
     docs += [(into / f"{name}.json", text, json.loads(text)["kind"])
              for name, text in list_edits()]
     docs += [(into / f"{name}.json", data, kind)
-             for name, data, kind in hostile_documents() + misfit_documents()]
+             for name, data, kind in hostile_documents() + misfit_documents() + count_documents()]
     runs = []
     for path, text, kind in docs:
         path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)

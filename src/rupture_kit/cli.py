@@ -181,22 +181,17 @@ def cmd_monodromy(args):
     f = _load(args.path, "fibration").body
     task = _load(args.task, "covering-task").body
     ruptured = monodromy_ruptured(f, task.basepoint, list(task.loops))
-
-    def permutation(loop) -> FiberPermutation:
-        """A loop's monodromy read from its closure problems: a gapped
-        closure's mode is the whole permutation, and with none gapped every
-        start closes."""
-        closures = {v: e for (key, v), e in ruptured.loop_gaps.items() if key == loop.key()}
-        for entry in closures.values():
-            if entry.gapped:
-                return entry.mode.payload
-        return FiberPermutation.of(list(closures), {v: v for v in closures})
-
+    # A loop's monodromy read from its closure problems, which start at every
+    # fiber point: a gapped closure's mode is the whole permutation, and with
+    # none gapped every start closes.
+    moving = {key: e.mode.payload for (key, _), e in ruptured.loop_gaps.items() if e.gapped}
+    starts = {v: v for _, v in ruptured.loop_gaps}
+    identity = FiberPermutation.of(list(starts), starts)
     payload = {
         "basepoint": task.basepoint.index,
         "loops": [
             {"loop": i, "permutation": perm.cycles(), "images": [list(p) for p in perm.mapping]}
-            for i, perm in enumerate(map(permutation, task.loops))
+            for i, perm in enumerate(moving.get(loop.key(), identity) for loop in task.loops)
         ],
         "gapped_closures": [
             {"loop": [list(s) for s in loop_key], "start": start,

@@ -127,6 +127,7 @@ class FiberPermutation:
     def cycles(self) -> str:
         """Cycle notation over fiber positions, "()" for the identity."""
         pos = {v: i for i, v in enumerate(self.fiber)}
+        image = dict(self.mapping)
         seen = set()
         parts = []
         for v in self.fiber:
@@ -134,11 +135,11 @@ class FiberPermutation:
                 continue
             cycle = [v]
             seen.add(v)
-            nxt = self.apply(v)
+            nxt = image[v]
             while nxt != v:
                 cycle.append(nxt)
                 seen.add(nxt)
-                nxt = self.apply(nxt)
+                nxt = image[nxt]
             if len(cycle) > 1:
                 parts.append("(" + " ".join(str(pos[c]) for c in cycle) + ")")
         return "".join(parts) if parts else "()"
@@ -275,7 +276,8 @@ def monodromy_ruptured(
     monodromy permutation as witness when the permutation moves the start
     point, coherent with the closing lift otherwise.
 
-    The registry is returned embedded in the fibration's ``loop_gaps``.
+    Returns ``f`` with the registry as its ``loop_gaps``, built unchecked:
+    nothing else differs.
     """
     # Checked here as well: an empty fiber or loop list calls no lift.
     problem = covering_violation(f)
@@ -284,11 +286,12 @@ def monodromy_ruptured(
     registry = {}
     for loop in loops:
         perm, lifts = _lift_loop(f, basepoint, loop)
+        moved = {src for src, dst in perm.mapping if src != dst}
         for v, lifted in lifts.items():
             start = SimplexId(0, v)
-            if perm.apply(v) != v:
+            if v in moved:
                 entry = LoopProblem(loop.key(), start, True, GapMode("monodromy", perm))
             else:
                 entry = LoopProblem(loop.key(), start, False, None, lifted)
             registry[(loop.key(), v)] = entry
-    return f._replace(loop_gaps=registry)
+    return tuple.__new__(RupturedFibrationData, (*f[:-1], registry))

@@ -174,12 +174,6 @@ class Substitution:
     def of(cls, mapping: Mapping[str, str]) -> "Substitution":
         return cls(tuple(sorted(mapping.items())))
 
-    def image(self, name: str) -> Optional[str]:
-        for src, dst in self.mapping:
-            if src == name:
-                return dst
-        return None
-
 
 @record
 class DerivabilityHorn:
@@ -205,32 +199,33 @@ class DeriveTask:
 # -- operations ----------------------------------------------------------------
 
 
-def term_variables(term: TupleTerm) -> list[str]:
-    """Every variable occurrence, left to right (with repetitions)."""
-    if isinstance(term, Var):
-        return [term.name]
-    if isinstance(term, UnitTerm):
-        return []
-    return term_variables(term.left) + term_variables(term.right)
-
-
-def _shape_error(
-    ctx: ResourceContext, term: TupleTerm, goal: TypeExpr
+def _walk(
+    term: TupleTerm, goal: Optional[TypeExpr], types: dict, counts: dict
 ) -> Optional[str]:
+    """Count the term's variable occurrences into ``counts`` and return its
+    first shape mismatch against ``goal``, left to right; a ``goal`` of None
+    (below a mismatch) only counts. ``types`` holds each bound variable's
+    type, and the first unbound occurrence raises."""
     if isinstance(term, Var):
-        bound = ctx.lookup(term.name).type
-        if bound != goal:
-            return f"variable {term.name} has type {bound}, goal wants {goal}"
-        return None
+        name = term.name
+        if name not in types:
+            raise KernelError(f"unbound variable {name}")
+        counts[name] += 1
+        bound = types[name]
+        if goal is None or bound == goal:
+            return None
+        return f"variable {name} has type {bound}, goal wants {goal}"
     if isinstance(term, UnitTerm):
-        if not isinstance(goal, UnitType):
-            return f"unit term against non-unit goal {goal}"
-        return None
-    if not isinstance(goal, ProdType):
-        return f"pair term against non-product goal {goal}"
-    return _shape_error(ctx, term.left, goal.left) or _shape_error(
-        ctx, term.right, goal.right
-    )
+        if goal is None or isinstance(goal, UnitType):
+            return None
+        return f"unit term against non-unit goal {goal}"
+    error = left = right = None
+    if isinstance(goal, ProdType):
+        left, right = goal
+    elif goal is not None:
+        error = f"pair term against non-product goal {goal}"
+    error = _walk(term.left, left, types, counts) or error
+    return _walk(term.right, None if error else right, types, counts) or error
 
 
 def check_derivable(
@@ -240,19 +235,15 @@ def check_derivable(
 
     Derivable iff the term matches the goal type's shape and every
     variable's occurrence count satisfies its annotation. There is no
-    undetermined outcome.
+    undetermined outcome. One walk of the term counts the occurrences and
+    checks the shape, reading each binding's type from one table.
     """
-    occurrences = term_variables(term)
-    for name in occurrences:
-        if ctx.lookup(name) is None:
-            raise KernelError(f"unbound variable {name}")
-    counts = {b.var: 0 for b in ctx.bindings}
-    for name in occurrences:
-        counts[name] += 1
+    types = {b.var: b.type for b in ctx.bindings}
+    counts = dict.fromkeys(types, 0)
+    type_error = _walk(term, goal, types, counts)
     verdicts = {
         b.var: b.annotation.permits(counts[b.var]) for b in ctx.bindings
     }
-    type_error = _shape_error(ctx, term, goal)
     cert = UsageCertificate(
         tuple(sorted(counts.items())),
         tuple(sorted(verdicts.items())),
@@ -263,16 +254,18 @@ def check_derivable(
 
 def apply_substitution(term: TupleTerm, sub: Substitution) -> TupleTerm:
     """Leaf-wise variable renaming; the tree shape is preserved."""
-    if isinstance(term, Var):
-        image = sub.image(term.name)
-        if image is None:
-            raise KernelError(f"substitution does not map variable {term.name}")
-        return Var(image)
-    if isinstance(term, UnitTerm):
-        return term
-    return Pair(
-        apply_substitution(term.left, sub), apply_substitution(term.right, sub)
-    )
+    images = dict(sub.mapping)
+
+    def rename(term: TupleTerm) -> TupleTerm:
+        if isinstance(term, Var):
+            if term.name not in images:
+                raise KernelError(f"substitution does not map variable {term.name}")
+            return Var(images[term.name])
+        if isinstance(term, UnitTerm):
+            return term
+        return Pair(rename(term.left), rename(term.right))
+
+    return rename(term)
 
 
 def check_substitution(
@@ -281,10 +274,11 @@ def check_substitution(
     """Raise unless the substitution is total on gamma, lands in delta, and
     matches types. Annotations are not compared."""
     mapped = dict(sub.mapping)
+    targets = {b.var: b for b in delta.bindings}
     for b in gamma.bindings:
         if b.var not in mapped:
             raise KernelError(f"substitution misses variable {b.var}")
-        image = delta.lookup(mapped[b.var])
+        image = targets.get(mapped[b.var])
         if image is None:
             raise KernelError(
                 f"substitution image {mapped[b.var]} is not bound in the target context"
@@ -293,8 +287,9 @@ def check_substitution(
             raise KernelError(
                 f"substitution maps {b.var}: {b.type} to {image.var}: {image.type}"
             )
+    known = {b.var for b in gamma.bindings}
     for src in mapped:
-        if gamma.lookup(src) is None:
+        if src not in known:
             raise KernelError(f"substitution maps unknown variable {src}")
 
 

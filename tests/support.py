@@ -7,6 +7,7 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -93,6 +94,66 @@ def misfit_documents() -> list[tuple[str, bytes, str]]:
     a horn with faces that disagree."""
     text = serialize_document(Document("fibration", misfit_lift_fibration()))
     return [("misfit-lift", text.encode(), "fibration")]
+
+
+def count_documents(scale: int = 1) -> list[tuple[str, bytes, str]]:
+    """(name, bytes, kind) of three documents that stretch one count each,
+    at 2,000, 1,000 and 4,000 times ``scale``: a derive-task over that many
+    linear ``x_i : A`` renamed to linear ``y_i : A``, whose term is the
+    balanced pair tree of the ``x_i`` and whose goal is the matching product
+    tree; a covering-task of that many distinct closed walks at vertex 0 of
+    the base of ``fixtures/double_cover_3.json``, shortest first; and a
+    fibration of that many disjoint 3-cycles over the 3-cycle, for
+    ``fixtures/monodromy_task_3.json``. A command that scans the whole
+    context, registry or fiber once per item costs the square of the count
+    on them. The text is the writer's body in one line, without indents."""
+    from rupture_kit.covering import CoveringTask, EdgePath, build_cycle
+    from rupture_kit.derivability import (
+        Annotation, AtomType, DeriveTask, Pair, ProdType, ResourceContext, Substitution, Var,
+    )
+    from rupture_kit.ruptured import from_kan
+
+    a = AtomType("A")
+    n, walks, sheets = 2000 * scale, 1000 * scale, 4000 * scale
+
+    def tree(lo, hi):
+        if hi - lo == 1:
+            return Var(f"x{lo}"), a
+        (left, lt), (right, rt) = tree(lo, (lo + hi) // 2), tree((lo + hi) // 2, hi)
+        return Pair(left, right), ProdType(lt, rt)
+
+    def context(prefix):
+        return ResourceContext.of(*((f"{prefix}{i}", a, Annotation.LINEAR) for i in range(n)))
+
+    term, goal = tree(0, n)
+    derive = DeriveTask(context("x"), context("y"),
+                        Substitution.of({f"x{i}": f"y{i}" for i in range(n)}), term, goal)
+
+    # On the 3-cycle, edge j runs from vertex j to j + 1: a forward step from
+    # v takes edge v, a backward one edge v - 1, and a walk closes when its
+    # forward and backward steps differ by a multiple of 3.
+    def closed_walks():
+        for length in itertools.count(1):
+            for dirs in itertools.product((True, False), repeat=length):
+                at, steps = 0, []
+                for forward in dirs:
+                    steps.append((at if forward else (at - 1) % 3, forward))
+                    at = (at + (1 if forward else -1)) % 3
+                if at == 0:
+                    yield EdgePath(tuple(steps))
+
+    covering = CoveringTask(SimplexId(0, 0), tuple(itertools.islice(closed_walks(), walks)))
+
+    faces = {1: [[3 * s + (i + 1) % 3, 3 * s + i] for s in range(sheets) for i in range(3)],
+             2: []}
+    total = TruncatedComplex.create(2, [3 * sheets, 3 * sheets, 0], faces)
+    wrap = tuple(j % 3 for j in range(3 * sheets))
+    fibration = RupturedFibrationData(from_kan(total), from_kan(build_cycle(3)),
+                                      SimplicialMap((wrap, wrap, ())))
+    return [(name, json.dumps(Document(kind, body).to_body()).encode(), kind)
+            for name, kind, body in (("count-derive", "derive-task", derive),
+                                     ("count-walks", "covering-task", covering),
+                                     ("count-sheets", "fibration", fibration))]
 
 
 # Plain argvs that the kernel refuses, each with bundled fixtures as its

@@ -14,7 +14,9 @@ from rupture_kit import covering, derivability, fibration, judgments, ruptured, 
 from rupture_kit.cli import main
 from rupture_kit.documents import MAX_DIM_BOUND
 
-from support import cli_env, fixture_commands, hostile_documents, misfit_documents
+from support import (
+    cli_env, count_documents, fixture_commands, hostile_documents, misfit_documents,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -275,6 +277,36 @@ class TestDerive:
         assert payload["delta"]["certificate"]["counts"] == {"y": 2}
         assert payload["delta"]["certificate"]["verdicts"] == {"y": False}
         assert payload["horn"] is True
+
+
+class TestCountStretchedDocuments:
+    # A scan of the whole context, loop registry or fiber per item made each
+    # of these cost the square of its count: the three took 4.5 to 5.8 s
+    # together in process, where one pass over each takes about 0.4 to 0.6 s
+    # (Python 3.11 on a 2-vCPU VM).
+    ARGVS = {
+        "derive-task": lambda doc: ["derive", doc],
+        "covering-task": lambda doc: ["monodromy", FIXTURES / "double_cover_3.json", doc],
+        "fibration": lambda doc: ["monodromy", doc, FIXTURES / "monodromy_task_3.json"],
+    }
+
+    def test_each_command_costs_about_its_document(self, tmp_path):
+        runs = []
+        for name, data, kind in count_documents(2):
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(data)
+            runs.append(self.ARGVS[kind](path))
+        start = time.perf_counter()
+        outputs = [run_cli(*argv) for argv in runs]
+        assert time.perf_counter() - start < 3.0
+        derive, walks, sheets = (out.splitlines() for _, out in outputs)
+        assert [code for code, _ in outputs] == [0, 0, 0]
+        assert derive[0].startswith("gamma: derivable (counts: x0=1, x1=1, x10=1")
+        assert derive[1].startswith("delta: derivable (counts: y0=1")
+        assert walks[:2] == ["loop 0: permutation: ()", "loop 1: permutation: ()"]
+        assert walks[2] == "loop 2: permutation: (0 1)"
+        assert len(walks) == 2001 + 1812 and walks[2000] == "gapped closures: 1812"
+        assert sheets[:2] == ["loop 0: permutation: ()", "loop 1: permutation: ()"]
 
 
 class TestJudgments:

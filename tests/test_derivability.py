@@ -9,17 +9,19 @@ from rupture_kit.errors import KernelError
 from rupture_kit.derivability import (
     Annotation,
     AtomType,
+    DerivabilityResult,
     Pair,
     ProdType,
     ResourceContext,
     Substitution,
     UnitTerm,
     UnitType,
+    UsageCertificate,
     Var,
     apply_substitution,
     check_derivable,
+    check_substitution,
     detect_derivability_horn,
-    term_variables,
 )
 
 A = AtomType("A")
@@ -245,6 +247,189 @@ class TestStructuralWitnesses:
         assert horn is not None
         assert horn.target_certificate.count("w") == 2
 
-    def test_term_variables_order(self):
-        term = Pair(Pair(Var("x"), Var("z")), Var("x"))
-        assert term_variables(term) == ["x", "z", "x"]
+    def test_the_first_unbound_variable_is_named(self):
+        term = Pair(Pair(Var("x"), Var("z")), Var("w"))
+        with pytest.raises(KernelError, match="^unbound variable z$"):
+            check_derivable(ctx(("x", A, Annotation.LINEAR)), term, ProdType(ProdType(A, A), A))
+
+
+# -- the two-walk decision, kept as the reference for the one-walk one ---------
+
+
+def reference_variables(term):
+    if isinstance(term, Var):
+        return [term.name]
+    if isinstance(term, UnitTerm):
+        return []
+    return reference_variables(term.left) + reference_variables(term.right)
+
+
+def reference_shape_error(context, term, goal):
+    if isinstance(term, Var):
+        bound = context.lookup(term.name).type
+        if bound != goal:
+            return f"variable {term.name} has type {bound}, goal wants {goal}"
+        return None
+    if isinstance(term, UnitTerm):
+        if not isinstance(goal, UnitType):
+            return f"unit term against non-unit goal {goal}"
+        return None
+    if not isinstance(goal, ProdType):
+        return f"pair term against non-product goal {goal}"
+    return reference_shape_error(context, term.left, goal.left) or reference_shape_error(
+        context, term.right, goal.right
+    )
+
+
+def reference_check_derivable(context, term, goal):
+    occurrences = reference_variables(term)
+    for name in occurrences:
+        if context.lookup(name) is None:
+            raise KernelError(f"unbound variable {name}")
+    counts = {b.var: 0 for b in context.bindings}
+    for name in occurrences:
+        counts[name] += 1
+    verdicts = {b.var: b.annotation.permits(counts[b.var]) for b in context.bindings}
+    cert = UsageCertificate(
+        tuple(sorted(counts.items())),
+        tuple(sorted(verdicts.items())),
+        reference_shape_error(context, term, goal),
+    )
+    return DerivabilityResult(cert.all_satisfied, cert)
+
+
+def reference_apply_substitution(term, sub):
+    if isinstance(term, Var):
+        image = next((dst for src, dst in sub.mapping if src == term.name), None)
+        if image is None:
+            raise KernelError(f"substitution does not map variable {term.name}")
+        return Var(image)
+    if isinstance(term, UnitTerm):
+        return term
+    return Pair(
+        reference_apply_substitution(term.left, sub), reference_apply_substitution(term.right, sub)
+    )
+
+
+def reference_check_substitution(gamma, delta, sub):
+    mapped = dict(sub.mapping)
+    for b in gamma.bindings:
+        if b.var not in mapped:
+            raise KernelError(f"substitution misses variable {b.var}")
+        image = delta.lookup(mapped[b.var])
+        if image is None:
+            raise KernelError(
+                f"substitution image {mapped[b.var]} is not bound in the target context"
+            )
+        if image.type != b.type:
+            raise KernelError(
+                f"substitution maps {b.var}: {b.type} to {image.var}: {image.type}"
+            )
+    for src in mapped:
+        if gamma.lookup(src) is None:
+            raise KernelError(f"substitution maps unknown variable {src}")
+
+
+def outcome(call, *args):
+    """The value of ``call(*args)``, or the text of the KernelError it raises."""
+    try:
+        return "value", call(*args)
+    except KernelError as exc:
+        return "error", str(exc)
+
+
+class TestOneWalk:
+    """The one-walk decision gives the two-walk reference's certificates and
+    error texts on seeded (context, term, goal) triples with unbound
+    variables, goal mismatches at every depth, and substitutions that miss,
+    mistype, leave the target context or add a variable."""
+
+    TYPES = [A, B, UnitType(), ProdType(A, B), ProdType(UnitType(), ProdType(B, A))]
+    NAMES = ["a", "b", "c", "d", "e"]
+
+    def natural_type(self, context, term):
+        if isinstance(term, Var):
+            found = context.lookup(term.name)
+            return A if found is None else found.type
+        if isinstance(term, UnitTerm):
+            return UnitType()
+        return ProdType(self.natural_type(context, term.left),
+                        self.natural_type(context, term.right))
+
+    def perturbed(self, rng, goal, depth):
+        """``goal`` with the subtree ``depth`` steps down one random branch
+        replaced by a random type (the whole goal when the branch ends)."""
+        if depth == 0 or not isinstance(goal, ProdType):
+            return rng.choice(self.TYPES)
+        if rng.random() < 0.5:
+            return ProdType(self.perturbed(rng, goal.left, depth - 1), goal.right)
+        return ProdType(goal.left, self.perturbed(rng, goal.right, depth - 1))
+
+    def triple(self, rng):
+        bound = rng.sample(self.NAMES, rng.randint(1, 4))
+        gamma = ctx(*((n, rng.choice(self.TYPES), rng.choice(list(Annotation))) for n in bound))
+
+        def term(depth):
+            roll = rng.random()
+            if depth == 0 or roll < 0.3:
+                return Var(rng.choice(bound if rng.random() < 0.95 else self.NAMES))
+            if roll < 0.4:
+                return UnitTerm()
+            return Pair(term(depth - 1), term(depth - 1))
+
+        t = term(rng.randint(0, 4))
+        goal, depth = self.natural_type(gamma, t), None
+        if rng.random() < 0.6:
+            depth = rng.randint(0, 4)
+            goal = self.perturbed(rng, goal, depth)
+        images = {b.var: f"{b.var}'" for b in gamma.bindings}
+        targets = [(images[b.var], b.type, rng.choice(list(Annotation))) for b in gamma.bindings]
+        edit = rng.choice(["none", "none", "miss", "mistype", "unbound image", "add"])
+        victim = rng.choice(gamma.bindings).var
+        if edit == "miss":
+            del images[victim]
+        elif edit == "mistype":
+            targets = [(n, rng.choice(self.TYPES), a) for n, _, a in targets]
+        elif edit == "unbound image":
+            images[victim] = "ghost"
+        elif edit == "add":
+            images[rng.choice([n for n in self.NAMES + ["f"] if n not in images])] = victim + "'"
+        return (gamma, ctx(*targets), Substitution.of(images), t, goal), depth
+
+    # Each message template, ahead of any template it starts with.
+    TEMPLATES = (
+        "unbound variable", "substitution misses variable", "substitution image",
+        "substitution maps unknown variable", "substitution does not map variable",
+        "substitution maps", "variable", "unit term", "pair term",
+    )
+
+    def test_matches_the_two_walk_reference(self):
+        rng = random.Random(31)
+        texts, mismatch_depths = set(), set()
+        for _ in range(2500):
+            (gamma, delta, sub, term, goal), depth = self.triple(rng)
+            pairs = [
+                (check_derivable, reference_check_derivable, (gamma, term, goal)),
+                (apply_substitution, reference_apply_substitution, (term, sub)),
+                (check_substitution, reference_check_substitution, (gamma, delta, sub)),
+            ]
+            kind, renamed = outcome(reference_apply_substitution, term, sub)
+            if kind == "value":
+                pairs.append((check_derivable, reference_check_derivable, (delta, renamed, goal)))
+            for call, reference, args in pairs:
+                got = outcome(call, *args)
+                assert got == outcome(reference, *args)
+                kind, value = got
+                if kind == "error":
+                    text = value
+                elif isinstance(value, DerivabilityResult):
+                    text = value.certificate.type_error
+                else:
+                    text = None
+                if text:
+                    texts.add(next(t for t in self.TEMPLATES if text.startswith(t)))
+            kind, value = outcome(check_derivable, gamma, term, goal)
+            if kind == "value" and value.certificate.type_error and depth is not None:
+                mismatch_depths.add(depth)
+        assert texts == set(self.TEMPLATES)
+        assert mismatch_depths == set(range(5))

@@ -284,6 +284,15 @@ class TestProduct:
             ["(0-1,1/0)"],
         ]
 
+    def test_an_empty_label_is_named_by_its_position(self):
+        """An empty label names its simplex as no label does, by dim/index,
+        as ``TruncatedComplex.name`` reads it."""
+        left = TruncatedComplex.create(1, [2, 1], {1: [[1, 0]]}, {0: ["", "b"]})
+        assert left.name(SimplexId(0, 0)) == "0/0"
+        x = product(from_kan(left), from_kan(left)).underlying
+        assert [x.name(SimplexId(0, i)) for i in range(x.count(0))] == [
+            "(0/0,0/0)", "(0/0,b)", "(b,0/0)", "(b,b)"]
+
     def test_two_kan_factors_no_gaps(self):
         p = product(from_kan(triangle()), from_kan(triangle()))
         assert not p.gap
