@@ -10,12 +10,12 @@ of ``tests/test_horn_rows.py`` with the gap-list edits that its test makes
 (``edited_list`` over ``LIST_EDITS``, from one seeded rng per document),
 the documents that the JSON reader itself refuses
 (``tests/support.hostile_documents``), the ones that only ``validate``
-refuses (``tests/support.misfit_documents``) and the count-stretched ones
-at their smaller size (``tests/support.count_documents``), each handed to
-every command of its kind in ``tests/support.COMMANDS``, in text and with
-``--json``; the
-plain argvs that the kernel refuses (``tests/support.KERNEL_REFUSALS``), in
-text and with ``--json``; and argv spellings that go through argparse:
+refuses (``tests/support.misfit_documents``), the count-stretched ones
+at their smaller size (``tests/support.count_documents``) and the one of
+horn shapes above dimension 8 (``tests/support.shape_documents``), each
+handed to every command of its kind in ``tests/support.COMMANDS``, in text
+and with ``--json``; the plain argvs that the kernel refuses
+(``tests/support.KERNEL_REFUSALS``), in text and with ``--json``; and argv spellings that go through argparse:
 refusals, help and odd spellings. The
 documents are written once, so both sides read the same files. The
 parent's ``src`` is extracted with ``git archive`` into a temporary
@@ -62,6 +62,7 @@ def build_corpus(seeds: int, into: Path) -> list[tuple[str, list[str]]]:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from support import (
         COMMANDS, FIXTURES, KERNEL_REFUSALS, count_documents, hostile_documents, misfit_documents,
+        shape_documents,
     )
     from test_cli_fuzz import mutate
 
@@ -75,7 +76,8 @@ def build_corpus(seeds: int, into: Path) -> list[tuple[str, list[str]]]:
     docs += [(into / f"{name}.json", text, json.loads(text)["kind"])
              for name, text in list_edits()]
     docs += [(into / f"{name}.json", data, kind)
-             for name, data, kind in hostile_documents() + misfit_documents() + count_documents()]
+             for name, data, kind in (hostile_documents() + misfit_documents() + count_documents()
+                                      + shape_documents())]
     runs = []
     for path, text, kind in docs:
         path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)

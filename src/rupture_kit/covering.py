@@ -205,34 +205,42 @@ def lift_edge_path(
 ) -> EdgePath:
     """The unique lift of a base edge path from a total-space vertex.
 
-    The empty path lifts to the empty path at ``start``.
+    The empty path lifts to the empty path at ``start``. The walk that lifts
+    the path also checks it, so a path that lifts is read once; a step
+    refused for any fault is named by :func:`_refuse`.
     """
     table, problem = f.lift_table
     if problem is not None:
         raise KernelError(f"not a covering: {problem}")
     e, b = f.total.underlying, f.base.underlying
-    check_path(b, path)
     if start.dim != 0 or not e.has(start):
-        raise KernelError(f"lift must start at a total-space vertex, got {start}")
-    if path.steps:
-        src = path_source(b, path)
-        if f.proj.apply(start) != src:
-            raise KernelError(
-                f"source mismatch: proj({start}) != path source {src}"
-            )
+        _refuse(f, start, path, None)
     rows = e.face_table[0] if e.dim_bound else ()
-    at = start.index
-    lifted = []
+    ends = b.face_table[0] if b.dim_bound else ()
+    at, end, lifted = start.index, f.proj.levels[0][start.index], []
     for edge, forward in path.steps:
-        matches = table.get((edge, 1 if forward else 0, at), ())
-        if len(matches) != 1:
-            raise KernelError(
-                f"not a covering: {len(matches)} lifts of edge 1/{edge} at 0/{at}"
-            )
-        te = matches[0]
-        lifted.append((te, forward))
-        at = rows[te][0 if forward else 1]
+        face = 1 if forward else 0  # a step leaves its edge's d_1 forward, its d_0 back
+        matches = table.get((edge, face, at), ())
+        if not (0 <= edge < len(ends) and ends[edge][face] == end and len(matches) == 1):
+            _refuse(f, start, path, f"{len(matches)} lifts of edge 1/{edge} at 0/{at}")
+        end, at = ends[edge][1 - face], rows[matches[0]][1 - face]
+        lifted.append((matches[0], forward))
     return EdgePath(tuple(lifted))
+
+
+def _refuse(f: RupturedFibrationData, start: SimplexId, path: EdgePath,
+            no_lift: Optional[str]) -> None:
+    """Raise the first fault of lifting ``path`` from ``start`` in the order
+    the checks take: the path itself (:func:`check_path`), the start, the
+    path's source, and last ``no_lift``, the first step without one lift."""
+    b = f.base.underlying
+    check_path(b, path)
+    if start.dim != 0 or not f.total.underlying.has(start):
+        raise KernelError(f"lift must start at a total-space vertex, got {start}")
+    src = path_source(b, path)
+    if f.proj.apply(start) != src:
+        raise KernelError(f"source mismatch: proj({start}) != path source {src}")
+    raise KernelError(f"not a covering: {no_lift}")
 
 
 def fiber_vertices(f: RupturedFibrationData, basepoint: SimplexId) -> list[SimplexId]:

@@ -54,13 +54,12 @@ from __future__ import annotations
 
 import json
 import sys
-from functools import cache
 from itertools import accumulate, chain, compress, groupby, pairwise, repeat
 from json.encoder import encode_basestring_ascii
-from operator import is_not, itemgetter
+from operator import attrgetter, is_not, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
-from .errors import DocumentError, KernelError, ShapeError, record
+from .errors import DocumentError, KernelError, ShapeError, ShapeTables, record
 
 if TYPE_CHECKING:
     from .covering import CoveringTask
@@ -112,7 +111,7 @@ def _dump(value, newline: str, horn: Optional[type]) -> str:
     indent ``newline``; ``horn`` is the ``HornSpec`` class, or None."""
     if type(value) is horn:
         n, k, faces = value
-        template, order = _horn_template(n, k, newline)
+        template, order = _TEMPLATES[n, k, newline]
         return template % (order(faces) if order else faces)
     inner = newline + "  "
     if isinstance(value, dict):
@@ -299,36 +298,34 @@ def _mode_fields(body, where: str) -> tuple[str, object]:
 # -- ruptured complexes ----------------------------------------------------------
 
 
-@cache
-def _face_keys(n: int, k: int) -> tuple[str, ...]:
+def _horn_layout(n: int, k: int) -> tuple[tuple[str, ...], Callable[[dict], tuple]]:
     """The ``faces`` keys of an (n, k)-horn body, "0".."n" without k, in the
-    order of ``HornSpec.faces``: a horn row's one layout, read and written per
-    shape. One entry per shape seen, so at most the sizes of the documents."""
-    return tuple([str(i) for i in range(n + 1) if i != k])
+    order of ``HornSpec.faces``, and the getter of the faces tuple from a
+    body's ``faces``, which raises :class:`KeyError` on a missing key: a horn
+    row's one layout, read and written per shape."""
+    keys = tuple([str(i) for i in range(n + 1) if i != k])
+    # An itemgetter of one key gives the bare value.
+    return keys, itemgetter(*keys) if n > 1 else lambda faces: (faces[keys[0]],)
 
 
-@cache
-def _faces_getter(n: int, k: int) -> Callable[[dict], tuple]:
-    """The faces tuple of a horn body's ``faces``, or :class:`KeyError`."""
-    keys = _face_keys(n, k)  # an itemgetter of one key gives the bare value
-    return itemgetter(*keys) if n > 1 else lambda faces: (faces[keys[0]],)
-
-
-@cache
 def _horn_template(n: int, k: int, newline: str) -> tuple[str, Optional[itemgetter]]:
     """The text of a horn body at the indent ``newline``, with a ``%d`` per
     face in the sorted order of its key, and the itemgetter of the faces in
     that order (None when it is theirs, as it is for n < 10)."""
-    keys, inner = _face_keys(n, k), newline + "  "
+    keys, inner = _LAYOUTS[n, k][0], newline + "  "
     order = sorted(range(n), key=keys.__getitem__)
     faces = ("," + inner + "  ").join([f'"{keys[i]}": %d' for i in order])
     text = f'{{{inner}"faces": {{{inner}  {faces}{inner}}},{inner}"k": {k},{inner}"n": {n}'
     return text + newline + "}", None if order == sorted(order) else itemgetter(*order)
 
 
+_LAYOUTS = ShapeTables(_horn_layout)
+_TEMPLATES = ShapeTables(_horn_template)  # by (n, k, newline)
+
+
 def horn_to_body(h: HornSpec) -> dict:
     n, k, faces = h
-    return {"n": n, "k": k, "faces": dict(zip(_face_keys(n, k), faces))}
+    return {"n": n, "k": k, "faces": dict(zip(_LAYOUTS[n, k][0], faces))}
 
 
 def _checked_horn_fields(body: Mapping, where: str, within: TruncatedComplex
@@ -364,7 +361,7 @@ def _checked_horn_fields(body: Mapping, where: str, within: TruncatedComplex
 
         j, reason = bad_index(values, n - 1, count)
         raise DocumentError(reason, f"{where}.faces.{list(faces_obj)[j]}")
-    return n, k, _faces_getter(n, k)(faces_obj)
+    return n, k, _LAYOUTS[n, k][1](faces_obj)
 
 
 def _run_faces(ns: list, ks: list, objs: list, within: TruncatedComplex) -> Optional[list]:
@@ -377,7 +374,7 @@ def _run_faces(ns: list, ks: list, objs: list, within: TruncatedComplex) -> Opti
     n, k = (ns[0], ks[0]) if set(map(type, ns + ks)) == {int} else (0, 0)
     try:  # TypeError: an object that is no dict; KeyError: one without a key
         if 1 <= n <= within.dim_bound and 0 <= k <= n and set(map(len, objs)) == {n}:
-            faces = list(map(_faces_getter(n, k), objs))
+            faces = list(map(_LAYOUTS[n, k][1], objs))
             if not bad_index(list(chain.from_iterable(faces)), n - 1, within.counts[n - 1]):
                 return faces
     except (KeyError, TypeError):
@@ -689,23 +686,26 @@ def judgment_to_body(j: JudgmentAtom) -> dict:
     return {"arrow": [j.source, j.target]}
 
 
+# op -> the keys of its row besides "op", in the order they are read, each
+# the ScriptCommand field of its name. A "first", "second" or "gap" is a
+# string as written; a payload of None is not written.
+_SCRIPT_ROWS = {
+    "add": ("judgment", "polarity", "payload"),
+    "is_open": ("judgment",),
+    "horn": ("first", "second", "gap"),
+    "level_up": (),
+}
+
+
 def script_to_body(commands) -> dict:
+    write = {"judgment": judgment_to_body, "polarity": attrgetter("value")}
     rows = []
     for cmd in commands:
-        if cmd.op == "add":
-            row = {
-                "op": "add",
-                "judgment": judgment_to_body(cmd.judgment),
-                "polarity": cmd.polarity.value,
-            }
-            if cmd.payload is not None:
-                row["payload"] = cmd.payload
-        elif cmd.op == "is_open":
-            row = {"op": "is_open", "judgment": judgment_to_body(cmd.judgment)}
-        elif cmd.op == "horn":
-            row = {"op": "horn", "first": cmd.first, "second": cmd.second, "gap": cmd.gap}
-        else:
-            row = {"op": "level_up"}
+        row = {"op": cmd.op}
+        for key in _SCRIPT_ROWS[cmd.op]:
+            value = getattr(cmd, key)
+            if value is not None or key != "payload":
+                row[key] = write[key](value) if key in write else value
         rows.append(row)
     return {"script": rows}
 
@@ -732,36 +732,23 @@ def body_to_script(body: Mapping, where: str = "judgment-script") -> list[Script
             return ArrowJudgment(*pair)
         raise DocumentError("judgment must be atom or arrow", at)
 
-    rows = _get(body, "script", where, list)
+    def read_polarity(row, here):
+        text = _get(row, "polarity", here, str)
+        try:
+            return Polarity(text)
+        except ValueError:
+            raise DocumentError(f"unknown polarity '{text}'", f"{here}.polarity")
+
+    read = {"judgment": read_judgment, "polarity": read_polarity,
+            "payload": lambda row, here: row.get("payload")}
     commands = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_get(body, "script", where, list)):
         here = f"{where}.script[{i}]"
         op = _get(row, "op", here, str)
-        if op == "add":
-            judgment = read_judgment(row, here)
-            pol_text = _get(row, "polarity", here, str)
-            try:
-                polarity = Polarity(pol_text)
-            except ValueError:
-                raise DocumentError(f"unknown polarity '{pol_text}'", f"{here}.polarity")
-            commands.append(
-                ScriptCommand("add", judgment, polarity, row.get("payload"))
-            )
-        elif op == "is_open":
-            commands.append(ScriptCommand("is_open", read_judgment(row, here)))
-        elif op == "horn":
-            commands.append(
-                ScriptCommand(
-                    "horn",
-                    first=_get(row, "first", here, str),
-                    second=_get(row, "second", here, str),
-                    gap=_get(row, "gap", here, str),
-                )
-            )
-        elif op == "level_up":
-            commands.append(ScriptCommand("level_up"))
-        else:
-            raise DocumentError(f"unknown op '{op}'", here)
+        _expect(op in _SCRIPT_ROWS, f"unknown op '{op}'", here)
+        fields = {key: read[key](row, here) if key in read else _get(row, key, here, str)
+                  for key in _SCRIPT_ROWS[op]}
+        commands.append(ScriptCommand(op, **fields))
     return commands
 
 

@@ -1,5 +1,6 @@
-"""Shared error types, the validation-report row, and the builder that
-makes each kernel record class, a named tuple, in one ``type()`` call."""
+"""Shared error types, the validation-report row, the function that makes
+each kernel record class, a named tuple, in one ``type()`` call, and the
+one cache of data computed per horn shape."""
 
 from __future__ import annotations
 
@@ -120,6 +121,20 @@ def record(body):
     that tuple, and is true without fields, as every value object is."""
     empty = {} if vars(body).get("__annotations__") else {"__bool__": lambda self: True}
     return named_tuple(body, __eq__=_eq, __ne__=object.__ne__, __hash__=tuple.__hash__, **empty)
+
+
+class ShapeTables(dict):
+    """Data of a horn shape by its key (n, k, ...), built by ``build(*key)``
+    on first use. An n-shape's has O(n) to O(n^2) entries, so it is kept
+    only up to dimension 8 and rebuilt above: what a document of high
+    horns costs ends with the call that reads or writes it."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, shape: tuple):
+        data = self.build(*shape)
+        return self.setdefault(shape, data) if shape[0] <= 8 else data
 
 
 @record

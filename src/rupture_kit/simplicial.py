@@ -24,7 +24,7 @@ from itertools import chain, combinations, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import KernelError, ShapeError, Violation, named_tuple, record
+from .errors import KernelError, ShapeError, ShapeTables, Violation, named_tuple, record
 
 
 @named_tuple
@@ -449,18 +449,6 @@ def horn_complex(n: int, k: int) -> TruncatedComplex:
 # -- validation -------------------------------------------------------------
 
 
-class _ShapeTables(dict):
-    """Data of a horn shape by (n, k), built by ``build(n, k)`` on first use.
-    An n-shape's has O(n^2) entries, so it is kept only up to dimension 8."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, shape: tuple[int, int]):
-        data = self.build(*shape)
-        return self.setdefault(shape, data) if shape[0] <= 8 else data
-
-
 def _identity_table(n: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
     """The identities d_i d_j = d_{j-1} d_i among the present faces of an
     (n, k)-horn, or of an n-simplex for k = n + 1: (b, a, i, j - 1) for
@@ -471,10 +459,10 @@ def _identity_table(n: int, k: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple((b, a, i, j - 1) for b, j in enumerate(present) for a, i in enumerate(present[:b]))
 
 
-_IDENTITIES = _ShapeTables(_identity_table)
+_IDENTITIES = ShapeTables(_identity_table)
 # The two sides of each identity of a shape, as getters over the entries
 # a * n + m, entry m of the row of face a.
-_GETTERS = _ShapeTables(lambda n, k: tuple(itemgetter(*side) for side in zip(*[
+_GETTERS = ShapeTables(lambda n, k: tuple(itemgetter(*side) for side in zip(*[
     (b * n + i, a * n + m) for b, a, i, m in _IDENTITIES[n, k]])))
 
 

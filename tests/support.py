@@ -7,10 +7,12 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import os
 import random
+import tracemalloc
 from pathlib import Path
 
 from rupture_kit.covering import FiberPermutation
@@ -154,6 +156,39 @@ def count_documents(scale: int = 1) -> list[tuple[str, bytes, str]]:
             for name, kind, body in (("count-derive", "derive-task", derive),
                                      ("count-walks", "covering-task", covering),
                                      ("count-sheets", "fibration", fibration))]
+
+
+def shape_documents() -> list[tuple[str, bytes, str]]:
+    """(name, bytes, kind) of a ruptured document of horn shapes above
+    dimension 8, whose data the readers and the writer rebuild and do not
+    keep: a chain of one simplex per dimension up to 100, every face row
+    zero, gapped by the horns (n, k) of n = 9, 16, .., 100 and k in
+    {0, n // 2, n}, each face 0, with a plain mode on the rows of k = 0. From
+    n = 10 on, the writer writes a horn's face keys in sorted order ("10"
+    before "2"). The text is one line, built here without the codec."""
+    d = 100
+    gap = [{"n": n, "k": k, "faces": {str(i): 0 for i in range(n + 1) if i != k},
+            **({"mode": {"kind": "plain", "payload": None}} if k == 0 else {})}
+           for n in range(9, d + 1, 7) for k in sorted({0, n // 2, n})]
+    body = {"format": "rupture-kit/1", "kind": "ruptured", "dim_bound": d,
+            "simplices": {str(n): 1 for n in range(d + 1)},
+            "faces": {str(n): [[0] * (n + 1)] for n in range(1, d + 1)}, "gap": gap}
+    return [("shape-chain", json.dumps(body).encode(), "ruptured")]
+
+
+def held_bytes(call) -> int:
+    """The bytes that ``call()`` leaves allocated after it returns, by
+    ``tracemalloc``. A full collection before and after it empties the
+    interpreter's free lists, whose blocks would count as held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 # Plain argvs that the kernel refuses, each with bundled fixtures as its

@@ -280,6 +280,17 @@ def test_monodromy_ruptured_lifts_each_fiber_point_once(calls):
     assert calls.count("lift_edge_path") == 4
 
 
+def test_monodromy_ruptured_checks_each_loop_once(monkeypatch):
+    """Each loop is checked once, before its lifts, and no lift checks the
+    whole loop again: 3 loops over a fiber of 2 points make 3 ``check_path``
+    calls, where a check per lift too made 9."""
+    checked = first_args(monkeypatch, covering.check_path)
+    generator = EdgePath.forward(*range(3))
+    loops = [generator, generator.concat(generator), EdgePath.of((2, False), (1, False), (0, False))]
+    f = covering.monodromy_ruptured(trivial_double_cover(3), SimplexId(0, 0), loops)
+    assert len(f.loop_gaps) == 6 and len(checked) == 3
+
+
 def run_cli(*args) -> int:
     with contextlib.redirect_stdout(io.StringIO()):
         return cli.main([str(FIXTURES / a) if a.endswith(".json") else a for a in args])

@@ -207,6 +207,32 @@ class TestPathErrors:
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
+        "path,message",
+        [
+            (EdgePath.forward(0, 1), "not a covering: 0 lifts of edge 1/1 at 0/1"),
+            (EdgePath.forward(0, 1, 0), "edge path breaks at edge 1/0: starts at 0/0, expected 0/2"),
+            (EdgePath.forward(0, 1, 7), "edge path references missing edge 1/7"),
+            # Each step lifts, but the base path breaks.
+            (EdgePath.forward(0, 0), "edge path breaks at edge 1/0: starts at 0/0, expected 0/1"),
+        ],
+    )
+    def test_a_break_after_a_step_without_a_lift_is_named(self, path, message):
+        """Over a projection that does not commute with faces, a covering
+        can leave a step of a chaining path without a lift: each total
+        vertex maps to 0/0, with one edge over 1/0 out of it and one over
+        1/2 into it, and none over 1/1. The step is named only when the
+        rest of the path chains, and a path that breaks is refused even
+        where each of its steps lifts."""
+        faces = [[(i + 1) % 3, i] for i in range(3)] + [[i, (i + 1) % 3] for i in range(3)]
+        total = TruncatedComplex.create(2, [3, 6, 0], {1: faces, 2: []})
+        f = RupturedFibrationData(from_kan(total), from_kan(build_cycle(3)),
+                                  SimplicialMap(((0, 0, 0), (0, 0, 0, 2, 2, 2), ())))
+        assert covering_violation(f) is None
+        with pytest.raises(KernelError) as err:
+            lift_edge_path(f, SimplexId(0, 0), path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
         "levels,message,reason",
         [
             (((0, 1, 2, 0), (0, 1, 2, 0, 1, 2), ()), "map not defined on 0/4",

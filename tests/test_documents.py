@@ -17,7 +17,7 @@ from rupture_kit.documents import (
 )
 from rupture_kit.errors import DocumentError
 
-from support import hostile_documents
+from support import held_bytes, hostile_documents, shape_documents
 
 FIXTURES = sorted(
     (pathlib.Path(__file__).resolve().parents[1] / "fixtures").glob("*.json")
@@ -59,6 +59,23 @@ def test_fixture_files_are_canonical(path):
     assert path.read_text(encoding="utf-8") == serialize_document(doc)
 
 
+def test_high_horn_shapes_are_written_and_leave_nothing_held():
+    """A horn shape's layout and text above dimension 8 live only for the
+    call that reads or writes them: once a first parse has loaded the
+    modules, parse plus serialize of the 40 KB document of high shapes
+    leaves under 16 KB held, where keeping each shape's data left 198 KB."""
+    [(_, data, _)] = shape_documents()
+    text = data.decode()
+    load_document(FIXTURES[0])
+    assert held_bytes(lambda: serialize_document(parse_document(text))) < 16_000
+    doc = parse_document(text)
+    written = serialize_document(doc)
+    assert parse_document(written) == doc
+    rows = json.loads(written)["gap"]
+    assert [(row["n"], row["k"]) for row in rows][:4] == [(9, 0), (9, 4), (9, 9), (16, 0)]
+    assert list(rows[3]["faces"])[:3] == ["1", "10", "11"] and rows[3]["mode"]["kind"] == "plain"
+
+
 def test_script_payloads_with_floats_round_trip():
     """An ``add`` payload is free JSON: floats in it, at its top or nested,
     are written back as the stdlib writes them."""
@@ -70,6 +87,27 @@ def test_script_payloads_with_floats_round_trip():
     doc = parse_document(text)
     assert doc.body[0].payload == 0.5
     assert serialize_document(doc) == text
+
+
+@pytest.mark.parametrize("row,message", [
+    ({"op": "add"}, "missing key 'judgment' (at judgment-script.script[0])"),
+    ({"op": "add", "judgment": 1, "polarity": 2},
+     "judgment must be atom or arrow (at judgment-script.script[0].judgment)"),
+    ({"op": "add", "judgment": {"atom": "J"}, "polarity": 2},
+     "key 'polarity' has type int (at judgment-script.script[0])"),
+    ({"op": "is_open"}, "missing key 'judgment' (at judgment-script.script[0])"),
+    ({"op": "horn"}, "missing key 'first' (at judgment-script.script[0])"),
+    ({"op": "horn", "first": "a", "gap": 3}, "missing key 'second' (at judgment-script.script[0])"),
+    ({"op": "horn", "first": "a", "second": "b", "gap": 3},
+     "key 'gap' has type int (at judgment-script.script[0])"),
+])
+def test_a_script_row_names_its_first_fault_in_read_order(row, message):
+    """An op's keys are read in one order, "judgment" before "polarity" and
+    "first", "second", "gap", so a row with several faults names the first."""
+    text = json.dumps({"format": "rupture-kit/1", "kind": "judgment-script", "script": [row]})
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert str(err.value) == message
 
 
 class TestParseErrors:

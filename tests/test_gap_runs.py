@@ -16,7 +16,6 @@ brute-force pairs of the product.
 """
 
 import random
-import tracemalloc
 
 import pytest
 
@@ -30,7 +29,7 @@ from rupture_kit.simplicial import (
     validate_complex,
 )
 
-from support import oracle_exclusion_conflicts, random_ruptured
+from support import held_bytes, oracle_exclusion_conflicts, random_ruptured
 
 FAULTS = ["dimension", "dangling", "incompatible", "exclusion"]
 
@@ -136,18 +135,14 @@ def test_a_run_is_refused_iff_one_of_its_horns_is_reported(name, r):
 
 def test_high_shapes_keep_no_tables():
     """A shape's identity getters have O(n^2) entries, so none above
-    dimension 8 outlives its call: over the 101 shapes of 100-dimensional
-    horns on a chain of one simplex per dimension, under 1 MB stays held."""
-    x = TruncatedComplex(100, [1] * 101, [[[0] * (n + 1)] for n in range(1, 101)])
-    horns = [HornSpec(100, k, (0,) * 100) for k in range(101)]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        assert list(misfit_runs(x, horns)) == []
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held < 1_000_000, held
+    dimension 8 outlives its call: over the 41 shapes of 40-dimensional
+    horns on a chain of one simplex per dimension, under 1 MB stays held,
+    where keeping each shape's tables holds 4.8 MB."""
+    x = TruncatedComplex(40, [1] * 41, [[[0] * (n + 1)] for n in range(1, 41)])
+    horns = [HornSpec(40, k, (0,) * 40) for k in range(41)]
+    runs = []
+    assert held_bytes(lambda: runs.extend(misfit_runs(x, horns))) < 1_000_000
+    assert runs == []
 
 
 @pytest.mark.parametrize("name,r", structures(), ids=[name for name, _ in structures()])
