@@ -315,8 +315,8 @@ def text_derive(payload, _):
 
 
 def cmd_judgments(args):
-    from .judgments import (ExclusionViolation, WitnessStore, add_witness,
-                            is_coherent_fragment, is_open, level_up, make_horn)
+    from .judgments import (WitnessStore, add_witness, is_coherent_fragment, is_open,
+                            level_up, make_horn)
 
     script = _load(args.script, "judgment-script").body
     store = WitnessStore()
@@ -328,7 +328,7 @@ def cmd_judgments(args):
                 store = add_witness(store, cmd.judgment, cmd.polarity, cmd.payload)
                 lines.append(f"add {cmd.judgment} {cmd.polarity.value}: "
                              f"{store.last().witness_id}")
-            except ExclusionViolation as exc:
+            except KernelError as exc:  # an Exclusion breach or a label outside the universe
                 failures += 1
                 lines.append(f"add {cmd.judgment} {cmd.polarity.value}: rejected ({exc})")
         elif cmd.op == "is_open":

@@ -20,7 +20,9 @@ row by row. Text that is not UTF-8, that nests deeper than ``json.loads``
 recurses, or that holds an int literal over Python's digit limit is a
 :class:`DocumentError` too, placed at the file or at the top level. A
 complex's ``dim_bound`` is at most :data:`MAX_DIM_BOUND`, checked before
-anything is built from it.
+anything is built from it. A horn row's layout and text are kept per
+shape in :class:`errors.ShapeTables`, so only up to dimension 8: reading or
+writing higher horns leaves nothing held.
 
 Each kind's codec imports its kernel module when it runs, so that a
 command loads only the modules of the documents it reads: this module

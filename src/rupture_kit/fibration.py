@@ -419,9 +419,12 @@ def fiber(
 def enumerate_lifting_problems(f: RupturedFibrationData) -> list[LiftingProblemKey]:
     """Every well-formed lifting problem representable in the truncation,
     in (horn, base) order. The keys of one horn are adjacent and share one
-    :class:`HornSpec`, built only for a horn with a problem."""
+    :class:`HornSpec` object, built only for a horn with a problem, which
+    :func:`compose_fibrations` relies on. Each record is built unchecked,
+    by ``tuple.__new__``: the walk gives every one its shape."""
     e, b = f.total.underlying, f.base.underlying
     out = []
+    new = tuple.__new__
     for n in horn_dims(e, min(e.dim_bound, b.dim_bound)):
         coh, base_coh = f.total.coh[n - 1], f.base.coh[n]
         if not base_coh:  # no base simplex to lift to
@@ -435,8 +438,8 @@ def enumerate_lifting_problems(f: RupturedFibrationData) -> list[LiftingProblemK
                 h = None
                 for s in fillers.get(tuple(map(image, faces)), ()):
                     if s in base_coh:
-                        h = h or fitted_horn(n, k, faces)
-                        out.append(LiftingProblemKey(h, SimplexId(n, s)))
+                        h = h or new(HornSpec, (n, k, faces))
+                        out.append(new(LiftingProblemKey, (h, new(SimplexId, (n, s)))))
     return out
 
 

@@ -26,7 +26,7 @@ from .simplicial import (
     bad_index,
     check_simplicial_map,
     enumerate_horns,
-    fitted_horn,
+    fitted_horns,
     horn_dims,
     horn_fits,
     horn_of,
@@ -309,19 +309,26 @@ def product(r: RupturedComplex, s: RupturedComplex) -> RupturedComplex:
 
     # Face rows are componentwise, so the product's (n, k)-horns are exactly
     # the pairs of factor (n, k)-horns; a pair whose left horn is not gapped
-    # is gapped only through its right horn.
-    gap = {}
+    # is gapped only through its right horn. Only a dimension with a
+    # coherent simplex can hold a conflict, so only its horns are checked.
+    gap, checked = {}, []
     for n in horn_dims(underlying, bound):
         rc = y.counts[n - 1]
         for k in range(n + 1):
             right = [(b, s.gap.get((n, k, b))) for b in horn_rows(y, n, k)]
             right_gapped = [(b, mode) for b, mode in right if (n, k, b) in s.gap]
+            rows, modes = [], []
             for a in horn_rows(x, n, k):
                 shifted, left = [f * rc for f in a], r.gap.get((n, k, a))
                 for b, mode in right if (n, k, a) in r.gap else right_gapped:
-                    gap[fitted_horn(n, k, tuple(map(add, shifted, b)))] = left or mode
+                    rows.append(tuple(map(add, shifted, b)))
+                    modes.append(left or mode)
+            horns = list(fitted_horns(n, k, rows))
+            gap.update(zip(horns, modes))
+            if coh[n]:
+                checked += horns
     result = RupturedComplex.create(underlying, coh, gap)
-    conflicts = tuple(_conflicts(result, sorted(gap)))
+    conflicts = tuple(_conflicts(result, sorted(checked)))
     if conflicts:
         raise ExclusionError(
             "product gap structure conflicts with componentwise coherence",

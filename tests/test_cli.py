@@ -337,6 +337,35 @@ class TestJudgments:
         code, out = run_cli("judgments", path)
         assert (code, out.splitlines()[1]) == (1, line)
 
+    def test_label_outside_the_universe_is_logged_not_fatal(self, tmp_path):
+        # An add that level_up's universe refuses is one logged failure, as
+        # an Exclusion breach is: the rows after it still run, and the
+        # whole log and payload are printed.
+        script = {
+            "format": "rupture-kit/1",
+            "kind": "judgment-script",
+            "script": [
+                {"op": "add", "judgment": {"atom": "a"}, "polarity": "coherent"},
+                {"op": "level_up"},
+                {"op": "add", "judgment": {"atom": "zz"}, "polarity": "coherent"},
+                {"op": "is_open", "judgment": {"atom": "w1"}},
+            ],
+        }
+        path = tmp_path / "outside.json"
+        path.write_text(json.dumps(script))
+        log = [
+            "add a coherent: w1",
+            "level 1 universe [w1]",
+            "add zz coherent: rejected (label 'zz' is outside this level-1 universe)",
+            "open w1: True",
+        ]
+        code, out = run_cli("judgments", path)
+        assert (code, out.splitlines()) == (
+            1, log + ["final level 1, 0 entries, coherent fragment: True"])
+        code, out = run_cli("judgments", path, "--json")
+        assert code == 1 and json.loads(out) == {
+            "coherent_fragment": True, "entries": [], "failures": 1, "level": 1, "log": log}
+
 
 class TestDeterminism:
     COMMANDS = [
