@@ -219,11 +219,11 @@ def lift_edge_path(
     ends = b.face_table[0] if b.dim_bound else ()
     at, end, lifted = start.index, f.proj.levels[0][start.index], []
     for edge, forward in path.steps:
-        face = 1 if forward else 0  # a step leaves its edge's d_1 forward, its d_0 back
-        matches = table.get((edge, face, at), ())
-        if not (0 <= edge < len(ends) and ends[edge][face] == end and len(matches) == 1):
+        k = 0 if forward else 1  # a step leaves its edge's d_1 forward, its d_0 back
+        matches = table[k].get((edge, at), ())
+        if not (0 <= edge < len(ends) and ends[edge][1 - k] == end and len(matches) == 1):
             _refuse(f, start, path, f"{len(matches)} lifts of edge 1/{edge} at 0/{at}")
-        end, at = ends[edge][1 - face], rows[matches[0]][1 - face]
+        end, at = ends[edge][k], rows[matches[0]][k]
         lifted.append((matches[0], forward))
     return EdgePath(tuple(lifted))
 
@@ -285,12 +285,14 @@ def monodromy_ruptured(
     point, coherent with the closing lift otherwise.
 
     Returns ``f`` with the registry as its ``loop_gaps``, built unchecked:
-    nothing else differs.
+    nothing else differs. A basepoint off the base is refused, loops or none.
     """
     # Checked here as well: an empty fiber or loop list calls no lift.
     problem = covering_violation(f)
     if problem is not None:
         raise KernelError(f"not a covering: {problem}")
+    if not loops:  # the empty loop checks the basepoint
+        _lift_loop(f, basepoint, EdgePath(()))
     registry = {}
     for loop in loops:
         perm, lifts = _lift_loop(f, basepoint, loop)

@@ -12,7 +12,7 @@ its shape, so "02" is a fault, never a second name for "2". A reference to a
 simplex that does not exist (a face row entry, a coherence mark, a gap-horn
 face, a composite edge) is a schema mismatch too, and so is a fibration map
 that is not total on the total space: the constructors check face rows,
-labels and map levels, and their :class:`ShapeError` becomes a key path.
+labels, marks and map levels, and their :class:`ShapeError` becomes a key path.
 Simplicial identities, face commutation, horn compatibility and Exclusion
 are left to the validators. A ``gap`` list, mode rows too, is read one run
 of a shape (n, k) at a time in column passes; only a refused run is read
@@ -185,6 +185,14 @@ def _by_dimension(obj: dict, low: int, high: int, where: str) -> dict[int, Any]:
     return {dims[key]: value for key, value in obj.items()}
 
 
+def _shaped(where: str, build: Callable, *args):
+    """``build(*args)``, with its :class:`ShapeError` placed under ``where``."""
+    try:
+        return build(*args)
+    except ShapeError as exc:
+        raise DocumentError(exc.reason, f"{where}.{exc.key_path}") from None
+
+
 # -- complexes -----------------------------------------------------------------
 
 
@@ -216,10 +224,7 @@ def body_to_complex(body: Mapping, where: str = "complex") -> TruncatedComplex:
         _expect(type(count) is int, "expected a count or a label array", f"{where}.simplices.{n}")
         _expect(count >= 0, "count must be non-negative", f"{where}.simplices.{n}")
     faces = _by_dimension(_optional(body, "faces", where, dict), 1, dim_bound, f"{where}.faces")
-    try:
-        return TruncatedComplex.create(dim_bound, counts, faces, labels)
-    except ShapeError as exc:
-        raise DocumentError(exc.reason, f"{where}.{exc.key_path}") from None
+    return _shaped(where, TruncatedComplex.create, dim_bound, counts, faces, labels)
 
 
 # -- gap modes -----------------------------------------------------------------
@@ -228,21 +233,10 @@ def body_to_complex(body: Mapping, where: str = "complex") -> TruncatedComplex:
 def mode_to_body(mode: Optional[GapMode]) -> Optional[dict]:
     if mode is None:
         return None
-    payload: Any = mode.payload
-    # A fiber permutation is a tuple too, but not a plain one.
-    if type(payload) is tuple:
-        payload = [list(item) if isinstance(item, tuple) else item for item in payload]
-    elif payload is not None:
-        # Only a monodromy mode carries such a payload, and only then is
-        # covering loaded.
-        from .covering import FiberPermutation
-
-        if isinstance(payload, FiberPermutation):
-            payload = {
-                "fiber": list(payload.fiber),
-                "images": [list(pair) for pair in payload.mapping],
-            }
-    return {"kind": mode.kind, "payload": payload}
+    kind, payload = mode
+    if kind in _MODES:
+        payload = _MODES[kind][1](payload)
+    return {"kind": kind, "payload": payload}
 
 
 def _mode_fields(body, where: str) -> tuple[str, object]:
@@ -250,51 +244,54 @@ def _mode_fields(body, where: str) -> tuple[str, object]:
     kind = _get(body, "kind", where, str)
     _expect(bool(kind), "mode kind must be non-empty", f"{where}.kind")
     payload = body.get("payload")
-    here = f"{where}.payload"
-    if kind == "plain":
-        _expect(payload is None, "plain mode carries no payload", here)
-        return kind, None
-    if kind == "monodromy":
-        from .covering import FiberPermutation
-
-        fiber = [_int(v, here) for v in _get(payload, "fiber", here, list)]
-        images = _get(payload, "images", here, list)
-        mapping = {}
-        for pair in images:
-            _expect(
-                isinstance(pair, list) and len(pair) == 2,
-                "images must be [source, image] pairs",
-                here,
-            )
-            source = _int(pair[0], here)
-            _expect(source not in mapping, f"images name source {source} twice", here)
-            mapping[source] = _int(pair[1], here)
-        try:
-            return kind, FiberPermutation.of(fiber, mapping)
-        except KernelError as exc:
-            raise DocumentError(str(exc), here)
-    if kind == "semantic":
-        _expect(
-            isinstance(payload, list) and all(isinstance(v, str) for v in payload),
-            "semantic payload must be a list of feature strings",
-            here,
-        )
-        return kind, tuple(payload)
-    if kind == "resource":
-        _expect(isinstance(payload, list), "resource payload must be a list", here)
-        counts = []
-        for pair in payload:
-            _expect(
-                isinstance(pair, list)
-                and len(pair) == 2
-                and isinstance(pair[0], str),
-                "resource payload entries are [variable, count] pairs",
-                here,
-            )
-            counts.append((pair[0], _int(pair[1], here)))
-        return kind, tuple(counts)
+    if kind in _MODES:
+        return kind, _MODES[kind][0](payload, f"{where}.payload")
+    if kind == "plain":  # it and every kind outside the table carry null
+        _expect(payload is None, "plain mode carries no payload", f"{where}.payload")
     _expect(payload is None, f"unknown mode kind '{kind}' cannot carry payload", where)
     return kind, None
+
+
+def _monodromy_payload(payload, here: str):
+    from .covering import FiberPermutation
+
+    fiber = [_int(v, here) for v in _get(payload, "fiber", here, list)]
+    mapping = {}
+    for pair in _get(payload, "images", here, list):
+        _expect(isinstance(pair, list) and len(pair) == 2,
+                "images must be [source, image] pairs", here)
+        source = _int(pair[0], here)
+        _expect(source not in mapping, f"images name source {source} twice", here)
+        mapping[source] = _int(pair[1], here)
+    try:
+        return FiberPermutation.of(fiber, mapping)
+    except KernelError as exc:
+        raise DocumentError(str(exc), here)
+
+
+def _semantic_payload(payload, here: str) -> tuple[str, ...]:
+    _expect(isinstance(payload, list) and all(isinstance(v, str) for v in payload),
+            "semantic payload must be a list of feature strings", here)
+    return tuple(payload)
+
+
+def _resource_payload(payload, here: str) -> tuple[tuple[str, int], ...]:
+    _expect(isinstance(payload, list), "resource payload must be a list", here)
+    for pair in payload:
+        _expect(isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str),
+                "resource payload entries are [variable, count] pairs", here)
+        _int(pair[1], here)
+    return tuple(map(tuple, payload))
+
+
+# kind -> (read its payload at a key path, write it); every other kind,
+# "plain" among them, carries null.
+_MODES = {
+    "monodromy": (_monodromy_payload, lambda perm: {
+        "fiber": list(perm.fiber), "images": [list(pair) for pair in perm.mapping]}),
+    "semantic": (_semantic_payload, list),
+    "resource": (_resource_payload, lambda counts: [list(pair) for pair in counts]),
+}
 
 
 # -- ruptured complexes ----------------------------------------------------------
@@ -446,19 +443,16 @@ def ruptured_to_body(r: RupturedComplex) -> dict:
 
 def body_to_ruptured(body: Mapping, where: str = "ruptured") -> RupturedComplex:
     from .ruptured import RupturedComplex
-    from .simplicial import bad_index
 
     underlying = body_to_complex(body, where)
     coh = _by_dimension(_optional(body, "coh", where, dict), 0, underlying.dim_bound,
                         f"{where}.coh")
     for n, members in coh.items():
-        here = f"{where}.coh.{n}"
-        _expect(isinstance(members, list), "expected a list of indices", here)
-        bad = bad_index(members, n, underlying.count(n))
-        if bad:
-            raise DocumentError(bad[1], here)
+        _expect(isinstance(members, list), "expected a list of indices", f"{where}.coh.{n}")
+    # Built before the gap list is read, so that a bad mark is the first error.
+    r = _shaped(where, RupturedComplex.create, underlying, coh)
     gap = _gap_table(_optional(body, "gap", where, list), underlying, where)
-    return RupturedComplex.create(underlying, coh, gap)
+    return tuple.__new__(RupturedComplex, (*r[:2], gap))  # a gap table has no shape rule
 
 
 # -- fibrations -------------------------------------------------------------------
@@ -499,10 +493,7 @@ def body_to_fibration(body: Mapping, where: str = "fibration") -> RupturedFibrat
     proj = SimplicialMap(tuple(levels.get(n, []) for n in range(top + 1)))
     # Built before the gap lifts are read, so that a bad map level is the
     # first error, as the document lists it.
-    try:
-        f = RupturedFibrationData(total, base, proj)
-    except ShapeError as exc:
-        raise DocumentError(exc.reason, f"{where}.{exc.key_path}") from None
+    f = _shaped(where, RupturedFibrationData, total, base, proj)
     rows = _optional(body, "gap_lifts", where, list)
     bodies = [row.get("horn") if isinstance(row, dict) else None for row in rows]
     horns, fault = _gap_horns(bodies, total.underlying, lambda i: f"{where}.gap_lifts[{i}].horn")

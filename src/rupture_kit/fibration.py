@@ -19,6 +19,7 @@ covering machinery.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, Optional
 
 from .errors import KernelError, Violation, named_tuple, record
@@ -40,6 +41,7 @@ from .simplicial import (
     horn_fits,
     horn_rows,
     horn_violations,
+    positions,
     restrict,
     shaped_map,
 )
@@ -102,7 +104,7 @@ class RupturedFibrationData:
         return tuple.__new__(cls, (total, base, proj, *tables))
 
     @cached_property
-    def lift_table(self) -> tuple[dict[tuple[int, int, int], list[int]], Optional[str]]:
+    def lift_table(self) -> tuple[tuple[dict, dict], Optional[str]]:
         """The edge-lifting table of :func:`build_lift_table`, built on first
         use and kept with the fibration in its ``__dict__``."""
         return build_lift_table(self)
@@ -112,47 +114,35 @@ class RupturedFibrationData:
         """Base vertex index -> the ascending indices of the total vertices
         over it: the preimage of ``proj.levels[0]``, built on first use and
         kept with the fibration like ``lift_table``."""
-        over: dict[int, list[int]] = {}
-        for w, v in enumerate(self.proj.levels[0]):
-            over.setdefault(v, []).append(w)
-        return {v: tuple(ws) for v, ws in over.items()}
+        return positions(self.proj.levels[0])
 
 
-def build_lift_table(
-    f: RupturedFibrationData,
-) -> tuple[dict[tuple[int, int, int], list[int]], Optional[str]]:
-    """Unique path lifting as a table, built in one pass over the total
-    edges: (base edge, face index, total vertex) -> the total edges over
-    that base edge whose face at that index is that vertex, ascending.
+def build_lift_table(f: RupturedFibrationData) -> tuple[tuple[dict, dict], Optional[str]]:
+    """Unique path lifting as two indexes shaped like ``fillers[0]``: ``[k]``
+    maps (base edge, total vertex) to the total edges over that base edge
+    whose source d_1 (k = 0) or target d_0 (k = 1) is that vertex, ascending.
 
     Also returns a description of the first (total vertex, incident base
     edge, direction), in that order, without exactly one lift; None for a
-    covering.
+    covering. A base edge leaves a vertex forward from its source and
+    backward from its target, as the base's ``fillers[0]`` lists them.
     """
     e, b = f.total.underlying, f.base.underlying
     vertex_of, edge_of = f.proj.level(0), f.proj.level(1)
     if len(edge_of) < e.count(1):
         # A base without edges leaves the total edges unmapped.
         f.proj.apply(SimplexId(1, len(edge_of)))  # raises
-    table: dict[tuple[int, int, int], list[int]] = {}
-    for te, be in enumerate(edge_of):
-        row = e.face_table[0][te]
-        for face_idx in (1, 0):
-            table.setdefault((be, face_idx, row[face_idx]), []).append(te)
-    # base edges by the vertex they leave from: forward at d_1, backward at d_0
-    leaving: dict[int, list[tuple[int, int, str]]] = {}
-    for be in range(b.count(1)):
-        row = b.face_table[0][be]
-        for face_idx, direction in ((1, "forward"), (0, "backward")):
-            leaving.setdefault(row[face_idx], []).append((be, face_idx, direction))
-    for w, v in enumerate(vertex_of):
-        for be, face_idx, direction in leaving.get(v, ()):
-            lifts = table.get((be, face_idx, w), ())
-            if len(lifts) != 1:
-                return table, (
-                    f"vertex 0/{w} has {len(lifts)} {direction} lifts of base edge 1/{be}"
-                )
-    return table, None
+    rows = e.face_table[0] if edge_of else ()
+    table = tuple(positions(zip(edge_of, map(itemgetter(1 - k), rows))) for k in (0, 1))
+    # (vertex, base edge leaving it, k) without one lift; no fillers without an edge level.
+    faults = [(w, be, k) for leaving in b.fillers[:1] for k, index in enumerate(table)
+              for w, v in enumerate(vertex_of) for be in leaving[k].get((v,), ())
+              if len(index.get((be, w), ())) != 1]
+    if not faults:
+        return table, None
+    w, be, k = min(faults)  # by vertex, then base edge, then forward before backward
+    return table, (f"vertex 0/{w} has {len(table[k].get((be, w), ()))} "
+                   f"{('forward', 'backward')[k]} lifts of base edge 1/{be}")
 
 
 @record

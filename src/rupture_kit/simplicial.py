@@ -237,7 +237,7 @@ class TruncatedComplex:
         with entry k dropped to the ascending indices of the n-simplices
         filling that (n, k)-horn; built on first use, kept in ``__dict__``."""
         return tuple(
-            tuple(_positions(row[:k] + row[k + 1 :] for row in rows) for k in range(n + 1))
+            tuple(positions(row[:k] + row[k + 1 :] for row in rows) for k in range(n + 1))
             for n, rows in zip(horn_dims(self, self.dim_bound), self.face_table)
         )
 
@@ -245,10 +245,10 @@ class TruncatedComplex:
     def cofaces(self) -> tuple[dict[int, tuple[int, ...]], ...]:
         """``cofaces[n - 1]`` maps an (n-1)-simplex to the ascending indices of
         the n-simplices whose d_0 it is; built on first use, for fibers."""
-        return tuple(_positions(map(itemgetter(0), rows)) for rows in self.face_table)
+        return tuple(positions(map(itemgetter(0), rows)) for rows in self.face_table)
 
 
-def _positions(keys: Iterable) -> dict:
+def positions(keys: Iterable) -> dict:
     """Each key mapped to the tuple of its positions in ``keys``, ascending."""
     table: dict = {}
     for idx, key in enumerate(keys):

@@ -223,6 +223,16 @@ class TestMonodromy:
         assert payload["loops"][0]["permutation"] == "(0 1)"
         assert len(payload["gapped_closures"]) == 2
 
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_a_basepoint_off_the_base_is_refused_without_loops(self, tmp_path, flags):
+        """No loop is lifted, and the basepoint is still checked as a loop's
+        lift checks it."""
+        task = tmp_path / "task.json"
+        task.write_text(json.dumps({"format": "rupture-kit/1", "kind": "covering-task",
+                                    "basepoint": 99, "loops": []}), encoding="utf-8")
+        code, out = run_cli("monodromy", FIXTURES / "double_cover_3.json", task, *flags)
+        assert (code, out) == (1, "error: basepoint must be a base vertex, got 0/99\n")
+
 
 class TestCoreProductCompose:
     def test_core_of_kan_triangle(self):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from rupture_kit import documents
 from rupture_kit.cli import main
 from rupture_kit.documents import (
     MAX_DIM_BOUND,
@@ -296,36 +297,45 @@ def parsed_mode(body):
     return mode
 
 
+# kind -> (a payload of that kind, the payload the writer writes for it):
+# every kind of ``documents._MODES``, "plain" and a kind outside the table.
+MODE_SAMPLES = {
+    "monodromy": (((0, 3), ((0, 3), (3, 0))), {"fiber": [0, 3], "images": [[0, 3], [3, 0]]}),
+    "semantic": (("warm", "x\"y"), ["warm", "x\"y"]),
+    "resource": ((("y", 2), ("x", 0)), [["y", 2], ["x", 0]]),
+    "plain": (None, None),
+    "drift": (None, None),
+}
+
+
 class TestGapModePayloads:
-    def test_monodromy_payload_round_trip(self):
+    @pytest.mark.parametrize("kind", [*documents._MODES, "plain", "drift"])
+    def test_each_kind_round_trips(self, kind):
+        """A kind of the table both writes and reads its payload; any other
+        kind carries null. A kind added to the table without a sample here,
+        or with only one direction, fails."""
         from rupture_kit.covering import FiberPermutation
-        from rupture_kit.documents import mode_to_body
         from rupture_kit.ruptured import GapMode
 
-        mode = GapMode("monodromy", FiberPermutation.of([0, 3], {0: 3, 3: 0}))
-        body = mode_to_body(mode)
-        assert body == {
-            "kind": "monodromy",
-            "payload": {"fiber": [0, 3], "images": [[0, 3], [3, 0]]},
-        }
-        assert parsed_mode(body) == mode
+        payload, written = MODE_SAMPLES[kind]
+        if kind == "monodromy":
+            payload = FiberPermutation(*payload)
+        mode = GapMode(kind, payload)
+        body = documents.mode_to_body(mode)
+        assert body == {"kind": kind, "payload": written}
+        parsed = parsed_mode(body)
+        assert parsed == mode and type(parsed.payload) is type(payload)
 
-    def test_resource_payload_round_trip(self):
-        from rupture_kit.documents import mode_to_body
-        from rupture_kit.ruptured import GapMode
-
-        mode = GapMode("resource", (("y", 2),))
-        body = mode_to_body(mode)
-        assert body == {"kind": "resource", "payload": [["y", 2]]}
-        assert parsed_mode(body) == mode
-
-    def test_plain_and_custom_kinds(self):
-        from rupture_kit.documents import mode_to_body
-        from rupture_kit.ruptured import GapMode
-
-        assert parsed_mode(mode_to_body(GapMode("plain"))) == GapMode("plain")
-        custom = GapMode("drift")
-        assert parsed_mode(mode_to_body(custom)) == custom
+    @pytest.mark.parametrize("kind,message,where", [
+        ("plain", "plain mode carries no payload", "ruptured.gap[0].mode.payload"),
+        ("drift", "unknown mode kind 'drift' cannot carry payload", "ruptured.gap[0].mode"),
+    ])
+    def test_a_kind_outside_the_table_carries_null(self, kind, message, where):
+        """A payload on a kind outside the table is refused at the mode, on
+        "plain" at the payload."""
+        with pytest.raises(DocumentError) as err:
+            parsed_mode({"kind": kind, "payload": ["a"]})
+        assert str(err.value) == f"{message} (at {where})"
 
     def test_monodromy_mode_in_ruptured_document(self):
         from rupture_kit.covering import FiberPermutation, build_cycle
@@ -401,6 +411,9 @@ class TestMissingReferences:
             ('"faces": {"1": [[1, 0]]}, "coh": {"1": [1]}', "no simplex 1/1", "ruptured.coh.1"),
             ('"faces": {"1": [[1, 0]]}, "coh": {"-1": []}', "dimension '-1' is outside 0..1",
              "ruptured.coh.-1"),
+            # A coherence fault comes before a gap fault.
+            ('"faces": {"1": [[1, 0]]}, "coh": {"0": [5]},'
+             ' "gap": [{"n": 1, "k": 0, "faces": {"1": 4}}]', "no simplex 0/5", "ruptured.coh.0"),
             ('"faces": {"1": [[1, 0]]}, "gap": [{"n": 1, "k": 0, "faces": {"1": 4}}]',
              "no simplex 0/4", "ruptured.gap[0].faces.1"),
             ('"faces": {"1": [[1, 0]]}, "gap": [{"n": 2, "k": 0, "faces": {"1": 0, "2": 0}}]',
@@ -414,8 +427,9 @@ class TestMissingReferences:
             ('"faces": {"1": [[1, 0]]}, "gap": [{"n": 1, "k": 0, "faces": {"1": 1, "01": 0}}]',
              "face index '01' is not one of", "ruptured.gap[0].faces.01"),
         ],
-        ids=["face-row", "coh-index", "coh-dimension", "gap-horn-face", "gap-horn-dimension",
-             "gap-horn-twice", "gap-horn-respelled-face", "gap-horn-respelled-face-last"],
+        ids=["face-row", "coh-index", "coh-dimension", "coh-before-gap", "gap-horn-face",
+             "gap-horn-dimension", "gap-horn-twice", "gap-horn-respelled-face",
+             "gap-horn-respelled-face-last"],
     )
     def test_names_the_key_path(self, rest, message, where):
         with pytest.raises(DocumentError, match=message) as err:
